@@ -1,20 +1,26 @@
 """Predicate domains: abstraction, concretization, and formula approximation.
 
 A predicate list (p_1, ..., p_n) induces the abstract domain of total truth
-assignments (b_1, ..., b_n).  Both approximation operators enumerate full
-minterms — 2^n theory queries — trading speed for maximal precision, which
-is why n is capped.  Returned formulas are canonicalized through the Bdd
-engine so tests can compare semantics rather than syntax.
+assignments (b_1, ..., b_n).  One sweep of the joint domain computes the
+α-image, the predicate bit-vector of every state, in the All-SAT style of
+predicate abstraction.  The feasible minterms, γ and both approximation
+operators are read off the image, at one further sweep per query condition
+instead of one theory query per minterm.  n is capped because minterm sets
+can still grow as 2^n.  Returned formulas are canonicalized through the Bdd
+engine so tests can compare semantics rather than syntax.  With a query log
+on, the per-cube theory queries that the image answered are recorded, so an
+external solver can cross-check them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from bernabs import bdd as bddm
 from bernabs import concrete as cc
 from bernabs import formula as fm
+from bernabs import kernel
 from bernabs.errors import PredicateBoundError
 from bernabs.theory import TheoryContext
 
@@ -24,8 +30,13 @@ DEFAULT_MAX_PREDICATES = 16
 @dataclass(frozen=True)
 class Minterm:
     bits: tuple
-    cond: cc.Cond
     feasible: bool
+    preds: PredicateList = field(repr=False, compare=False)
+
+    @property
+    def cond(self) -> cc.Cond:
+        """The cube: each predicate or its negation, as `bits` says."""
+        return self.preds.minterm_cond(self.bits)
 
 
 class PredicateList:
@@ -43,10 +54,12 @@ class PredicateList:
         self.ctx = ctx
         self.labels = tuple(labels)
         self.conds = tuple(cond for _, cond in preds)
+        self._fns = tuple(ctx.compile(cond) for cond in self.conds)
         self.universe = fm.make_universe(
             [(label, fm.VarKind.PREDICATE) for label in labels], backend=backend
         )
-        self._minterms = None
+        self._image = None
+        self._feasible = None
 
     def __len__(self):
         return len(self.labels)
@@ -73,70 +86,118 @@ class PredicateList:
         ]
         return fm.and_all(lits)
 
+    def _alpha_image(self):
+        """The α-image, computed by one sweep on first use.
+
+        Returns (image, feasible): the predicate bits of every joint state in
+        ``ctx.states()`` order, and a dict mapping each bit-vector that
+        occurs to the one tuple the image shares for it, in
+        itertools.product order.
+        """
+        if self._image is None:
+            fns = self._fns
+            shared = {}
+            self._image = [
+                shared.setdefault(bits, bits)
+                for bits in (tuple([fn(key) for fn in fns]) for key in self.ctx.states())
+            ]
+            self._feasible = {bits: bits for bits in sorted(shared)}
+            self._log_cubes("sat", self._all_bits())
+        return self._image, self._feasible
+
+    def _all_bits(self):
+        return itertools.product((False, True), repeat=len(self))
+
+    def _image_of(self, cond) -> set:
+        """The bit-vectors of the states that satisfy `cond`."""
+        self.ctx.check_closed(cond)
+        fn = self.ctx.compile(cond)
+        image, _ = self._alpha_image()
+        return {bits for key, bits in zip(self.ctx.states(), image) if fn(key)}
+
+    def _log_cubes(self, kind, bit_vectors, other=None):
+        """Record in the theory's query log the per-cube queries the image
+        answered: satisfiable(cube [&& other]) or entails(cube, other)."""
+        if self.ctx.query_log is None:
+            return
+        for bits in bit_vectors:
+            cube = self.minterm_cond(bits)
+            if kind == "entails":
+                self.ctx.log_query("entails", cube, other)
+            else:
+                self.ctx.log_query("sat", cube if other is None else cc.CAnd(cube, other))
+
     def minterms(self):
-        if self._minterms is None:
-            out = []
-            for bits in itertools.product((False, True), repeat=len(self)):
-                cond = self.minterm_cond(bits)
-                out.append(Minterm(bits, cond, self.ctx.satisfiable(cond)))
-            self._minterms = tuple(out)
-        return self._minterms
+        """All 2^n minterms in itertools.product order."""
+        _, feasible = self._alpha_image()
+        return tuple(Minterm(bits, bits in feasible, self) for bits in self._all_bits())
 
     def feasible_minterms(self):
-        return tuple(m for m in self.minterms() if m.feasible)
+        _, feasible = self._alpha_image()
+        return tuple(Minterm(bits, True, self) for bits in feasible)
 
     # --- abstraction / concretization ----------------------------------------
 
     def alpha(self, state: dict) -> tuple:
         """Componentwise predicate evaluation at a total concrete state."""
-        return tuple(cc.eval_cond(cond, state) for cond in self.conds)
+        key = tuple([state[name] for name in self.ctx.names])
+        return tuple([fn(key) for fn in self._fns])
 
     def gamma_lower(self, bits) -> list:
         """All concrete states whose abstraction is exactly `bits`."""
-        bits = tuple(bool(b) for b in bits)
-        fns = [self.ctx.compile(cond) for cond in self.conds]
+        image, feasible = self._alpha_image()
+        cell = feasible.get(tuple(bool(b) for b in bits))
+        if cell is None:
+            return []
         names = self.ctx.names
-        out = []
-        for key in self.ctx.states():
-            if tuple(fn(key) for fn in fns) == bits:
-                out.append(dict(zip(names, key)))
-        return out
+        return [dict(zip(names, key)) for key, img in zip(self.ctx.states(), image) if img is cell]
 
     # --- formula approximation -------------------------------------------------
 
-    def _canonical(self, minterm_list) -> fm.BoolFormula:
-        f = fm.or_all(self.minterm_formula(m.bits) for m in minterm_list)
-        return bddm.build(self.universe, f).to_formula()
+    def _canonical(self, bit_vectors) -> fm.BoolFormula:
+        """The formula of the BDD whose models are the distinct `bit_vectors`,
+        built level by level with ``mk``: the recursion is n deep, whatever
+        the number of minterms."""
+        table = self.universe.table
+        n = len(self)
+
+        def build(level, rows):
+            # rows share their first `level` bits and differ in the rest
+            if not rows:
+                return kernel.FALSE
+            if len(rows) == 1 << (n - level):
+                return kernel.TRUE
+            lo = build(level + 1, [r for r in rows if not r[level]])
+            hi = build(level + 1, [r for r in rows if r[level]])
+            return table.mk(level, lo, hi)
+
+        return bddm.Bdd(self.universe, build(0, list(bit_vectors))).to_formula()
 
     def strongest_implied(self, cond) -> fm.BoolFormula:
         """Strongest formula over the predicates implied (modulo theory) by cond.
 
-        Disjunction of the minterms consistent with cond: any weaker set
-        would miss a reachable abstract state, any stronger set would not
-        be implied.
+        Disjunction of the minterms consistent with cond, i.e. the image of
+        the cond-states: any weaker set would miss a reachable abstract
+        state, any stronger set would not be implied.
         """
-        hits = [
-            m
-            for m in self.minterms()
-            if self.ctx.satisfiable(cc.CAnd(m.cond, cond))
-        ]
+        hits = self._image_of(cond)
+        self._log_cubes("sat", self._all_bits(), cond)
         return self._canonical(hits)
 
     def weakest_sufficient(self, target) -> fm.BoolFormula:
         """Weakest formula over the predicates that guarantees `target`.
 
-        Disjunction of the feasible minterms entailing target.
+        Disjunction of the feasible minterms entailing target: those outside
+        the image of the states violating it.
         """
-        hits = [
-            m
-            for m in self.feasible_minterms()
-            if self.ctx.entails(m.cond, target)
-        ]
-        return self._canonical(hits)
+        _, feasible = self._alpha_image()
+        misses = self._image_of(cc.CNot(target))
+        self._log_cubes("entails", feasible, target)
+        return self._canonical(bits for bits in feasible if bits not in misses)
 
     def invariant_formula(self) -> fm.BoolFormula:
         """I: the disjunction of theory-feasible minterms."""
-        return self._canonical(self.feasible_minterms())
+        return self._canonical(self._alpha_image()[1])
 
     def invariant_bdd(self) -> bddm.Bdd:
         return bddm.build(self.universe, self.invariant_formula())

@@ -8,6 +8,7 @@ ambiguity positionally (blocks only ever follow ``if (...)`` or ``else``).
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,14 @@ _TOKEN_RE = re.compile(
 )
 
 _LOOP_WORDS = {"while", "goto", "for", "loop"}
+
+# Brackets, negations and blocks nested inside one another; deeper input is
+# rejected before the recursive descent could exhaust the interpreter stack.
+MAX_NESTING = 100
+
+
+class _NestingError(ParseError):
+    """Input nested past MAX_NESTING; never caught to backtrack."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead=0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -99,6 +109,18 @@ class _Parser:
 
     def at_eof(self):
         return self.peek().kind == "eof"
+
+    @contextlib.contextmanager
+    def nested(self):
+        """One level of syntactic nesting, at most MAX_NESTING deep."""
+        if self.depth >= MAX_NESTING:
+            tok = self.peek()
+            raise _NestingError(f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     def signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
@@ -157,12 +179,14 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
         tok = p.peek()
         if tok.text == "(":
             p.next()
-            e = int_expr()
+            with p.nested():
+                e = int_expr()
             p.expect(")")
             return e
         if tok.text == "-":
             p.next()
-            inner = int_atom()
+            with p.nested():
+                inner = int_atom()
             if isinstance(inner, concrete.IntConst):
                 return concrete.IntConst(-inner.value)
             return concrete.Scale(-1, inner)
@@ -204,7 +228,8 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
         tok = p.peek()
         if tok.text == "!":
             p.next()
-            return concrete.CNot(cond_atom())
+            with p.nested():
+                return concrete.CNot(cond_atom())
         if tok.text == "T" and p.peek(1).text not in ("<", "<=", "==", "!=", ">", ">=", "+", "-", "*"):
             p.next()
             return concrete.CTrue()
@@ -217,10 +242,13 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
             save = p.i
             try:
                 p.next()
-                c = cond_or()
+                with p.nested():
+                    c = cond_or()
                 p.expect(")")
                 if p.peek().text not in ("<", "<=", "==", "!=", "=", ">", ">=", "+", "-", "*"):
                     return c
+            except _NestingError:
+                raise
             except ParseError:
                 pass
             p.i = save
@@ -288,10 +316,11 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
     def block():
         p.expect("{")
         stmts = []
-        while not p.at("}"):
-            if p.at_eof():
-                p.fail("unterminated block")
-            stmts.append(statement())
+        with p.nested():
+            while not p.at("}"):
+                if p.at_eof():
+                    p.fail("unterminated block")
+                stmts.append(statement())
         p.expect("}")
         return tuple(stmts)
 
@@ -374,10 +403,12 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
         tok = p.peek()
         if tok.text == "!":
             p.next()
-            return bern.BNot(atom())
+            with p.nested():
+                return bern.BNot(atom())
         if tok.text == "(":
             p.next()
-            e = expr()
+            with p.nested():
+                e = expr()
             p.expect(")")
             return e
         if tok.text == "T":
@@ -402,9 +433,10 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
         if tok.text == "choose":
             p.next()
             p.expect("(")
-            a = expr()
-            p.expect(",")
-            b = expr()
+            with p.nested():
+                a = expr()
+                p.expect(",")
+                b = expr()
             p.expect(")")
             return bern.Choose(a, b)
         name = _bern_name(p)
@@ -427,7 +459,8 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
     def implication():
         e = disj()
         if p.accept("=>"):
-            return bern.BImp(e, implication())
+            with p.nested():
+                return bern.BImp(e, implication())
         return e
 
     def expr():
@@ -473,10 +506,11 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
     def block():
         p.expect("{")
         stmts = []
-        while not p.at("}"):
-            if p.at_eof():
-                p.fail("unterminated block")
-            stmts.append(statement())
+        with p.nested():
+            while not p.at("}"):
+                if p.at_eof():
+                    p.fail("unterminated block")
+                stmts.append(statement())
         p.expect("}")
         return tuple(stmts)
 

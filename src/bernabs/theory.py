@@ -2,9 +2,12 @@
 
 Satisfiability and entailment are decided by exhaustive enumeration of the
 joint domain (the role an SMT solver would play for unbounded theories),
-with memoization keyed on the serialized condition since abstraction
-construction re-issues exponentially many cube queries.  SMT-LIB2 export
-is provided so an external solver can cross-check verdicts.
+with memoization keyed on the serialized condition.  The predicate domain
+answers its per-cube questions from one sweep of its own (the α-image), so
+these are left to the builder's few direct checks and to the tests, which
+use them as the oracle.  SMT-LIB2 export is provided so an external solver
+can cross-check verdicts: the query log holds every distinct query asked
+here or answered by the image.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ class TheoryContext:
         self._sat_memo = {}
         self._ent_memo = {}
         self.query_log = [] if record_queries else None
+        self._logged = set()  # memo keys of the logged queries
 
     @classmethod
     def of_program(cls, program: cc.ConcreteProgram, cap=DEFAULT_CAP, record_queries=False):
@@ -108,8 +112,7 @@ class TheoryContext:
         hit = self._sat_memo.get(key)
         if hit is not None:
             return hit
-        if self.query_log is not None:
-            self.query_log.append(("sat", cond, None))
+        self.log_query("sat", cond)
         fn = self.compile(cond)
         result = any(fn(s) for s in self.states())
         self._sat_memo[key] = result
@@ -123,12 +126,20 @@ class TheoryContext:
         hit = self._ent_memo.get(key)
         if hit is not None:
             return hit
-        if self.query_log is not None:
-            self.query_log.append(("entails", a, b))
+        self.log_query("entails", a, b)
         fa, fb = self.compile(a), self.compile(b)
         result = all(fb(s) for s in self.states() if fa(s))
         self._ent_memo[key] = result
         return result
+
+    def log_query(self, kind, a, b=None):
+        """Append a query to the log, if it is on, once per memo key."""
+        if self.query_log is None:
+            return
+        key = str(a) if kind == "sat" else (str(a), str(b))
+        if key not in self._logged:
+            self._logged.add(key)
+            self.query_log.append((kind, a, b))
 
     def eval_at(self, cond, state: dict) -> bool:
         return cc.eval_cond(cond, state)

@@ -237,6 +237,23 @@ def test_choose_guard_disjointness():
             assert both.is_false
 
 
+@pytest.mark.parametrize("n", [10, 13, 16])
+def test_independent_predicate_ladder(n):
+    """n two-valued variables with one predicate each, up to the predicate
+    bound: all 2^n minterms are feasible and nothing recurses per minterm."""
+    lines = [f"var x{i} in [0, 2)" for i in range(n)]
+    lines += ["x0 = unif [0, 2)", f"x{n - 1} = unif [0, 2)"]
+    prog = parsing.parse_concrete("\n".join(lines) + "\n")
+    ctx = theory.TheoryContext.of_program(prog)
+    preds = PredicateList(parsing.parse_preds("".join(f"x{i}: x{i} == 1\n" for i in range(n))), ctx)
+    config = bld.AbstractionConfig(mode="prob", invariant_style="observe", params=bld.ParamPolicy.fit())
+    aprog, sites = bld.abstract_program(prog, preds, config)
+    fitted, table = theorems.fit_parameters(prog, aprog, sites, preds)
+    assert len(preds.feasible_minterms()) == 2**n
+    assert isinstance(preds.invariant_formula(), fm.TrueF)
+    assert [s.theta for s in table.sites] == [Fraction(1, 2)] * 2
+
+
 def test_concrete_observe_becomes_observe():
     ctx = theory.TheoryContext([cc.VarDecl("x", 0, 8)])
     preds = PredicateList([("x<4", parsing.parse_cond("x < 4", ["x"]))], ctx)

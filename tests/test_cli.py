@@ -52,6 +52,25 @@ def test_abstract_bad_input_exit_2(files, capsys):
     assert rc == 2
 
 
+def test_abstract_dump_queries(files):
+    """The per-cube queries the predicate image answered are still exported."""
+    paths, tmp = files
+    dump = tmp / "queries.smt2"
+    rc = cli.main(["abstract", paths["branch.cp"], paths["branch.preds"],
+                   "-o", str(tmp / "out.bern"), "--dump-queries", str(dump)])
+    assert rc == 0
+    assert dump.read_text().count("(check-sat)") == 36
+
+
+@pytest.mark.parametrize("expr", ["!" * 3000 + "a", "(" * 3000 + "a" + ")" * 3000])
+def test_infer_deep_nesting_exit_2(tmp_path, capsys, expr):
+    deep = tmp_path / "deep.bern"
+    deep.write_text(f"bool a\na = {expr}\n")
+    rc = cli.main(["infer", str(deep), "--event", "a"])
+    assert rc == 2
+    assert "nested more than" in capsys.readouterr().err
+
+
 def test_abstract_missing_file_exit_2(files):
     paths, tmp = files
     rc = cli.main(["abstract", str(tmp / "nope.cp"), paths["branch.preds"]])

@@ -126,6 +126,12 @@ def test_compatibility_properties():
             for k in keys:
                 assert k not in seen
                 seen[k] = bits
+        # gamma_lower is the brute-force cell, empty for infeasible minterms;
+        # alpha is taken here by the tree-walking evaluator, not compiled
+        states = [dict(zip(ctx.names, key)) for key in ctx.states()]
+        for m in preds.minterms():
+            cell = [z for z in states if tuple(cc.eval_cond(c, z) for c in preds.conds) == m.bits]
+            assert preds.gamma_lower(m.bits) == cell
 
 
 def test_strongest_implied_is_strongest():
@@ -145,6 +151,7 @@ def test_strongest_implied_is_strongest():
                 assert not (d & preds.to_bdd(preds.minterm_formula(bits))).is_false
         # strongest: every included minterm is witnessed by some c-state
         for m in preds.minterms():
+            assert m.feasible == ctx.satisfiable(m.cond)
             inc = not (d & preds.to_bdd(preds.minterm_formula(m.bits))).is_false
             witnessed = ctx.satisfiable(cc.CAnd(m.cond, c))
             assert inc == witnessed
