@@ -10,11 +10,19 @@ reporting distinguishes branch information from invariant conditioning.
 The exact interpreter here is the reference oracle: it enumerates total
 assignments to the flip sites and runs the program deterministically for
 each, so smarter engines can be checked against it.
+
+Expression trees are walked only through `fold`, a post-order fold with
+an explicit stack, and rewritten only through `map_expr` and `map_program`
+on top of it; callers supply what a node means.  No expression walk has a
+depth limit, so a flat chain of thousands of operands (a tree that deep)
+is as safe as one leaf.  Statement blocks nest at most
+``parsing.MAX_NESTING`` deep and are walked recursively.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +37,16 @@ DEFAULT_FLIP_CAP = 24
 
 class BernExpr:
     __slots__ = ()
+
+
+class _Inner(BernExpr):
+    """A node with children; equality and hashing go through `fold`."""
+
+    def __eq__(self, other):
+        return _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(tuple(_shape(self)))
 
 
 @dataclass(frozen=True)
@@ -46,33 +64,31 @@ class BVar(BernExpr):
     name: str
 
 
-@dataclass(frozen=True)
-class BNot(BernExpr):
+@dataclass(frozen=True, eq=False)
+class BNot(_Inner):
     operand: BernExpr
 
 
-@dataclass(frozen=True)
-class BAnd(BernExpr):
+@dataclass(frozen=True, eq=False)
+class _Binary(_Inner):
     left: BernExpr
     right: BernExpr
 
 
-@dataclass(frozen=True)
-class BOr(BernExpr):
-    left: BernExpr
-    right: BernExpr
+class BAnd(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class BImp(BernExpr):
-    left: BernExpr
-    right: BernExpr
+class BOr(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class BIff(BernExpr):
-    left: BernExpr
-    right: BernExpr
+class BImp(_Binary):
+    pass
+
+
+class BIff(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -90,8 +106,8 @@ class Star(BernExpr):
     occurrence: int
 
 
-@dataclass(frozen=True)
-class Choose(BernExpr):
+@dataclass(frozen=True, eq=False)
+class Choose(_Inner):
     when_true: BernExpr
     when_false: BernExpr
 
@@ -172,11 +188,75 @@ class BernProgram:
             raise ModeError("flip is not allowed in non-deterministic mode")
 
     def flip_sites(self):
-        """(site id, theta) pairs in traversal order."""
+        """(site id, theta) pairs, left to right through the program."""
         return [(e.site, e.theta) for e in walk_exprs(self.body) if isinstance(e, Flip)]
 
-    def has_symbolic_params(self):
-        return any(isinstance(theta, str) for _, theta in self.flip_sites())
+
+# --- the traversal ---------------------------------------------------------------
+
+_CHILDREN = {cls: operator.attrgetter("left", "right") for cls in (BAnd, BOr, BImp, BIff)}
+_CHILDREN[BNot] = lambda e: (e.operand,)
+_CHILDREN[Choose] = operator.attrgetter("when_true", "when_false")
+
+
+def fold(expr, visit):
+    """Post-order fold of one expression, with an explicit stack.
+
+    ``visit(node, values)`` is called once per node, children before their
+    parent and siblings left to right; `values` holds the results for the
+    node's children (empty for a leaf).  Returns the result for `expr`.
+    """
+    values, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        if type(node) is int:  # that many children are done; their parent is next
+            cut = len(values) - node
+            values[cut:] = [visit(todo.pop(), values[cut:])]
+        elif type(node) in _CHILDREN:
+            kids = _CHILDREN[type(node)](node)
+            todo += (node, len(kids))
+            todo += reversed(kids)
+        else:
+            values.append(visit(node, ()))
+    return values[0]
+
+
+def _shape(expr):
+    """Post-order list of the inner nodes' types and the leaves themselves;
+    two trees are equal exactly when their lists are."""
+    out = []
+    fold(expr, lambda node, values: out.append(type(node) if values else node))
+    return out
+
+
+def map_expr(expr, on_node):
+    """Bottom-up rewrite: ``on_node`` gets each node rebuilt over its
+    rewritten children and returns the node that replaces it."""
+    return fold(expr, lambda node, values: on_node(type(node)(*values) if values else node))
+
+
+def map_program(program: BernProgram, on_node=None, on_stmt=None, mode=None) -> BernProgram:
+    """Rebuild a program: every expression through `map_expr` with
+    ``on_node``, then every statement, its blocks already rebuilt, through
+    ``on_stmt``, which returns the statements that take its place.  The
+    result has `mode`, or the program's own mode when that is None."""
+
+    def expr(e):
+        return e if on_node is None else map_expr(e, on_node)
+
+    def block(body):
+        out = []
+        for stmt in body:
+            if isinstance(stmt, PAssign):
+                stmt = PAssign(stmt.targets, tuple(map(expr, stmt.exprs)), stmt.loc)
+            elif isinstance(stmt, BIf):
+                stmt = BIf(expr(stmt.cond), block(stmt.then), block(stmt.els), stmt.loc)
+            else:
+                stmt = type(stmt)(expr(stmt.cond), stmt.loc)
+            out.extend(on_stmt(stmt) if on_stmt else (stmt,))
+        return tuple(out)
+
+    return BernProgram(program.decls, block(program.body), mode or program.mode)
 
 
 def walk_stmts(body):
@@ -188,50 +268,33 @@ def walk_stmts(body):
 
 
 def walk_exprs(body):
-    def sub(e):
-        yield e
-        if isinstance(e, BNot):
-            yield from sub(e.operand)
-        elif isinstance(e, (BAnd, BOr, BImp, BIff)):
-            yield from sub(e.left)
-            yield from sub(e.right)
-        elif isinstance(e, Choose):
-            yield from sub(e.when_true)
-            yield from sub(e.when_false)
-
+    """Every expression node under `body`, statement by statement; within
+    an expression children come before their parent, leaves left to right."""
+    nodes = []
     for stmt in walk_stmts(body):
-        if isinstance(stmt, PAssign):
-            for e in stmt.exprs:
-                yield from sub(e)
-        elif isinstance(stmt, (BIf, BObserve, BAssume)):
-            yield from sub(stmt.cond)
+        for e in stmt.exprs if isinstance(stmt, PAssign) else (stmt.cond,):
+            fold(e, lambda node, _: nodes.append(node))
+    return nodes
 
 
 # --- choose desugaring --------------------------------------------------------
 
 
-def desugar_choose(expr: Choose, mode: str, alloc) -> BernExpr:
-    """choose(a, b)  ->  a || (!b && <fresh>).
+def desugar_program(program: BernProgram, mode=None) -> BernProgram:
+    """Replace every choose(a, b) with a || (!b && <fresh>).
 
     The fresh leaf is ``*`` in non-deterministic mode and a flip with a new
-    site parameter in probabilistic mode; ``alloc()`` supplies it.
+    site parameter in probabilistic mode.  Fresh ids continue after the
+    existing ones; inner chooses are replaced before the ones that hold
+    them, so fresh ids rise left to right through the program.
     """
-    if mode not in ("prob", "nondet"):
-        raise ModeError("choose needs a resolved program mode to desugar")
-    return BOr(expr.when_true, BAnd(BNot(expr.when_false), alloc()))
-
-
-def desugar_program(program: BernProgram, mode=None) -> BernProgram:
-    """Replace every choose node; fresh ids continue after existing ones."""
     mode = mode or program.mode
-    if mode is None:
+    if mode not in ("prob", "nondet"):
         raise ModeError("cannot desugar choose without a program mode")
-    next_site = max((s for s, _ in program.flip_sites()), default=-1) + 1
-    next_star = max(
-        (e.occurrence for e in walk_exprs(program.body) if isinstance(e, Star)),
-        default=-1,
-    ) + 1
-    counter = itertools.count(next_site if mode == "prob" else next_star)
+    nodes = walk_exprs(program.body)
+    ids = [e.site for e in nodes if isinstance(e, Flip)]
+    ids += [e.occurrence for e in nodes if isinstance(e, Star)]
+    counter = itertools.count(max(ids, default=-1) + 1)
 
     def alloc():
         n = next(counter)
@@ -239,31 +302,12 @@ def desugar_program(program: BernProgram, mode=None) -> BernProgram:
             return Flip(n, f"theta{n}")
         return Star(n)
 
-    def on_expr(e):
-        if isinstance(e, BNot):
-            return BNot(on_expr(e.operand))
-        if isinstance(e, (BAnd, BOr, BImp, BIff)):
-            return type(e)(on_expr(e.left), on_expr(e.right))
+    def on_node(e):
         if isinstance(e, Choose):
-            return on_expr(desugar_choose(e, mode, alloc))
+            return BOr(e.when_true, BAnd(BNot(e.when_false), alloc()))
         return e
 
-    def on_body(body):
-        out = []
-        for stmt in body:
-            if isinstance(stmt, PAssign):
-                out.append(
-                    PAssign(stmt.targets, tuple(on_expr(x) for x in stmt.exprs), stmt.loc)
-                )
-            elif isinstance(stmt, BIf):
-                out.append(BIf(on_expr(stmt.cond), on_body(stmt.then), on_body(stmt.els), stmt.loc))
-            elif isinstance(stmt, BObserve):
-                out.append(BObserve(on_expr(stmt.cond), stmt.loc))
-            elif isinstance(stmt, BAssume):
-                out.append(BAssume(on_expr(stmt.cond), stmt.loc))
-        return tuple(out)
-
-    return BernProgram(program.decls, on_body(program.body), mode)
+    return map_program(program, on_node, mode=mode)
 
 
 # --- exact probabilistic interpretation ---------------------------------------
@@ -323,31 +367,38 @@ class AbstractDistribution:
         return total
 
 
+# Python's meaning of each connective, shared by both interpreters
+_BOOL_OPS = {
+    BNot: operator.not_,
+    BAnd: lambda a, b: a and b,
+    BOr: lambda a, b: a or b,
+    BImp: lambda a, b: (not a) or b,
+    BIff: operator.eq,
+}
+
+
+def _leaf(node, state, flips):
+    if isinstance(node, (BTrue, BFalse)):
+        return isinstance(node, BTrue)
+    if isinstance(node, BVar):
+        return state[node.name]
+    if isinstance(node, Flip):
+        return flips[node.site]
+    if isinstance(node, Star):
+        return flips[("star", node.occurrence)]
+    if isinstance(node, Choose):
+        raise ModeError("choose must be desugared before interpretation")
+    raise TypeError(f"not a BERN expression: {node!r}")
+
+
 def eval_expr(e, state, flips) -> bool:
     """Deterministic evaluation with all flip/star choices resolved."""
-    if isinstance(e, BTrue):
-        return True
-    if isinstance(e, BFalse):
-        return False
-    if isinstance(e, BVar):
-        return state[e.name]
-    if isinstance(e, BNot):
-        return not eval_expr(e.operand, state, flips)
-    if isinstance(e, BAnd):
-        return eval_expr(e.left, state, flips) and eval_expr(e.right, state, flips)
-    if isinstance(e, BOr):
-        return eval_expr(e.left, state, flips) or eval_expr(e.right, state, flips)
-    if isinstance(e, BImp):
-        return (not eval_expr(e.left, state, flips)) or eval_expr(e.right, state, flips)
-    if isinstance(e, BIff):
-        return eval_expr(e.left, state, flips) == eval_expr(e.right, state, flips)
-    if isinstance(e, Flip):
-        return flips[e.site]
-    if isinstance(e, Star):
-        return flips[("star", e.occurrence)]
-    if isinstance(e, Choose):
-        raise ModeError("choose must be desugared before interpretation")
-    raise TypeError(f"not a BERN expression: {e!r}")
+
+    def visit(node, values):
+        op = _BOOL_OPS.get(type(node))
+        return op(*values) if op else _leaf(node, state, flips)
+
+    return fold(e, visit)
 
 
 def _run_deterministic(program, state, flips):
@@ -387,9 +438,7 @@ def interp_exact(
     assume are dropped.
     """
     program = desugar_program(program, program.mode or "prob")
-    if program.mode == "nondet" or any(
-        isinstance(e, Star) for e in walk_exprs(program.body)
-    ):
+    if program.mode == "nondet":  # a prob-mode program holds no * (BernProgram checks)
         raise ModeError("interp_exact needs a probabilistic program (no *)")
     sites = program.flip_sites()
     for site, theta in sites:
@@ -426,29 +475,18 @@ def interp_exact(
 
 def eval_expr_set(e, state) -> frozenset:
     """Set of possible values; each syntactic * occurrence is independent."""
-    if isinstance(e, (BTrue, BFalse)):
-        return frozenset((isinstance(e, BTrue),))
-    if isinstance(e, BVar):
-        return frozenset((state[e.name],))
-    if isinstance(e, BNot):
-        return frozenset(not v for v in eval_expr_set(e.operand, state))
-    if isinstance(e, (BAnd, BOr, BImp, BIff)):
-        ls = eval_expr_set(e.left, state)
-        rs = eval_expr_set(e.right, state)
-        op = {
-            BAnd: lambda a, b: a and b,
-            BOr: lambda a, b: a or b,
-            BImp: lambda a, b: (not a) or b,
-            BIff: lambda a, b: a == b,
-        }[type(e)]
-        return frozenset(op(a, b) for a in ls for b in rs)
-    if isinstance(e, Star):
-        return frozenset((False, True))
-    if isinstance(e, Flip):
-        raise ModeError("flip encountered in non-deterministic interpretation")
-    if isinstance(e, Choose):
-        raise ModeError("choose must be desugared before interpretation")
-    raise TypeError(f"not a BERN expression: {e!r}")
+
+    def visit(node, values):
+        op = _BOOL_OPS.get(type(node))
+        if op:
+            return frozenset(op(*combo) for combo in itertools.product(*values))
+        if isinstance(node, Star):
+            return frozenset((False, True))
+        if isinstance(node, Flip):
+            raise ModeError("flip encountered in non-deterministic interpretation")
+        return frozenset((_leaf(node, state, None),))
+
+    return fold(e, visit)
 
 
 def interp_nondet(program: BernProgram, states) -> set:
@@ -496,10 +534,6 @@ def interp_nondet(program: BernProgram, states) -> set:
     return run(program.body, {tuple(bool(v) for v in key) for key in states})
 
 
-def all_states(var_names):
-    return [tuple(bits) for bits in itertools.product((False, True), repeat=len(tuple(var_names)))]
-
-
 # --- serialization ---------------------------------------------------------------
 
 IDENT_OK = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -519,31 +553,36 @@ def _theta_text(theta):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def expr_text(e, prec=0) -> str:
-    # precedence: <=> 1, => 2, || 3, && 4, ! 5, atoms 6
-    if isinstance(e, BTrue):
-        return "T"
-    if isinstance(e, BFalse):
-        return "F"
-    if isinstance(e, BVar):
-        return name_text(e.name)
-    if isinstance(e, Flip):
-        return f"flip({_theta_text(e.theta)})"
-    if isinstance(e, Star):
-        return "*"
-    if isinstance(e, Choose):
-        return f"choose({expr_text(e.when_true)}, {expr_text(e.when_false)})"
-    if isinstance(e, BNot):
-        return f"!{expr_text(e.operand, 5)}"
-    table = {BIff: (1, "<=>"), BImp: (2, "=>"), BOr: (3, "||"), BAnd: (4, "&&")}
-    level, sym = table[type(e)]
-    # => is right-associative, the rest left-associative; the off side gets
-    # a higher binding level so tree shapes survive a parse round trip
-    if type(e) is BImp:
-        text = f"{expr_text(e.left, level + 1)} {sym} {expr_text(e.right, level)}"
-    else:
-        text = f"{expr_text(e.left, level)} {sym} {expr_text(e.right, level + 1)}"
+# binding level and symbol of the infix connectives; ! binds at 5, atoms at 6
+_INFIX = {BIff: (1, "<=>"), BImp: (2, "=>"), BOr: (3, "||"), BAnd: (4, "&&")}
+_CONSTANTS = {BTrue: "T", BFalse: "F", Star: "*"}
+
+
+def _bracket(text_level, prec):
+    text, level = text_level
     return f"({text})" if level < prec else text
+
+
+def expr_text(e, prec=0) -> str:
+    def visit(node, values):
+        t = type(node)
+        if t in _INFIX:
+            level, sym = _INFIX[t]
+            # => is right-associative, the rest left-associative; the off side
+            # gets a higher binding level so tree shapes survive a parse round trip
+            left, right = (level + 1, level) if t is BImp else (level, level + 1)
+            return f"{_bracket(values[0], left)} {sym} {_bracket(values[1], right)}", level
+        if t is BNot:
+            return "!" + _bracket(values[0], 5), 5
+        if t is Choose:
+            return f"choose({values[0][0]}, {values[1][0]})", 6
+        if t is BVar:
+            return name_text(node.name), 6
+        if t is Flip:
+            return f"flip({_theta_text(node.theta)})", 6
+        return _CONSTANTS[t], 6
+
+    return _bracket(fold(e, visit), prec)
 
 
 def to_text(program: BernProgram) -> str:

@@ -525,24 +525,16 @@ def _substitute_structural_vars(expr, labels, earlier_targets, needed_snapshots)
     `pre X` reads a snapshot when X was already updated (live otherwise)."""
     earlier = {labels[j] for j in earlier_targets}
 
-    def walk(e):
-        if isinstance(e, bern.BVar):
-            if e.name.startswith("cur "):
-                return bern.BVar(e.name[4:])
-            if e.name.startswith("pre "):
-                base = e.name[4:]
-                if base in earlier:
-                    needed_snapshots.add(labels.index(base))
-                    return bern.BVar(base + SNAPSHOT_SUFFIX)
-                return bern.BVar(base)
+    def on_node(e):
+        if not isinstance(e, bern.BVar) or e.name[:4] not in ("cur ", "pre "):
             return e
-        if isinstance(e, bern.BNot):
-            return bern.BNot(walk(e.operand))
-        if isinstance(e, (bern.BAnd, bern.BOr, bern.BImp, bern.BIff)):
-            return type(e)(walk(e.left), walk(e.right))
-        return e
+        base = e.name[4:]
+        if e.name.startswith("pre ") and base in earlier:
+            needed_snapshots.add(labels.index(base))
+            return bern.BVar(base + SNAPSHOT_SUFFIX)
+        return bern.BVar(base)
 
-    return walk(expr)
+    return bern.map_expr(expr, on_node)
 
 
 def formula_to_expr(f: fm.BoolFormula) -> bern.BernExpr:
@@ -567,19 +559,12 @@ def enforce_invariants_observe(
     inv = formula_to_expr(preds.invariant_formula())
     guard_cls = bern.BObserve if mode == "prob" else bern.BAssume
 
-    def walk(body):
-        out = []
-        for stmt in body:
-            if isinstance(stmt, bern.PAssign):
-                out.append(stmt)
-                out.append(guard_cls(inv, stmt.loc))
-            elif isinstance(stmt, bern.BIf):
-                out.append(bern.BIf(stmt.cond, walk(stmt.then), walk(stmt.els), stmt.loc))
-            else:
-                out.append(stmt)
-        return tuple(out)
+    def on_stmt(stmt):
+        if isinstance(stmt, bern.PAssign):
+            return stmt, guard_cls(inv, stmt.loc)
+        return (stmt,)
 
-    return bern.BernProgram(program.decls, walk(program.body), program.mode)
+    return bern.map_program(program, on_stmt=on_stmt)
 
 
 def abstract_program(
@@ -600,31 +585,10 @@ def abstract_program(
 def resolve_parameters(program: bern.BernProgram, theta_by_site) -> bern.BernProgram:
     """Substitute concrete flip parameters for symbolic ones."""
 
-    def on_expr(e):
-        if isinstance(e, bern.Flip):
-            theta = theta_by_site.get(e.site, e.theta)
-            return bern.Flip(e.site, Fraction(theta) if not isinstance(theta, str) else theta)
-        if isinstance(e, bern.BNot):
-            return bern.BNot(on_expr(e.operand))
-        if isinstance(e, (bern.BAnd, bern.BOr, bern.BImp, bern.BIff)):
-            return type(e)(on_expr(e.left), on_expr(e.right))
-        if isinstance(e, bern.Choose):
-            return bern.Choose(on_expr(e.when_true), on_expr(e.when_false))
-        return e
+    def on_node(e):
+        if not isinstance(e, bern.Flip):
+            return e
+        theta = theta_by_site.get(e.site, e.theta)
+        return bern.Flip(e.site, Fraction(theta) if not isinstance(theta, str) else theta)
 
-    def walk(body):
-        out = []
-        for stmt in body:
-            if isinstance(stmt, bern.PAssign):
-                out.append(
-                    bern.PAssign(stmt.targets, tuple(on_expr(x) for x in stmt.exprs), stmt.loc)
-                )
-            elif isinstance(stmt, bern.BIf):
-                out.append(bern.BIf(on_expr(stmt.cond), walk(stmt.then), walk(stmt.els), stmt.loc))
-            elif isinstance(stmt, bern.BObserve):
-                out.append(bern.BObserve(on_expr(stmt.cond), stmt.loc))
-            elif isinstance(stmt, bern.BAssume):
-                out.append(bern.BAssume(on_expr(stmt.cond), stmt.loc))
-        return tuple(out)
-
-    return bern.BernProgram(program.decls, walk(program.body), program.mode)
+    return bern.map_program(program, on_node)

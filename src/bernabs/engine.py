@@ -14,6 +14,7 @@ the last one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,15 @@ from bernabs.errors import ConditionOnImpossibleError, ModeError
 PRIME_SUFFIX = "'"
 
 
+_BDD_OPS = {
+    bern.BNot: operator.invert,
+    bern.BAnd: operator.and_,
+    bern.BOr: operator.or_,
+    bern.BImp: bddm.Bdd.implies,
+    bern.BIff: bddm.Bdd.iff,
+}
+
+
 def expr_to_bdd(universe, expr, var_of_name, flip_var=None, star_var=None) -> bddm.Bdd:
     """Evaluate a BERN expression to a Bdd.
 
@@ -33,23 +43,16 @@ def expr_to_bdd(universe, expr, var_of_name, flip_var=None, star_var=None) -> bd
     occurrences resolve through the optional callbacks.
     """
 
-    def walk(e):
+    def visit(e, values):
+        op = _BDD_OPS.get(type(e))
+        if op is not None:
+            return op(*values)
         if isinstance(e, bern.BTrue):
             return bddm.true_bdd(universe)
         if isinstance(e, bern.BFalse):
             return bddm.false_bdd(universe)
         if isinstance(e, bern.BVar):
             return bddm.var_bdd(universe, var_of_name(e.name))
-        if isinstance(e, bern.BNot):
-            return ~walk(e.operand)
-        if isinstance(e, bern.BAnd):
-            return walk(e.left) & walk(e.right)
-        if isinstance(e, bern.BOr):
-            return walk(e.left) | walk(e.right)
-        if isinstance(e, bern.BImp):
-            return walk(e.left).implies(walk(e.right))
-        if isinstance(e, bern.BIff):
-            return walk(e.left).iff(walk(e.right))
         if isinstance(e, bern.Flip):
             if flip_var is None:
                 raise ModeError("flip not allowed in this context")
@@ -62,7 +65,7 @@ def expr_to_bdd(universe, expr, var_of_name, flip_var=None, star_var=None) -> bd
             raise ModeError("choose must be desugared before symbolic execution")
         raise TypeError(f"not a BERN expression: {e!r}")
 
-    return walk(expr)
+    return bern.fold(expr, visit)
 
 
 class SymbolicContext:

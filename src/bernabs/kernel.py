@@ -1,13 +1,11 @@
 """Node-store backend selection.
 
-The compiled kernel (``bernabs._cnodes``) is preferred when importable;
-otherwise the pure-Python twin is used.  Set ``BERNABS_KERNEL=pure`` or
-``=compiled`` to force a backend (the latter raises if the extension is
-missing).  Both implement the same node-id protocol, so everything above
-this module is backend-agnostic.
+The compiled kernel (``bernabs._cnodes``) is the default when it imports;
+otherwise the pure-Python twin is.  Callers that need one backend pass its
+name (``backend="pure"`` or ``"compiled"``; the latter raises if the
+extension is missing).  Both implement the same node-id protocol, so
+everything above this module is backend-agnostic.
 """
-
-import os
 
 from bernabs import _pynodes
 
@@ -34,8 +32,6 @@ def available_backends():
 
 def get_node_table_class(backend=None):
     """Resolve a backend name ('compiled', 'pure' or None for default)."""
-    if backend is None:
-        backend = os.environ.get("BERNABS_KERNEL")
     if backend in (None, "compiled"):
         if _cnodes is not None:
             return _cnodes.NodeTable

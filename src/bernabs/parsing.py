@@ -29,8 +29,9 @@ _TOKEN_RE = re.compile(
 
 _LOOP_WORDS = {"while", "goto", "for", "loop"}
 
-# Brackets, negations and blocks nested inside one another; deeper input is
-# rejected before the recursive descent could exhaust the interpreter stack.
+# Brackets, negations and blocks nested inside one another, and the levels of
+# a .cp condition or expression tree; deeper input is rejected before a
+# recursive descent or evaluator could exhaust the interpreter stack.
 MAX_NESTING = 100
 
 
@@ -329,6 +330,9 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
         body.append(statement())
     program = concrete.ConcreteProgram(tuple(decls), tuple(body))
     for stmt in concrete.walk_statements(program.body):
+        tree = getattr(stmt, "cond", getattr(stmt, "expr", None))
+        if tree is not None and _height(tree) > MAX_NESTING:
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep", stmt.loc, 1)
         if isinstance(stmt, concrete.Draw):
             decl = program.decl(stmt.name)
             if not (decl.lo <= stmt.lo < stmt.hi <= decl.hi):
@@ -338,6 +342,18 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
                     1,
                 )
     return program
+
+
+def _height(tree):
+    """Levels in a condition or integer expression, counted without recursion;
+    each link of a chain such as ``a + b + c`` is one more level."""
+    height, todo = 0, [(tree, 1)]
+    while todo:
+        node, level = todo.pop()
+        height = max(height, level)
+        kids = [getattr(node, f) for f in ("operand", "left", "right") if hasattr(node, f)]
+        todo.extend((kid, level + 1) for kid in kids)
+    return height
 
 
 def parse_cond(text, declared=None) -> concrete.Cond:

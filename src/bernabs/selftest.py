@@ -62,15 +62,6 @@ def _pair(rng, max_preds=3):
     return prog, preds
 
 
-def _exact_support(aprog, preds, a_in):
-    start = theorems._aux_padded(aprog.decls, preds.labels, a_in)
-    dist = bern.interp_exact(
-        aprog, bern.AbstractDistribution.point(aprog.decls, dict(zip(aprog.decls, start)))
-    )
-    marg = dist.marginal(preds.labels)
-    return {tuple(s[lbl] for lbl in preds.labels) for s, w in marg.items() if w > 0}
-
-
 def _nondet_reach(aprog_lowered, preds, a_in):
     start = theorems._aux_padded(aprog_lowered.decls, preds.labels, a_in)
     reach = bern.interp_nondet(aprog_lowered, {start})
@@ -98,7 +89,8 @@ def suite_theorem1(seed=0, cases=200):
                 continue
             a_in, a_out = preds.alpha(z), preds.alpha(out)
             if a_in not in support_memo:
-                support_memo[a_in] = _exact_support(aprog, preds, a_in)
+                dist = theorems.abstract_output_distribution(aprog, preds, a_in)
+                support_memo[a_in] = dist.support()
                 reach_memo[a_in] = _nondet_reach(lowered, preds, a_in)
             prob_ok = a_out in support_memo[a_in]
             nondet_ok = a_out in reach_memo[a_in]

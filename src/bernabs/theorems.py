@@ -38,35 +38,23 @@ def lower(program: bern.BernProgram) -> bern.BernProgram:
     program = bern.desugar_program(program, program.mode or "prob")
     counter = itertools.count()
 
-    def on_expr(e):
-        if isinstance(e, bern.Flip):
-            if isinstance(e.theta, str):
-                raise ModeError(f"flip site {e.site} has unresolved parameter {e.theta!r}")
-            if e.theta == 1:
-                return bern.BTrue()
-            if e.theta == 0:
-                return bern.BFalse()
-            return bern.Star(next(counter))
-        if isinstance(e, bern.BNot):
-            return bern.BNot(on_expr(e.operand))
-        if isinstance(e, (bern.BAnd, bern.BOr, bern.BImp, bern.BIff)):
-            return type(e)(on_expr(e.left), on_expr(e.right))
-        return e
+    def on_node(e):
+        if not isinstance(e, bern.Flip):
+            return e
+        if isinstance(e.theta, str):
+            raise ModeError(f"flip site {e.site} has unresolved parameter {e.theta!r}")
+        if e.theta == 1:
+            return bern.BTrue()
+        if e.theta == 0:
+            return bern.BFalse()
+        return bern.Star(next(counter))
 
-    def walk(body):
-        out = []
-        for stmt in body:
-            if isinstance(stmt, bern.PAssign):
-                out.append(
-                    bern.PAssign(stmt.targets, tuple(on_expr(x) for x in stmt.exprs), stmt.loc)
-                )
-            elif isinstance(stmt, bern.BIf):
-                out.append(bern.BIf(on_expr(stmt.cond), walk(stmt.then), walk(stmt.els), stmt.loc))
-            elif isinstance(stmt, (bern.BObserve, bern.BAssume)):
-                out.append(bern.BAssume(on_expr(stmt.cond), stmt.loc))
-        return tuple(out)
+    def on_stmt(stmt):
+        if isinstance(stmt, bern.BObserve):
+            return (bern.BAssume(stmt.cond, stmt.loc),)
+        return (stmt,)
 
-    return bern.BernProgram(program.decls, walk(program.body), "nondet")
+    return bern.map_program(program, on_node, on_stmt, mode="nondet")
 
 
 # --- reports -------------------------------------------------------------------
@@ -146,7 +134,7 @@ def check_sound_nondet(
         hit = reach_memo.get(a_in)
         if hit is None:
             start = _aux_padded(aprog.decls, preds.labels, a_in)
-            hit = _project(interp_nondet_states(aprog, {start}), aprog.decls, preds.labels)
+            hit = _project(bern.interp_nondet(aprog, {start}), aprog.decls, preds.labels)
             reach_memo[a_in] = hit
         a_out = preds.alpha(out)
         if a_out not in hit:
@@ -161,10 +149,6 @@ def check_sound_nondet(
             )
     report.stats = {"checked": checked, "blocked": blocked, "abstract_inputs": len(reach_memo)}
     return report
-
-
-def interp_nondet_states(aprog, starts):
-    return bern.interp_nondet(aprog, starts)
 
 
 def check_sound_prob(
@@ -216,9 +200,7 @@ def check_sound_prob(
                 ).probability
             else:
                 if a_in not in dist_memo:
-                    dist_memo[a_in] = bern.interp_exact(
-                        aprog, bern.AbstractDistribution.point(aprog.decls, start)
-                    ).marginal(preds.labels)
+                    dist_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
                 mass = dist_memo[a_in].mass_of(dict(zip(preds.labels, a_out)))
             if mass <= 0:
                 report.counterexamples.append(
@@ -347,6 +329,11 @@ def concrete_semantics(
     exactly that).
     """
     gamma.validate_strong(preds)
+    return _concrete_semantics(aprog, preds, gamma, z_i, collapse, pr_a)
+
+
+def _concrete_semantics(aprog, preds, gamma, z_i, collapse=True, pr_a=None):
+    """`concrete_semantics` for a gamma the caller has validated."""
     if pr_a is None:
         pr_a = abstract_output_distribution(aprog, preds, preds.alpha(z_i))
     out = {}
@@ -384,7 +371,7 @@ def check_invariance(
             if a_in not in pr_a_memo:
                 pr_a_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
             pr_a = pr_a_memo[a_in]
-            dist = concrete_semantics(aprog, preds, gamma, z_i, pr_a=pr_a)
+            dist = _concrete_semantics(aprog, preds, gamma, z_i, pr_a=pr_a)
             outs = outputs if outputs is not None else [m.bits for m in preds.feasible_minterms()]
             for a_o in outs:
                 pairs += 1

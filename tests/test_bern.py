@@ -1,12 +1,23 @@
 """BERN language: parsing, desugaring, the two interpreters."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from bernabs import bern, corpus, parsing, randgen, theorems
+from bernabs import bern, cli, corpus, engine, parsing, randgen, theorems
+from bernabs import formula as fm
 from bernabs.errors import EnumerationCapError, ModeError, ParseError
+
+# flat 3,000-operand chains: the parser builds a tree 3,000 levels deep
+# (`b <=> T` is `b`, so the <=> chain means the same as the other two)
+CHAIN_OPERANDS = 3000
+FLAT_CHAINS = {
+    "&&": "b" + " && b" * (CHAIN_OPERANDS - 1),
+    "||": "b" + " || b" * (CHAIN_OPERANDS - 1),
+    "<=>": "b" + " <=> T" * (CHAIN_OPERANDS - 1),
+}
 
 
 def point(program, **bits):
@@ -58,6 +69,23 @@ def test_desugar_choose_examples():
     assert isinstance(e, bern.BOr)
     assert isinstance(e.right, bern.BAnd)
     assert isinstance(e.right.right, bern.Star)
+
+
+def test_desugar_fresh_ids_follow_existing_ones():
+    prog = parsing.parse_bern(
+        "bool a\nbool b\n"
+        "a = flip(1/2) && choose(choose(a, b), flip(1/3))\n"
+        "if (choose(b, flip(1/4))) { b = choose(a, !a) }"
+    )
+    sites = bern.desugar_program(prog).flip_sites()
+    old = [(0, Fraction(1, 2)), (1, Fraction(1, 3)), (2, Fraction(1, 4))]
+    assert [s for s in sites if not isinstance(s[1], str)] == old
+    fresh = [site for site, theta in sites if isinstance(theta, str)]
+    assert sorted(fresh) == [3, 4, 5, 6]
+    assert [theta for site, theta in sites if site in fresh] == [f"theta{s}" for s in fresh]
+    # flip_sites is left to right: the flips of choose(a, b) sit left of
+    # flip(1/3), the fresh flip of the outer choose right of it
+    assert [site for site, _ in sites] == [0, 3, 1, 4, 2, 5, 6]
 
 
 def test_interp_exact_single_flip():
@@ -159,9 +187,56 @@ def test_mass_conservation_without_filters():
 
 
 def test_round_trip_corpus():
-    for text in (corpus.CHAIN_DRAWS_BERN, corpus.BAYES_NET_BERN, corpus.BRANCH_RESET_BERN):
+    chains = [f"bool a\nbool b\na = {rhs}\n" for rhs in FLAT_CHAINS.values()]
+    for text in (corpus.CHAIN_DRAWS_BERN, corpus.BAYES_NET_BERN, corpus.BRANCH_RESET_BERN, *chains):
         prog = parsing.parse_bern(text)
         assert parsing.parse_bern(bern.to_text(prog)) == prog
+
+
+@pytest.mark.parametrize("op", FLAT_CHAINS)
+def test_infer_flat_chain(tmp_path, capsys, op):
+    """A flat chain parses into a deep tree; every walk over it is iterative."""
+    outputs = []
+    for rhs in (FLAT_CHAINS[op], "b"):
+        path = tmp_path / "chain.bern"
+        path.write_text(f"bool a\nbool b\na = {rhs}\n")
+        for event in ("a", "a <=> b"):
+            assert cli.main(["infer", str(path), "--event", event]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+
+
+CONNECTIVES = {
+    bern.BNot: lambda a, b: not a,
+    bern.BAnd: lambda a, b: a and b,
+    bern.BOr: lambda a, b: a or b,
+    bern.BImp: lambda a, b: (not a) or b,
+    bern.BIff: lambda a, b: a == b,
+}
+
+
+@pytest.mark.parametrize("cls", CONNECTIVES, ids=lambda c: c.__name__)
+def test_connective_truth_tables(cls):
+    """eval_expr, eval_expr_set and expr_to_bdd against Python's own operators,
+    for each connective alone and as the left and right child of =>."""
+    a, b = bern.BVar("a"), bern.BVar("b")
+    here = cls(a) if cls is bern.BNot else cls(a, b)
+    u = fm.make_universe([("a", fm.VarKind.PREDICATE), ("b", fm.VarKind.PREDICATE)])
+    for va, vb in itertools.product((False, True), repeat=2):
+        want = CONNECTIVES[cls](va, vb)
+        cases = [
+            (here, want),
+            (bern.BImp(here, bern.BFalse()), not want),
+            (bern.BImp(bern.BTrue(), here), want),
+        ]
+        state = {"a": va, "b": vb}
+        for e, value in cases:
+            assert bern.eval_expr(e, state, {}) == value
+            assert bern.eval_expr_set(e, state) == {value}
+            bdd = engine.expr_to_bdd(u, e, u.var)
+            for name, bit in state.items():
+                bdd = bdd.restrict(u.var(name), bit)
+            assert bdd.is_true if value else bdd.is_false
 
 
 def test_round_trip_random():

@@ -71,6 +71,29 @@ def test_infer_deep_nesting_exit_2(tmp_path, capsys, expr):
     assert "nested more than" in capsys.readouterr().err
 
 
+# a left-associative chain nests the tree one level per link; so does a
+# chain whose first operand is itself a bracketed chain, and so on
+_CP_CONDITION_CHAIN = "if (" + " && ".join(["x < 3"] * 3000) + ") {\n  y = 1\n}"
+_CP_SUM_CHAIN = "y = x" + " + 0" * 2999
+_CP_LEFT_NESTED_CHAINS = (
+    "if (" + "(" * 60 + "x < 3" + (" && x < 3" * 40 + ")") * 60 + ") {\n  y = 1\n}"
+)
+
+
+@pytest.mark.parametrize(
+    "stmt", [_CP_CONDITION_CHAIN, _CP_SUM_CHAIN, _CP_LEFT_NESTED_CHAINS],
+    ids=["and-chain", "sum-chain", "left-nested-chains"],
+)
+def test_abstract_long_chain_exit_2(tmp_path, capsys, stmt):
+    cp = tmp_path / "chain.cp"
+    cp.write_text(f"var x in [0, 8)\nvar y in [0, 8)\n{stmt}\n")
+    preds = tmp_path / "chain.preds"
+    preds.write_text("a: x < 3\nb: y < 2\n")
+    rc = cli.main(["abstract", str(cp), str(preds)])
+    assert rc == 2
+    assert "nested more than" in capsys.readouterr().err
+
+
 def test_abstract_missing_file_exit_2(files):
     paths, tmp = files
     rc = cli.main(["abstract", str(tmp / "nope.cp"), paths["branch.preds"]])

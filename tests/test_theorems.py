@@ -188,6 +188,28 @@ def test_invariance_fig1_two_gammas():
     assert report2.ok
 
 
+def test_gamma_validated_once_per_check(monkeypatch):
+    ctx, preds = fig1_setting()
+    aprog = parsing.parse_bern("bool {x<0}\n{x<0} = flip(2/5)")
+    gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
+    calls = []
+    real = theorems.ConcretizationDistribution.validate_strong
+    monkeypatch.setattr(
+        theorems.ConcretizationDistribution,
+        "validate_strong",
+        lambda self, p: calls.append(self.name) or real(self, p),
+    )
+    assert theorems.check_invariance(aprog, preds, gammas).ok
+    assert calls == [g.name for g in gammas]
+
+    doubled = theorems.ConcretizationDistribution.uniform(preds)
+    doubled.rows[(True,)] = {k: 2 * q for k, q in doubled.rows[(True,)].items()}
+    with pytest.raises(ValueError, match="sums to 2"):
+        theorems.check_invariance(aprog, preds, [doubled])
+    with pytest.raises(ValueError, match="sums to 2"):
+        theorems.concrete_semantics(aprog, preds, doubled, {"x": -1})
+
+
 def test_fit_chain_parameters(chain_draws):
     prog, ctx, preds = chain_draws
     cfg = bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fit())
