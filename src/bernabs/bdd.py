@@ -9,7 +9,7 @@ over (sub-universe counts are the norm for survival-mass queries).
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,52 +118,68 @@ class Bdd:
         along an edge contribute (weight-true + weight-false), which is 1
         for flips and 2 for unweighted variables, so plain model counting
         is the all-(1,1) special case.
+
+        The count is exact and runs in integers: each weight pair is scaled
+        to integers over the lcm of its two denominators, the walk sums
+        integer products, and one Fraction divides the total by the product
+        of the scales.
         """
-        table = self.universe.table
-        by_level = {}
+        total, scale = self._scaled_count(weights)
+        return Fraction(total, scale)
+
+    def count_models(self, variables) -> int:
+        """Number of assignments to `variables` that satisfy the diagram."""
+        return self._scaled_count({v: (1, 1) for v in variables})[0]
+
+    def _scaled_count(self, weights):
+        """(integer count, scale) with wmc(weights) == count / scale."""
+        universe = self.universe
+        table = universe.table
+        node = table.node
+        top = table.num_vars  # the terminals' level
+        pairs = [None] * top  # per level: integer (weight-true, weight-false)
+        sums = [1] * top  # per level: what a skipped level multiplies by
+        scale = 1
         for v, (wt, wf) in weights.items():
-            _check_var(self.universe, v)
-            by_level[v.index] = (Fraction(wt), Fraction(wf))
-        for lvl in table.support(self.ref):
-            if lvl not in by_level:
-                raise UniverseError(
-                    f"missing weight entry for {self.universe.variables[lvl].label!r}"
-                )
-        levels = sorted(by_level)
-        # prefix[i] = product of (wt+wf) over levels[:i]
-        prefix = [Fraction(1)]
-        for lvl in levels:
-            wt, wf = by_level[lvl]
-            prefix.append(prefix[-1] * (wt + wf))
-
-        def pos(level):
-            return bisect.bisect_left(levels, level)
-
-        def gap(a_level, b_level):
-            # product over weighted levels in [a_level, b_level)
-            return prefix[pos(b_level)] / prefix[pos(a_level)]
-
-        memo = {kernel.FALSE: Fraction(0), kernel.TRUE: Fraction(1)}
+            _check_var(universe, v)
+            wt, wf = _rational(wt), _rational(wf)
+            d = math.lcm(wt.denominator, wf.denominator)
+            pair = (wt.numerator * (d // wt.denominator), wf.numerator * (d // wf.denominator))
+            pairs[v.index] = pair
+            sums[v.index] = pair[0] + pair[1]
+            scale *= d
+        # An edge from level l to a node at level m skips the levels l+1 .. m-1,
+        # which multiply the count by the product of their sums: that is
+        # suffix[l+1] // suffix[m] when none of those sums is 0, and 0 when
+        # one is (zero[x] is the first level >= x whose sum is 0, or top + 1).
+        suffix = [1] * (top + 1)
+        zero = [top + 1] * (top + 1)
+        for level in range(top - 1, -1, -1):
+            suffix[level] = suffix[level + 1] * (sums[level] or 1)
+            zero[level] = zero[level + 1] if sums[level] else level
+        memo = {kernel.FALSE: 0, kernel.TRUE: 1}
 
         def walk(u):
             r = memo.get(u)
             if r is not None:
                 return r
-            level, lo, hi = table.node(u)
-            wt, wf = by_level[level]
-            llo = table.node(lo)[0]
-            lhi = table.node(hi)[0]
-            r = wf * walk(lo) * gap(level + 1, llo) + wt * walk(hi) * gap(level + 1, lhi)
+            level, lo, hi = node(u)
+            pair = pairs[level]
+            if pair is None:
+                raise UniverseError(
+                    f"missing weight entry for {universe.variables[level].label!r}"
+                )
+            below, first_zero = suffix[level + 1], zero[level + 1]
+            m = node(lo)[0]
+            r = pair[1] * walk(lo) * (below // suffix[m] if first_zero >= m else 0)
+            m = node(hi)[0]
+            r += pair[0] * walk(hi) * (below // suffix[m] if first_zero >= m else 0)
             memo[u] = r
             return r
 
-        root_level = table.node(self.ref)[0]
-        return gap(-1, root_level) * walk(self.ref)
-
-    def count_models(self, variables) -> int:
-        total = self.wmc({v: (Fraction(1), Fraction(1)) for v in variables})
-        assert total.denominator == 1
-        return total.numerator
+        count = walk(self.ref)
+        root = node(self.ref)[0]
+        return (suffix[0] // suffix[root] if zero[0] >= root else 0) * count, scale
 
     def models(self, variables):
         """All satisfying total assignments over `variables`, each exactly once.
@@ -261,6 +277,11 @@ class Bdd:
             stack.extend((lo, hi))
         lines.append("}")
         return "\n".join(lines)
+
+
+def _rational(w):
+    """`w` as an exact rational; ints and Fractions skip the constructor's cost."""
+    return w if isinstance(w, (int, Fraction)) else Fraction(w)
 
 
 def _check_var(universe, var):

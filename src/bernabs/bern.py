@@ -15,8 +15,9 @@ Expression trees are walked only through `fold`, a post-order fold with
 an explicit stack, and rewritten only through `map_expr` and `map_program`
 on top of it; callers supply what a node means.  No expression walk has a
 depth limit, so a flat chain of thousands of operands (a tree that deep)
-is as safe as one leaf.  Statement blocks nest at most
-``parsing.MAX_NESTING`` deep and are walked recursively.
+is as safe as one leaf.  Statement blocks are walked recursively, so a
+program may nest ``if`` blocks at most `MAX_NESTING` deep; `BernProgram`
+measures that depth without recursion before any walker runs.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from bernabs.errors import EnumerationCapError, ModeError
+from bernabs.errors import EnumerationCapError, ModeError, NestingError
 
 DEFAULT_FLIP_CAP = 24
+
+# How deeply parsed text may nest (the parser's limit) and how deeply `if`
+# blocks may nest in a program however it was built; deeper input is rejected
+# before a recursive parser or walker could exhaust the interpreter stack.
+MAX_NESTING = 100
 
 
 # --- expressions -----------------------------------------------------------
@@ -159,6 +165,8 @@ class BernProgram:
     mode: str | None = None  # 'prob' | 'nondet' | None (no flips and no stars)
 
     def __post_init__(self):
+        if _if_depth(self.body) > MAX_NESTING:
+            raise NestingError(f"if blocks nested more than {MAX_NESTING} levels deep")
         if len(set(self.decls)) != len(self.decls):
             raise ValueError("duplicate Boolean variable declaration")
         declared = set(self.decls)
@@ -257,6 +265,18 @@ def map_program(program: BernProgram, on_node=None, on_stmt=None, mode=None) -> 
         return tuple(out)
 
     return BernProgram(program.decls, block(program.body), mode or program.mode)
+
+
+def _if_depth(body):
+    """How many `if` blocks nest inside one another under `body`."""
+    deepest, todo = 0, [(body, 0)]
+    while todo:
+        block, depth = todo.pop()
+        deepest = max(deepest, depth)
+        for stmt in block:
+            if isinstance(stmt, BIf):
+                todo += ((stmt.then, depth + 1), (stmt.els, depth + 1))
+    return deepest
 
 
 def walk_stmts(body):
@@ -425,6 +445,27 @@ def _run_deterministic(program, state, flips):
     return run(program.body, dict(state))
 
 
+def exact_inference_input(program: BernProgram):
+    """The program exact inference runs, and its flip sites.
+
+    Both exact engines (`interp_exact` and the symbolic engine) take their
+    input through here: chooses are desugared to flips, a program in
+    ``nondet`` mode is rejected, and so is a flip whose parameter is still
+    a name.
+    """
+    program = desugar_program(program, program.mode or "prob")
+    if program.mode == "nondet":  # a prob-mode program holds no * (BernProgram checks)
+        raise ModeError(
+            "exact inference needs a probabilistic program; "
+            "run non-deterministic programs through interp_nondet"
+        )
+    sites = program.flip_sites()
+    for site, theta in sites:
+        if isinstance(theta, str):
+            raise ModeError(f"flip site {site} has unresolved parameter {theta!r}")
+    return program, sites
+
+
 def interp_exact(
     program: BernProgram,
     dist: AbstractDistribution | None = None,
@@ -437,13 +478,7 @@ def interp_exact(
     product of theta / (1 - theta) factors, and runs failing an observe or
     assume are dropped.
     """
-    program = desugar_program(program, program.mode or "prob")
-    if program.mode == "nondet":  # a prob-mode program holds no * (BernProgram checks)
-        raise ModeError("interp_exact needs a probabilistic program (no *)")
-    sites = program.flip_sites()
-    for site, theta in sites:
-        if isinstance(theta, str):
-            raise ModeError(f"flip site {site} has unresolved parameter {theta!r}")
+    program, sites = exact_inference_input(program)
     if len(sites) > cap:
         raise EnumerationCapError(f"{len(sites)} flip sites exceed cap {cap}")
     if dist is None:

@@ -4,8 +4,11 @@ The reachable-knowledge base Δ at each program point is a Bdd over the
 current predicate variables plus one weighted variable per flip site
 encountered so far; flips stay unconstrained so that weighted model
 counting over them recovers path probabilities.  Parallel assignments are
-relational images: rename state variables to primed copies, conjoin the
-update constraints, quantify the primed copies out.
+relational images over their targets only: rename each target to its
+primed copy, conjoin ``t <=> rhs`` per target (a read of a target sees the
+primed copy, any other read the variable itself), and quantify the primed
+targets out.  Variables the assignment does not write keep their own
+variable, so they need no copy and no constraint.
 
 Program points are prefix points of the top-level statement sequence:
 point 0 is the initial Δ, point k is after the k-th statement; "end" names
@@ -72,16 +75,7 @@ class SymbolicContext:
     """Variable universe for one program: v, v' pairs, then flip variables."""
 
     def __init__(self, program: bern.BernProgram, backend=None):
-        program = bern.desugar_program(program, program.mode or "prob")
-        if any(isinstance(e, bern.Star) for e in bern.walk_exprs(program.body)):
-            raise ModeError(
-                "symbolic inference needs a probabilistic program; "
-                "run non-deterministic programs through interp_nondet"
-            )
-        sites = program.flip_sites()
-        for site, theta in sites:
-            if isinstance(theta, str):
-                raise ModeError(f"flip site {site} has unresolved parameter {theta!r}")
+        program, sites = bern.exact_inference_input(program)
         self.program = program
         specs = []
         for name in program.decls:
@@ -93,6 +87,10 @@ class SymbolicContext:
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
         self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}
         self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _ in sites}
+        # wmc weight maps: the flips alone (survival), and flips plus states (queries)
+        self.flip_weights = {v: v.weights() for v in self.flip_vars.values()}
+        self.weights = dict(self.flip_weights)
+        self.weights.update((v, v.weights()) for v in self.state_vars.values())
 
     def unprimed(self, name):
         return self.state_vars[name]
@@ -126,17 +124,25 @@ class SymbolicRun:
     def __init__(self, ctx: SymbolicContext, points):
         self.ctx = ctx
         self.points = points  # list of SymbolicState, index = prefix length
+        self._survival_at = {}  # point index -> survival mass, computed once
 
-    def at(self, point) -> SymbolicState:
+    def _index(self, point) -> int:
         if point in (None, "end"):
-            return self.points[-1]
+            return len(self.points) - 1
         index = int(point)
         if not 0 <= index < len(self.points):
             raise IndexError(f"no program point {point!r}")
-        return self.points[index]
+        return index
+
+    def at(self, point) -> SymbolicState:
+        return self.points[self._index(point)]
 
     def survival(self, point="end") -> Fraction:
-        return _survival(self.ctx, self.at(point).delta)
+        index = self._index(point)
+        mass = self._survival_at.get(index)
+        if mass is None:
+            mass = self._survival_at[index] = _survival(self.ctx, self.points[index].delta)
+        return mass
 
     def functional_dependency_ok(self, point="end") -> bool:
         """Each flip assignment in Δ determines exactly one state assignment.
@@ -160,23 +166,17 @@ def _transfer_delta(ctx: SymbolicContext, delta, stmt):
     if isinstance(stmt, bern.PAssign):
         if not stmt.targets:
             return delta
-        rename_map = {ctx.state_vars[n]: ctx.primed_vars[n] for n in ctx.program.decls}
-        moved = delta.rename(rename_map)
+        primed = {n: ctx.primed_vars[n] for n in stmt.targets}
+        moved = delta.rename({ctx.state_vars[n]: v for n, v in primed.items()})
+
+        def read(name):
+            return primed[name] if name in primed else ctx.state_vars[name]
+
         cons = bddm.true_bdd(ctx.universe)
-        updates = dict(zip(stmt.targets, stmt.exprs))
-        for name in ctx.program.decls:
+        for name, e in zip(stmt.targets, stmt.exprs):
             v = bddm.var_bdd(ctx.universe, ctx.state_vars[name])
-            if name in updates:
-                rhs = expr_to_bdd(
-                    ctx.universe,
-                    updates[name],
-                    lambda n: ctx.primed_vars[n],
-                    ctx.flip_var,
-                )
-            else:
-                rhs = bddm.var_bdd(ctx.universe, ctx.primed_vars[name])
-            cons = cons & v.iff(rhs)
-        return (moved & cons).exists(ctx.primed_vars.values())
+            cons = cons & v.iff(expr_to_bdd(ctx.universe, e, read, ctx.flip_var))
+        return (moved & cons).exists(primed.values())
     if isinstance(stmt, (bern.BObserve, bern.BAssume)):
         return delta & ctx.state_bdd(stmt.cond)
     if isinstance(stmt, bern.BIf):
@@ -220,11 +220,7 @@ def run_symbolic(program: bern.BernProgram, init=None, backend=None) -> Symbolic
 
 
 def _survival(ctx: SymbolicContext, delta) -> Fraction:
-    flips_only = delta.exists(
-        list(ctx.state_vars.values()) + list(ctx.primed_vars.values())
-    )
-    weights = {v: v.weights() for v in ctx.flip_vars.values()}
-    return flips_only.wmc(weights)
+    return delta.exists(ctx.state_vars.values()).wmc(ctx.flip_weights)
 
 
 @dataclass(frozen=True)
@@ -264,13 +260,8 @@ def query(
     else:
         run = run_symbolic(program_or_run, init=init, backend=backend)
     ctx = run.ctx
-    delta = run.at(point).delta
-    event_bdd = ctx.state_bdd(event)
-    weights = {v: v.weights() for v in ctx.flip_vars.values()}
-    for v in ctx.state_vars.values():
-        weights[v] = (Fraction(1), Fraction(1))
-    mass = (delta & event_bdd).wmc(weights)
-    survival = _survival(ctx, delta)
+    mass = (run.at(point).delta & ctx.state_bdd(event)).wmc(ctx.weights)
+    survival = run.survival(point)
     if not normalized:
         return QueryResult(point, bern.expr_text(event), mass, survival)
     if survival == 0:

@@ -34,6 +34,10 @@ class ModeError(BernabsError):
     """Probabilistic construct in non-deterministic mode, or vice versa."""
 
 
+class NestingError(BernabsError):
+    """A program whose blocks nest deeper than the walkers allow."""
+
+
 class ConditionOnImpossibleError(BernabsError):
     """A query conditioned on an event of probability zero."""
 

@@ -32,7 +32,7 @@ _LOOP_WORDS = {"while", "goto", "for", "loop"}
 # Brackets, negations and blocks nested inside one another, and the levels of
 # a .cp condition or expression tree; deeper input is rejected before a
 # recursive descent or evaluator could exhaust the interpreter stack.
-MAX_NESTING = 100
+MAX_NESTING = bern.MAX_NESTING
 
 
 class _NestingError(ParseError):

@@ -156,27 +156,44 @@ def test_canonicity(data):
     assert bddm.build(u, f).equiv(bddm.build(u, g)) == same
 
 
-@settings(max_examples=100, deadline=None)
+# flip parameters with unlike denominators, and the degenerate 0 and 1
+THETAS = [Fraction(1, 3), Fraction(2, 7), Fraction(0), Fraction(1), Fraction(5, 6)]
+# weight pairs that do not sum to 1, two of them summing to 0
+ODD_PAIRS = [(1, 1), (2, 3), (Fraction(3, 4), Fraction(5, 9)), (0, 0), (Fraction(-1, 2), Fraction(1, 2))]
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_wmc_matches_bruteforce(data):
-    n = data.draw(st.integers(1, 5))
-    thetas = [
-        Fraction(data.draw(st.integers(0, 6)), 6) for _ in range(n)
-    ]
-    u = fm.make_universe(
-        [(f"f{i}", fm.VarKind.FLIP, thetas[i]) for i in range(n)]
-    )
+    # predicates weighted (1, 1) mixed with flips; the weight map covers the
+    # support and any subset of the other variables, and may override pairs
+    n = data.draw(st.integers(1, 6))
+    specs = []
+    for i in range(n):
+        if data.draw(st.booleans()):
+            specs.append((f"p{i}", fm.VarKind.PREDICATE))
+        else:
+            specs.append((f"f{i}", fm.VarKind.FLIP, data.draw(st.sampled_from(THETAS))))
+    u = fm.make_universe(specs)
     f = data.draw(formulas(u))
     d = bddm.build(u, f)
+    support = set(d.support())
+    keys = [v for v in u.variables if v in support or data.draw(st.booleans())]
+    weights = {}
+    for v in keys:
+        odd = data.draw(st.booleans())
+        weights[v] = data.draw(st.sampled_from(ODD_PAIRS)) if odd else v.weights()
     total = Fraction(0)
-    for bits in itertools.product((False, True), repeat=n):
-        if fm.eval_formula(f, dict(zip(u.variables, bits))):
+    for bits in itertools.product((False, True), repeat=len(keys)):
+        assignment = {v: False for v in u.variables}
+        assignment.update(zip(keys, bits))
+        if fm.eval_formula(f, assignment):
             w = Fraction(1)
-            for v, bit in zip(u.variables, bits):
-                wt, wf = v.weights()
+            for v, bit in zip(keys, bits):
+                wt, wf = weights[v]
                 w *= wt if bit else wf
             total += w
-    assert d.wmc(u.default_weights()) == total
+    assert d.wmc(weights) == total
 
 
 @settings(max_examples=100, deadline=None)
@@ -185,7 +202,9 @@ def test_model_count_is_unweighted_wmc(data):
     u = pred_universe(4)
     f = data.draw(formulas(u))
     d = bddm.build(u, f)
-    assert d.count_models(u.variables) == sum(truth_table(f, u))
+    count = d.count_models(u.variables)
+    assert type(count) is int
+    assert count == sum(truth_table(f, u))
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 
 from bernabs import bern, cli, corpus, engine, parsing, randgen, theorems
 from bernabs import formula as fm
-from bernabs.errors import EnumerationCapError, ModeError, ParseError
+from bernabs.errors import EnumerationCapError, ModeError, NestingError, ParseError
 
 # flat 3,000-operand chains: the parser builds a tree 3,000 levels deep
 # (`b <=> T` is `b`, so the <=> chain means the same as the other two)
@@ -119,6 +119,38 @@ def test_interp_exact_rejects_star_and_symbolic():
     symbolic = parsing.parse_bern("bool a\na = flip(theta0)")
     with pytest.raises(ModeError):
         bern.interp_exact(symbolic, point(symbolic))
+
+
+@pytest.mark.parametrize(
+    "text, mode",
+    [("bool a\na = T", "nondet"), ("bool a\na = *", None), ("bool a\na = flip(theta0)", None)],
+    ids=["nondet-mode", "star", "unresolved-theta"],
+)
+def test_exact_inference_entry_points_reject_alike(text, mode):
+    # a nondet-mode program is rejected even when it holds no *
+    prog = parsing.parse_bern(text, mode=mode)
+    with pytest.raises(ModeError):
+        bern.interp_exact(prog, point(prog))
+    with pytest.raises(ModeError):
+        engine.query(prog, bern.BVar("a"))
+
+
+def _nested_ifs(depth):
+    body = (bern.PAssign(("a",), (bern.Flip(0, Fraction(1, 3)),)),)
+    for _ in range(depth):
+        body = (bern.BIf(bern.BNot(bern.BVar("a")), body, ()),)
+    return body
+
+
+def test_if_nesting_bounded_when_built():
+    with pytest.raises(NestingError):
+        bern.BernProgram(("a",), _nested_ifs(1200), "prob")
+    # the deepest nesting allowed runs through both exact engines and the parser
+    prog = bern.BernProgram(("a",), _nested_ifs(bern.MAX_NESTING), "prob")
+    start = {"a": False}
+    assert bern.interp_exact(prog, point(prog)).prob(lambda s: s["a"]) == Fraction(1, 3)
+    assert engine.query(prog, bern.BVar("a"), init=start).probability == Fraction(1, 3)
+    assert parsing.parse_bern(bern.to_text(prog)) == prog
 
 
 def test_interp_exact_flip_cap():

@@ -120,3 +120,74 @@ def test_backend_parity_on_queries():
     r1 = engine.query(prog, event, backend="pure")
     r2 = engine.query(prog, event, backend="compiled")
     assert r1.probability == r2.probability
+
+
+def _full_frame_delta(ctx, delta, stmt):
+    """The relational image over the whole frame, kept as a reference: every
+    variable renamed to its primed copy, one iff per declared variable
+    (untouched ones included), every primed copy quantified out."""
+    if isinstance(stmt, bern.PAssign):
+        if not stmt.targets:
+            return delta
+        moved = delta.rename({ctx.state_vars[n]: ctx.primed_vars[n] for n in ctx.program.decls})
+        updates = dict(zip(stmt.targets, stmt.exprs))
+        cons = bddm.true_bdd(ctx.universe)
+        for name in ctx.program.decls:
+            e = updates.get(name, bern.BVar(name))
+            rhs = engine.expr_to_bdd(ctx.universe, e, ctx.primed_vars.__getitem__, ctx.flip_var)
+            cons = cons & bddm.var_bdd(ctx.universe, ctx.state_vars[name]).iff(rhs)
+        return (moved & cons).exists(ctx.primed_vars.values())
+    if isinstance(stmt, (bern.BObserve, bern.BAssume)):
+        return delta & ctx.state_bdd(stmt.cond)
+    guard = ctx.state_bdd(stmt.cond)
+    then_out = delta & guard
+    for s in stmt.then:
+        then_out = _full_frame_delta(ctx, then_out, s)
+    else_out = delta & ~guard
+    for s in stmt.els:
+        else_out = _full_frame_delta(ctx, else_out, s)
+    return then_out | else_out
+
+
+def _rotations(rng, names):
+    """Multi-target assignments that read their own targets: swaps and
+    rotations, some with a flip or another variable mixed in."""
+    k = rng.randint(2, len(names))
+    targets = rng.sample(list(names), k)
+    shift = rng.randint(1, k - 1)
+    exprs = [bern.BVar(targets[(i + shift) % k]) for i in range(k)]
+    if rng.random() < 0.5:
+        exprs[0] = bern.BAnd(exprs[0], bern.BVar(rng.choice(names)))
+    return bern.PAssign(tuple(targets), tuple(exprs))
+
+
+def test_targets_only_transfer_matches_full_frame():
+    rng = random.Random(41)
+    for trial in range(60):
+        names = tuple(f"v{i}" for i in range(rng.randint(4, 6)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=4, max_stmts=6)
+        body = list(prog.body)
+        for _ in range(rng.randint(1, 3)):
+            body.insert(rng.randint(0, len(body)), _rotations(rng, names))
+        prog = bern.BernProgram(names, tuple(body), prog.mode)
+        init = {n: rng.random() < 0.5 for n in names} if trial % 2 else None
+        run = engine.run_symbolic(prog, init=init)
+        ctx = run.ctx
+        delta = run.at(0).delta
+        for k, stmt in enumerate(ctx.program.body, start=1):
+            delta = _full_frame_delta(ctx, delta, stmt)
+            assert run.at(k).delta.equiv(delta)
+        for k in range(len(run.points)):
+            assert run.survival(k) == engine._survival(ctx, run.at(k).delta)
+            assert run.survival(k) is run.survival(k)  # computed once per point
+
+
+def test_swap_and_rotation_images():
+    prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, a\na, b, c = b, c, a")
+    ctx = engine.SymbolicContext(prog)
+    a, b, c = (bddm.var_bdd(ctx.universe, ctx.state_vars[n]) for n in "abc")
+    start = engine.SymbolicState(a & ~b & c, 0)
+    swapped = engine.transfer(ctx, start, ctx.program.body[0])
+    assert swapped.delta.equiv(~a & b & c)
+    rotated = engine.transfer(ctx, swapped, ctx.program.body[1])
+    assert rotated.delta.equiv(a & b & ~c)
