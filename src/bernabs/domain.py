@@ -40,7 +40,7 @@ class Minterm:
 
 
 class PredicateList:
-    def __init__(self, preds, ctx: TheoryContext, max_predicates=DEFAULT_MAX_PREDICATES, backend=None):
+    def __init__(self, preds, ctx: TheoryContext, max_predicates=DEFAULT_MAX_PREDICATES):
         preds = list(preds)
         if len(preds) > max_predicates:
             raise PredicateBoundError(
@@ -55,9 +55,7 @@ class PredicateList:
         self.labels = tuple(labels)
         self.conds = tuple(cond for _, cond in preds)
         self._fns = tuple(ctx.compile(cond) for cond in self.conds)
-        self.universe = fm.make_universe(
-            [(label, fm.VarKind.PREDICATE) for label in labels], backend=backend
-        )
+        self.universe = fm.make_universe([(label, fm.VarKind.PREDICATE) for label in labels])
         self._image = None
         self._feasible = None
 

@@ -74,7 +74,7 @@ def expr_to_bdd(universe, expr, var_of_name, flip_var=None, star_var=None) -> bd
 class SymbolicContext:
     """Variable universe for one program: v, v' pairs, then flip variables."""
 
-    def __init__(self, program: bern.BernProgram, backend=None):
+    def __init__(self, program: bern.BernProgram):
         program, sites = bern.exact_inference_input(program)
         self.program = program
         specs = []
@@ -83,7 +83,7 @@ class SymbolicContext:
             specs.append((name + PRIME_SUFFIX, fm.VarKind.AUX))
         for site, theta in sites:
             specs.append((f"flip#{site}", fm.VarKind.FLIP, Fraction(theta)))
-        self.universe = fm.make_universe(specs, backend=backend)
+        self.universe = fm.make_universe(specs)
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
         self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}
         self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _ in sites}
@@ -193,14 +193,14 @@ def _run_block(ctx, delta, body):
     return delta
 
 
-def run_symbolic(program: bern.BernProgram, init=None, backend=None) -> SymbolicRun:
+def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
     """Δ at every top-level prefix point, starting from `init`.
 
     `init` may be a BoolFormula over the program variables, a state dict,
     or None for T (callers with a theory in hand pass the predicate
     invariant to exclude infeasible inputs).
     """
-    ctx = SymbolicContext(program, backend=backend)
+    ctx = SymbolicContext(program)
     if init is None:
         delta = bddm.true_bdd(ctx.universe)
     elif isinstance(init, bern.BernExpr):
@@ -241,14 +241,7 @@ class QueryResult:
         }
 
 
-def query(
-    program_or_run,
-    event: bern.BernExpr,
-    point="end",
-    init=None,
-    normalized=True,
-    backend=None,
-) -> QueryResult:
+def query(program_or_run, event: bern.BernExpr, point="end", init=None, normalized=True) -> QueryResult:
     """Exact marginal of `event` at a program point.
 
     The marginal is conditioned on observe-survival unless
@@ -258,7 +251,7 @@ def query(
     if isinstance(program_or_run, SymbolicRun):
         run = program_or_run
     else:
-        run = run_symbolic(program_or_run, init=init, backend=backend)
+        run = run_symbolic(program_or_run, init=init)
     ctx = run.ctx
     mass = (run.at(point).delta & ctx.state_bdd(event)).wmc(ctx.weights)
     survival = run.survival(point)

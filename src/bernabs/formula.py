@@ -198,14 +198,16 @@ def eval_formula(f: BoolFormula, assignment) -> bool:
 class Universe:
     """A fixed, ordered variable universe with one shared node store.
 
-    The order is immutable after construction; Bdds from different
-    universes must never be combined (doing so raises ``UniverseError``).
+    The store is a ``kernel.NodeTable`` with one level per variable, in
+    the universe's order.  The order is immutable after construction; Bdds
+    from different universes must never be combined (doing so raises
+    ``UniverseError``).
     The store is single-threaded: confine each universe to one execution
     context at a time (read-only queries on a quiescent store are safe to
     share).
     """
 
-    def __init__(self, variables, backend=None):
+    def __init__(self, variables):
         self.variables = tuple(variables)
         labels = set()
         for i, v in enumerate(self.variables):
@@ -215,7 +217,7 @@ class Universe:
                 raise UniverseError(f"duplicate variable label {v.label!r}")
             labels.add(v.label)
         self._by_label = {v.label: v for v in self.variables}
-        self.table = kernel.get_node_table_class(backend)(len(self.variables))
+        self.table = kernel.NodeTable(len(self.variables))
 
     def __len__(self):
         return len(self.variables)
@@ -234,11 +236,11 @@ class Universe:
         return {v: v.weights() for v in self.variables}
 
 
-def make_universe(specs, backend=None) -> Universe:
+def make_universe(specs) -> Universe:
     """Build a universe from (label, kind[, theta]) tuples in order."""
     out = []
     for i, spec in enumerate(specs):
         label, vkind = spec[0], spec[1]
         theta = spec[2] if len(spec) > 2 else None
         out.append(BoolVar(i, label, vkind, theta))
-    return Universe(out, backend=backend)
+    return Universe(out)

@@ -141,9 +141,6 @@ class TheoryContext:
             self._logged.add(key)
             self.query_log.append((kind, a, b))
 
-    def eval_at(self, cond, state: dict) -> bool:
-        return cc.eval_cond(cond, state)
-
 
 # --- weakest precondition ---------------------------------------------------
 

@@ -12,8 +12,8 @@ from bernabs import formula as fm
 from bernabs.errors import UniverseError
 
 
-def pred_universe(n, backend=None):
-    return fm.make_universe([(f"b{i}", fm.VarKind.PREDICATE) for i in range(n)], backend=backend)
+def pred_universe(n):
+    return fm.make_universe([(f"b{i}", fm.VarKind.PREDICATE) for i in range(n)])
 
 
 def formulas(universe, max_depth=4):

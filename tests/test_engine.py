@@ -110,18 +110,6 @@ def test_query_json_shape():
     }
 
 
-def test_backend_parity_on_queries():
-    from bernabs import kernel
-
-    if "compiled" not in kernel.available_backends():
-        pytest.skip("compiled kernel not built")
-    prog = parsing.parse_bern(corpus.CHAIN_DRAWS_BERN)
-    event = parsing.parse_event("{c<5} && !{a<5}", prog.decls)
-    r1 = engine.query(prog, event, backend="pure")
-    r2 = engine.query(prog, event, backend="compiled")
-    assert r1.probability == r2.probability
-
-
 def _full_frame_delta(ctx, delta, stmt):
     """The relational image over the whole frame, kept as a reference: every
     variable renamed to its primed copy, one iff per declared variable
