@@ -1,26 +1,117 @@
-"""Reduced ordered decision diagrams over a Universe, plus weighted counting.
+"""Boolean variables and reduced ordered decision diagrams, plus weighted counting.
 
-Semantic equality is node identity: within one universe, two Bdds are
-equivalent iff they hold the same node id.  Weighted model counting is the
-exact-rational inference primitive; the summation domain is the weight
-map's key set, so callers choose which variables an assignment ranges
-over (sub-universe counts are the norm for survival-mass queries).
+A :class:`Universe` is an ordered set of :class:`BoolVar` with one shared
+node store; every decision diagram belongs to exactly one universe.  The
+variable order is the declaration order, which callers arrange as:
+predicate variables (with primed partners adjacent, when present), then
+flip variables in program order.
+
+A :class:`Bdd` is the one form a Boolean formula over a universe takes
+here: the predicate domain answers with Bdds, and the builder turns a Bdd
+into BERN text only where it emits a program.  Semantic equality is node
+identity: within one universe, two Bdds are equivalent iff they hold the
+same node id.  Weighted model counting is the exact-rational inference
+primitive; the summation domain is the weight map's key set, so callers
+choose which variables an assignment ranges over (sub-universe counts are
+the norm for survival-mass queries).
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bernabs import formula as fm
 from bernabs import kernel
 from bernabs.errors import UniverseError
+
+# --- variables and universes ----------------------------------------------
+
+
+class VarKind(enum.Enum):
+    PREDICATE = "predicate"
+    FLIP = "flip"
+    AUX = "aux"
+
+
+@dataclass(frozen=True)
+class BoolVar:
+    index: int
+    label: str
+    kind: VarKind
+    theta: Fraction | None = None
+
+    def __post_init__(self):
+        if self.kind is VarKind.FLIP:
+            if self.theta is None or not 0 <= self.theta <= 1:
+                raise UniverseError(f"flip variable {self.label!r} needs theta in [0,1]")
+        elif self.theta is not None:
+            raise UniverseError(f"non-flip variable {self.label!r} cannot carry a weight")
+
+    def weights(self):
+        """(weight-if-true, weight-if-false); (1, 1) for non-flip variables."""
+        if self.kind is VarKind.FLIP:
+            return self.theta, 1 - self.theta
+        return Fraction(1), Fraction(1)
+
+
+class Universe:
+    """A fixed, ordered variable universe with one shared node store.
+
+    The store is a ``kernel.NodeTable`` with one level per variable, in
+    the universe's order.  The order is immutable after construction; Bdds
+    from different universes must never be combined (doing so raises
+    ``UniverseError``).
+    The store is single-threaded: confine each universe to one execution
+    context at a time (read-only queries on a quiescent store are safe to
+    share).
+    """
+
+    def __init__(self, variables):
+        self.variables = tuple(variables)
+        labels = set()
+        for i, v in enumerate(self.variables):
+            if v.index != i:
+                raise UniverseError(f"variable {v.label!r} has index {v.index}, expected {i}")
+            if v.label in labels:
+                raise UniverseError(f"duplicate variable label {v.label!r}")
+            labels.add(v.label)
+        self._by_label = {v.label: v for v in self.variables}
+        self.table = kernel.NodeTable(len(self.variables))
+
+    def __len__(self):
+        return len(self.variables)
+
+    def __contains__(self, var):
+        return 0 <= var.index < len(self.variables) and self.variables[var.index] is var
+
+    def var(self, label) -> BoolVar:
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise UniverseError(f"no variable labelled {label!r}") from None
+
+    def default_weights(self):
+        """WeightMap over the whole universe, induced by flip parameters."""
+        return {v: v.weights() for v in self.variables}
+
+
+def make_universe(specs) -> Universe:
+    """Build a universe from (label, kind[, theta]) tuples in order."""
+    out = []
+    for i, spec in enumerate(specs):
+        label, vkind = spec[0], spec[1]
+        theta = spec[2] if len(spec) > 2 else None
+        out.append(BoolVar(i, label, vkind, theta))
+    return Universe(out)
+
+
+# --- decision diagrams ----------------------------------------------------
 
 _OPS = {
     "and": kernel.OP_AND,
     "or": kernel.OP_OR,
-    "xor": kernel.OP_XOR,
     "implies": kernel.OP_IMP,
     "iff": kernel.OP_IFF,
 }
@@ -28,7 +119,7 @@ _OPS = {
 
 @dataclass(frozen=True)
 class Bdd:
-    universe: fm.Universe
+    universe: Universe
     ref: int
 
     def _peer(self, other) -> "Bdd":
@@ -43,9 +134,6 @@ class Bdd:
 
     def __or__(self, other):
         return apply("or", self, self._peer(other))
-
-    def __xor__(self, other):
-        return apply("xor", self, self._peer(other))
 
     def __invert__(self):
         return Bdd(self.universe, self.universe.table.not_(self.ref))
@@ -87,7 +175,7 @@ class Bdd:
     def support(self):
         return tuple(self.universe.variables[i] for i in self.universe.table.support(self.ref))
 
-    def restrict(self, var: fm.BoolVar, value: bool) -> "Bdd":
+    def restrict(self, var: BoolVar, value: bool) -> "Bdd":
         _check_var(self.universe, var)
         return Bdd(self.universe, self.universe.table.restrict(self.ref, var.index, value))
 
@@ -181,80 +269,6 @@ class Bdd:
         root = node(self.ref)[0]
         return (suffix[0] // suffix[root] if zero[0] >= root else 0) * count, scale
 
-    def models(self, variables):
-        """All satisfying total assignments over `variables`, each exactly once.
-
-        `variables` must cover the support.  Deterministic order: variable
-        order with the True branch first.
-        """
-        table = self.universe.table
-        for v in variables:
-            _check_var(self.universe, v)
-        order = sorted(variables, key=lambda v: v.index)
-        for lvl in table.support(self.ref):
-            if not any(v.index == lvl for v in order):
-                raise UniverseError(
-                    f"models() variables must cover support; missing "
-                    f"{self.universe.variables[lvl].label!r}"
-                )
-        out = []
-
-        def walk(u, i, partial):
-            if u == kernel.FALSE:
-                return
-            if i == len(order):
-                out.append(dict(partial))
-                return
-            v = order[i]
-            level, lo, hi = table.node(u)
-            for value, child in ((True, hi), (False, lo)):
-                partial[v] = value
-                if level == v.index:
-                    walk(child, i + 1, partial)
-                else:
-                    # v absent from this path: both values allowed
-                    walk(u, i + 1, partial)
-                del partial[v]
-
-        walk(self.ref, 0, {})
-        return out
-
-    # Reconstruction / debugging ------------------------------------------
-
-    def to_formula(self) -> fm.BoolFormula:
-        """Rebuild a compact formula by Shannon expansion of the diagram."""
-        table = self.universe.table
-        memo = {}
-
-        def walk(u):
-            if u == kernel.TRUE:
-                return fm.TrueF()
-            if u == kernel.FALSE:
-                return fm.FalseF()
-            r = memo.get(u)
-            if r is not None:
-                return r
-            level, lo, hi = table.node(u)
-            v = fm.Ref(self.universe.variables[level])
-            if lo == kernel.FALSE and hi == kernel.TRUE:
-                r = v
-            elif lo == kernel.TRUE and hi == kernel.FALSE:
-                r = fm.Not(v)
-            elif lo == kernel.FALSE:
-                r = fm.And(v, walk(hi))
-            elif hi == kernel.FALSE:
-                r = fm.And(fm.Not(v), walk(lo))
-            elif lo == kernel.TRUE:
-                r = fm.Or(fm.Not(v), walk(hi))
-            elif hi == kernel.TRUE:
-                r = fm.Or(v, walk(lo))
-            else:
-                r = fm.Or(fm.And(v, walk(hi)), fm.And(fm.Not(v), walk(lo)))
-            memo[u] = r
-            return r
-
-        return walk(self.ref)
-
     def to_dot(self) -> str:
         """DOT dump: one line per node, low edges dashed, high edges solid."""
         table = self.universe.table
@@ -302,33 +316,6 @@ def var_bdd(universe, var) -> Bdd:
     return Bdd(universe, universe.table.var(var.index))
 
 
-def build(universe, f: fm.BoolFormula) -> Bdd:
-    """Canonical Bdd of a formula (all referenced vars must be in the universe)."""
-    table = universe.table
-
-    def walk(node):
-        if isinstance(node, fm.TrueF):
-            return kernel.TRUE
-        if isinstance(node, fm.FalseF):
-            return kernel.FALSE
-        if isinstance(node, fm.Ref):
-            _check_var(universe, node.var)
-            return table.var(node.var.index)
-        if isinstance(node, fm.Not):
-            return table.not_(walk(node.operand))
-        for klass, op in (
-            (fm.And, kernel.OP_AND),
-            (fm.Or, kernel.OP_OR),
-            (fm.Implies, kernel.OP_IMP),
-            (fm.Iff, kernel.OP_IFF),
-        ):
-            if isinstance(node, klass):
-                return table.apply(op, walk(node.left), walk(node.right))
-        raise TypeError(f"not a formula: {node!r}")
-
-    return Bdd(universe, walk(f))
-
-
 def apply(op: str, a: Bdd, b: Bdd) -> Bdd:
     if a.universe is not b.universe:
         raise UniverseError("cannot combine Bdds from different universes")
@@ -339,7 +326,10 @@ def apply(op: str, a: Bdd, b: Bdd) -> Bdd:
     return Bdd(a.universe, a.universe.table.apply(code, a.ref, b.ref))
 
 
-def ite(c: Bdd, t: Bdd, e: Bdd) -> Bdd:
-    if c.universe is not t.universe or c.universe is not e.universe:
-        raise UniverseError("cannot combine Bdds from different universes")
-    return Bdd(c.universe, c.universe.table.ite(c.ref, t.ref, e.ref))
+def cube(universe, literals) -> Bdd:
+    """The conjunction of `literals`, (variable, polarity) pairs."""
+    acc = true_bdd(universe)
+    for var, bit in literals:
+        v = var_bdd(universe, var)
+        acc = acc & (v if bit else ~v)
+    return acc

@@ -32,7 +32,7 @@ from fractions import Fraction
 from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import concrete as cc
-from bernabs import formula as fm
+from bernabs import kernel
 from bernabs.domain import PredicateList
 from bernabs.errors import EnumerationCapError
 from bernabs.theory import wp_subst
@@ -154,15 +154,9 @@ class Abstractor:
         self._star_counter = itertools.count()
         self.aux_decls = []
         self._draw_forced_memo = {}
-        self._inv = preds.invariant_bdd()
+        self._inv = preds.invariant_formula()
 
     # --- small helpers ---------------------------------------------------
-
-    def _pred_bdd(self, f: fm.BoolFormula) -> bddm.Bdd:
-        return self.preds.to_bdd(f)
-
-    def _expr_of_bdd(self, b: bddm.Bdd) -> bern.BernExpr:
-        return formula_to_expr(b.to_formula())
 
     def _new_theta(self, site):
         if self.config.params.kind == "fixed":
@@ -197,9 +191,9 @@ class Abstractor:
         else:
             absorbed = (force_true | force_false).is_true
         if absorbed:
-            return self._expr_of_bdd(force_true), False
-        t_expr = self._expr_of_bdd(force_true)
-        free_expr = self._expr_of_bdd(~force_false)
+            return formula_to_expr(force_true), False
+        t_expr = formula_to_expr(force_true)
+        free_expr = formula_to_expr(~force_false)
         leaf = leaf_factory()
         if force_false.is_false:  # no constraint against the leaf
             rhs = leaf
@@ -231,7 +225,7 @@ class Abstractor:
     # --- branch abstraction -----------------------------------------------
 
     def branch_parts(self, guard: cc.Cond, path=(), loc=0, context=()):
-        """alpha/beta formulas plus the mode-specific branch scaffolding.
+        """alpha/beta Bdds plus the mode-specific branch scaffolding.
 
         Returns (cond_expr, then_prefix, else_prefix, then_ctx, else_ctx):
         non-deterministic mode branches on * with assume prefixes, the
@@ -239,26 +233,24 @@ class Abstractor:
         """
         alpha = self.preds.strongest_implied(guard)
         beta = self.preds.strongest_implied(cc.CNot(guard))
-        alpha_b = self._pred_bdd(alpha)
-        beta_b = self._pred_bdd(beta)
         if self.config.mode == "nondet":
             cond = bern.Star(next(self._star_counter))
             then_prefix = (bern.BAssume(formula_to_expr(alpha), loc),)
             else_prefix = (bern.BAssume(formula_to_expr(beta), loc),)
-            then_ctx = context + self._implied_literals(alpha_b)
-            else_ctx = context + self._implied_literals(beta_b)
+            then_ctx = context + self._implied_literals(alpha)
+            else_ctx = context + self._implied_literals(beta)
             return cond, then_prefix, else_prefix, then_ctx, else_ctx
 
         # if(!beta || (alpha && flip(theta))) { ... } else { ... }
         meta = {"guard": guard, "alpha": alpha, "beta": beta}
         cond, used = self._guarded_value(
-            ~beta_b,
-            ~alpha_b,
+            ~beta,
+            ~alpha,
             lambda: self._alloc_leaf("branch", path, loc, None, context, meta),
             care=self._inv,
         )
-        then_ctx = context + self._implied_literals(alpha_b | ~beta_b)
-        else_ctx = context + self._implied_literals(beta_b)
+        then_ctx = context + self._implied_literals(alpha | ~beta)
+        else_ctx = context + self._implied_literals(beta)
         return cond, (), (), then_ctx, else_ctx
 
     def abstract_branch(self, guard: cc.Cond, then=(), els=(), path=(), loc=0, context=()):
@@ -268,7 +260,7 @@ class Abstractor:
     # --- assignment abstraction ---------------------------------------------
 
     def choose_pair(self, stmt: cc.Assign, pred_index: int):
-        """(t, f) for predicate i under x = e: weakest sufficient formulas
+        """(t, f) for predicate i under x = e: the weakest sufficient Bdds
         for the post-assignment truth and falsity of the predicate."""
         p = self.preds.conds[pred_index]
         t = self.preds.weakest_sufficient(wp_subst(stmt.name, stmt.expr, p))
@@ -284,8 +276,8 @@ class Abstractor:
             t, f = self.choose_pair(stmt, i)
             meta = {"stmt": stmt, "t": t, "f": f, "predicate": label}
             value, _ = self._guarded_value(
-                self._pred_bdd(t),
-                self._pred_bdd(f),
+                t,
+                f,
                 lambda m=meta, lbl=label: self._alloc_leaf(
                     "assign", path, stmt.loc, lbl, context, m
                 ),
@@ -325,8 +317,9 @@ class Abstractor:
 
     # --- structurally dependent construction --------------------------------------
 
-    def _forced(self, m, stmt, pred_index, pair_cache):
-        """'T' / 'F' / None for predicate pred_index after stmt from pre-cell m.
+    def _forced(self, cell, stmt, pred_index, pair_cache):
+        """'T' / 'F' / None for predicate pred_index after stmt from the
+        pre-cell whose minterm Bdd is `cell`.
 
         Draw verdicts are pre-state independent (the same entailment checks
         abstract_uniform uses), keeping the structural support equal to the
@@ -334,13 +327,9 @@ class Abstractor:
         """
         if isinstance(stmt, cc.Assign):
             t, f = pair_cache[pred_index]
-            assignment = {
-                self.preds.var(lbl): bit
-                for lbl, bit in zip(self.preds.labels, m.bits)
-            }
-            if fm.eval_formula(t, assignment):
+            if not (t & cell).is_false:
                 return "T"
-            if fm.eval_formula(f, assignment):
+            if not (f & cell).is_false:
                 return "F"
             return None
         key = (stmt.name, stmt.lo, stmt.hi, pred_index)
@@ -389,7 +378,8 @@ class Abstractor:
 
         admissible = {}
         for m in feasible:
-            forced = {i: self._forced(m, stmt, i, pair_cache) for i in target_idx}
+            m_cube = bddm.cube(self.preds.universe, zip(self.preds.universe.variables, m.bits))
+            forced = {i: self._forced(m_cube, stmt, i, pair_cache) for i in target_idx}
             cell = []
             for bits in feasible_bits:
                 if any(bits[j] != m.bits[j] for j in untouched_idx):
@@ -407,28 +397,22 @@ class Abstractor:
         labels = self.preds.labels
         # scratch universe: pre-values of all predicates, then the post-values
         # of the targets in update order
-        specs = [(f"pre {lbl}", fm.VarKind.PREDICATE) for lbl in labels]
-        specs += [(f"cur {labels[i]}", fm.VarKind.PREDICATE) for i in target_idx]
-        scratch = fm.make_universe(specs)
+        specs = [(f"pre {lbl}", bddm.VarKind.PREDICATE) for lbl in labels]
+        specs += [(f"cur {labels[i]}", bddm.VarKind.PREDICATE) for i in target_idx]
+        scratch = bddm.make_universe(specs)
         pre_vars = [scratch.var(f"pre {lbl}") for lbl in labels]
         cur_vars = {i: scratch.var(f"cur {labels[i]}") for i in target_idx}
 
-        def pair_formula(m_bits, chosen):
-            lits = [
-                fm.Ref(v) if bit else fm.Not(fm.Ref(v))
-                for v, bit in zip(pre_vars, m_bits)
-            ]
-            for j, bit in chosen:
-                v = cur_vars[j]
-                lits.append(fm.Ref(v) if bit else fm.Not(fm.Ref(v)))
-            return fm.and_all(lits)
+        def pair_cube(m_bits, chosen):
+            lits = list(zip(pre_vars, m_bits))
+            lits += [(cur_vars[j], bit) for j, bit in chosen]
+            return bddm.cube(scratch, lits)
 
         updates = []
         needed_snapshots = set()
         for k, i in enumerate(target_idx):
             earlier = target_idx[:k]
-            must_true = []
-            must_false = []
+            mt_b = mf_b = bddm.false_bdd(scratch)
             for m in feasible:
                 cell = admissible[m.bits]
                 prefixes = sorted({tuple(bits[j] for j in earlier) for bits in cell})
@@ -443,18 +427,16 @@ class Abstractor:
                     )
                     chosen = tuple(zip(earlier, prefix))
                     if ext_true and not ext_false:
-                        must_true.append(pair_formula(m.bits, chosen))
+                        mt_b = mt_b | pair_cube(m.bits, chosen)
                     elif ext_false and not ext_true:
-                        must_false.append(pair_formula(m.bits, chosen))
-            mt_b = bddm.build(scratch, fm.or_all(must_true))
-            mf_b = bddm.build(scratch, fm.or_all(must_false))
+                        mf_b = mf_b | pair_cube(m.bits, chosen)
 
             def leaf(meta_i=i):
                 meta = {
                     "stmt": stmt,
                     "predicate": labels[meta_i],
-                    "must_true": mt_b.to_formula(),
-                    "must_false": mf_b.to_formula(),
+                    "must_true": mt_b,
+                    "must_false": mf_b,
                     "earlier_targets": tuple(earlier),
                 }
                 return self._alloc_leaf(
@@ -537,17 +519,47 @@ def _substitute_structural_vars(expr, labels, earlier_targets, needed_snapshots)
     return bern.map_expr(expr, on_node)
 
 
-def formula_to_expr(f: fm.BoolFormula) -> bern.BernExpr:
-    if isinstance(f, fm.TrueF):
-        return bern.BTrue()
-    if isinstance(f, fm.FalseF):
-        return bern.BFalse()
-    if isinstance(f, fm.Ref):
-        return bern.BVar(f.var.label)
-    if isinstance(f, fm.Not):
-        return bern.BNot(formula_to_expr(f.operand))
-    table = {fm.And: bern.BAnd, fm.Or: bern.BOr, fm.Implies: bern.BImp, fm.Iff: bern.BIff}
-    return table[type(f)](formula_to_expr(f.left), formula_to_expr(f.right))
+def formula_to_expr(b: bddm.Bdd) -> bern.BernExpr:
+    """The BERN expression of a Bdd, by Shannon expansion of its nodes.
+
+    This is the one place a Bdd becomes BERN; variables keep their labels.
+    A node x ? hi : lo becomes x, !x, x && hi, !x && lo, !x || hi, x || lo,
+    or (x && hi) || (!x && lo), the first of these its children allow, and
+    a node shared in the diagram shares its expression.  Nodes are
+    converted children first, from an explicit stack, so a deep diagram
+    does not recurse.
+    """
+    table = b.universe.table
+    variables = b.universe.variables
+    done = {kernel.FALSE: bern.BFalse(), kernel.TRUE: bern.BTrue()}
+    todo = [b.ref]
+    while todo:
+        u = todo[-1]
+        if u in done:
+            todo.pop()
+            continue
+        level, lo, hi = table.node(u)
+        pending = [c for c in (lo, hi) if c not in done]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        x = bern.BVar(variables[level].label)
+        if lo == kernel.FALSE and hi == kernel.TRUE:
+            done[u] = x
+        elif lo == kernel.TRUE and hi == kernel.FALSE:
+            done[u] = bern.BNot(x)
+        elif lo == kernel.FALSE:
+            done[u] = bern.BAnd(x, done[hi])
+        elif hi == kernel.FALSE:
+            done[u] = bern.BAnd(bern.BNot(x), done[lo])
+        elif lo == kernel.TRUE:
+            done[u] = bern.BOr(bern.BNot(x), done[hi])
+        elif hi == kernel.TRUE:
+            done[u] = bern.BOr(x, done[lo])
+        else:
+            done[u] = bern.BOr(bern.BAnd(x, done[hi]), bern.BAnd(bern.BNot(x), done[lo]))
+    return done[b.ref]
 
 
 def enforce_invariants_observe(

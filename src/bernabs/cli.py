@@ -32,8 +32,11 @@ def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _frac_text(q: Fraction) -> str:
@@ -84,10 +87,13 @@ def cmd_abstract(args):
 
 
 def cmd_infer(args):
+    if bool(args.program) != bool(args.predicates):
+        missing = "--preds" if args.program else "--cp"
+        raise ParseError(f"--cp and --preds go together: {missing} is missing")
     program = parsing.parse_bern(_read(args.bern))
     event = parsing.parse_event(args.event, program.decls)
     init = None
-    if args.program and args.predicates:
+    if args.program:
         _, _, preds = _load_problem(args, args.cap)
         init = bld.formula_to_expr(preds.invariant_formula())
     run = engine.run_symbolic(program, init=init)
@@ -194,8 +200,8 @@ def build_parser():
     p.add_argument("--point", default="end", help="program point (prefix index or 'end')")
     p.add_argument("--unnormalized", action="store_true",
                    help="report mass without conditioning on survival")
-    p.add_argument("--cp", dest="program", help="concrete program (for invariant init)")
-    p.add_argument("--preds", dest="predicates", help="predicates (for invariant init)")
+    p.add_argument("--cp", dest="program", help="concrete program (with --preds, for invariant init)")
+    p.add_argument("--preds", dest="predicates", help="predicates (with --cp, for invariant init)")
     p.add_argument("--dot", help="dump the end-point knowledge base as DOT")
     add_common(p)
     p.set_defaults(fn=cmd_infer)

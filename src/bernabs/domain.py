@@ -6,10 +6,12 @@ assignments (b_1, ..., b_n).  One sweep of the joint domain computes the
 predicate abstraction.  The feasible minterms, γ and both approximation
 operators are read off the image, at one further sweep per query condition
 instead of one theory query per minterm.  n is capped because minterm sets
-can still grow as 2^n.  Returned formulas are canonicalized through the Bdd
-engine so tests can compare semantics rather than syntax.  With a query log
-on, the per-cube theory queries that the image answered are recorded, so an
-external solver can cross-check them.
+can still grow as 2^n.  The approximations and the invariant are answered
+as canonical Bdds over ``universe``, one variable per predicate, so callers
+compare them by semantics rather than syntax; the builder turns them into
+BERN text where it emits a program.  With a query log on, the per-cube
+theory queries that the image answered are recorded, so an external solver
+can cross-check them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 from bernabs import bdd as bddm
 from bernabs import concrete as cc
-from bernabs import formula as fm
 from bernabs import kernel
 from bernabs.errors import PredicateBoundError
 from bernabs.theory import TheoryContext
@@ -55,14 +56,14 @@ class PredicateList:
         self.labels = tuple(labels)
         self.conds = tuple(cond for _, cond in preds)
         self._fns = tuple(ctx.compile(cond) for cond in self.conds)
-        self.universe = fm.make_universe([(label, fm.VarKind.PREDICATE) for label in labels])
+        self.universe = bddm.make_universe([(label, bddm.VarKind.PREDICATE) for label in labels])
         self._image = None
         self._feasible = None
 
     def __len__(self):
         return len(self.labels)
 
-    def var(self, label) -> fm.BoolVar:
+    def var(self, label) -> bddm.BoolVar:
         return self.universe.var(label)
 
     def cond_of(self, label) -> cc.Cond:
@@ -76,13 +77,6 @@ class PredicateList:
             for cond, bit in zip(self.conds, bits)
         ]
         return cc.cond_and_all(lits)
-
-    def minterm_formula(self, bits) -> fm.BoolFormula:
-        lits = [
-            fm.Ref(v) if bit else fm.Not(fm.Ref(v))
-            for v, bit in zip(self.universe.variables, bits)
-        ]
-        return fm.and_all(lits)
 
     def _alpha_image(self):
         """The α-image, computed by one sweep on first use.
@@ -152,10 +146,10 @@ class PredicateList:
 
     # --- formula approximation -------------------------------------------------
 
-    def _canonical(self, bit_vectors) -> fm.BoolFormula:
-        """The formula of the BDD whose models are the distinct `bit_vectors`,
-        built level by level with ``mk``: the recursion is n deep, whatever
-        the number of minterms."""
+    def _canonical(self, bit_vectors) -> bddm.Bdd:
+        """The Bdd whose models are the distinct `bit_vectors`, built level
+        by level with ``mk``: the recursion is n deep, whatever the number
+        of minterms."""
         table = self.universe.table
         n = len(self)
 
@@ -169,9 +163,9 @@ class PredicateList:
             hi = build(level + 1, [r for r in rows if r[level]])
             return table.mk(level, lo, hi)
 
-        return bddm.Bdd(self.universe, build(0, list(bit_vectors))).to_formula()
+        return bddm.Bdd(self.universe, build(0, list(bit_vectors)))
 
-    def strongest_implied(self, cond) -> fm.BoolFormula:
+    def strongest_implied(self, cond) -> bddm.Bdd:
         """Strongest formula over the predicates implied (modulo theory) by cond.
 
         Disjunction of the minterms consistent with cond, i.e. the image of
@@ -182,7 +176,7 @@ class PredicateList:
         self._log_cubes("sat", self._all_bits(), cond)
         return self._canonical(hits)
 
-    def weakest_sufficient(self, target) -> fm.BoolFormula:
+    def weakest_sufficient(self, target) -> bddm.Bdd:
         """Weakest formula over the predicates that guarantees `target`.
 
         Disjunction of the feasible minterms entailing target: those outside
@@ -193,20 +187,9 @@ class PredicateList:
         self._log_cubes("entails", feasible, target)
         return self._canonical(bits for bits in feasible if bits not in misses)
 
-    def invariant_formula(self) -> fm.BoolFormula:
+    def invariant_formula(self) -> bddm.Bdd:
         """I: the disjunction of theory-feasible minterms."""
         return self._canonical(self._alpha_image()[1])
-
-    def invariant_bdd(self) -> bddm.Bdd:
-        return bddm.build(self.universe, self.invariant_formula())
-
-    def to_bdd(self, f: fm.BoolFormula) -> bddm.Bdd:
-        return bddm.build(self.universe, f)
-
-    def equivalent_mod_invariant(self, f: fm.BoolFormula, g: fm.BoolFormula) -> bool:
-        """Semantic equality restricted to feasible abstract states."""
-        inv = self.invariant_bdd()
-        return (self.to_bdd(f) & inv).equiv(self.to_bdd(g) & inv)
 
 
 def predicate_list_text(preds: PredicateList) -> str:

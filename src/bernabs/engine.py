@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from bernabs import bdd as bddm
 from bernabs import bern
-from bernabs import formula as fm
 from bernabs.errors import ConditionOnImpossibleError, ModeError
 
 PRIME_SUFFIX = "'"
@@ -79,11 +78,11 @@ class SymbolicContext:
         self.program = program
         specs = []
         for name in program.decls:
-            specs.append((name, fm.VarKind.PREDICATE))
-            specs.append((name + PRIME_SUFFIX, fm.VarKind.AUX))
+            specs.append((name, bddm.VarKind.PREDICATE))
+            specs.append((name + PRIME_SUFFIX, bddm.VarKind.AUX))
         for site, theta in sites:
-            specs.append((f"flip#{site}", fm.VarKind.FLIP, Fraction(theta)))
-        self.universe = fm.make_universe(specs)
+            specs.append((f"flip#{site}", bddm.VarKind.FLIP, Fraction(theta)))
+        self.universe = bddm.make_universe(specs)
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
         self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}
         self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _ in sites}
@@ -101,17 +100,9 @@ class SymbolicContext:
     def state_bdd(self, e: bern.BernExpr) -> bddm.Bdd:
         return expr_to_bdd(self.universe, e, self.unprimed, self.flip_var)
 
-    def formula_bdd(self, f: fm.BoolFormula | None) -> bddm.Bdd:
-        if f is None:
-            return bddm.true_bdd(self.universe)
-        return bddm.build(self.universe, f)
-
     def point_state_bdd(self, state: dict) -> bddm.Bdd:
-        acc = bddm.true_bdd(self.universe)
-        for name in self.program.decls:
-            v = bddm.var_bdd(self.universe, self.state_vars[name])
-            acc = acc & (v if state[name] else ~v)
-        return acc
+        lits = [(self.state_vars[n], state[n]) for n in self.program.decls]
+        return bddm.cube(self.universe, lits)
 
 
 @dataclass(frozen=True)
@@ -196,21 +187,18 @@ def _run_block(ctx, delta, body):
 def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
     """Δ at every top-level prefix point, starting from `init`.
 
-    `init` may be a BoolFormula over the program variables, a state dict,
-    or None for T (callers with a theory in hand pass the predicate
-    invariant to exclude infeasible inputs).
+    `init` is None for T, a state dict, or a flip-free BERN expression over
+    the program variables (callers with a theory in hand pass the predicate
+    invariant, through ``builder.formula_to_expr``, to exclude infeasible
+    inputs).  The universe is made here, so no caller holds a Bdd over it.
     """
     ctx = SymbolicContext(program)
     if init is None:
         delta = bddm.true_bdd(ctx.universe)
     elif isinstance(init, bern.BernExpr):
         delta = ctx.state_bdd(init)
-    elif isinstance(init, fm.BoolFormula):
-        delta = ctx.formula_bdd(init)
     elif isinstance(init, dict):
         delta = ctx.point_state_bdd(init)
-    elif isinstance(init, bddm.Bdd):
-        delta = init
     else:
         raise TypeError(f"bad init {init!r}")
     points = [SymbolicState(delta, 0)]

@@ -20,7 +20,6 @@ from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
 from bernabs import engine
-from bernabs import formula as fm
 from bernabs.domain import PredicateList
 from bernabs.errors import ModeError
 from bernabs.theory import wp_subst
@@ -477,25 +476,21 @@ def _fragment_base(cprog, prefix, stmt, site, preds) -> cc.ConcreteDistribution:
     return cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars))
 
 
-def _concretize(f: fm.BoolFormula, preds: PredicateList) -> cc.Cond:
-    if isinstance(f, fm.TrueF):
-        return cc.CTrue()
-    if isinstance(f, fm.FalseF):
-        return cc.CFalse()
-    if isinstance(f, fm.Ref):
-        return preds.cond_of(f.var.label)
-    if isinstance(f, fm.Not):
-        return cc.CNot(_concretize(f.operand, preds))
-    if isinstance(f, fm.And):
-        return cc.CAnd(_concretize(f.left, preds), _concretize(f.right, preds))
-    if isinstance(f, fm.Or):
-        return cc.COr(_concretize(f.left, preds), _concretize(f.right, preds))
-    if isinstance(f, fm.Implies):
-        return cc.COr(cc.CNot(_concretize(f.left, preds)), _concretize(f.right, preds))
-    if isinstance(f, fm.Iff):
-        a, b = _concretize(f.left, preds), _concretize(f.right, preds)
-        return cc.COr(cc.CAnd(a, b), cc.CAnd(cc.CNot(a), cc.CNot(b)))
-    raise TypeError(f"not a formula: {f!r}")
+_COND_OF = {bern.BNot: cc.CNot, bern.BAnd: cc.CAnd, bern.BOr: cc.COr}
+
+
+def _concretize(b, preds: PredicateList) -> cc.Cond:
+    """The concrete condition of `b`, a Bdd over the predicates: each
+    predicate variable stands for its condition."""
+
+    def visit(e, values):
+        if values:
+            return _COND_OF[type(e)](*values)
+        if isinstance(e, bern.BVar):
+            return preds.cond_of(e.name)
+        return cc.CTrue() if isinstance(e, bern.BTrue) else cc.CFalse()
+
+    return bern.fold(bld.formula_to_expr(b), visit)
 
 
 def _context_cond(site, preds) -> cc.Cond:
@@ -509,16 +504,14 @@ def _context_cond(site, preds) -> cc.Cond:
 def _structural_free_mass(site, preds, base: cc.ConcreteDistribution, stmt):
     """(mass where the flip decides, mass where it decides True)."""
     pred_idx = preds.labels.index(site.predicate)
-    must_true = site.meta["must_true"]
-    must_false = site.meta["must_false"]
+    # the tables read the scratch names "pre X" and "cur X" of each predicate X
+    must_true = bld.formula_to_expr(site.meta["must_true"])
+    must_false = bld.formula_to_expr(site.meta["must_false"])
 
-    def formula_holds(f, pre_bits, post_bits):
-        assignment = {}
-        for v in fm.formula_vars(f):
-            kind, _, lbl = v.label.partition(" ")
-            i = preds.labels.index(lbl)
-            assignment[v] = pre_bits[i] if kind == "pre" else post_bits[i]
-        return fm.eval_formula(f, assignment)
+    def scratch_state(pre_bits, post_bits):
+        state = {f"pre {lbl}": bit for lbl, bit in zip(preds.labels, pre_bits)}
+        state.update((f"cur {lbl}", bit) for lbl, bit in zip(preds.labels, post_bits))
+        return state
 
     denom = num = Fraction(0)
     for z, w in base.items():
@@ -533,9 +526,10 @@ def _structural_free_mass(site, preds, base: cc.ConcreteDistribution, stmt):
             post = dict(z)
             post[stmt.name] = value
             post_bits = preds.alpha(post)
-            if formula_holds(must_true, pre_bits, post_bits):
+            state = scratch_state(pre_bits, post_bits)
+            if bern.eval_expr(must_true, state, {}):
                 continue
-            if formula_holds(must_false, pre_bits, post_bits):
+            if bern.eval_expr(must_false, state, {}):
                 continue
             denom += w * q
             if post_bits[pred_idx]:

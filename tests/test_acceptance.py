@@ -14,7 +14,7 @@ from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
-from bernabs import corpus, engine, formula as fm, parsing, selftest, theorems, theory
+from bernabs import corpus, engine, parsing, selftest, theorems, theory
 from bernabs.domain import PredicateList
 from bernabs.engine import expr_to_bdd
 
@@ -46,9 +46,9 @@ def _setting():
 def _value_bdd(preds, expr):
     """Bdd of an update expression with every flip/star leaf mapped to one
     shared choice variable (each emitted update has at most one leaf)."""
-    specs = [(lbl, fm.VarKind.PREDICATE) for lbl in preds.labels]
-    specs.append(("<choice>", fm.VarKind.AUX))
-    u = fm.make_universe(specs)
+    specs = [(lbl, bddm.VarKind.PREDICATE) for lbl in preds.labels]
+    specs.append(("<choice>", bddm.VarKind.AUX))
+    u = bddm.make_universe(specs)
     choice = u.var("<choice>")
     return u, expr_to_bdd(
         u,
@@ -83,26 +83,16 @@ def test_criterion_1_branch_reset_golden():
 
         def check(label, want_t, want_f):
             u, got = _value_bdd(preds, values[label])
-            t = bddm.build(u, want_t(u))
-            f = bddm.build(u, want_f(u))
+            b1 = bddm.var_bdd(u, u.var("x<-4"))
+            b2 = bddm.var_bdd(u, u.var("x<3"))
+            t, f = want_t(b1, b2, u), want_f(b1, b2)
             choice = bddm.var_bdd(u, u.var("<choice>"))
             want = t | (~f & choice)
-            inv_b = bddm.build(
-                u,
-                fm.Implies(fm.Ref(u.var("x<-4")), fm.Ref(u.var("x<3"))),
-            )
+            inv_b = b1.implies(b2)
             assert (got & inv_b).equiv(want & inv_b)
 
-        check(
-            "x<3",
-            lambda u: fm.Ref(u.var("x<-4")),
-            lambda u: fm.Not(fm.Ref(u.var("x<3"))),
-        )
-        check(
-            "x<-4",
-            lambda u: fm.FalseF(),
-            lambda u: fm.Or(fm.Not(fm.Ref(u.var("x<3"))), fm.Not(fm.Ref(u.var("x<-4")))),
-        )
+        check("x<3", lambda b1, b2, u: b1, lambda b1, b2: ~b2)
+        check("x<-4", lambda b1, b2, u: bddm.false_bdd(u), lambda b1, b2: ~b2 | ~b1)
 
 
 def test_criterion_2_reachability():

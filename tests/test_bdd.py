@@ -1,4 +1,4 @@
-"""Propositional layer: build/apply/exists/rename, weighted counting."""
+"""Propositional layer: apply/exists/rename, weighted counting, BERN round trip."""
 
 import itertools
 from fractions import Fraction
@@ -8,35 +8,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernabs import bdd as bddm
-from bernabs import formula as fm
+from bernabs import bern
+from bernabs import builder as bld
+from bernabs.bdd import VarKind
+from bernabs.engine import expr_to_bdd
 from bernabs.errors import UniverseError
 
 
 def pred_universe(n):
-    return fm.make_universe([(f"b{i}", fm.VarKind.PREDICATE) for i in range(n)])
+    return bddm.make_universe([(f"b{i}", VarKind.PREDICATE) for i in range(n)])
 
 
 def formulas(universe, max_depth=4):
-    refs = [fm.Ref(v) for v in universe.variables]
-    base = st.sampled_from(refs + [fm.TrueF(), fm.FalseF()])
+    """Flip-free BERN expressions over the universe's variables."""
+    refs = [bern.BVar(v.label) for v in universe.variables]
+    base = st.sampled_from(refs + [bern.BTrue(), bern.BFalse()])
 
     def extend(children):
         return st.one_of(
-            st.builds(fm.Not, children),
-            st.builds(fm.And, children, children),
-            st.builds(fm.Or, children, children),
-            st.builds(fm.Implies, children, children),
-            st.builds(fm.Iff, children, children),
+            st.builds(bern.BNot, children),
+            st.builds(bern.BAnd, children, children),
+            st.builds(bern.BOr, children, children),
+            st.builds(bern.BImp, children, children),
+            st.builds(bern.BIff, children, children),
         )
 
     return st.recursive(base, extend, max_leaves=2**max_depth)
 
 
+def build(universe, e):
+    return expr_to_bdd(universe, e, universe.var)
+
+
+def holds(e, assignment):
+    """`e` under a {BoolVar: bool} assignment, by the BERN interpreter."""
+    return bern.eval_expr(e, {v.label: bit for v, bit in assignment.items()}, {})
+
+
 def truth_table(f, universe):
     rows = []
     for bits in itertools.product((False, True), repeat=len(universe)):
-        rows.append(fm.eval_formula(f, dict(zip(universe.variables, bits))))
+        rows.append(holds(f, dict(zip(universe.variables, bits))))
     return tuple(rows)
+
+
+def ref(v):
+    return bern.BVar(v.label)
 
 
 # --- golden examples --------------------------------------------------------
@@ -44,21 +61,22 @@ def truth_table(f, universe):
 
 def test_contradiction_and_tautology():
     u = pred_universe(1)
-    a = fm.Ref(u.variables[0])
-    assert bddm.build(u, fm.And(a, fm.Not(a))).is_false
-    assert bddm.build(u, fm.Or(a, fm.Not(a))).is_true
+    a = ref(u.variables[0])
+    assert build(u, bern.BAnd(a, bern.BNot(a))).is_false
+    assert build(u, bern.BOr(a, bern.BNot(a))).is_true
 
 
 def test_biconditional_structure():
     # {x<4} <-> f: only the two agreeing assignments satisfy, and the
     # canonical no-complement-edge diagram has three internal nodes
-    u = fm.make_universe(
-        [("{x<4}", fm.VarKind.PREDICATE), ("f", fm.VarKind.FLIP, Fraction(1, 2))]
+    u = bddm.make_universe(
+        [("{x<4}", VarKind.PREDICATE), ("f", VarKind.FLIP, Fraction(1, 2))]
     )
     p, f = u.variables
-    d = bddm.build(u, fm.Iff(fm.Ref(p), fm.Ref(f)))
-    models = d.models([p, f])
-    assert [(m[p], m[f]) for m in models] == [(True, True), (False, False)]
+    d = build(u, bern.BIff(ref(p), ref(f)))
+    vp, vf = bddm.var_bdd(u, p), bddm.var_bdd(u, f)
+    assert d.count_models([p, f]) == 2
+    assert d.equiv((vp & vf) | (~vp & ~vf))
     assert d.size() == 3
 
 
@@ -68,66 +86,68 @@ def test_apply_identities():
     assert bddm.apply("and", bddm.true_bdd(u), a).equiv(a)
     assert (a | ~a).is_true
     both = bddm.apply("and", a, b)
-    models = both.models(list(u.variables))
-    assert len(models) == 1 and all(models[0].values())
+    assert both.count_models(u.variables) == 1
+    assert both.restrict(u.variables[0], True).restrict(u.variables[1], True).is_true
 
 
 def test_exists_examples():
     u = pred_universe(2)
     a, b = u.variables
-    d = bddm.build(u, fm.And(fm.Ref(a), fm.Ref(b)))
+    d = build(u, bern.BAnd(ref(a), ref(b)))
     assert d.exists([a]).equiv(bddm.var_bdd(u, b))
     assert bddm.false_bdd(u).exists([a]).is_false
     # (p && f) || (!p && !f): either p value has a witnessing f
-    u2 = fm.make_universe(
-        [("p", fm.VarKind.PREDICATE), ("f", fm.VarKind.FLIP, Fraction(1, 2))]
+    u2 = bddm.make_universe(
+        [("p", VarKind.PREDICATE), ("f", VarKind.FLIP, Fraction(1, 2))]
     )
     p, f = u2.variables
-    iff = bddm.build(u2, fm.Iff(fm.Ref(p), fm.Ref(f)))
+    iff = build(u2, bern.BIff(ref(p), ref(f)))
     assert iff.exists([f]).is_true
 
 
 def test_wmc_examples():
-    u = fm.make_universe([("f", fm.VarKind.FLIP, Fraction(1, 2))])
+    u = bddm.make_universe([("f", VarKind.FLIP, Fraction(1, 2))])
     assert bddm.true_bdd(u).wmc(u.default_weights()) == 1
 
-    u2 = fm.make_universe(
-        [("f1", fm.VarKind.FLIP, Fraction(1, 2)), ("f2", fm.VarKind.FLIP, Fraction(1, 4))]
+    u2 = bddm.make_universe(
+        [("f1", VarKind.FLIP, Fraction(1, 2)), ("f2", VarKind.FLIP, Fraction(1, 4))]
     )
     f1, f2 = u2.variables
-    d = bddm.build(u2, fm.And(fm.Ref(f1), fm.Ref(f2)))
+    d = build(u2, bern.BAnd(ref(f1), ref(f2)))
     assert d.wmc(u2.default_weights()) == Fraction(1, 8)
 
 
 def test_wmc_missing_entry():
     u = pred_universe(2)
     a, b = u.variables
-    d = bddm.build(u, fm.And(fm.Ref(a), fm.Ref(b)))
+    d = build(u, bern.BAnd(ref(a), ref(b)))
     with pytest.raises(UniverseError):
         d.wmc({a: (Fraction(1), Fraction(1))})
 
 
 def test_rename_examples():
-    u = fm.make_universe(
-        [("a", fm.VarKind.PREDICATE), ("a'", fm.VarKind.AUX)]
+    u = bddm.make_universe(
+        [("a", VarKind.PREDICATE), ("a'", VarKind.AUX)]
     )
     a, a_p = u.variables
     d = bddm.var_bdd(u, a)
     assert d.rename({a: a_p}).equiv(bddm.var_bdd(u, a_p))
     assert bddm.true_bdd(u).rename({a: a_p}).is_true
     with pytest.raises(UniverseError):
-        bddm.build(u, fm.And(fm.Ref(a), fm.Ref(a_p))).rename({a: a_p, a_p: a_p})
+        build(u, bern.BAnd(ref(a), ref(a_p))).rename({a: a_p, a_p: a_p})
 
 
 def test_enumerate_models_examples():
     u = pred_universe(1)
     (a,) = u.variables
-    assert bddm.false_bdd(u).models([a]) == []
-    assert [m[a] for m in bddm.true_bdd(u).models([a])] == [True, False]
+    assert bddm.false_bdd(u).count_models([a]) == 0
+    assert bddm.true_bdd(u).count_models([a]) == 2
     u2 = pred_universe(2)
     a, b = u2.variables
-    d = bddm.build(u2, fm.Or(fm.Ref(a), fm.Ref(b)))
-    assert len(d.models([a, b])) == 3
+    d = build(u2, bern.BOr(ref(a), ref(b)))
+    assert d.count_models([a, b]) == 3
+    # the one non-model is a = b = F
+    assert d.restrict(a, False).restrict(b, False).is_false
 
 
 def test_universe_mixing_rejected():
@@ -139,7 +159,7 @@ def test_universe_mixing_rejected():
 def test_dot_export():
     u = pred_universe(2)
     a, b = u.variables
-    dot = bddm.build(u, fm.And(fm.Ref(a), fm.Ref(b))).to_dot()
+    dot = build(u, bern.BAnd(ref(a), ref(b))).to_dot()
     assert 'label="b0"' in dot and "style=dashed" in dot and "style=solid" in dot
 
 
@@ -153,7 +173,7 @@ def test_canonicity(data):
     f = data.draw(formulas(u))
     g = data.draw(formulas(u))
     same = truth_table(f, u) == truth_table(g, u)
-    assert bddm.build(u, f).equiv(bddm.build(u, g)) == same
+    assert build(u, f).equiv(build(u, g)) == same
 
 
 # flip parameters with unlike denominators, and the degenerate 0 and 1
@@ -171,12 +191,12 @@ def test_wmc_matches_bruteforce(data):
     specs = []
     for i in range(n):
         if data.draw(st.booleans()):
-            specs.append((f"p{i}", fm.VarKind.PREDICATE))
+            specs.append((f"p{i}", VarKind.PREDICATE))
         else:
-            specs.append((f"f{i}", fm.VarKind.FLIP, data.draw(st.sampled_from(THETAS))))
-    u = fm.make_universe(specs)
+            specs.append((f"f{i}", VarKind.FLIP, data.draw(st.sampled_from(THETAS))))
+    u = bddm.make_universe(specs)
     f = data.draw(formulas(u))
-    d = bddm.build(u, f)
+    d = build(u, f)
     support = set(d.support())
     keys = [v for v in u.variables if v in support or data.draw(st.booleans())]
     weights = {}
@@ -187,7 +207,7 @@ def test_wmc_matches_bruteforce(data):
     for bits in itertools.product((False, True), repeat=len(keys)):
         assignment = {v: False for v in u.variables}
         assignment.update(zip(keys, bits))
-        if fm.eval_formula(f, assignment):
+        if holds(f, assignment):
             w = Fraction(1)
             for v, bit in zip(keys, bits):
                 wt, wf = weights[v]
@@ -201,7 +221,7 @@ def test_wmc_matches_bruteforce(data):
 def test_model_count_is_unweighted_wmc(data):
     u = pred_universe(4)
     f = data.draw(formulas(u))
-    d = bddm.build(u, f)
+    d = build(u, f)
     count = d.count_models(u.variables)
     assert type(count) is int
     assert count == sum(truth_table(f, u))
@@ -213,7 +233,7 @@ def test_exists_is_disjunction_of_restrictions(data):
     u = pred_universe(4)
     f = data.draw(formulas(u))
     v = data.draw(st.sampled_from(u.variables))
-    d = bddm.build(u, f)
+    d = build(u, f)
     assert d.exists([v]).equiv(d.restrict(v, True) | d.restrict(v, False))
     assert v not in d.exists([v]).support()
 
@@ -221,14 +241,14 @@ def test_exists_is_disjunction_of_restrictions(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rename_round_trip(data):
-    u = fm.make_universe(
-        [(f"b{i}", fm.VarKind.PREDICATE) for i in range(3)]
-        + [(f"b{i}'", fm.VarKind.AUX) for i in range(3)]
+    u = bddm.make_universe(
+        [(f"b{i}", VarKind.PREDICATE) for i in range(3)]
+        + [(f"b{i}'", VarKind.AUX) for i in range(3)]
     )
     base = u.variables[:3]
     primed = u.variables[3:]
     f = data.draw(formulas(u, max_depth=3))
-    d = bddm.build(u, f)
+    d = build(u, f)
     fwd = {b: p for b, p in zip(base, primed)}
     back = {p: b for b, p in zip(base, primed)}
     if any(v in primed for v in d.support()):
@@ -238,8 +258,8 @@ def test_rename_round_trip(data):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_to_formula_round_trips(data):
+def test_formula_to_expr_round_trips(data):
     u = pred_universe(4)
     f = data.draw(formulas(u))
-    d = bddm.build(u, f)
-    assert bddm.build(u, d.to_formula()).equiv(d)
+    d = build(u, f)
+    assert build(u, bld.formula_to_expr(d)).equiv(d)

@@ -1,0 +1,29 @@
+"""The benchmark's entry points still exist and still answer.
+
+For each workload, the first problem of seed 0 runs through the solver the
+benchmark times, with the tracer's wrappers installed, so a rename in
+`bernabs` that breaks `perfbench/` fails here and not only in a benchmark
+run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import pipeline, trace, workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_first_problem_answers_every_operation(workload):
+    problem = workloads.inputs(workload, 0)[0]
+    out = pipeline.Outcome()
+    tracer = trace.Tracer()
+    with tracer:
+        pipeline.SOLVERS[workload](pipeline.parse(workload, problem), out)
+    assert len(out.answers) == pipeline.operations(workload, problem)
+    assert tracer.metrics()

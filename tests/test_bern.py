@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from bernabs import bdd as bddm
 from bernabs import bern, cli, corpus, engine, parsing, randgen, theorems
-from bernabs import formula as fm
 from bernabs.errors import EnumerationCapError, ModeError, NestingError, ParseError
 
 # flat 3,000-operand chains: the parser builds a tree 3,000 levels deep
@@ -253,7 +253,7 @@ def test_connective_truth_tables(cls):
     for each connective alone and as the left and right child of =>."""
     a, b = bern.BVar("a"), bern.BVar("b")
     here = cls(a) if cls is bern.BNot else cls(a, b)
-    u = fm.make_universe([("a", fm.VarKind.PREDICATE), ("b", fm.VarKind.PREDICATE)])
+    u = bddm.make_universe([("a", bddm.VarKind.PREDICATE), ("b", bddm.VarKind.PREDICATE)])
     for va, vb in itertools.product((False, True), repeat=2):
         want = CONNECTIVES[cls](va, vb)
         cases = [

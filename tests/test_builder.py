@@ -9,7 +9,6 @@ from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
-from bernabs import formula as fm
 from bernabs import parsing, randgen, theorems, theory
 from bernabs.domain import PredicateList
 from bernabs.engine import expr_to_bdd
@@ -19,10 +18,10 @@ FIXED_HALF = bld.ParamPolicy.fixed(Fraction(1, 2))
 
 def expr_bdd_over(preds, expr, extra_flips=8):
     """Build a Bdd of a BERN expression over predicate vars plus flip slots."""
-    specs = [(lbl, fm.VarKind.PREDICATE) for lbl in preds.labels]
-    specs += [(f"f{i}", fm.VarKind.FLIP, Fraction(1, 2)) for i in range(extra_flips)]
-    specs += [(f"s{i}", fm.VarKind.AUX) for i in range(extra_flips)]
-    u = fm.make_universe(specs)
+    specs = [(lbl, bddm.VarKind.PREDICATE) for lbl in preds.labels]
+    specs += [(f"f{i}", bddm.VarKind.FLIP, Fraction(1, 2)) for i in range(extra_flips)]
+    specs += [(f"s{i}", bddm.VarKind.AUX) for i in range(extra_flips)]
+    u = bddm.make_universe(specs)
     return u, expr_to_bdd(
         u,
         expr,
@@ -32,18 +31,9 @@ def expr_bdd_over(preds, expr, extra_flips=8):
     )
 
 
-def inv_bdd(preds, universe):
-    return bddm.build(universe, _relabel(preds.invariant_formula(), universe))
-
-
-def _relabel(formula, universe):
-    if isinstance(formula, fm.TrueF) or isinstance(formula, fm.FalseF):
-        return formula
-    if isinstance(formula, fm.Ref):
-        return fm.Ref(universe.var(formula.var.label))
-    if isinstance(formula, fm.Not):
-        return fm.Not(_relabel(formula.operand, universe))
-    return type(formula)(_relabel(formula.left, universe), _relabel(formula.right, universe))
+def _relabel(b, universe):
+    """The same function as `b`, over the like-labelled variables of `universe`."""
+    return expr_to_bdd(universe, bld.formula_to_expr(b), universe.var)
 
 
 def test_branch_scaffold_nondet(branch_reset):
@@ -53,12 +43,10 @@ def test_branch_scaffold_nondet(branch_reset):
     scaffold = worker.abstract_branch(stmt.cond)
     assert isinstance(scaffold.cond, bern.Star)
     then_assume, else_assume = scaffold.then[0], scaffold.els[0]
-    b1 = fm.Ref(preds.var("x<-4"))
-    b2 = fm.Ref(preds.var("x<3"))
     u, then_b = expr_bdd_over(preds, then_assume.cond)
-    assert then_b.equiv(bddm.build(u, _relabel(b2, u)))
+    assert then_b.equiv(bddm.var_bdd(u, u.var("x<3")))
     u2, else_b = expr_bdd_over(preds, else_assume.cond)
-    assert else_b.equiv(bddm.build(u2, _relabel(fm.Not(b1), u2)))
+    assert else_b.equiv(~bddm.var_bdd(u2, u2.var("x<-4")))
 
 
 def test_branch_guard_probabilistic(branch_reset):
@@ -89,21 +77,21 @@ def test_assignment_updates(branch_reset):
     pa = worker.abstract_assignment(incr)
     assert pa.targets == ("x<-4", "x<3")
     values = dict(zip(pa.targets, pa.exprs))
-    inv_expr = preds.invariant_formula()
+    inv_b = preds.invariant_formula()
     # x<3 gets choose({x<-4}, !{x<3}); x<-4 gets choose(F, !{x<3} || !{x<-4})
     # star occurrences allocate in predicate order: x<-4 gets s0, x<3 gets s1
     u, got3 = expr_bdd_over(preds, values["x<3"])
     b1 = bddm.var_bdd(u, u.var("x<-4"))
     b2 = bddm.var_bdd(u, u.var("x<3"))
     s1 = bddm.var_bdd(u, u.var("s1"))
-    inv = bddm.build(u, _relabel(inv_expr, u))
+    inv = _relabel(inv_b, u)
     want3 = b1 | (b2 & s1)  # choose({x<-4}, !{x<3}) desugared
     assert (got3 & inv).equiv(want3 & inv)
     u2, got4 = expr_bdd_over(preds, values["x<-4"])
     b1_2 = bddm.var_bdd(u2, u2.var("x<-4"))
     b2_2 = bddm.var_bdd(u2, u2.var("x<3"))
     s0_2 = bddm.var_bdd(u2, u2.var("s0"))
-    inv2 = bddm.build(u2, _relabel(inv_expr, u2))
+    inv2 = _relabel(inv_b, u2)
     want4 = (b1_2 & b2_2) & s0_2  # choose(F, !{x<3} || !{x<-4}) desugared
     assert (got4 & inv2).equiv(want4 & inv2)
 
@@ -216,9 +204,10 @@ def test_branch_coverage_property():
         preds = PredicateList(randgen.rand_predicates(rng, decls, 2), ctx)
         worker = bld.Abstractor(preds, bld.AbstractionConfig("nondet", "none"))
         guard = randgen.rand_cond(rng, decls)
-        alpha = preds.to_bdd(preds.strongest_implied(guard))
-        beta = preds.to_bdd(preds.strongest_implied(cc.CNot(guard)))
-        assert ((alpha | beta) & preds.invariant_bdd()).equiv(preds.invariant_bdd())
+        alpha = preds.strongest_implied(guard)
+        beta = preds.strongest_implied(cc.CNot(guard))
+        inv = preds.invariant_formula()
+        assert ((alpha | beta) & inv).equiv(inv)
 
 
 def test_choose_guard_disjointness():
@@ -233,7 +222,7 @@ def test_choose_guard_disjointness():
             if stmt.name not in cc.cond_vars(preds.conds[i]):
                 continue
             t, f = worker.choose_pair(stmt, i)
-            both = preds.to_bdd(t) & preds.to_bdd(f) & preds.invariant_bdd()
+            both = t & f & preds.invariant_formula()
             assert both.is_false
 
 
@@ -250,7 +239,7 @@ def test_independent_predicate_ladder(n):
     aprog, sites = bld.abstract_program(prog, preds, config)
     fitted, table = theorems.fit_parameters(prog, aprog, sites, preds)
     assert len(preds.feasible_minterms()) == 2**n
-    assert isinstance(preds.invariant_formula(), fm.TrueF)
+    assert preds.invariant_formula().is_true
     assert [s.theta for s in table.sites] == [Fraction(1, 2)] * 2
 
 

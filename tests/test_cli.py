@@ -100,6 +100,37 @@ def test_abstract_missing_file_exit_2(files):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["-o", "--sites", "--dot", "--dump-queries"])
+def test_write_failure_exit_2(files, capsys, flag):
+    paths, tmp = files
+    missing = str(tmp / "missing" / "out")
+    if flag == "--dot":
+        argv = ["infer", paths["chain.bern"], "--dot", missing]
+    else:
+        argv = ["abstract", paths["chain.cp"], paths["chain.preds"], "--mode", "prob",
+                "-o", str(tmp / "out.bern"), flag, missing]
+    rc = cli.main(argv)
+    assert rc == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given,missing", [("--cp", "--preds"), ("--preds", "--cp")])
+def test_infer_cp_and_preds_go_together(files, capsys, given, missing):
+    paths, _ = files
+    path = paths["chain.cp"] if given == "--cp" else paths["chain.preds"]
+    rc = cli.main(["infer", paths["chain.bern"], "--event", "{c<5}", given, path])
+    assert rc == 2
+    assert f"{missing} is missing" in capsys.readouterr().err
+
+
+def test_infer_from_invariant(files, capsys):
+    paths, _ = files
+    rc = cli.main(["infer", paths["chain.bern"], "--event", "{c<5}",
+                   "--cp", paths["chain.cp"], "--preds", paths["chain.preds"]])
+    assert rc == 0
+    assert "probability 11/32\n" in capsys.readouterr().out
+
+
 def test_infer_eleven_thirty_seconds(files, capsys):
     paths, _ = files
     rc = cli.main(["infer", paths["chain.bern"], "--event", "{c<5}", "--json"])

@@ -7,10 +7,23 @@ import pytest
 
 from bernabs import bdd as bddm
 from bernabs import concrete as cc
-from bernabs import formula as fm
 from bernabs import parsing, randgen, theory
 from bernabs.domain import PredicateList
 from bernabs.errors import PredicateBoundError
+
+
+def pred_bdd(preds, label):
+    return bddm.var_bdd(preds.universe, preds.var(label))
+
+
+def minterm_bdd(preds, bits):
+    return bddm.cube(preds.universe, zip(preds.universe.variables, bits))
+
+
+def equivalent_mod_invariant(preds, f, g):
+    """Semantic equality restricted to feasible abstract states."""
+    inv = preds.invariant_formula()
+    return (f & inv).equiv(g & inv)
 
 
 def single_pred_domain():
@@ -63,9 +76,9 @@ def test_strongest_implied_examples():
     guard = parsing.parse_cond("x < 0", ["x"])
     p_t = preds.strongest_implied(guard)
     p_f = preds.strongest_implied(cc.CNot(guard))
-    assert preds.to_bdd(p_t).equiv(bddm.var_bdd(preds.universe, preds.var("x<3")))
-    assert preds.to_bdd(p_f).equiv(~bddm.var_bdd(preds.universe, preds.var("x<-4")))
-    assert preds.to_bdd(preds.strongest_implied(cc.CFalse())).is_false
+    assert p_t.equiv(pred_bdd(preds, "x<3"))
+    assert p_f.equiv(~pred_bdd(preds, "x<-4"))
+    assert preds.strongest_implied(cc.CFalse()).is_false
 
 
 def test_weakest_sufficient_examples():
@@ -77,31 +90,31 @@ def test_weakest_sufficient_examples():
     f = preds.weakest_sufficient(
         theory.wp_subst("x", x_plus_1, cc.CNot(preds.cond_of("x<3")))
     )
-    b1 = fm.Ref(preds.var("x<-4"))
-    b2 = fm.Ref(preds.var("x<3"))
-    assert preds.equivalent_mod_invariant(t, b1)
-    assert preds.equivalent_mod_invariant(f, fm.Not(b2))
+    b1 = pred_bdd(preds, "x<-4")
+    b2 = pred_bdd(preds, "x<3")
+    assert equivalent_mod_invariant(preds, t, b1)
+    assert equivalent_mod_invariant(preds, f, ~b2)
     # target T: all feasible minterms, i.e. the invariant
     top = preds.weakest_sufficient(cc.CTrue())
-    assert preds.to_bdd(top).equiv(preds.invariant_bdd())
+    assert top.equiv(preds.invariant_formula())
 
 
 def test_invariant_examples():
     _, preds = two_pred_domain()
-    b1 = fm.Ref(preds.var("x<-4"))
-    b2 = fm.Ref(preds.var("x<3"))
-    assert preds.invariant_bdd().equiv(preds.to_bdd(fm.Implies(b1, b2)))
+    b1 = pred_bdd(preds, "x<-4")
+    b2 = pred_bdd(preds, "x<3")
+    assert preds.invariant_formula().equiv(b1.implies(b2))
 
     ctx, single = single_pred_domain()[0], single_pred_domain()[1]
-    assert single.invariant_bdd().is_true
+    assert single.invariant_formula().is_true
 
     ctx2 = theory.TheoryContext([cc.VarDecl("x", -2, 3)])
     dup = PredicateList(
         [("a", parsing.parse_cond("x < 0", ["x"])), ("b", parsing.parse_cond("x < 0", ["x"]))],
         ctx2,
     )
-    va, vb = (fm.Ref(dup.var(n)) for n in ("a", "b"))
-    assert dup.invariant_bdd().equiv(dup.to_bdd(fm.Iff(va, vb)))
+    va, vb = (pred_bdd(dup, n) for n in ("a", "b"))
+    assert dup.invariant_formula().equiv(va.iff(vb))
 
 
 def test_compatibility_properties():
@@ -141,18 +154,17 @@ def test_strongest_implied_is_strongest():
         ctx = theory.TheoryContext(decls)
         preds = PredicateList(randgen.rand_predicates(rng, decls, 2), ctx)
         c = randgen.rand_cond(rng, decls)
-        formula = preds.strongest_implied(c)
-        d = preds.to_bdd(formula)
+        d = preds.strongest_implied(c)
         # implied by c: every satisfying state abstracts into the formula
         for key in ctx.states():
             z = dict(zip(ctx.names, key))
             if cc.eval_cond(c, z):
                 bits = preds.alpha(z)
-                assert not (d & preds.to_bdd(preds.minterm_formula(bits))).is_false
+                assert not (d & minterm_bdd(preds, bits)).is_false
         # strongest: every included minterm is witnessed by some c-state
         for m in preds.minterms():
             assert m.feasible == ctx.satisfiable(m.cond)
-            inc = not (d & preds.to_bdd(preds.minterm_formula(m.bits))).is_false
+            inc = not (d & minterm_bdd(preds, m.bits)).is_false
             witnessed = ctx.satisfiable(cc.CAnd(m.cond, c))
             assert inc == witnessed
 
@@ -164,9 +176,9 @@ def test_weakest_sufficient_is_weakest():
         ctx = theory.TheoryContext(decls)
         preds = PredicateList(randgen.rand_predicates(rng, decls, 2), ctx)
         t = randgen.rand_cond(rng, decls)
-        d = preds.to_bdd(preds.weakest_sufficient(t))
+        d = preds.weakest_sufficient(t)
         for m in preds.feasible_minterms():
-            inc = not (d & preds.to_bdd(preds.minterm_formula(m.bits))).is_false
+            inc = not (d & minterm_bdd(preds, m.bits)).is_false
             # sufficiency for the included, maximality for the excluded
             assert inc == ctx.entails(m.cond, t)
 
@@ -178,9 +190,9 @@ def test_duality_on_feasible_minterms():
         ctx = theory.TheoryContext(decls)
         preds = PredicateList(randgen.rand_predicates(rng, decls, 2), ctx)
         t = randgen.rand_cond(rng, decls)
-        inv = preds.invariant_bdd()
-        ws = preds.to_bdd(preds.weakest_sufficient(t))
-        si = preds.to_bdd(preds.strongest_implied(cc.CNot(t)))
+        inv = preds.invariant_formula()
+        ws = preds.weakest_sufficient(t)
+        si = preds.strongest_implied(cc.CNot(t))
         assert (ws & inv).equiv(~si & inv)
 
 

@@ -78,6 +78,18 @@ def test_star_rejected():
         engine.run_symbolic(prog)
 
 
+def test_init_kinds():
+    """None, a state dict and a BERN expression are inits; a Bdd, which no
+    caller can hold over the universe the run makes, is not."""
+    prog = parsing.parse_bern("bool a\nbool b\nb = a")
+    assert engine.query(prog, bern.BVar("b"), init={"a": True, "b": False}).probability == 1
+    assert engine.query(prog, bern.BVar("b"), init=bern.BNot(bern.BVar("a"))).probability == 0
+    assert engine.run_symbolic(prog, init=None).at(0).delta.is_true
+    other = engine.SymbolicContext(prog)
+    with pytest.raises(TypeError):
+        engine.run_symbolic(prog, init=bddm.true_bdd(other.universe))
+
+
 def test_functional_dependency_from_point_init():
     rng = random.Random(3)
     for _ in range(20):
