@@ -13,8 +13,9 @@ each, so smarter engines can be checked against it.
 
 Expression trees are walked only through `fold`, a post-order fold with
 an explicit stack, and rewritten only through `map_expr` and `map_program`
-on top of it; callers supply what a node means.  No expression walk has a
-depth limit, so a flat chain of thousands of operands (a tree that deep)
+on top of it; callers supply what a node means.  The concrete language's
+trees go through the same fold with their own child table.  No expression
+walk has a depth limit, so a flat chain of thousands of operands (a tree that deep)
 is as safe as one leaf.  Statement blocks are walked recursively, so a
 program may nest ``if`` blocks at most `MAX_NESTING` deep; `BernProgram`
 measures that depth without recursion before any walker runs.
@@ -207,12 +208,15 @@ _CHILDREN[BNot] = lambda e: (e.operand,)
 _CHILDREN[Choose] = operator.attrgetter("when_true", "when_false")
 
 
-def fold(expr, visit):
+def fold(expr, visit, children=_CHILDREN):
     """Post-order fold of one expression, with an explicit stack.
 
     ``visit(node, values)`` is called once per node, children before their
     parent and siblings left to right; `values` holds the results for the
     node's children (empty for a leaf).  Returns the result for `expr`.
+    `children` maps each inner node class to the getter of its children;
+    a node of any other class is a leaf.  The default is BERN's table, and
+    the concrete language passes its own.
     """
     values, todo = [], [expr]
     while todo:
@@ -220,8 +224,8 @@ def fold(expr, visit):
         if type(node) is int:  # that many children are done; their parent is next
             cut = len(values) - node
             values[cut:] = [visit(todo.pop(), values[cut:])]
-        elif type(node) in _CHILDREN:
-            kids = _CHILDREN[type(node)](node)
+        elif type(node) in children:
+            kids = children[type(node)](node)
             todo += (node, len(kids))
             todo += reversed(kids)
         else:

@@ -219,7 +219,7 @@ class Abstractor:
         return [
             i
             for i, cond in enumerate(self.preds.conds)
-            if name in cc.cond_vars(cond)
+            if name in cc.tree_vars(cond)
         ]
 
     # --- branch abstraction -----------------------------------------------

@@ -117,7 +117,7 @@ def cmd_check(args):
     if args.where:
         cond = parsing.parse_cond(args.where, declared=[d.name for d in prog.decls])
         ctx.check_closed(cond)
-        fn = ctx.compile(cond)
+        fn = cc.compile(cond, ctx.names)
         inputs = [
             dict(zip(ctx.names, key)) for key in ctx.states() if fn(key)
         ]
@@ -178,7 +178,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--cap", type=int, default=theory.DEFAULT_CAP,
+        p.add_argument("--cap", type=int, default=cc.DEFAULT_STATE_CAP,
                        help="joint-domain enumeration cap")
         p.add_argument("--json", action="store_true", help="JSON output")
 
@@ -202,7 +202,7 @@ def build_parser():
                    help="report mass without conditioning on survival")
     p.add_argument("--cp", dest="program", help="concrete program (with --preds, for invariant init)")
     p.add_argument("--preds", dest="predicates", help="predicates (with --cp, for invariant init)")
-    p.add_argument("--dot", help="dump the end-point knowledge base as DOT")
+    p.add_argument("--dot", help="dump the knowledge base at --point as DOT")
     add_common(p)
     p.set_defaults(fn=cmd_infer)
 

@@ -5,20 +5,33 @@ to ``BLOCKED`` when an observe fails); distribution evaluation enumerates
 every draw outcome with uniform rational weights and drops observe-failing
 paths, recording the lost mass in the survival total.  Arithmetic escaping
 a variable's declared range is a hard error, never wrapping or clamping.
+
+Expression and condition trees are walked only through `fold`, the BERN
+post-order fold with this language's child table, so no walk has a depth
+limit.  `compile` is the language's one evaluator: it turns a tree into a
+closure over dict or tuple states, once per tree, and the loops over
+states call the closure.  A compiled closure still nests one call per
+level, which the parser's nesting cap bounds.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from bernabs import bern
 from bernabs.errors import (
     ConditionOnImpossibleError,
     EnumerationCapError,
     RangeViolationError,
 )
 
+# The most states a joint concrete domain may hold: the theory's sweeps and
+# the uniform joint distribution both enumerate it.
 DEFAULT_STATE_CAP = 2**20
 
 
@@ -46,21 +59,18 @@ class VarDecl:
 class IntExpr:
     __slots__ = ()
 
+    def __str__(self):
+        return fold(self, _text)
+
 
 @dataclass(frozen=True)
 class IntConst(IntExpr):
     value: int
 
-    def __str__(self):
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class IntVar(IntExpr):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -68,28 +78,17 @@ class Add(IntExpr):
     left: IntExpr
     right: IntExpr
 
-    def __str__(self):
-        return f"{self.left} + {self.right}"
-
 
 @dataclass(frozen=True)
 class Sub(IntExpr):
     left: IntExpr
     right: IntExpr
 
-    def __str__(self):
-        rhs = f"({self.right})" if isinstance(self.right, (Add, Sub)) else str(self.right)
-        return f"{self.left} - {rhs}"
-
 
 @dataclass(frozen=True)
 class Scale(IntExpr):
     coeff: int
     operand: IntExpr
-
-    def __str__(self):
-        inner = f"({self.operand})" if isinstance(self.operand, (Add, Sub)) else str(self.operand)
-        return f"{self.coeff}*{inner}"
 
 
 # --- conditions ------------------------------------------------------------
@@ -100,19 +99,18 @@ CMP_OPS = ("<", "<=", "==", "!=", ">", ">=")
 class Cond:
     __slots__ = ()
 
+    def __str__(self):
+        return fold(self, _text)
+
 
 @dataclass(frozen=True)
 class CTrue(Cond):
-
-    def __str__(self):
-        return "T"
+    pass
 
 
 @dataclass(frozen=True)
 class CFalse(Cond):
-
-    def __str__(self):
-        return "F"
+    pass
 
 
 @dataclass(frozen=True)
@@ -125,16 +123,10 @@ class Cmp(Cond):
         if self.op not in CMP_OPS:
             raise ValueError(f"bad comparison operator {self.op!r}")
 
-    def __str__(self):
-        return f"{self.left} {self.op} {self.right}"
-
 
 @dataclass(frozen=True)
 class CNot(Cond):
     operand: Cond
-
-    def __str__(self):
-        return f"!({self.operand})"
 
 
 @dataclass(frozen=True)
@@ -142,17 +134,11 @@ class CAnd(Cond):
     left: Cond
     right: Cond
 
-    def __str__(self):
-        return f"({self.left}) && ({self.right})"
-
 
 @dataclass(frozen=True)
 class COr(Cond):
     left: Cond
     right: Cond
-
-    def __str__(self):
-        return f"({self.left}) || ({self.right})"
 
 
 def cond_and_all(conds):
@@ -218,14 +204,22 @@ class ConcreteProgram:
     def var_names(self):
         return tuple(d.name for d in self.decls)
 
-    def joint_size(self):
-        n = 1
-        for d in self.decls:
-            n *= d.size
-        return n
+    @functools.cached_property
+    def compiled(self):
+        """The body with every tree compiled over value tuples in
+        declaration order, once per program; see `_compile_block`."""
+        return _compile_block(self.body, self.var_names)
 
     def is_deterministic(self):
         return not any(isinstance(s, Draw) for s in walk_statements(self.body))
+
+
+def joint_size(decls) -> int:
+    """How many states the declared ranges span together."""
+    n = 1
+    for d in decls:
+        n *= d.size
+    return n
 
 
 def walk_statements(body):
@@ -236,78 +230,110 @@ def walk_statements(body):
             yield from walk_statements(stmt.els)
 
 
-# --- expression / condition evaluation -------------------------------------
+# --- the traversal ---------------------------------------------------------------
+
+_BINARY = (Add, Sub, Cmp, CAnd, COr)
+_CHILDREN = {cls: operator.attrgetter("left", "right") for cls in _BINARY}
+_CHILDREN[Scale] = _CHILDREN[CNot] = lambda e: (e.operand,)
 
 
-def eval_int(e, state) -> int:
-    if isinstance(e, IntConst):
-        return e.value
-    if isinstance(e, IntVar):
-        return state[e.name]
-    if isinstance(e, Add):
-        return eval_int(e.left, state) + eval_int(e.right, state)
-    if isinstance(e, Sub):
-        return eval_int(e.left, state) - eval_int(e.right, state)
-    if isinstance(e, Scale):
-        return e.coeff * eval_int(e.operand, state)
-    raise TypeError(f"not an integer expression: {e!r}")
+def fold(tree, visit):
+    """`bern.fold` over an integer expression or a condition: ``visit(node,
+    values)`` once per node, children first, with no depth limit."""
+    return bern.fold(tree, visit, _CHILDREN)
 
 
-def eval_cond(c, state) -> bool:
-    if isinstance(c, CTrue):
-        return True
-    if isinstance(c, CFalse):
-        return False
-    if isinstance(c, Cmp):
-        a, b = eval_int(c.left, state), eval_int(c.right, state)
-        return {
-            "<": a < b,
-            "<=": a <= b,
-            "==": a == b,
-            "!=": a != b,
-            ">": a > b,
-            ">=": a >= b,
-        }[c.op]
-    if isinstance(c, CNot):
-        return not eval_cond(c.operand, state)
-    if isinstance(c, CAnd):
-        return eval_cond(c.left, state) and eval_cond(c.right, state)
-    if isinstance(c, COr):
-        return eval_cond(c.left, state) or eval_cond(c.right, state)
-    raise TypeError(f"not a condition: {c!r}")
+def map_tree(tree, on_node):
+    """Bottom-up rewrite: ``on_node`` gets each node rebuilt over its
+    rewritten children and returns the node that replaces it."""
+
+    def visit(node, values):
+        if values:
+            fields = ("left", "right") if type(node) in _BINARY else ("operand",)
+            node = dataclasses.replace(node, **dict(zip(fields, values)))
+        return on_node(node)
+
+    return fold(tree, visit)
 
 
-def expr_vars(e):
-    out = set()
-
-    def walk(e):
-        if isinstance(e, IntVar):
-            out.add(e.name)
-        elif isinstance(e, (Add, Sub)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Scale):
-            walk(e.operand)
-
-    walk(e)
-    return out
+def tree_vars(tree) -> set:
+    """The names of the variables an expression or a condition reads."""
+    nodes = []
+    fold(tree, lambda node, _: nodes.append(node))
+    return {node.name for node in nodes if type(node) is IntVar}
 
 
-def cond_vars(c):
-    out = set()
+def _grouped(child, text):
+    return f"({text})" if type(child) in (Add, Sub) else text
 
-    def walk_c(c):
-        if isinstance(c, Cmp):
-            out.update(expr_vars(c.left))
-            out.update(expr_vars(c.right))
-        elif isinstance(c, CNot):
-            walk_c(c.operand)
-        elif isinstance(c, (CAnd, COr)):
-            walk_c(c.left)
-            walk_c(c.right)
 
-    walk_c(c)
-    return out
+# the text of each node, given its children's texts: what `str()` prints
+_TEXT = {
+    IntConst: lambda node: str(node.value),
+    IntVar: lambda node: node.name,
+    CTrue: lambda node: "T",
+    CFalse: lambda node: "F",
+    Add: lambda node, a, b: f"{a} + {b}",
+    Sub: lambda node, a, b: f"{a} - {_grouped(node.right, b)}",
+    Scale: lambda node, a: f"{node.coeff}*{_grouped(node.operand, a)}",
+    Cmp: lambda node, a, b: f"{a} {node.op} {b}",
+    CNot: lambda node, a: f"!({a})",
+    CAnd: lambda node, a, b: f"({a}) && ({b})",
+    COr: lambda node, a, b: f"({a}) || ({b})",
+}
+
+
+def _text(node, values):
+    return _TEXT[type(node)](node, *values)
+
+
+# --- the evaluator ----------------------------------------------------------------
+
+
+def _constant(value):
+    return lambda s: value
+
+
+def _scaled(coeff, f):
+    return lambda s: coeff * f(s)
+
+
+_COMPARE = {
+    "<": lambda f, g: lambda s: f(s) < g(s),
+    "<=": lambda f, g: lambda s: f(s) <= g(s),
+    "==": lambda f, g: lambda s: f(s) == g(s),
+    "!=": lambda f, g: lambda s: f(s) != g(s),
+    ">": lambda f, g: lambda s: f(s) > g(s),
+    ">=": lambda f, g: lambda s: f(s) >= g(s),
+}
+
+# the closure of each node but a variable, given its children's closures
+_CLOSURE = {
+    IntConst: lambda node: _constant(node.value),
+    CTrue: lambda node: _constant(True),
+    CFalse: lambda node: _constant(False),
+    Add: lambda node, f, g: lambda s: f(s) + g(s),
+    Sub: lambda node, f, g: lambda s: f(s) - g(s),
+    Scale: lambda node, f: _scaled(node.coeff, f),
+    Cmp: lambda node, f, g: _COMPARE[node.op](f, g),
+    CNot: lambda node, f: lambda s: not f(s),
+    CAnd: lambda node, f, g: lambda s: f(s) and g(s),
+    COr: lambda node, f, g: lambda s: f(s) or g(s),
+}
+
+
+def compile(tree, names=None):
+    """The closure that evaluates an integer expression or a condition at a
+    state.  The state is a dict from variable name to value or, when
+    `names` is given, a tuple of values in the order of `names`."""
+    slot = {n: i for i, n in enumerate(names)} if names is not None else None
+
+    def visit(node, fns):
+        if type(node) is IntVar:
+            return operator.itemgetter(node.name if slot is None else slot[node.name])
+        return _CLOSURE[type(node)](node, *fns)
+
+    return fold(tree, visit)
 
 
 # --- deterministic semantics ------------------------------------------------
@@ -321,35 +347,58 @@ class _Blocked:
 BLOCKED = _Blocked()
 
 
+def _compile_block(body, names):
+    """`body` ready to run on value tuples in the order of `names`: each
+    statement as ``(stmt, fn, slot, blocks)``, where `fn` is its tree
+    compiled (None for a draw), `slot` the position of the variable it
+    writes (None when it writes none) and `blocks` the compiled ``then``
+    and ``else`` blocks of an `if` (None otherwise)."""
+    out = []
+    for stmt in body:
+        if isinstance(stmt, Assign):
+            out.append((stmt, compile(stmt.expr, names), names.index(stmt.name), None))
+        elif isinstance(stmt, Draw):
+            out.append((stmt, None, names.index(stmt.name), None))
+        elif isinstance(stmt, Observe):
+            out.append((stmt, compile(stmt.cond, names), None, None))
+        elif isinstance(stmt, If):
+            blocks = (_compile_block(stmt.then, names), _compile_block(stmt.els, names))
+            out.append((stmt, compile(stmt.cond, names), None, blocks))
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
+    return tuple(out)
+
+
+def _checked(decl, value):
+    """`value`, which an assignment writes to `decl`'s variable, if in range."""
+    if not decl.contains(value):
+        raise RangeViolationError(f"{decl.name} = {value} escapes [{decl.lo}, {decl.hi})")
+    return value
+
+
 def eval_det(program: ConcreteProgram, state: dict):
     """Run a draw-free program; returns the output state or BLOCKED."""
 
-    def run(body, st):
-        for stmt in body:
-            if isinstance(stmt, Assign):
-                value = eval_int(stmt.expr, st)
-                decl = program.decl(stmt.name)
-                if not decl.contains(value):
-                    raise RangeViolationError(
-                        f"{stmt.name} = {value} escapes [{decl.lo}, {decl.hi})"
-                    )
-                st = dict(st)
-                st[stmt.name] = value
-            elif isinstance(stmt, Observe):
-                if not eval_cond(stmt.cond, st):
+    def run(block, key):
+        for stmt, fn, slot, blocks in block:
+            kind = type(stmt)
+            if kind is Assign:
+                value = _checked(program.decl(stmt.name), fn(key))
+                key = key[:slot] + (value,) + key[slot + 1 :]
+            elif kind is Observe:
+                if not fn(key):
                     return None
-            elif isinstance(stmt, If):
-                st = run(stmt.then if eval_cond(stmt.cond, st) else stmt.els, st)
-                if st is None:
+            elif kind is If:
+                key = run(blocks[0] if fn(key) else blocks[1], key)
+                if key is None:
                     return None
-            elif isinstance(stmt, Draw):
-                raise ValueError("eval_det requires a draw-free program")
             else:
-                raise TypeError(f"not a statement: {stmt!r}")
-        return st
+                raise ValueError("eval_det requires a draw-free program")
+        return key
 
-    out = run(program.body, dict(state))
-    return BLOCKED if out is None else out
+    names = program.var_names
+    out = run(program.compiled, tuple(state[n] for n in names))
+    return BLOCKED if out is None else dict(zip(names, out))
 
 
 # --- distribution semantics ---------------------------------------------------
@@ -377,7 +426,7 @@ class ConcreteDistribution:
 
     @classmethod
     def uniform_joint(cls, program: ConcreteProgram, cap=DEFAULT_STATE_CAP):
-        n = program.joint_size()
+        n = joint_size(program.decls)
         if n > cap:
             raise EnumerationCapError(f"joint domain has {n} states (cap {cap})")
         w = Fraction(1, n)
@@ -403,11 +452,8 @@ class ConcreteDistribution:
         return self._mass.get(key, Fraction(0))
 
     def filtered(self, cond) -> "ConcreteDistribution":
-        keep = {}
-        for key, w in self._mass.items():
-            if eval_cond(cond, dict(zip(self.var_names, key))):
-                keep[key] = w
-        return ConcreteDistribution(self.var_names, keep)
+        fn = compile(cond, self.var_names)
+        return ConcreteDistribution(self.var_names, {k: w for k, w in self._mass.items() if fn(k)})
 
 
 def eval_dist(
@@ -422,34 +468,24 @@ def eval_dist(
         )
     if dist.var_names != program.var_names:
         raise ValueError("input distribution does not match the program's variables")
-    names = program.var_names
-    index = {n: i for i, n in enumerate(names)}
 
-    def state_of(key):
-        return dict(zip(names, key))
-
-    def step(body, mass):
-        for stmt in body:
-            if isinstance(stmt, Assign):
+    def step(block, mass):
+        for stmt, fn, i, blocks in block:
+            kind = type(stmt)
+            if kind is Assign:
                 decl = program.decl(stmt.name)
-                i = index[stmt.name]
                 out = {}
                 for key, w in mass.items():
-                    value = eval_int(stmt.expr, state_of(key))
-                    if not decl.contains(value):
-                        raise RangeViolationError(
-                            f"{stmt.name} = {value} escapes [{decl.lo}, {decl.hi})"
-                        )
+                    value = _checked(decl, fn(key))
                     nk = key[:i] + (value,) + key[i + 1 :]
                     out[nk] = out.get(nk, Fraction(0)) + w
                 mass = out
-            elif isinstance(stmt, Draw):
+            elif kind is Draw:
                 decl = program.decl(stmt.name)
                 if not (decl.lo <= stmt.lo < stmt.hi <= decl.hi):
                     raise RangeViolationError(
                         f"draw [{stmt.lo}, {stmt.hi}) escapes {stmt.name}'s range"
                     )
-                i = index[stmt.name]
                 share = Fraction(1, stmt.hi - stmt.lo)
                 out = {}
                 for key, w in mass.items():
@@ -459,21 +495,18 @@ def eval_dist(
                     if len(out) > cap:
                         raise EnumerationCapError(f"more than {cap} states in flight")
                 mass = out
-            elif isinstance(stmt, Observe):
-                mass = {k: w for k, w in mass.items() if eval_cond(stmt.cond, state_of(k))}
-            elif isinstance(stmt, If):
+            elif kind is Observe:
+                mass = {k: w for k, w in mass.items() if fn(k)}
+            else:
                 then_in, else_in = {}, {}
                 for key, w in mass.items():
-                    (then_in if eval_cond(stmt.cond, state_of(key)) else else_in)[key] = w
-                mass = step(stmt.then, then_in)
-                for key, w in step(stmt.els, else_in).items():
+                    (then_in if fn(key) else else_in)[key] = w
+                mass = step(blocks[0], then_in)
+                for key, w in step(blocks[1], else_in).items():
                     mass[key] = mass.get(key, Fraction(0)) + w
-            else:
-                raise TypeError(f"not a statement: {stmt!r}")
         return mass
 
-    final = step(program.body, {tuple(k[n] for n in names): w for k, w in dist.items()})
-    return ConcreteDistribution(names, final)
+    return ConcreteDistribution(program.var_names, step(program.compiled, dist._mass))
 
 
 def query_prob(dist: ConcreteDistribution, cond) -> Fraction:
@@ -481,8 +514,4 @@ def query_prob(dist: ConcreteDistribution, cond) -> Fraction:
     total = dist.survival
     if total == 0:
         raise ConditionOnImpossibleError("no surviving executions to condition on")
-    hit = Fraction(0)
-    for state, w in dist.items():
-        if eval_cond(cond, state):
-            hit += w
-    return hit / total
+    return dist.filtered(cond).survival / total

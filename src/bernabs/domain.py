@@ -55,7 +55,7 @@ class PredicateList:
         self.ctx = ctx
         self.labels = tuple(labels)
         self.conds = tuple(cond for _, cond in preds)
-        self._fns = tuple(ctx.compile(cond) for cond in self.conds)
+        self._fns = tuple(cc.compile(cond, ctx.names) for cond in self.conds)
         self.universe = bddm.make_universe([(label, bddm.VarKind.PREDICATE) for label in labels])
         self._image = None
         self._feasible = None
@@ -103,7 +103,7 @@ class PredicateList:
     def _image_of(self, cond) -> set:
         """The bit-vectors of the states that satisfy `cond`."""
         self.ctx.check_closed(cond)
-        fn = self.ctx.compile(cond)
+        fn = cc.compile(cond, self.ctx.names)
         image, _ = self._alpha_image()
         return {bits for key, bits in zip(self.ctx.states(), image) if fn(key)}
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from bernabs import bdd as bddm
 from bernabs import bern
-from bernabs.errors import ConditionOnImpossibleError, ModeError
+from bernabs.errors import ConditionOnImpossibleError, ModeError, ProgramPointError
 
 PRIME_SUFFIX = "'"
 
@@ -122,7 +122,9 @@ class SymbolicRun:
             return len(self.points) - 1
         index = int(point)
         if not 0 <= index < len(self.points):
-            raise IndexError(f"no program point {point!r}")
+            raise ProgramPointError(
+                f"no program point {point!r}: points run from 0 to {len(self.points) - 1}"
+            )
         return index
 
     def at(self, point) -> SymbolicState:

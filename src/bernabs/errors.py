@@ -38,6 +38,10 @@ class NestingError(BernabsError):
     """A program whose blocks nest deeper than the walkers allow."""
 
 
+class ProgramPointError(BernabsError):
+    """A program point outside the program: before 0 or past its end."""
+
+
 class ConditionOnImpossibleError(BernabsError):
     """A query conditioned on an event of probability zero."""
 

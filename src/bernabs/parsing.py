@@ -347,13 +347,7 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
 def _height(tree):
     """Levels in a condition or integer expression, counted without recursion;
     each link of a chain such as ``a + b + c`` is one more level."""
-    height, todo = 0, [(tree, 1)]
-    while todo:
-        node, level = todo.pop()
-        height = max(height, level)
-        kids = [getattr(node, f) for f in ("operand", "left", "right") if hasattr(node, f)]
-        todo.extend((kid, level + 1) for kid in kids)
-    return height
+    return concrete.fold(tree, lambda node, heights: 1 + max(heights, default=0))
 
 
 def parse_cond(text, declared=None) -> concrete.Cond:

@@ -13,23 +13,20 @@ from bernabs import bern
 from bernabs import concrete as cc
 
 
+# the closed value interval of each node, given its children's intervals
+_INTERVAL = {
+    cc.IntConst: lambda node, ranges: (node.value, node.value),
+    cc.IntVar: lambda node, ranges: (ranges[node.name][0], ranges[node.name][1] - 1),
+    cc.Add: lambda node, ranges, a, b: (a[0] + b[0], a[1] + b[1]),
+    cc.Sub: lambda node, ranges, a, b: (a[0] - b[1], a[1] - b[0]),
+    cc.Scale: lambda node, ranges, a: tuple(sorted((node.coeff * a[0], node.coeff * a[1]))),
+}
+
+
 def expr_interval(e, ranges):
-    if isinstance(e, cc.IntConst):
-        return e.value, e.value
-    if isinstance(e, cc.IntVar):
-        lo, hi = ranges[e.name]
-        return lo, hi - 1
-    if isinstance(e, cc.Add):
-        a, b = expr_interval(e.left, ranges), expr_interval(e.right, ranges)
-        return a[0] + b[0], a[1] + b[1]
-    if isinstance(e, cc.Sub):
-        a, b = expr_interval(e.left, ranges), expr_interval(e.right, ranges)
-        return a[0] - b[1], a[1] - b[0]
-    if isinstance(e, cc.Scale):
-        a = expr_interval(e.operand, ranges)
-        lo, hi = e.coeff * a[0], e.coeff * a[1]
-        return (lo, hi) if lo <= hi else (hi, lo)
-    raise TypeError(f"not an integer expression: {e!r}")
+    """The closed interval of `e`'s values when each variable ranges over
+    its half-open ``ranges[name]``."""
+    return cc.fold(e, lambda node, values: _INTERVAL[type(node)](node, ranges, *values))
 
 
 def rand_decls(rng, max_vars=3, max_range=8):

@@ -8,6 +8,7 @@ acceptance tests and the `selftest` CLI subcommand both call these.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import shutil
 import subprocess
@@ -213,64 +214,70 @@ def suite_generated_soundness(seed=0, cases=100):
     return result
 
 
+_NAIVE_CMP = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def naive_int(e, env):
+    """Reference value of an integer expression at a dict state: a plain
+    recursive walk, kept apart from `concrete.compile`, which it checks."""
+    if isinstance(e, cc.IntConst):
+        return e.value
+    if isinstance(e, cc.IntVar):
+        return env[e.name]
+    if isinstance(e, cc.Add):
+        return naive_int(e.left, env) + naive_int(e.right, env)
+    if isinstance(e, cc.Sub):
+        return naive_int(e.left, env) - naive_int(e.right, env)
+    if isinstance(e, cc.Scale):
+        return e.coeff * naive_int(e.operand, env)
+    raise AssertionError(e)
+
+
+def naive_cond(c, env):
+    """Reference truth value of a condition at a dict state (see `naive_int`)."""
+    if isinstance(c, cc.CTrue):
+        return True
+    if isinstance(c, cc.CFalse):
+        return False
+    if isinstance(c, cc.Cmp):
+        return _NAIVE_CMP[c.op](naive_int(c.left, env), naive_int(c.right, env))
+    if isinstance(c, cc.CNot):
+        return not naive_cond(c.operand, env)
+    if isinstance(c, cc.CAnd):
+        return naive_cond(c.left, env) and naive_cond(c.right, env)
+    if isinstance(c, cc.COr):
+        return naive_cond(c.left, env) or naive_cond(c.right, env)
+    raise AssertionError(c)
+
+
 @_timed
 def suite_oracle_crosscheck(seed=0, cases=500):
-    """Theory-oracle verdicts match an independent truth-table evaluator."""
+    """Theory-oracle verdicts and compiled conditions match an independent
+    truth-table evaluator."""
     rng = random.Random(seed)
     result = SuiteResult("theory oracle vs truth-table evaluation", cases)
-
-    def naive_int(e, env):
-        if isinstance(e, cc.IntConst):
-            return e.value
-        if isinstance(e, cc.IntVar):
-            return env[e.name]
-        if isinstance(e, cc.Add):
-            return naive_int(e.left, env) + naive_int(e.right, env)
-        if isinstance(e, cc.Sub):
-            return naive_int(e.left, env) - naive_int(e.right, env)
-        if isinstance(e, cc.Scale):
-            return e.coeff * naive_int(e.operand, env)
-        raise AssertionError(e)
-
-    def naive_cond(c, env):
-        if isinstance(c, cc.CTrue):
-            return True
-        if isinstance(c, cc.CFalse):
-            return False
-        if isinstance(c, cc.Cmp):
-            import operator
-
-            ops = {
-                "<": operator.lt,
-                "<=": operator.le,
-                "==": operator.eq,
-                "!=": operator.ne,
-                ">": operator.gt,
-                ">=": operator.ge,
-            }
-            return ops[c.op](naive_int(c.left, env), naive_int(c.right, env))
-        if isinstance(c, cc.CNot):
-            return not naive_cond(c.operand, env)
-        if isinstance(c, cc.CAnd):
-            return naive_cond(c.left, env) and naive_cond(c.right, env)
-        return naive_cond(c.left, env) or naive_cond(c.right, env)
-
     for case in range(cases):
         decls = randgen.rand_decls(rng, max_vars=3, max_range=6)
         ctx = theory.TheoryContext(decls)
         a = randgen.rand_cond(rng, decls, depth=2)
         b = randgen.rand_cond(rng, decls, depth=2)
-        naive = all(
-            naive_cond(b, dict(zip(ctx.names, key)))
-            for key in ctx.states()
-            if naive_cond(a, dict(zip(ctx.names, key)))
-        )
+        states = [dict(zip(ctx.names, key)) for key in ctx.states()]
+        truth_a = [naive_cond(a, z) for z in states]
+        naive = all(naive_cond(b, z) for z, hit in zip(states, truth_a) if hit)
         if ctx.entails(a, b) != naive:
             result.failures.append(f"case {case}: entails({a}, {b})")
-        if ctx.satisfiable(a) != any(
-            naive_cond(a, dict(zip(ctx.names, key))) for key in ctx.states()
-        ):
+        if ctx.satisfiable(a) != any(truth_a):
             result.failures.append(f"case {case}: satisfiable({a})")
+        fn = cc.compile(a)
+        if [fn(z) for z in states] != truth_a:
+            result.failures.append(f"case {case}: compile({a})")
     return result
 
 

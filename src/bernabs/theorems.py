@@ -416,14 +416,14 @@ def _reads_writes(body):
     dw = set()
     for stmt in body:
         if isinstance(stmt, cc.Assign):
-            rbw |= cc.expr_vars(stmt.expr) - dw
+            rbw |= cc.tree_vars(stmt.expr) - dw
             dw.add(stmt.name)
         elif isinstance(stmt, cc.Draw):
             dw.add(stmt.name)
         elif isinstance(stmt, cc.Observe):
-            rbw |= cc.cond_vars(stmt.cond) - dw
+            rbw |= cc.tree_vars(stmt.cond) - dw
         elif isinstance(stmt, cc.If):
-            rbw |= cc.cond_vars(stmt.cond) - dw
+            rbw |= cc.tree_vars(stmt.cond) - dw
             r1, w1 = _reads_writes(stmt.then)
             r2, w2 = _reads_writes(stmt.els)
             rbw |= (r1 | r2) - dw
@@ -453,24 +453,24 @@ def _fragment_base(cprog, prefix, stmt, site, preds) -> cc.ConcreteDistribution:
     variables whose initial value can reach a downstream read get a
     uniform prior."""
     rbw, dw = _reads_writes(prefix)
-    downstream = cc.cond_vars(_context_cond(site, preds))
+    downstream = cc.tree_vars(_context_cond(site, preds))
     if site.role == "branch":
-        downstream |= cc.cond_vars(site.meta["guard"])
-        downstream |= cc.cond_vars(_concretize(site.meta["alpha"], preds))
-        downstream |= cc.cond_vars(_concretize(site.meta["beta"], preds))
+        downstream |= cc.tree_vars(site.meta["guard"])
+        downstream |= cc.tree_vars(_concretize(site.meta["alpha"], preds))
+        downstream |= cc.tree_vars(_concretize(site.meta["beta"], preds))
     elif site.role == "assign":
-        downstream |= cc.cond_vars(_concretize(site.meta["t"], preds))
-        downstream |= cc.cond_vars(_concretize(site.meta["f"], preds))
-        downstream |= cc.cond_vars(
+        downstream |= cc.tree_vars(_concretize(site.meta["t"], preds))
+        downstream |= cc.tree_vars(_concretize(site.meta["f"], preds))
+        downstream |= cc.tree_vars(
             wp_subst(stmt.name, stmt.expr, preds.cond_of(site.predicate))
         )
     elif site.role == "draw":
-        downstream |= cc.cond_vars(preds.cond_of(site.predicate)) - {stmt.name}
+        downstream |= cc.tree_vars(preds.cond_of(site.predicate)) - {stmt.name}
     else:  # structural reads every predicate at both pre and post state
         for cond in preds.conds:
-            downstream |= cc.cond_vars(cond)
+            downstream |= cc.tree_vars(cond)
         if isinstance(stmt, cc.Assign):
-            downstream |= cc.expr_vars(stmt.expr)
+            downstream |= cc.tree_vars(stmt.expr)
     uniform_vars = rbw | (downstream - dw)
     fragment = cc.ConcreteProgram(cprog.decls, tuple(prefix))
     return cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars))
@@ -513,12 +513,12 @@ def _structural_free_mass(site, preds, base: cc.ConcreteDistribution, stmt):
         state.update((f"cur {lbl}", bit) for lbl, bit in zip(preds.labels, post_bits))
         return state
 
+    value_at = cc.compile(stmt.expr) if isinstance(stmt, cc.Assign) else None
     denom = num = Fraction(0)
     for z, w in base.items():
         pre_bits = preds.alpha(z)
-        if isinstance(stmt, cc.Assign):
-            value = cc.eval_int(stmt.expr, z)
-            outcomes = [(value, Fraction(1))]
+        if value_at is not None:
+            outcomes = [(value_at(z), Fraction(1))]
         else:
             share = Fraction(1, stmt.hi - stmt.lo)
             outcomes = [(v, share) for v in range(stmt.lo, stmt.hi)]
@@ -589,12 +589,7 @@ def fit_parameters(
                 flagged = True
             else:
                 pushed = cc.eval_dist(cc.ConcreteProgram(cprog.decls, (stmt,)), base)
-                hit = Fraction(0)
-                p = preds.cond_of(site.predicate)
-                for z, w in pushed.items():
-                    if cc.eval_cond(p, z):
-                        hit += w
-                theta = hit / denom
+                theta = pushed.filtered(preds.cond_of(site.predicate)).survival / denom
         elif site.role == "structural":
             denom, num = _structural_free_mass(site, preds, base, stmt)
             if denom == 0:

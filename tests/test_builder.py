@@ -219,7 +219,7 @@ def test_choose_guard_disjointness():
         worker = bld.Abstractor(preds, bld.AbstractionConfig("nondet", "none"))
         stmt = randgen.rand_safe_assign(rng, decls)
         for i in range(len(preds)):
-            if stmt.name not in cc.cond_vars(preds.conds[i]):
+            if stmt.name not in cc.tree_vars(preds.conds[i]):
                 continue
             t, f = worker.choose_pair(stmt, i)
             both = t & f & preds.invariant_formula()

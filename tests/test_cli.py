@@ -131,6 +131,14 @@ def test_infer_from_invariant(files, capsys):
     assert "probability 11/32\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("point", ["99", "-1"])
+def test_infer_point_outside_program_exit_2(files, capsys, point):
+    paths, _ = files
+    rc = cli.main(["infer", paths["chain.bern"], "--event", "{a<5}", "--point", point])
+    assert rc == 2
+    assert "error: no program point" in capsys.readouterr().err
+
+
 def test_infer_eleven_thirty_seconds(files, capsys):
     paths, _ = files
     rc = cli.main(["infer", paths["chain.bern"], "--event", "{c<5}", "--json"])

@@ -1,12 +1,14 @@
 """Concrete language: parsing, deterministic and distribution semantics."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from bernabs import concrete as cc
-from bernabs import corpus, parsing, randgen
+from bernabs import corpus, parsing, randgen, theory
+from bernabs.selftest import naive_cond, naive_int
 from bernabs.errors import (
     ConditionOnImpossibleError,
     ParseError,
@@ -136,7 +138,7 @@ def naive_paths(program, state):
             return [(st, w)]
         stmt, rest = body[0], body[1:]
         if isinstance(stmt, cc.Assign):
-            value = cc.eval_int(stmt.expr, st)
+            value = naive_int(stmt.expr, st)
             st2 = dict(st)
             st2[stmt.name] = value
             return go(rest, st2, w)
@@ -149,11 +151,11 @@ def naive_paths(program, state):
                 out.extend(go(rest, st2, w * share))
             return out
         if isinstance(stmt, cc.Observe):
-            if cc.eval_cond(stmt.cond, st):
+            if naive_cond(stmt.cond, st):
                 return go(rest, st, w)
             return []
         if isinstance(stmt, cc.If):
-            branch = stmt.then if cc.eval_cond(stmt.cond, st) else stmt.els
+            branch = stmt.then if naive_cond(stmt.cond, st) else stmt.els
             return go(branch + rest, st, w)
         raise AssertionError(stmt)
 
@@ -174,3 +176,66 @@ def test_eval_dist_matches_naive_paths():
             expected[key] = expected.get(key, Fraction(0)) + w
         got = {tuple(s[n] for n in prog.var_names): w for s, w in dist.items()}
         assert got == {k: v for k, v in expected.items() if v > 0}
+
+
+def test_compile_matches_reference_on_dict_and_tuple_states():
+    rng = random.Random(12)
+    for _ in range(150):
+        decls = randgen.rand_decls(rng)
+        names = [d.name for d in decls]
+        rng.shuffle(names)  # tuple positions need not follow declaration order
+        expr = randgen.rand_int_expr(rng, decls, depth=3)
+        trees = [
+            (randgen.rand_cond(rng, decls, depth=3), naive_cond),
+            (cc.Cmp(rng.choice(cc.CMP_OPS), expr, randgen.rand_int_expr(rng, decls)), naive_cond),
+            (expr, naive_int),
+        ]
+        ranges = {d.name: range(d.lo, d.hi) for d in decls}
+        for tree, reference in trees:
+            on_dict, on_tuple = cc.compile(tree), cc.compile(tree, names)
+            for key in itertools.product(*(ranges[n] for n in names)):
+                state = dict(zip(names, key))
+                assert on_dict(state) == on_tuple(key) == reference(tree, state)
+
+
+def test_text_and_smtlib_golden():
+    x, y = cc.IntVar("x"), cc.IntVar("y")
+    one = cc.IntConst(1)
+    cond = cc.COr(
+        cc.CAnd(
+            cc.Cmp("!=", cc.Sub(x, cc.Add(y, cc.IntConst(-3))), cc.Scale(-2, cc.Sub(x, y))),
+            cc.CNot(cc.Cmp("<=", cc.Scale(3, x), one)),
+        ),
+        cc.CTrue(),
+    )
+    assert str(cond) == "((x - (y + -3) != -2*(x - y)) && (!(3*x <= 1))) || (T)"
+    other = cc.CAnd(
+        cc.Cmp("==", cc.Sub(cc.Add(x, y), cc.Sub(x, one)), cc.Scale(2, cc.Add(x, one))),
+        cc.CFalse(),
+    )
+    assert str(other) == "(x + y - (x - 1) == 2*(x + 1)) && (F)"
+    ctx = theory.TheoryContext([cc.VarDecl("x", -2, 3), cc.VarDecl("y", 0, 4)])
+    assert theory.emit_smtlib(ctx, "entails", cond, other) == (
+        "(set-logic QF_LIA)\n"
+        "(declare-const x Int)\n"
+        "(assert (<= (- 2) x))\n"
+        "(assert (< x 3))\n"
+        "(declare-const y Int)\n"
+        "(assert (<= 0 y))\n"
+        "(assert (< y 4))\n"
+        "(assert (or (and (not (= (- x (+ y (- 3))) (* (- 2) (- x y)))) "
+        "(not (<= (* 3 x) 1))) true))\n"
+        "(assert (not (and (= (- (+ x y) (- x 1)) (* 2 (+ x 1))) false)))\n"
+        "(check-sat)\n"
+    )
+
+
+def test_long_chain_walks_without_recursion():
+    chain = cc.IntVar("x")
+    for _ in range(5000):
+        chain = cc.Add(chain, cc.IntConst(1))
+    cond = cc.Cmp("<", chain, cc.IntVar("y"))
+    assert str(cond) == "x" + " + 1" * 5000 + " < y"
+    assert cc.tree_vars(cond) == {"x", "y"}
+    assert str(theory.wp_subst("x", cc.IntVar("z"), cond)) == "z" + " + 1" * 5000 + " < y"
+    assert parsing._height(cond) == 5002

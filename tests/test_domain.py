@@ -10,6 +10,7 @@ from bernabs import concrete as cc
 from bernabs import parsing, randgen, theory
 from bernabs.domain import PredicateList
 from bernabs.errors import PredicateBoundError
+from bernabs.selftest import naive_cond
 
 
 def pred_bdd(preds, label):
@@ -140,10 +141,10 @@ def test_compatibility_properties():
                 assert k not in seen
                 seen[k] = bits
         # gamma_lower is the brute-force cell, empty for infeasible minterms;
-        # alpha is taken here by the tree-walking evaluator, not compiled
+        # alpha is taken here by the reference evaluator, not compiled
         states = [dict(zip(ctx.names, key)) for key in ctx.states()]
         for m in preds.minterms():
-            cell = [z for z in states if tuple(cc.eval_cond(c, z) for c in preds.conds) == m.bits]
+            cell = [z for z in states if tuple(naive_cond(c, z) for c in preds.conds) == m.bits]
             assert preds.gamma_lower(m.bits) == cell
 
 
@@ -158,7 +159,7 @@ def test_strongest_implied_is_strongest():
         # implied by c: every satisfying state abstracts into the formula
         for key in ctx.states():
             z = dict(zip(ctx.names, key))
-            if cc.eval_cond(c, z):
+            if naive_cond(c, z):
                 bits = preds.alpha(z)
                 assert not (d & minterm_bdd(preds, bits)).is_false
         # strongest: every included minterm is witnessed by some c-state
