@@ -473,7 +473,6 @@ def exact_inference_input(program: BernProgram):
 def interp_exact(
     program: BernProgram,
     dist: AbstractDistribution | None = None,
-    cap=DEFAULT_FLIP_CAP,
 ) -> AbstractDistribution:
     """Exact output distribution by enumerating all flip-site assignments.
 
@@ -483,8 +482,8 @@ def interp_exact(
     assume are dropped.
     """
     program, sites = exact_inference_input(program)
-    if len(sites) > cap:
-        raise EnumerationCapError(f"{len(sites)} flip sites exceed cap {cap}")
+    if len(sites) > DEFAULT_FLIP_CAP:
+        raise EnumerationCapError(f"{len(sites)} flip sites exceed cap {DEFAULT_FLIP_CAP}")
     if dist is None:
         dist = AbstractDistribution.uniform(program.decls)
 

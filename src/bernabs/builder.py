@@ -43,6 +43,8 @@ PARAM_POLICIES = ("symbolic", "fixed", "fit")
 
 SNAPSHOT_SUFFIX = "@pre"
 
+STRUCTURAL_BOUND = 8  # the most predicates a structural-invariant update is built over
+
 
 @dataclass(frozen=True)
 class ParamPolicy:
@@ -76,7 +78,6 @@ class AbstractionConfig:
     mode: str = "nondet"
     invariant_style: str = "observe"
     params: ParamPolicy = field(default_factory=ParamPolicy.symbolic)
-    structural_bound: int = 8
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -360,10 +361,10 @@ class Abstractor:
         original statement.
         """
         n = len(self.preds)
-        if n > self.config.structural_bound:
+        if n > STRUCTURAL_BOUND:
             raise EnumerationCapError(
                 f"structural construction over {n} predicates exceeds bound "
-                f"{self.config.structural_bound}"
+                f"{STRUCTURAL_BOUND}"
             )
         target_idx = self._mentioning(stmt.name)
         if not target_idx:

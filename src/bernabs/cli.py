@@ -19,6 +19,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_QUERY_ERROR = 3
 
+INVARIANCE_INPUTS = 16  # `check` tests invariance on the first inputs of its sweep
+
 
 def _read(path):
     try:
@@ -132,7 +134,7 @@ def cmd_check(args):
             if inv_inputs is None:
                 inv_inputs = [dict(zip(ctx.names, key)) for key in ctx.states()]
             reports.append(
-                theorems.check_invariance(aprog, preds, gammas, inputs=inv_inputs[:16])
+                theorems.check_invariance(aprog, preds, gammas, inputs=inv_inputs[:INVARIANCE_INPUTS])
             )
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
@@ -211,7 +213,9 @@ def build_parser():
     p.add_argument("predicates", help=".preds predicate list")
     p.add_argument("bern", help=".bern abstraction")
     p.add_argument("--where", help="restrict the input sweep to states satisfying this condition")
-    p.add_argument("--invariance", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--invariance", action=argparse.BooleanOptionalAction, default=True,
+                   help=f"also check concretization invariance, on the first "
+                        f"{INVARIANCE_INPUTS} inputs of the sweep")
     add_common(p)
     p.set_defaults(fn=cmd_check)
 

@@ -63,6 +63,24 @@ class IntExpr:
         return fold(self, _text)
 
 
+class _Inner:
+    """A node with children.  Equality, hashing and `repr` all go through
+    the `repr` text, which `fold` builds and which spells out every field."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):  # what the dataclass test does, in O(1)
+            return NotImplemented
+        return self is other or repr(self) == repr(other)
+
+    def __hash__(self):
+        return hash(repr(self))
+
+    def __repr__(self):
+        return fold(self, _repr)
+
+
 @dataclass(frozen=True)
 class IntConst(IntExpr):
     value: int
@@ -73,20 +91,20 @@ class IntVar(IntExpr):
     name: str
 
 
-@dataclass(frozen=True)
-class Add(IntExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Inner, IntExpr):
     left: IntExpr
     right: IntExpr
 
 
-@dataclass(frozen=True)
-class Sub(IntExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Sub(_Inner, IntExpr):
     left: IntExpr
     right: IntExpr
 
 
-@dataclass(frozen=True)
-class Scale(IntExpr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Scale(_Inner, IntExpr):
     coeff: int
     operand: IntExpr
 
@@ -113,8 +131,8 @@ class CFalse(Cond):
     pass
 
 
-@dataclass(frozen=True)
-class Cmp(Cond):
+@dataclass(frozen=True, eq=False, repr=False)
+class Cmp(_Inner, Cond):
     op: str
     left: IntExpr
     right: IntExpr
@@ -124,19 +142,19 @@ class Cmp(Cond):
             raise ValueError(f"bad comparison operator {self.op!r}")
 
 
-@dataclass(frozen=True)
-class CNot(Cond):
+@dataclass(frozen=True, eq=False, repr=False)
+class CNot(_Inner, Cond):
     operand: Cond
 
 
-@dataclass(frozen=True)
-class CAnd(Cond):
+@dataclass(frozen=True, eq=False, repr=False)
+class CAnd(_Inner, Cond):
     left: Cond
     right: Cond
 
 
-@dataclass(frozen=True)
-class COr(Cond):
+@dataclass(frozen=True, eq=False, repr=False)
+class COr(_Inner, Cond):
     left: Cond
     right: Cond
 
@@ -254,6 +272,19 @@ def map_tree(tree, on_node):
         return on_node(node)
 
     return fold(tree, visit)
+
+
+_CHILD_FIELDS = ("left", "right", "operand")
+
+
+def _repr(node, values):
+    """The dataclass `repr` of a node, given its children's."""
+    kids = iter(values)
+    fields = (
+        f"{f.name}={next(kids) if f.name in _CHILD_FIELDS else repr(getattr(node, f.name))}"
+        for f in dataclasses.fields(node)
+    )
+    return f"{type(node).__name__}({', '.join(fields)})"
 
 
 def tree_vars(tree) -> set:

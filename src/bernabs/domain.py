@@ -41,11 +41,11 @@ class Minterm:
 
 
 class PredicateList:
-    def __init__(self, preds, ctx: TheoryContext, max_predicates=DEFAULT_MAX_PREDICATES):
+    def __init__(self, preds, ctx: TheoryContext):
         preds = list(preds)
-        if len(preds) > max_predicates:
+        if len(preds) > DEFAULT_MAX_PREDICATES:
             raise PredicateBoundError(
-                f"{len(preds)} predicates exceed the bound {max_predicates}"
+                f"{len(preds)} predicates exceed the bound {DEFAULT_MAX_PREDICATES}"
             )
         labels = [label for label, _ in preds]
         if len(set(labels)) != len(labels):

@@ -8,6 +8,7 @@ acceptance tests and the `selftest` CLI subcommand both call these.
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
 import random
 import shutil
@@ -63,12 +64,6 @@ def _pair(rng, max_preds=3):
     return prog, preds
 
 
-def _nondet_reach(aprog_lowered, preds, a_in):
-    start = theorems._aux_padded(aprog_lowered.decls, preds.labels, a_in)
-    reach = bern.interp_nondet(aprog_lowered, {start})
-    return theorems._project(reach, aprog_lowered.decls, preds.labels)
-
-
 @_timed
 def suite_theorem1(seed=0, cases=200):
     """Probabilistic soundness holds iff non-deterministic soundness of the
@@ -90,9 +85,13 @@ def suite_theorem1(seed=0, cases=200):
                 continue
             a_in, a_out = preds.alpha(z), preds.alpha(out)
             if a_in not in support_memo:
-                dist = theorems.abstract_output_distribution(aprog, preds, a_in)
+                # the enumerator, not the engine the checks use: this suite
+                # states the theorem, independently of `check_sound_prob`
+                start = theorems._aux_padded(aprog.decls, preds.labels, a_in)
+                point = bern.AbstractDistribution.point(aprog.decls, dict(zip(aprog.decls, start)))
+                dist = bern.interp_exact(aprog, point).marginal(preds.labels)
                 support_memo[a_in] = dist.support()
-                reach_memo[a_in] = _nondet_reach(lowered, preds, a_in)
+                reach_memo[a_in] = theorems._nondet_reach(lowered, preds, a_in)
             prob_ok = a_out in support_memo[a_in]
             nondet_ok = a_out in reach_memo[a_in]
             if prob_ok != nondet_ok:
@@ -184,8 +183,8 @@ def suite_invariant_styles(seed=0, cases=100):
         )
         lo_obs, lo_struct = theorems.lower(obs), theorems.lower(struct)
         for m in preds.feasible_minterms():
-            a = _nondet_reach(lo_obs, preds, m.bits)
-            b = _nondet_reach(lo_struct, preds, m.bits)
+            a = theorems._nondet_reach(lo_obs, preds, m.bits)
+            b = theorems._nondet_reach(lo_struct, preds, m.bits)
             if a != b:
                 result.failures.append(
                     f"case {case}: from {m.bits}: observe {sorted(a)} vs structural {sorted(b)}"
@@ -206,7 +205,7 @@ def suite_generated_soundness(seed=0, cases=100):
         style = styles[case % len(styles)]
         cfg = bld.AbstractionConfig("prob", style, bld.ParamPolicy.fixed(Fraction(1, 2)))
         aprog, _ = bld.abstract_program(prog, preds, cfg)
-        report = theorems.check_sound_prob(prog, aprog, preds, direct="sample")
+        report = theorems.check_sound_prob(prog, aprog, preds)
         if not report.ok:
             result.failures.append(
                 f"case {case} [{style}]: {report.counterexamples[0]}"
@@ -333,21 +332,8 @@ ALL_SUITES = (
 def run_all(seed=0, scale=1.0, emit=print):
     results = []
     for suite in ALL_SUITES:
-        cases = max(1, int(_default_cases(suite) * scale))
-        result = suite(seed=seed, cases=cases)
+        default = inspect.signature(suite).parameters["cases"].default
+        result = suite(seed=seed, cases=max(1, int(default * scale)))
         results.append(result)
         emit(result.line())
     return results
-
-
-def _default_cases(suite):
-    defaults = {
-        "suite_theorem1": 200,
-        "suite_theorem2": 100,
-        "suite_engine_equivalence": 200,
-        "suite_invariant_styles": 100,
-        "suite_generated_soundness": 100,
-        "suite_oracle_crosscheck": 500,
-        "suite_smt_crosscheck": 20,
-    }
-    return defaults[suite.__name__]

@@ -1,13 +1,17 @@
 """Executable soundness, lowering, invariance, and parameter fitting.
 
 The checks here connect the three semantics: concrete execution, the
-non-deterministic Boolean program, and the probabilistic one.  Lowering
-turns flips into unconstrained choices (supports only); soundness checks
-sweep the whole bounded concrete domain; invariance checks verify that
-abstract-event probabilities do not depend on the concretization
-distribution.  Parameter fitting evaluates each flip's conditional
-probability on a fragment of the concrete program, which is the step that
-reproduces hand-computed abstraction parameters exactly.
+non-deterministic Boolean program, and the probabilistic one.  Soundness
+checks sweep the whole bounded concrete domain; invariance checks verify
+that abstract-event probabilities do not depend on the concretization
+distribution.  Both get the abstract semantics Pr_A from one source, the
+symbolic engine (`abstract_output_distribution`), so neither has a flip
+cap.  Lowering turns flips into unconstrained choices (supports only);
+it and the flip-enumerating `bern.interp_exact` are the references the
+tests hold the engine-backed checks to, and no check here calls them.
+Parameter fitting evaluates each flip's conditional probability on a
+fragment of the concrete program, which is the step that reproduces
+hand-computed abstraction parameters exactly.
 """
 
 from __future__ import annotations
@@ -88,9 +92,12 @@ def _aux_padded(decls, pred_labels, bits):
     return tuple(bool(by_label.get(name, False)) for name in decls)
 
 
-def _project(states, decls, pred_labels):
-    idx = [decls.index(lbl) for lbl in pred_labels]
-    return {tuple(s[i] for i in idx) for s in states}
+def _nondet_reach(aprog, preds, a_in):
+    """The predicate bits of every end state the non-deterministic
+    program reaches from a_in."""
+    start = _aux_padded(aprog.decls, preds.labels, a_in)
+    idx = [aprog.decls.index(lbl) for lbl in preds.labels]
+    return {tuple(s[i] for i in idx) for s in bern.interp_nondet(aprog, {start})}
 
 
 def _state_json(state):
@@ -104,13 +111,10 @@ def _bits_json(pred_labels, bits):
 # --- soundness -----------------------------------------------------------------
 
 
-def check_sound_nondet(
-    cprog: cc.ConcreteProgram,
-    aprog: bern.BernProgram,
-    preds: PredicateList,
-    inputs=None,
-) -> CheckReport:
-    """Def-style sweep: alpha(C(z)) must be reachable from {alpha(z)}.
+def _sound_sweep(name, cprog, preds: PredicateList, inputs, reach_of) -> CheckReport:
+    """The sweep both soundness checks share: alpha(C(z)) must be among
+    ``reach_of(alpha(z))``, the abstract outputs reachable from alpha(z),
+    which is computed once per abstract input.
 
     `inputs` restricts the sweep (dicts); default is the whole bounded
     domain.  Inputs whose concrete run blocks on an observe impose no
@@ -118,7 +122,7 @@ def check_sound_nondet(
     """
     if not cprog.is_deterministic():
         raise ValueError("soundness sweeps need a draw-free concrete program")
-    report = CheckReport("sound-nondet")
+    report = CheckReport(name)
     reach_memo = {}
     checked = blocked = 0
     if inputs is None:
@@ -132,9 +136,7 @@ def check_sound_nondet(
         a_in = preds.alpha(z)
         hit = reach_memo.get(a_in)
         if hit is None:
-            start = _aux_padded(aprog.decls, preds.labels, a_in)
-            hit = _project(bern.interp_nondet(aprog, {start}), aprog.decls, preds.labels)
-            reach_memo[a_in] = hit
+            hit = reach_memo[a_in] = reach_of(a_in)
         a_out = preds.alpha(out)
         if a_out not in hit:
             report.counterexamples.append(
@@ -150,67 +152,41 @@ def check_sound_nondet(
     return report
 
 
+def check_sound_nondet(
+    cprog: cc.ConcreteProgram,
+    aprog: bern.BernProgram,
+    preds: PredicateList,
+    inputs=None,
+) -> CheckReport:
+    """Def-style sweep: alpha(C(z)) must be reachable from {alpha(z)} in
+    the non-deterministic program (see `_sound_sweep`)."""
+    return _sound_sweep(
+        "sound-nondet", cprog, preds, inputs, lambda a_in: _nondet_reach(aprog, preds, a_in)
+    )
+
+
 def check_sound_prob(
     cprog: cc.ConcreteProgram,
     aprog: bern.BernProgram,
     preds: PredicateList,
     inputs=None,
-    direct="sample",
 ) -> CheckReport:
-    """Probabilistic soundness: Pr at alpha(C(z)) from alpha(z) is positive.
+    """Probabilistic soundness by its definition: Pr_A(alpha(C(z)) |
+    alpha(z)) > 0 for every input z (see `_sound_sweep`).
 
-    Decided through the lowered program (the lowering theorem makes the
-    verdicts coincide); `direct` adds positive-probability checks through
-    the exact interpreter on every distinct abstract input ("all"), a
-    handful of them ("sample"), or not at all (None).
+    Pr_A comes from the symbolic engine through
+    `abstract_output_distribution`, so the check has no flip cap.  The
+    tests hold its verdicts to two references: the lowering theorem
+    (`check_sound_nondet` on `lower(aprog)`) and the flip-enumerating
+    `bern.interp_exact`.
     """
-    lowered = lower(aprog)
-    report = check_sound_nondet(cprog, lowered, preds, inputs=inputs)
-    report.check = "sound-prob"
-    if direct:
-        budget = None if direct == "all" else 8
-        # enumeration over flip assignments is exponential in the site
-        # count; larger programs get their positive-mass check from the
-        # symbolic engine instead
-        use_engine = len(aprog.flip_sites()) > 12
-        seen = {}
-        dist_memo = {}
-        run_memo = {}
-        if inputs is None:
-            inputs = (dict(zip(preds.ctx.names, key)) for key in preds.ctx.states())
-        for z in inputs:
-            out = cc.eval_det(cprog, z)
-            if out is cc.BLOCKED:
-                continue
-            a_in = preds.alpha(z)
-            a_out = preds.alpha(out)
-            if (a_in, a_out) in seen:
-                continue
-            if budget is not None and len(seen) >= budget:
-                break
-            seen[(a_in, a_out)] = True
-            start = dict(zip(aprog.decls, _aux_padded(aprog.decls, preds.labels, a_in)))
-            if use_engine:
-                if a_in not in run_memo:
-                    run_memo[a_in] = engine.run_symbolic(aprog, init=start)
-                event = _cube_expr(preds.labels, a_out)
-                mass = engine.query(
-                    run_memo[a_in], event, point="end", normalized=False
-                ).probability
-            else:
-                if a_in not in dist_memo:
-                    dist_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
-                mass = dist_memo[a_in].mass_of(dict(zip(preds.labels, a_out)))
-            if mass <= 0:
-                report.counterexamples.append(
-                    {
-                        "z": _state_json(z),
-                        "expected": _bits_json(preds.labels, a_out),
-                        "got": "zero probability in exact interpretation",
-                    }
-                )
-        report.stats["direct_checks"] = len(seen)
-    return report
+    return _sound_sweep(
+        "sound-prob",
+        cprog,
+        preds,
+        inputs,
+        lambda a_in: abstract_output_distribution(aprog, preds, a_in).support(),
+    )
 
 
 def _cube_expr(labels, bits) -> bern.BernExpr:
@@ -304,12 +280,19 @@ GAMMA_FAMILIES = (
 
 def abstract_output_distribution(aprog, preds, a_in_bits) -> bern.AbstractDistribution:
     """Pr_A(. | a_in): unnormalized transition distribution (observe losses
-    shrink the total mass), marginalized onto the predicate variables."""
+    shrink the total mass), marginalized onto the predicate variables.
+
+    One symbolic run from the padded input point, then one unnormalized
+    query per feasible output minterm: those are the only outputs a gamma
+    row or alpha(C(z)) can name.
+    """
     start = _aux_padded(aprog.decls, preds.labels, a_in_bits)
-    dist = bern.interp_exact(
-        aprog, bern.AbstractDistribution.point(aprog.decls, dict(zip(aprog.decls, start)))
-    )
-    return dist.marginal(preds.labels)
+    run = engine.run_symbolic(aprog, init=dict(zip(aprog.decls, start)))
+    mass = {
+        m.bits: engine.query(run, _cube_expr(preds.labels, m.bits), normalized=False).probability
+        for m in preds.feasible_minterms()
+    }
+    return bern.AbstractDistribution(preds.labels, mass)
 
 
 def concrete_semantics(
@@ -317,21 +300,19 @@ def concrete_semantics(
     preds: PredicateList,
     gamma: ConcretizationDistribution,
     z_i: dict,
-    collapse=True,
     pr_a=None,
 ):
     """Pr over concrete outputs from z_i: sum over abstract outputs of
     Pr_gamma(z_o | a_o) * Pr_A(a_o | alpha(z_i)).
 
-    With a strongly compatible gamma the inner sum has one nonzero term
-    per z_o; `collapse=False` computes the full sum anyway (used to verify
-    exactly that).
+    The sum runs over the support of each gamma row only: with a strongly
+    compatible gamma that drops nothing but zero terms.
     """
     gamma.validate_strong(preds)
-    return _concrete_semantics(aprog, preds, gamma, z_i, collapse, pr_a)
+    return _concrete_semantics(aprog, preds, gamma, z_i, pr_a)
 
 
-def _concrete_semantics(aprog, preds, gamma, z_i, collapse=True, pr_a=None):
+def _concrete_semantics(aprog, preds, gamma, z_i, pr_a=None):
     """`concrete_semantics` for a gamma the caller has validated."""
     if pr_a is None:
         pr_a = abstract_output_distribution(aprog, preds, preds.alpha(z_i))
@@ -340,27 +321,17 @@ def _concrete_semantics(aprog, preds, gamma, z_i, collapse=True, pr_a=None):
         bits = tuple(a_state[lbl] for lbl in preds.labels)
         for key, q in gamma.row(bits).items():
             out[key] = out.get(key, Fraction(0)) + q * p
-    if not collapse:
-        # full double sum: every (z_o, a_o) pair, zero terms included
-        full = {}
-        for a_state, p in pr_a.items():
-            bits = tuple(a_state[lbl] for lbl in preds.labels)
-            row = gamma.row(bits)
-            for key in {k for r in gamma.rows.values() for k in r}:
-                full[key] = full.get(key, Fraction(0)) + row.get(key, Fraction(0)) * p
-        out = {k: v for k, v in full.items() if v > 0}
     return cc.ConcreteDistribution(preds.ctx.names, out)
 
 
-def check_invariance(
-    aprog, preds: PredicateList, gammas, inputs=None, outputs=None
-) -> CheckReport:
-    """Concretization invariance: for every input state and abstract event,
-    the concrete mass of the event's cell equals the abstract probability,
-    for every supplied gamma.  Exact equality."""
+def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckReport:
+    """Concretization invariance: for every input state and feasible
+    abstract output, the concrete mass of the output's cell equals the
+    abstract probability, for every supplied gamma.  Exact equality."""
     report = CheckReport("invariance")
     if inputs is None:
         inputs = [dict(zip(preds.ctx.names, key)) for key in preds.ctx.states()]
+    outputs = [m.bits for m in preds.feasible_minterms()]
     pairs = 0
     pr_a_memo = {}
     for gamma in gammas:
@@ -371,8 +342,7 @@ def check_invariance(
                 pr_a_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
             pr_a = pr_a_memo[a_in]
             dist = _concrete_semantics(aprog, preds, gamma, z_i, pr_a=pr_a)
-            outs = outputs if outputs is not None else [m.bits for m in preds.feasible_minterms()]
-            for a_o in outs:
+            for a_o in outputs:
                 pairs += 1
                 lhs = Fraction(0)
                 for key in gamma.support(a_o):
@@ -434,8 +404,6 @@ def _reads_writes(body):
 def _seeded_joint(program, uniform_vars) -> cc.ConcreteDistribution:
     """Uniform over `uniform_vars`, point mass at the range minimum for the
     rest (sound whenever the other initial values cannot be observed)."""
-    import itertools as _it
-
     axes = []
     weight = Fraction(1)
     for d in program.decls:
@@ -444,7 +412,7 @@ def _seeded_joint(program, uniform_vars) -> cc.ConcreteDistribution:
             weight /= d.size
         else:
             axes.append((d.lo,))
-    mass = {key: weight for key in _it.product(*axes)}
+    mass = {key: weight for key in itertools.product(*axes)}
     return cc.ConcreteDistribution(program.var_names, mass)
 
 

@@ -154,10 +154,11 @@ def test_if_nesting_bounded_when_built():
 
 
 def test_interp_exact_flip_cap():
-    body = "\n".join("a = flip(1/2)" for _ in range(5))
+    # the cap is checked before any enumeration, so one site past it is cheap
+    body = "\n".join("a = flip(1/2)" for _ in range(bern.DEFAULT_FLIP_CAP + 1))
     prog = parsing.parse_bern("bool a\n" + body)
-    with pytest.raises(EnumerationCapError):
-        bern.interp_exact(prog, point(prog), cap=4)
+    with pytest.raises(EnumerationCapError, match="25 flip sites exceed cap 24"):
+        bern.interp_exact(prog, point(prog))
 
 
 def test_interp_nondet_examples():

@@ -176,11 +176,7 @@ def test_structural_outputs_satisfy_invariant(shift_ten):
     lowered = theorems.lower(aprog)
     feasible = {m.bits for m in preds.feasible_minterms()}
     for m in preds.feasible_minterms():
-        start = theorems._aux_padded(aprog.decls, preds.labels, m.bits)
-        reach = theorems._project(
-            bern.interp_nondet(lowered, {start}), aprog.decls, preds.labels
-        )
-        assert reach <= feasible
+        assert theorems._nondet_reach(lowered, preds, m.bits) <= feasible
 
 
 def test_structural_single_predicate_plain_form():

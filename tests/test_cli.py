@@ -193,6 +193,20 @@ def test_check_fail_exit_1(files, capsys):
     assert blob[0]["counterexamples"]
 
 
+def test_check_past_the_flip_cap(tmp_path, capsys):
+    """25 flip sites, one past the enumerator's cap: the check has none."""
+    for name, text in (
+        ("one.cp", "var x in [0, 4)\nx = x\n"),
+        ("one.preds", "a: x < 2\n"),
+        ("flips.bern", "bool a\n" + "a = a <=> flip(1/2)\n" * 25),
+    ):
+        (tmp_path / name).write_text(text)
+    rc = cli.main(["check", *(str(tmp_path / n) for n in ("one.cp", "one.preds", "flips.bern"))])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "sound-prob: pass" in out and "invariance: pass" in out
+
+
 def test_fit_reproduces_hand_abstraction(files, capsys, tmp_path):
     paths, _ = files
     sites = tmp_path / "sites.json"

@@ -239,3 +239,29 @@ def test_long_chain_walks_without_recursion():
     assert cc.tree_vars(cond) == {"x", "y"}
     assert str(theory.wp_subst("x", cc.IntVar("z"), cond)) == "z" + " + 1" * 5000 + " < y"
     assert parsing._height(cond) == 5002
+
+
+def _add_chain(links, last=1):
+    chain = cc.IntVar("x")
+    for i in range(links):
+        chain = cc.Add(chain, cc.IntConst(last if i == links - 1 else 1))
+    return chain
+
+
+def test_long_chain_compares_hashes_and_prints_without_recursion():
+    chain, twin = _add_chain(5000), _add_chain(5000)
+    assert chain == twin and hash(chain) == hash(twin)
+    assert chain != _add_chain(5000, last=2)
+    assert chain != _add_chain(4999)
+    text = repr(cc.Cmp("<", chain, cc.IntVar("y")))
+    assert text.startswith("Cmp(op='<', left=" + "Add(left=" * 5000 + "IntVar(name='x'), ")
+    assert text.endswith(", right=IntConst(value=1))" * 5000 + ", right=IntVar(name='y'))")
+    assert {chain: 1}[twin] == 1
+
+
+def test_equality_sees_coefficients_and_operators():
+    x, y = cc.IntVar("x"), cc.IntVar("y")
+    assert cc.Scale(2, x) == cc.Scale(2, x) and cc.Scale(2, x) != cc.Scale(3, x)
+    assert cc.Cmp("<", x, y) != cc.Cmp("<=", x, y)
+    assert cc.Add(x, y) != cc.Sub(x, y) and cc.CAnd(cc.CTrue(), cc.CFalse()) != cc.COr(cc.CTrue(), cc.CFalse())
+    assert len({cc.Cmp("<", x, y), cc.Cmp("<", x, y), cc.Cmp(">", x, y)}) == 2

@@ -73,7 +73,7 @@ def test_sound_prob_branch_reset(branch_reset):
         prog, preds, bld.AbstractionConfig("prob", "observe", FIXED_HALF)
     )
     inputs = [{"x": v} for v in range(-8, 7)]
-    report = theorems.check_sound_prob(prog, aprog, preds, inputs=inputs, direct="all")
+    report = theorems.check_sound_prob(prog, aprog, preds, inputs=inputs)
     assert report.ok
 
 
@@ -85,13 +85,13 @@ def test_sound_prob_degenerate_theta_breaks(branch_reset):
     aprog, _ = bld.abstract_program(
         prog, preds, bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fixed(Fraction(0)))
     )
-    report = theorems.check_sound_prob(prog, aprog, preds, inputs=inputs, direct="all")
+    report = theorems.check_sound_prob(prog, aprog, preds, inputs=inputs)
     assert not report.ok
     # pinned to 1: the else-direction of some choose updates disappears
     aprog1, _ = bld.abstract_program(
         prog, preds, bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fixed(Fraction(1)))
     )
-    report1 = theorems.check_sound_prob(prog, aprog1, preds, inputs=inputs, direct="all")
+    report1 = theorems.check_sound_prob(prog, aprog1, preds, inputs=inputs)
     assert not report1.ok
 
 
@@ -104,11 +104,60 @@ def test_theorem1_verdicts_agree_on_random_pairs():
         preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 2), ctx)
         aprog = randgen.rand_bern_program(rng, preds.labels, max_flips=4, max_stmts=5,
                                           degenerate_share=0.2)
-        direct = theorems.check_sound_prob(prog, aprog, preds, direct="all")
+        # the definition (positive mass, from the engine) against the lowering
+        definition = theorems.check_sound_prob(prog, aprog, preds)
         lowered = theorems.check_sound_nondet(prog, theorems.lower(aprog), preds)
-        assert direct.ok == lowered.ok
+        assert definition.ok == lowered.ok
+        assert definition.stats == lowered.stats
         agree += 1
     assert agree == 30
+
+
+def _padded_point(aprog, preds, bits):
+    by_label = dict(zip(preds.labels, bits))
+    state = {n: by_label.get(n, False) for n in aprog.decls}
+    return bern.AbstractDistribution.point(aprog.decls, state)
+
+
+def test_abstract_output_distribution_matches_enumeration():
+    rng = random.Random(59)
+    seen = {"degenerate": 0, "observe": 0, "snapshot": 0}
+    for case in range(50):
+        prog = randgen.rand_concrete_program(rng, observes=case % 4 == 1)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 3), ctx)
+        if case % 2:
+            aprog, _ = bld.abstract_program(
+                prog, preds, bld.AbstractionConfig("prob", "structural", FIXED_HALF)
+            )
+        else:
+            aprog = randgen.rand_bern_program(
+                rng, preds.labels, max_flips=5, max_stmts=6, degenerate_share=0.3
+            )
+        seen["degenerate"] += any(t in (0, 1) for _, t in aprog.flip_sites())
+        seen["observe"] += any(isinstance(s, bern.BObserve) for s in bern.walk_stmts(aprog.body))
+        seen["snapshot"] += any(d.endswith(bld.SNAPSHOT_SUFFIX) for d in aprog.decls)
+        outputs = [dict(zip(preds.labels, m.bits)) for m in preds.feasible_minterms()]
+        for m in preds.feasible_minterms():
+            got = theorems.abstract_output_distribution(aprog, preds, m.bits)
+            want = bern.interp_exact(aprog, _padded_point(aprog, preds, m.bits))
+            want = want.marginal(preds.labels)
+            assert [got.mass_of(o) for o in outputs] == [want.mass_of(o) for o in outputs]
+    assert all(seen.values()), seen
+
+
+def test_checks_take_thirty_flips():
+    # past the enumerator's cap: Pr_A comes from the engine
+    ctx = theory.TheoryContext([cc.VarDecl("x", 0, 4)])
+    preds = PredicateList([("a", parsing.parse_cond("x < 2", ["x"]))], ctx)
+    prog = parsing.parse_concrete("var x in [0, 4)\nx = x\n")
+    aprog = parsing.parse_bern("bool a\n" + "a = a <=> flip(1/2)\n" * 30)
+    report = theorems.check_sound_prob(prog, aprog, preds)
+    assert report.ok and report.stats == {"checked": 4, "blocked": 0, "abstract_inputs": 2}
+    gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
+    assert theorems.check_invariance(aprog, preds, gammas).ok
+    dist = theorems.abstract_output_distribution(aprog, preds, (True,))
+    assert list(dist.items()) == [({"a": False}, Fraction(1, 2)), ({"a": True}, Fraction(1, 2))]
 
 
 def fig1_setting():
@@ -160,13 +209,17 @@ def test_proposition1_collapse_equals_full_sum():
         aprog = randgen.rand_bern_program(rng, preds.labels, max_flips=3, max_stmts=4)
         gamma = theorems.ConcretizationDistribution.rank_weighted(preds)
         z = dict(zip(ctx.names, next(iter(ctx.states()))))
-        a = theorems.concrete_semantics(aprog, preds, gamma, z, collapse=True)
-        b = theorems.concrete_semantics(aprog, preds, gamma, z, collapse=False)
-        keys = {tuple(s[n] for n in ctx.names) for s, _ in a.items()}
-        keys |= {tuple(s[n] for n in ctx.names) for s, _ in b.items()}
-        for key in keys:
-            state = dict(zip(ctx.names, key))
-            assert a.mass_of(state) == b.mass_of(state)
+        a = theorems.concrete_semantics(aprog, preds, gamma, z)
+        # the full double sum: every (z_o, a_o) pair, zero terms included
+        pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(z))
+        states = {k for row in gamma.rows.values() for k in row}
+        full = dict.fromkeys(states, Fraction(0))
+        for a_state, p in pr_a.items():
+            row = gamma.row(tuple(a_state[lbl] for lbl in preds.labels))
+            for key in states:
+                full[key] += row.get(key, Fraction(0)) * p
+        for key in states:
+            assert a.mass_of(dict(zip(ctx.names, key))) == full[key]
 
 
 def test_invariance_fig1_two_gammas():
