@@ -23,6 +23,7 @@ measures that depth without recursion before any walker runs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 import re
@@ -47,13 +48,18 @@ class BernExpr:
 
 
 class _Inner(BernExpr):
-    """A node with children; equality and hashing go through `fold`."""
+    """A node with children; equality, hashing and `repr` go through `fold`."""
 
     def __eq__(self, other):
-        return _shape(self) == _shape(other)
+        if type(other) is not type(self):  # what the dataclass test does, in O(1)
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
 
     def __hash__(self):
         return hash(tuple(_shape(self)))
+
+    def __repr__(self):
+        return fold(self, _repr)
 
 
 @dataclass(frozen=True)
@@ -71,12 +77,12 @@ class BVar(BernExpr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BNot(_Inner):
     operand: BernExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(_Inner):
     left: BernExpr
     right: BernExpr
@@ -113,7 +119,7 @@ class Star(BernExpr):
     occurrence: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Choose(_Inner):
     when_true: BernExpr
     when_false: BernExpr
@@ -239,6 +245,15 @@ def _shape(expr):
     out = []
     fold(expr, lambda node, values: out.append(type(node) if values else node))
     return out
+
+
+def _repr(node, values):
+    """The dataclass `repr` of a node, given its children's: every field
+    of an inner node is a child."""
+    if not values:
+        return repr(node)
+    fields = ", ".join(f"{f.name}={v}" for f, v in zip(dataclasses.fields(node), values))
+    return f"{type(node).__name__}({fields})"
 
 
 def map_expr(expr, on_node):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -130,12 +131,11 @@ def cmd_check(args):
         reports.append(theorems.check_sound_prob(prog, aprog, preds, inputs=inputs))
         if args.invariance:
             gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
-            inv_inputs = inputs
-            if inv_inputs is None:
-                inv_inputs = [dict(zip(ctx.names, key)) for key in ctx.states()]
-            reports.append(
-                theorems.check_invariance(aprog, preds, gammas, inputs=inv_inputs[:INVARIANCE_INPUTS])
+            every = inputs if inputs is not None else (
+                dict(zip(ctx.names, key)) for key in ctx.states()
             )
+            inv_inputs = list(itertools.islice(every, INVARIANCE_INPUTS))
+            reports.append(theorems.check_invariance(aprog, preds, gammas, inputs=inv_inputs))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:

@@ -144,6 +144,16 @@ class PredicateList:
         names = self.ctx.names
         return [dict(zip(names, key)) for key, img in zip(self.ctx.states(), image) if img is cell]
 
+    def cells(self) -> dict:
+        """Every feasible bit-vector's cell, as the value tuples of its
+        states in ``ctx.states()`` order: all of γ from one pass over the
+        α-image."""
+        image, feasible = self._alpha_image()
+        cells = {bits: [] for bits in feasible}
+        for key, bits in zip(self.ctx.states(), image):
+            cells[bits].append(key)
+        return cells
+
     # --- formula approximation -------------------------------------------------
 
     def _canonical(self, bit_vectors) -> bddm.Bdd:

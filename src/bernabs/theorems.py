@@ -17,6 +17,7 @@ hand-computed abstraction parameters exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -200,6 +201,11 @@ def _cube_expr(labels, bits) -> bern.BernExpr:
 # --- concretization distributions ------------------------------------------------
 
 
+def _scaled(masses, scale):
+    """`masses` as integers over `scale`, a common multiple of their denominators."""
+    return {k: q.numerator * (scale // q.denominator) for k, q in masses.items()}
+
+
 class ConcretizationDistribution:
     """Per-abstract-state distribution over that state's concrete cell."""
 
@@ -211,51 +217,44 @@ class ConcretizationDistribution:
     @classmethod
     def _build(cls, name, preds: PredicateList, weigher):
         rows = {}
-        for m in preds.feasible_minterms():
-            cell = preds.gamma_lower(m.bits)
-            keys = [tuple(z[n] for n in preds.ctx.names) for z in cell]
-            keys.sort()
-            weights = weigher(keys)
-            total = sum(weights, Fraction(0))
-            rows[m.bits] = {
-                k: w / total for k, w in zip(keys, weights) if w > 0
-            }
+        for bits, keys in preds.cells().items():
+            weights = weigher(len(keys))  # integers, one per key
+            total = sum(weights)
+            rows[bits] = {k: Fraction(w, total) for k, w in zip(keys, weights) if w > 0}
         return cls(name, rows, preds.ctx.names)
 
     @classmethod
     def uniform(cls, preds):
-        return cls._build("uniform", preds, lambda keys: [Fraction(1)] * len(keys))
+        return cls._build("uniform", preds, lambda n: [1] * n)
 
     @classmethod
     def rank_weighted(cls, preds):
-        return cls._build(
-            "rank-weighted", preds, lambda keys: [Fraction(i + 1) for i in range(len(keys))]
-        )
+        return cls._build("rank-weighted", preds, lambda n: list(range(1, n + 1)))
 
     @classmethod
     def point_mass_min(cls, preds):
-        return cls._build(
-            "point-mass-min",
-            preds,
-            lambda keys: [Fraction(1)] + [Fraction(0)] * (len(keys) - 1),
-        )
+        return cls._build("point-mass-min", preds, lambda n: [1] + [0] * (n - 1))
 
     def row(self, bits):
         return self.rows.get(tuple(bits), {})
 
-    def support(self, bits):
-        return set(self.row(bits))
-
     def validate_strong(self, preds: PredicateList):
         """Row-normalized and confined to the matching cell (the two
-        properties the invariance theorem actually uses)."""
+        properties the invariance theorem actually uses).  Rows are summed
+        in integers over the lcm of their denominators, and the cells come
+        from one pass over the α-image."""
+        cells = preds.cells()
         for bits, row in self.rows.items():
-            total = sum(row.values(), Fraction(0))
-            if total != 1:
-                raise ValueError(f"{self.name}: row {bits} sums to {total}, not 1")
+            scale = math.lcm(*(q.denominator for q in row.values()))
+            total = sum(_scaled(row, scale).values())
+            if total != scale:
+                raise ValueError(
+                    f"{self.name}: row {bits} sums to {Fraction(total, scale)}, not 1"
+                )
+            cell = set(cells.get(bits, ()))
             for key in row:
-                state = dict(zip(self.var_names, key))
-                if preds.alpha(state) != bits:
+                if key not in cell:
+                    state = dict(zip(self.var_names, key))
                     raise ValueError(
                         f"{self.name}: mass on {state} outside the cell of {bits}"
                     )
@@ -309,11 +308,6 @@ def concrete_semantics(
     compatible gamma that drops nothing but zero terms.
     """
     gamma.validate_strong(preds)
-    return _concrete_semantics(aprog, preds, gamma, z_i, pr_a)
-
-
-def _concrete_semantics(aprog, preds, gamma, z_i, pr_a=None):
-    """`concrete_semantics` for a gamma the caller has validated."""
     if pr_a is None:
         pr_a = abstract_output_distribution(aprog, preds, preds.alpha(z_i))
     out = {}
@@ -324,41 +318,80 @@ def _concrete_semantics(aprog, preds, gamma, z_i, pr_a=None):
     return cc.ConcreteDistribution(preds.ctx.names, out)
 
 
+def _cell_mismatches(gamma_rows, gamma_scale, pr_a, outputs):
+    """The generic double sum of one (gamma, alpha(z_i)) class.
+
+    The concrete mass Pr(z_o | z_i) = sum over a' in the support of Pr_A
+    of gamma(z_o | a') Pr_A(a'), summed over the cell of each abstract
+    output a_o, is compared with Pr_A(a_o).  `gamma_rows` are the rows as
+    integers over `gamma_scale`, so the sums run in integers over
+    gamma_scale times the lcm of Pr_A's denominators.  Returns
+    (a_o, Pr_A(a_o), cell mass) for every a_o where the two differ.
+    """
+    pr = {tuple(state[lbl] for lbl in pr_a.var_names): p for state, p in pr_a.items()}
+    p_scale = math.lcm(*(p.denominator for p in pr.values()))
+    p_int = _scaled(pr, p_scale)
+    mass = {}
+    for a, p in p_int.items():
+        for key, q in gamma_rows.get(a, {}).items():
+            mass[key] = mass.get(key, 0) + q * p
+    mismatches = []
+    for a_o in outputs:
+        got = sum(mass.get(key, 0) for key in gamma_rows.get(a_o, ()))
+        if got != p_int.get(a_o, 0) * gamma_scale:
+            mismatches.append(
+                (a_o, pr.get(a_o, Fraction(0)), Fraction(got, gamma_scale * p_scale))
+            )
+    return mismatches
+
+
 def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckReport:
     """Concretization invariance: for every input state and feasible
     abstract output, the concrete mass of the output's cell equals the
-    abstract probability, for every supplied gamma.  Exact equality."""
+    abstract probability, for every supplied gamma.  Exact equality.
+
+    The concrete semantics Pr(z_o | z_i) = sum over a' of gamma(z_o | a')
+    Pr_A(a' | alpha(z_i)) reads z_i only through alpha(z_i), so every
+    input of one class (gamma, alpha(z_i)) gets the same verdict.  The
+    generic double sum (`_cell_mismatches`) is therefore computed once per
+    class, not once per input, and each input of the class gets the
+    class's mismatches as counterexamples.  The sum is never replaced by
+    the theorem's algebraic shortcut, which would assume what is checked.
+    It is exact, in scaled integers.  Pr_A comes from the engine once per
+    distinct alpha(z_i).
+    """
     report = CheckReport("invariance")
+    gammas = list(gammas)
     if inputs is None:
-        inputs = [dict(zip(preds.ctx.names, key)) for key in preds.ctx.states()]
+        inputs = (dict(zip(preds.ctx.names, key)) for key in preds.ctx.states())
+    classed = [(z_i, preds.alpha(z_i)) for z_i in inputs]
     outputs = [m.bits for m in preds.feasible_minterms()]
-    pairs = 0
     pr_a_memo = {}
     for gamma in gammas:
         gamma.validate_strong(preds)
-        for z_i in inputs:
-            a_in = preds.alpha(z_i)
-            if a_in not in pr_a_memo:
-                pr_a_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
-            pr_a = pr_a_memo[a_in]
-            dist = _concrete_semantics(aprog, preds, gamma, z_i, pr_a=pr_a)
-            for a_o in outputs:
-                pairs += 1
-                lhs = Fraction(0)
-                for key in gamma.support(a_o):
-                    lhs += dist.mass_of(dict(zip(preds.ctx.names, key)))
-                rhs = pr_a.mass_of(dict(zip(preds.labels, a_o)))
-                if lhs != rhs:
-                    report.counterexamples.append(
-                        {
-                            "gamma": gamma.name,
-                            "z_i": _state_json(z_i),
-                            "a_o": _bits_json(preds.labels, a_o),
-                            "expected": str(rhs),
-                            "got": str(lhs),
-                        }
-                    )
-    report.stats = {"gammas": len(list(gammas)), "pairs": pairs}
+        gamma_scale = math.lcm(
+            *(q.denominator for row in gamma.rows.values() for q in row.values())
+        )
+        gamma_rows = {bits: _scaled(row, gamma_scale) for bits, row in gamma.rows.items()}
+        verdicts = {}
+        for z_i, a_in in classed:
+            if a_in not in verdicts:
+                if a_in not in pr_a_memo:
+                    pr_a_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
+                verdicts[a_in] = _cell_mismatches(
+                    gamma_rows, gamma_scale, pr_a_memo[a_in], outputs
+                )
+            for a_o, expected, got in verdicts[a_in]:
+                report.counterexamples.append(
+                    {
+                        "gamma": gamma.name,
+                        "z_i": _state_json(z_i),
+                        "a_o": _bits_json(preds.labels, a_o),
+                        "expected": str(expected),
+                        "got": str(got),
+                    }
+                )
+    report.stats = {"gammas": len(gammas), "pairs": len(gammas) * len(classed) * len(outputs)}
     return report
 
 

@@ -277,3 +277,27 @@ def test_round_trip_random():
     for _ in range(30):
         prog = randgen.rand_bern_program(rng, ("v0", "v1", "v2"))
         assert parsing.parse_bern(bern.to_text(prog)) == prog
+
+
+def _and_chain(links, last="a"):
+    chain = bern.BVar("a")
+    for i in range(links):
+        chain = bern.BAnd(chain, bern.BVar(last if i == links - 1 else "a"))
+    return chain
+
+
+def test_long_chain_reprs_and_compares_without_recursion():
+    small = bern.BAnd(bern.BVar("a"), bern.BNot(bern.Choose(bern.Flip(0, Fraction(1, 2)), bern.BTrue())))
+    assert repr(small) == (
+        "BAnd(left=BVar(name='a'), right=BNot(operand=Choose("
+        "when_true=Flip(site=0, theta=Fraction(1, 2)), when_false=BTrue())))"
+    )
+    chain, twin = _and_chain(5000), _and_chain(5000)
+    want = "BVar(name='a')"
+    for _ in range(5000):
+        want = f"BAnd(left={want}, right=BVar(name='a'))"
+    assert repr(chain) == want
+    assert chain == twin and hash(chain) == hash(twin)
+    assert chain != _and_chain(5000, last="b")
+    assert chain != _and_chain(4999)
+    assert bern.BAnd(chain, chain) != bern.BOr(chain, chain)

@@ -350,3 +350,67 @@ def test_end_to_end_random_chain_family():
         dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"a": 0, "b": 0}))
         want = cc.query_prob(dist, preds.cond_of(f"b<{cut2}"))
         assert got == want
+
+
+def test_invariance_counts_a_generator_of_gammas():
+    ctx, preds = fig1_setting()
+    aprog = parsing.parse_bern("bool {x<0}\n{x<0} = flip(2/5)")
+    report = theorems.check_invariance(aprog, preds, (g(preds) for g in theorems.GAMMA_FAMILIES))
+    assert report.ok
+    assert report.stats == {"gammas": 3, "pairs": 3 * 5 * 2}
+
+
+def test_invariance_reports_a_leak_for_every_input(monkeypatch):
+    """A gamma row that leaks mass into another cell fails invariance at
+    every input, exactly as a per-input double sum says."""
+    ctx = theory.TheoryContext([cc.VarDecl("x", -2, 4)])
+    preds = PredicateList(
+        [("x<0", parsing.parse_cond("x < 0", ["x"])), ("x<2", parsing.parse_cond("x < 2", ["x"]))],
+        ctx,
+    )
+    aprog = parsing.parse_bern(
+        "bool {x<0}\nbool {x<2}\n{x<0} = {x<0} && flip(1/3)\n{x<2} = {x<2} || flip(1/4)"
+    )
+    leaky = theorems.ConcretizationDistribution.uniform(preds)
+    leaky.rows[(True, True)] = {(-2,): Fraction(1, 4), (-1,): Fraction(1, 4), (0,): Fraction(1, 2)}
+    gammas = [theorems.ConcretizationDistribution.rank_weighted(preds), leaky]
+    inputs = [{"x": v} for v in range(-2, 4)]
+    outputs = [m.bits for m in preds.feasible_minterms()]
+
+    want = []
+    for gamma in gammas:
+        for z_i in inputs:
+            pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(z_i))
+            mass = {}
+            for a_state, p in pr_a.items():
+                for key, q in gamma.row(tuple(a_state[lbl] for lbl in preds.labels)).items():
+                    mass[key] = mass.get(key, Fraction(0)) + q * p
+            for a_o in outputs:
+                got = sum((mass.get(key, Fraction(0)) for key in gamma.row(a_o)), Fraction(0))
+                expected = pr_a.mass_of(dict(zip(preds.labels, a_o)))
+                if got != expected:
+                    want.append(
+                        {
+                            "gamma": gamma.name,
+                            "z_i": z_i,
+                            "a_o": dict(zip(preds.labels, a_o)),
+                            "expected": str(expected),
+                            "got": str(got),
+                        }
+                    )
+    assert len(want) == 8 and {cex["gamma"] for cex in want} == {"uniform"}
+    assert [cex["z_i"] for cex in want if cex["a_o"] == {"x<0": True, "x<2": True}] == inputs
+
+    with pytest.raises(ValueError, match=r"mass on \{'x': 0\} outside the cell of \(True, True\)"):
+        theorems.check_invariance(aprog, preds, gammas, inputs=inputs)
+
+    calls = []
+    real = theorems.abstract_output_distribution
+    monkeypatch.setattr(
+        theorems, "abstract_output_distribution", lambda *a: calls.append(a[2]) or real(*a)
+    )
+    monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
+    report = theorems.check_invariance(aprog, preds, gammas, inputs=inputs)
+    assert report.counterexamples == want
+    assert sorted(calls) == sorted({preds.alpha(z) for z in inputs})
+    assert report.stats == {"gammas": 2, "pairs": 2 * 6 * 3}
