@@ -134,8 +134,8 @@ def cmd_check(args):
             every = inputs if inputs is not None else (
                 dict(zip(ctx.names, key)) for key in ctx.states()
             )
-            inv_inputs = list(itertools.islice(every, INVARIANCE_INPUTS))
-            reports.append(theorems.check_invariance(aprog, preds, gammas, inputs=inv_inputs))
+            first = itertools.islice(every, INVARIANCE_INPUTS)
+            reports.append(theorems.check_invariance(aprog, preds, gammas, inputs=first))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:

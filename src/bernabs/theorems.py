@@ -240,17 +240,13 @@ class ConcretizationDistribution:
 
     def validate_strong(self, preds: PredicateList):
         """Row-normalized and confined to the matching cell (the two
-        properties the invariance theorem actually uses).  Rows are summed
-        in integers over the lcm of their denominators, and the cells come
+        properties the invariance theorem actually uses).  The cells come
         from one pass over the α-image."""
         cells = preds.cells()
         for bits, row in self.rows.items():
-            scale = math.lcm(*(q.denominator for q in row.values()))
-            total = sum(_scaled(row, scale).values())
-            if total != scale:
-                raise ValueError(
-                    f"{self.name}: row {bits} sums to {Fraction(total, scale)}, not 1"
-                )
+            total = sum(row.values(), Fraction(0))
+            if total != 1:
+                raise ValueError(f"{self.name}: row {bits} sums to {total}, not 1")
             cell = set(cells.get(bits, ()))
             for key in row:
                 if key not in cell:
@@ -310,31 +306,51 @@ def concrete_semantics(
     gamma.validate_strong(preds)
     if pr_a is None:
         pr_a = abstract_output_distribution(aprog, preds, preds.alpha(z_i))
-    out = {}
-    for a_state, p in pr_a.items():
-        bits = tuple(a_state[lbl] for lbl in preds.labels)
-        for key, q in gamma.row(bits).items():
-            out[key] = out.get(key, Fraction(0)) + q * p
-    return cc.ConcreteDistribution(preds.ctx.names, out)
+    gamma_rows, gamma_scale = _gamma_ints(gamma)
+    _, p_int, p_scale = _pr_ints(pr_a)
+    scale = gamma_scale * p_scale
+    mass = _concrete_mass(gamma_rows, p_int)
+    return cc.ConcreteDistribution(
+        preds.ctx.names, {key: Fraction(m, scale) for key, m in mass.items()}
+    )
 
 
-def _cell_mismatches(gamma_rows, gamma_scale, pr_a, outputs):
-    """The generic double sum of one (gamma, alpha(z_i)) class.
+def _gamma_ints(gamma):
+    """(gamma's rows as integers over `scale`, `scale`), where `scale` is
+    the lcm of every denominator in the rows."""
+    scale = math.lcm(*(q.denominator for row in gamma.rows.values() for q in row.values()))
+    return {bits: _scaled(row, scale) for bits, row in gamma.rows.items()}, scale
 
-    The concrete mass Pr(z_o | z_i) = sum over a' in the support of Pr_A
-    of gamma(z_o | a') Pr_A(a'), summed over the cell of each abstract
-    output a_o, is compared with Pr_A(a_o).  `gamma_rows` are the rows as
-    integers over `gamma_scale`, so the sums run in integers over
-    gamma_scale times the lcm of Pr_A's denominators.  Returns
-    (a_o, Pr_A(a_o), cell mass) for every a_o where the two differ.
-    """
+
+def _pr_ints(pr_a):
+    """(Pr_A by bits tuple, the same as integers over `scale`, `scale`),
+    where `scale` is the lcm of Pr_A's denominators."""
     pr = {tuple(state[lbl] for lbl in pr_a.var_names): p for state, p in pr_a.items()}
-    p_scale = math.lcm(*(p.denominator for p in pr.values()))
-    p_int = _scaled(pr, p_scale)
+    scale = math.lcm(*(p.denominator for p in pr.values()))
+    return pr, _scaled(pr, scale), scale
+
+
+def _concrete_mass(gamma_rows, p_int):
+    """The concrete semantics sum over a' of gamma(z_o | a') Pr_A(a'), for
+    every z_o, over every a' in the support of Pr_A and every key of
+    gamma's row for a'.  Integers in, integers out: the masses are over
+    the product of the two inputs' scales."""
     mass = {}
     for a, p in p_int.items():
         for key, q in gamma_rows.get(a, {}).items():
             mass[key] = mass.get(key, 0) + q * p
+    return mass
+
+
+def _cell_mismatches(gamma_rows, gamma_scale, pr_a, outputs):
+    """The verdict of one (gamma, alpha(z_i)) class.
+
+    The concrete mass (`_concrete_mass`) summed over the cell of each
+    abstract output a_o is compared with Pr_A(a_o), exactly, in integers.
+    Returns (a_o, Pr_A(a_o), cell mass) for every a_o where the two differ.
+    """
+    pr, p_int, p_scale = _pr_ints(pr_a)
+    mass = _concrete_mass(gamma_rows, p_int)
     mismatches = []
     for a_o in outputs:
         got = sum(mass.get(key, 0) for key in gamma_rows.get(a_o, ()))
@@ -353,12 +369,12 @@ def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckR
     The concrete semantics Pr(z_o | z_i) = sum over a' of gamma(z_o | a')
     Pr_A(a' | alpha(z_i)) reads z_i only through alpha(z_i), so every
     input of one class (gamma, alpha(z_i)) gets the same verdict.  The
-    generic double sum (`_cell_mismatches`) is therefore computed once per
-    class, not once per input, and each input of the class gets the
-    class's mismatches as counterexamples.  The sum is never replaced by
-    the theorem's algebraic shortcut, which would assume what is checked.
-    It is exact, in scaled integers.  Pr_A comes from the engine once per
-    distinct alpha(z_i).
+    generic double sum (`_concrete_mass`, which `concrete_semantics` also
+    runs) is therefore computed once per class, not once per input, and
+    each input of the class gets the class's mismatches as
+    counterexamples.  The sum is never replaced by the theorem's algebraic
+    shortcut, which would assume what is checked.  It is exact, in scaled
+    integers.  Pr_A comes from the engine once per distinct alpha(z_i).
     """
     report = CheckReport("invariance")
     gammas = list(gammas)
@@ -369,10 +385,7 @@ def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckR
     pr_a_memo = {}
     for gamma in gammas:
         gamma.validate_strong(preds)
-        gamma_scale = math.lcm(
-            *(q.denominator for row in gamma.rows.values() for q in row.values())
-        )
-        gamma_rows = {bits: _scaled(row, gamma_scale) for bits, row in gamma.rows.items()}
+        gamma_rows, gamma_scale = _gamma_ints(gamma)
         verdicts = {}
         for z_i, a_in in classed:
             if a_in not in verdicts:
