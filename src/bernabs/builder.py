@@ -133,9 +133,6 @@ class FlipSiteTable:
                 return s
         raise KeyError(site)
 
-    def theta_map(self):
-        return {s.site: s.theta for s in self.sites}
-
     def to_json(self):
         return [s.to_json() for s in self.sites]
 
@@ -154,7 +151,7 @@ class Abstractor:
         self._flip_counter = itertools.count()
         self._star_counter = itertools.count()
         self.aux_decls = []
-        self._draw_forced_memo = {}
+        self._draw_verdicts = {}
         self._inv = preds.invariant_formula()
 
     # --- small helpers ---------------------------------------------------
@@ -296,22 +293,34 @@ class Abstractor:
             cc.Cmp("<=", cc.IntConst(stmt.lo), x), cc.Cmp("<", x, cc.IntConst(stmt.hi))
         )
 
+    def _draw_verdict(self, stmt: cc.Draw, pred_index):
+        """'T' / 'F' when every value the draw can give makes the predicate
+        true / false, None when both polarities occur.  Memoized per draw
+        range and predicate: the verdict reads no pre-state."""
+        key = (stmt.name, stmt.lo, stmt.hi, pred_index)
+        if key not in self._draw_verdicts:
+            draw, p = self._draw_cond(stmt), self.preds.conds[pred_index]
+            if self.ctx.entails(draw, p):
+                self._draw_verdicts[key] = "T"
+            elif not self.ctx.satisfiable(cc.CAnd(draw, p)):
+                self._draw_verdicts[key] = "F"
+            else:
+                self._draw_verdicts[key] = None
+        return self._draw_verdicts[key]
+
     def abstract_uniform(self, stmt: cc.Draw, path=(), context=()) -> bern.PAssign:
         """x = unif [lo, hi)  ->  one flip/star per predicate mentioning x,
         degenerating to a constant when the draw entails one polarity."""
-        draw = self._draw_cond(stmt)
         targets = []
         exprs = []
         for i in self._mentioning(stmt.name):
             label = self.preds.labels[i]
-            p = self.preds.conds[i]
-            if self.ctx.entails(draw, p):
-                value = bern.BTrue()
-            elif not self.ctx.satisfiable(cc.CAnd(draw, p)):
-                value = bern.BFalse()
-            else:
+            verdict = self._draw_verdict(stmt, i)
+            if verdict is None:
                 meta = {"stmt": stmt, "predicate": label}
                 value = self._alloc_leaf("draw", path, stmt.loc, label, context, meta)
+            else:
+                value = bern.BTrue() if verdict == "T" else bern.BFalse()
             targets.append(label)
             exprs.append(value)
         return bern.PAssign(tuple(targets), tuple(exprs), stmt.loc)
@@ -322,7 +331,7 @@ class Abstractor:
         """'T' / 'F' / None for predicate pred_index after stmt from the
         pre-cell whose minterm Bdd is `cell`.
 
-        Draw verdicts are pre-state independent (the same entailment checks
+        Draw verdicts are pre-state independent (the verdict
         abstract_uniform uses), keeping the structural support equal to the
         observe-style support.
         """
@@ -333,19 +342,7 @@ class Abstractor:
             if not (f & cell).is_false:
                 return "F"
             return None
-        key = (stmt.name, stmt.lo, stmt.hi, pred_index)
-        hit = self._draw_forced_memo.get(key)
-        if hit is None:
-            draw = self._draw_cond(stmt)
-            p = self.preds.conds[pred_index]
-            if self.ctx.entails(draw, p):
-                hit = "T"
-            elif not self.ctx.satisfiable(cc.CAnd(draw, p)):
-                hit = "F"
-            else:
-                hit = "free"
-            self._draw_forced_memo[key] = hit
-        return None if hit == "free" else hit
+        return self._draw_verdict(stmt, pred_index)
 
     def build_structural(self, stmt, path=(), context=()) -> tuple:
         """Sequential per-predicate updates whose control flow keeps every

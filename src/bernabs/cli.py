@@ -60,10 +60,8 @@ def _param_policy(text):
         return bld.ParamPolicy.symbolic()
     if text == "fit":
         return bld.ParamPolicy.fit()
-    if text.startswith("fixed=") or text.startswith("fixed:"):
+    if text.startswith("fixed="):
         return bld.ParamPolicy.fixed(parsing.parse_rational(text[6:]))
-    if text == "fixed":
-        return bld.ParamPolicy.fixed(Fraction(1, 2))
     raise ParseError(f"bad --params value {text!r} (symbolic | fixed=<r> | fit)")
 
 
@@ -116,14 +114,14 @@ def cmd_infer(args):
 def cmd_check(args):
     prog, ctx, preds = _load_problem(args, args.cap)
     aprog = parsing.parse_bern(_read(args.bern))
+    keys = ctx.states()
     inputs = None
     if args.where:
         cond = parsing.parse_cond(args.where, declared=[d.name for d in prog.decls])
         ctx.check_closed(cond)
         fn = cc.compile(cond, ctx.names)
-        inputs = [
-            dict(zip(ctx.names, key)) for key in ctx.states() if fn(key)
-        ]
+        keys = [key for key in keys if fn(key)]
+        inputs = [theorems._state_json(ctx.names, key) for key in keys]
     reports = []
     if aprog.mode == "nondet":
         reports.append(theorems.check_sound_nondet(prog, aprog, preds, inputs=inputs))
@@ -131,11 +129,9 @@ def cmd_check(args):
         reports.append(theorems.check_sound_prob(prog, aprog, preds, inputs=inputs))
         if args.invariance:
             gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
-            every = inputs if inputs is not None else (
-                dict(zip(ctx.names, key)) for key in ctx.states()
-            )
-            first = itertools.islice(every, INVARIANCE_INPUTS)
-            reports.append(theorems.check_invariance(aprog, preds, gammas, inputs=first))
+            first = itertools.islice(keys, INVARIANCE_INPUTS)
+            inputs = [theorems._state_json(ctx.names, key) for key in first]
+            reports.append(theorems.check_invariance(aprog, preds, gammas, inputs=inputs))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:

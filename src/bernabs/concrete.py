@@ -1,17 +1,20 @@
 """Concrete language: loop-free imperative programs over bounded integers.
 
-Semantics are exact.  Deterministic evaluation maps a state to a state (or
-to ``BLOCKED`` when an observe fails); distribution evaluation enumerates
-every draw outcome with uniform rational weights and drops observe-failing
-paths, recording the lost mass in the survival total.  Arithmetic escaping
-a variable's declared range is a hard error, never wrapping or clamping.
+A concrete state is a tuple of values in declaration order
+(`ConcreteProgram.var_names`), here and in every module that sweeps
+states.  Semantics are exact.  Deterministic evaluation maps a state to a
+state (or to ``BLOCKED`` when an observe fails); distribution evaluation
+enumerates every draw outcome with uniform rational weights and drops
+observe-failing paths, recording the lost mass in the survival total.
+Arithmetic escaping a variable's declared range is a hard error, never
+wrapping or clamping.
 
 Expression and condition trees are walked only through `fold`, the BERN
 post-order fold with this language's child table, so no walk has a depth
 limit.  `compile` is the language's one evaluator: it turns a tree into a
-closure over dict or tuple states, once per tree, and the loops over
-states call the closure.  A compiled closure still nests one call per
-level, which the parser's nesting cap bounds.
+closure over states, once per tree, and the loops over states call the
+closure.  A compiled closure still nests one call per level, which the
+parser's nesting cap bounds.
 """
 
 from __future__ import annotations
@@ -353,15 +356,14 @@ _CLOSURE = {
 }
 
 
-def compile(tree, names=None):
+def compile(tree, names):
     """The closure that evaluates an integer expression or a condition at a
-    state.  The state is a dict from variable name to value or, when
-    `names` is given, a tuple of values in the order of `names`."""
-    slot = {n: i for i, n in enumerate(names)} if names is not None else None
+    state: a tuple of values in the order of `names`."""
+    slot = {n: i for i, n in enumerate(names)}
 
     def visit(node, fns):
         if type(node) is IntVar:
-            return operator.itemgetter(node.name if slot is None else slot[node.name])
+            return operator.itemgetter(slot[node.name])
         return _CLOSURE[type(node)](node, *fns)
 
     return fold(tree, visit)
@@ -401,46 +403,43 @@ def _compile_block(body, names):
 
 
 def _checked(decl, value):
-    """`value`, which an assignment writes to `decl`'s variable, if in range."""
+    """`value`, which a state gives `decl`'s variable, if in range."""
     if not decl.contains(value):
         raise RangeViolationError(f"{decl.name} = {value} escapes [{decl.lo}, {decl.hi})")
     return value
 
 
-def eval_det(program: ConcreteProgram, state: dict):
-    """Run a draw-free program; returns the output state or BLOCKED."""
+def eval_det(program: ConcreteProgram, key: tuple):
+    """Run a draw-free program from the state `key`; returns the output
+    state or BLOCKED."""
 
     def run(block, key):
         for stmt, fn, slot, blocks in block:
             kind = type(stmt)
             if kind is Assign:
-                value = _checked(program.decl(stmt.name), fn(key))
+                value = _checked(program.decls[slot], fn(key))
                 key = key[:slot] + (value,) + key[slot + 1 :]
             elif kind is Observe:
                 if not fn(key):
-                    return None
+                    return BLOCKED
             elif kind is If:
                 key = run(blocks[0] if fn(key) else blocks[1], key)
-                if key is None:
-                    return None
+                if key is BLOCKED:
+                    return BLOCKED
             else:
                 raise ValueError("eval_det requires a draw-free program")
         return key
 
-    names = program.var_names
-    out = run(program.compiled, tuple(state[n] for n in names))
-    return BLOCKED if out is None else dict(zip(names, out))
+    return run(program.compiled, key)
 
 
 # --- distribution semantics ---------------------------------------------------
 
 
 class ConcreteDistribution:
-    """Exact finite map from states to positive rational mass.
-
-    States are dicts name->int; stored keyed by value tuples in declaration
-    order.  The survival mass is the total mass (inputs are often 1; after
-    observe statements it may be smaller).
+    """Exact finite map from states (value tuples in the order of
+    `var_names`) to positive rational mass.  The survival mass is the total
+    mass (inputs are often 1; after observe statements it may be smaller).
     """
 
     def __init__(self, var_names, mass):
@@ -448,11 +447,11 @@ class ConcreteDistribution:
         self._mass = {k: v for k, v in mass.items() if v > 0}
 
     @classmethod
-    def point(cls, program: ConcreteProgram, state: dict):
-        key = tuple(state[n] for n in program.var_names)
+    def point(cls, program: ConcreteProgram, key: tuple):
+        if len(key) != len(program.decls):
+            raise ValueError(f"{key!r} is not a state of {program.var_names!r}")
         for d, v in zip(program.decls, key):
-            if not d.contains(v):
-                raise RangeViolationError(f"{d.name} = {v} escapes [{d.lo}, {d.hi})")
+            _checked(d, v)
         return cls(program.var_names, {key: Fraction(1)})
 
     @classmethod
@@ -475,11 +474,10 @@ class ConcreteDistribution:
         return len(self._mass)
 
     def items(self):
-        for key, w in sorted(self._mass.items()):
-            yield dict(zip(self.var_names, key)), w
+        """(state, mass) pairs in state order."""
+        return sorted(self._mass.items())
 
-    def mass_of(self, state: dict) -> Fraction:
-        key = tuple(state[n] for n in self.var_names)
+    def mass_of(self, key: tuple) -> Fraction:
         return self._mass.get(key, Fraction(0))
 
     def filtered(self, cond) -> "ConcreteDistribution":
@@ -494,9 +492,7 @@ def eval_dist(
 ) -> ConcreteDistribution:
     """Exact output distribution by exhaustive enumeration of draw outcomes."""
     if dist is None:
-        dist = ConcreteDistribution.point(
-            program, {d.name: d.lo for d in program.decls}
-        )
+        dist = ConcreteDistribution.point(program, tuple(d.lo for d in program.decls))
     if dist.var_names != program.var_names:
         raise ValueError("input distribution does not match the program's variables")
 

@@ -130,19 +130,14 @@ class PredicateList:
 
     # --- abstraction / concretization ----------------------------------------
 
-    def alpha(self, state: dict) -> tuple:
+    def alpha(self, key: tuple) -> tuple:
         """Componentwise predicate evaluation at a total concrete state."""
-        key = tuple([state[name] for name in self.ctx.names])
         return tuple([fn(key) for fn in self._fns])
 
     def gamma_lower(self, bits) -> list:
-        """All concrete states whose abstraction is exactly `bits`."""
-        image, feasible = self._alpha_image()
-        cell = feasible.get(tuple(bool(b) for b in bits))
-        if cell is None:
-            return []
-        names = self.ctx.names
-        return [dict(zip(names, key)) for key, img in zip(self.ctx.states(), image) if img is cell]
+        """All concrete states whose abstraction is exactly `bits`, in
+        ``ctx.states()`` order: the cell of `bits`, empty if infeasible."""
+        return self.cells().get(tuple(bool(b) for b in bits), [])
 
     def cells(self) -> dict:
         """Every feasible bit-vector's cell, as the value tuples of its

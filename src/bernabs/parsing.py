@@ -389,11 +389,23 @@ def _names_in(text):
     return sorted({m.group() for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*", text)})
 
 
+def _rational(p: _Parser) -> Fraction:
+    """The rational ``n`` or ``n/d`` at the parser's position: the one
+    reader of flip parameters and of ``--params fixed=<r>``."""
+    tok = p.peek()
+    num = p.signed_int()
+    den = p.signed_int() if p.accept("/") else 1
+    if den == 0:
+        raise ParseError(f"zero denominator in {num}/0", tok.line, tok.col)
+    return Fraction(num, den)
+
+
 def parse_rational(text) -> Fraction:
-    m = re.fullmatch(r"\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?", text)
-    if not m:
-        raise ParseError(f"expected a rational like 1/2, found {text!r}")
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    p = _Parser(text)
+    value = _rational(p)
+    if not p.at_eof():
+        p.fail(f"expected a rational like 1/2, found {text!r}")
+    return value
 
 
 # --- BERN programs (.bern) ------------------------------------------------------
@@ -556,12 +568,7 @@ def _flip_param(p: _Parser):
     if tok.kind == "name":
         p.next()
         return tok.text  # symbolic parameter
-    num = p.signed_int()
-    if p.accept("/"):
-        den = p.signed_int()
-        theta = Fraction(num, den)
-    else:
-        theta = Fraction(num)
+    theta = _rational(p)
     if not 0 <= theta <= 1:
         raise ParseError(f"flip parameter {theta} outside [0, 1]", tok.line, tok.col)
     return theta

@@ -78,8 +78,7 @@ def suite_theorem1(seed=0, cases=200):
         lowered = theorems.lower(aprog)
         support_memo = {}
         reach_memo = {}
-        for key in preds.ctx.states():
-            z = dict(zip(preds.ctx.names, key))
+        for z in preds.ctx.states():
             out = cc.eval_det(prog, z)
             if out is cc.BLOCKED:
                 continue
@@ -114,9 +113,7 @@ def suite_theorem2(seed=0, cases=100):
             rng, preds.labels, max_flips=3, max_stmts=4, degenerate_share=0.1
         )
         gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
-        inputs = [dict(zip(preds.ctx.names, key)) for key in preds.ctx.states()]
-        rng.shuffle(inputs)
-        report = theorems.check_invariance(aprog, preds, gammas, inputs=inputs[:6])
+        report = theorems.check_invariance(aprog, preds, gammas)
         if not report.ok:
             result.failures.append(f"case {case}: {report.counterexamples[0]}")
     return result
@@ -223,36 +220,37 @@ _NAIVE_CMP = {
 }
 
 
-def naive_int(e, env):
-    """Reference value of an integer expression at a dict state: a plain
-    recursive walk, kept apart from `concrete.compile`, which it checks."""
+def naive_int(e, names, key):
+    """Reference value of an integer expression at the state `key`, a tuple
+    of values in the order of `names`: a plain recursive walk, kept apart
+    from `concrete.compile`, which it checks."""
     if isinstance(e, cc.IntConst):
         return e.value
     if isinstance(e, cc.IntVar):
-        return env[e.name]
+        return key[names.index(e.name)]
     if isinstance(e, cc.Add):
-        return naive_int(e.left, env) + naive_int(e.right, env)
+        return naive_int(e.left, names, key) + naive_int(e.right, names, key)
     if isinstance(e, cc.Sub):
-        return naive_int(e.left, env) - naive_int(e.right, env)
+        return naive_int(e.left, names, key) - naive_int(e.right, names, key)
     if isinstance(e, cc.Scale):
-        return e.coeff * naive_int(e.operand, env)
+        return e.coeff * naive_int(e.operand, names, key)
     raise AssertionError(e)
 
 
-def naive_cond(c, env):
-    """Reference truth value of a condition at a dict state (see `naive_int`)."""
+def naive_cond(c, names, key):
+    """Reference truth value of a condition at a state (see `naive_int`)."""
     if isinstance(c, cc.CTrue):
         return True
     if isinstance(c, cc.CFalse):
         return False
     if isinstance(c, cc.Cmp):
-        return _NAIVE_CMP[c.op](naive_int(c.left, env), naive_int(c.right, env))
+        return _NAIVE_CMP[c.op](naive_int(c.left, names, key), naive_int(c.right, names, key))
     if isinstance(c, cc.CNot):
-        return not naive_cond(c.operand, env)
+        return not naive_cond(c.operand, names, key)
     if isinstance(c, cc.CAnd):
-        return naive_cond(c.left, env) and naive_cond(c.right, env)
+        return naive_cond(c.left, names, key) and naive_cond(c.right, names, key)
     if isinstance(c, cc.COr):
-        return naive_cond(c.left, env) or naive_cond(c.right, env)
+        return naive_cond(c.left, names, key) or naive_cond(c.right, names, key)
     raise AssertionError(c)
 
 
@@ -267,14 +265,15 @@ def suite_oracle_crosscheck(seed=0, cases=500):
         ctx = theory.TheoryContext(decls)
         a = randgen.rand_cond(rng, decls, depth=2)
         b = randgen.rand_cond(rng, decls, depth=2)
-        states = [dict(zip(ctx.names, key)) for key in ctx.states()]
-        truth_a = [naive_cond(a, z) for z in states]
-        naive = all(naive_cond(b, z) for z, hit in zip(states, truth_a) if hit)
+        names = ctx.names
+        states = list(ctx.states())
+        truth_a = [naive_cond(a, names, z) for z in states]
+        naive = all(naive_cond(b, names, z) for z, hit in zip(states, truth_a) if hit)
         if ctx.entails(a, b) != naive:
             result.failures.append(f"case {case}: entails({a}, {b})")
         if ctx.satisfiable(a) != any(truth_a):
             result.failures.append(f"case {case}: satisfiable({a})")
-        fn = cc.compile(a)
+        fn = cc.compile(a, names)
         if [fn(z) for z in states] != truth_a:
             result.failures.append(f"case {case}: compile({a})")
     return result

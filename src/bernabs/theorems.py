@@ -101,8 +101,23 @@ def _nondet_reach(aprog, preds, a_in):
     return {tuple(s[i] for i in idx) for s in bern.interp_nondet(aprog, {start})}
 
 
-def _state_json(state):
-    return {k: v for k, v in sorted(state.items())}
+def _state_json(names, key):
+    """The state `key` as a dict sorted by name: the one place a state becomes a dict."""
+    return dict(sorted(zip(names, key)))
+
+
+def _input_keys(preds: PredicateList, inputs):
+    """The states a check sweeps, as value tuples: every joint state, or
+    `inputs`, the caller's dicts from name to value, each converted once."""
+    if inputs is None:
+        return preds.ctx.states()
+    names = preds.ctx.names
+    return (tuple([z[n] for n in names]) for z in inputs)
+
+
+def _same_order(cprog, preds: PredicateList):
+    if cprog.var_names != preds.ctx.names:
+        raise ValueError("the predicates' context must declare the program's variables in order")
 
 
 def _bits_json(pred_labels, bits):
@@ -117,18 +132,17 @@ def _sound_sweep(name, cprog, preds: PredicateList, inputs, reach_of) -> CheckRe
     ``reach_of(alpha(z))``, the abstract outputs reachable from alpha(z),
     which is computed once per abstract input.
 
-    `inputs` restricts the sweep (dicts); default is the whole bounded
-    domain.  Inputs whose concrete run blocks on an observe impose no
+    `inputs` restricts the sweep (dicts, see `_input_keys`); default is
+    the whole bounded domain.  Inputs whose concrete run blocks on an observe impose no
     requirement and are counted separately.
     """
     if not cprog.is_deterministic():
         raise ValueError("soundness sweeps need a draw-free concrete program")
+    _same_order(cprog, preds)
     report = CheckReport(name)
     reach_memo = {}
     checked = blocked = 0
-    if inputs is None:
-        inputs = (dict(zip(preds.ctx.names, key)) for key in preds.ctx.states())
-    for z in inputs:
+    for z in _input_keys(preds, inputs):
         out = cc.eval_det(cprog, z)
         if out is cc.BLOCKED:
             blocked += 1
@@ -142,7 +156,7 @@ def _sound_sweep(name, cprog, preds: PredicateList, inputs, reach_of) -> CheckRe
         if a_out not in hit:
             report.counterexamples.append(
                 {
-                    "z": _state_json(z),
+                    "z": _state_json(preds.ctx.names, z),
                     "expected": _bits_json(preds.labels, a_out),
                     "got": sorted(
                         str(_bits_json(preds.labels, b)) for b in hit
@@ -250,7 +264,7 @@ class ConcretizationDistribution:
             cell = set(cells.get(bits, ()))
             for key in row:
                 if key not in cell:
-                    state = dict(zip(self.var_names, key))
+                    state = _state_json(self.var_names, key)
                     raise ValueError(
                         f"{self.name}: mass on {state} outside the cell of {bits}"
                     )
@@ -258,12 +272,8 @@ class ConcretizationDistribution:
     def is_compatible(self, preds: PredicateList) -> bool:
         """Def-8 compatibility: every concrete state has positive mass in
         its own cell (fails for point-mass rows over multi-state cells)."""
-        for key in preds.ctx.states():
-            state = dict(zip(self.var_names, key))
-            bits = preds.alpha(state)
-            if self.row(bits).get(key, Fraction(0)) <= 0:
-                return False
-        return True
+        cells = preds.cells().items()
+        return all(self.row(bits).get(key, 0) > 0 for bits, keys in cells for key in keys)
 
 
 GAMMA_FAMILIES = (
@@ -294,7 +304,7 @@ def concrete_semantics(
     aprog,
     preds: PredicateList,
     gamma: ConcretizationDistribution,
-    z_i: dict,
+    z_i: tuple,
     pr_a=None,
 ):
     """Pr over concrete outputs from z_i: sum over abstract outputs of
@@ -378,9 +388,7 @@ def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckR
     """
     report = CheckReport("invariance")
     gammas = list(gammas)
-    if inputs is None:
-        inputs = (dict(zip(preds.ctx.names, key)) for key in preds.ctx.states())
-    classed = [(z_i, preds.alpha(z_i)) for z_i in inputs]
+    classed = [(z_i, preds.alpha(z_i)) for z_i in _input_keys(preds, inputs)]
     outputs = [m.bits for m in preds.feasible_minterms()]
     pr_a_memo = {}
     for gamma in gammas:
@@ -398,7 +406,7 @@ def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckR
                 report.counterexamples.append(
                     {
                         "gamma": gamma.name,
-                        "z_i": _state_json(z_i),
+                        "z_i": _state_json(preds.ctx.names, z_i),
                         "a_o": _bits_json(preds.labels, a_o),
                         "expected": str(expected),
                         "got": str(got),
@@ -527,7 +535,9 @@ def _structural_free_mass(site, preds, base: cc.ConcreteDistribution, stmt):
         state.update((f"cur {lbl}", bit) for lbl, bit in zip(preds.labels, post_bits))
         return state
 
-    value_at = cc.compile(stmt.expr) if isinstance(stmt, cc.Assign) else None
+    names = base.var_names
+    value_at = cc.compile(stmt.expr, names) if isinstance(stmt, cc.Assign) else None
+    slot = names.index(stmt.name)
     denom = num = Fraction(0)
     for z, w in base.items():
         pre_bits = preds.alpha(z)
@@ -537,9 +547,7 @@ def _structural_free_mass(site, preds, base: cc.ConcreteDistribution, stmt):
             share = Fraction(1, stmt.hi - stmt.lo)
             outcomes = [(v, share) for v in range(stmt.lo, stmt.hi)]
         for value, q in outcomes:
-            post = dict(z)
-            post[stmt.name] = value
-            post_bits = preds.alpha(post)
+            post_bits = preds.alpha(z[:slot] + (value,) + z[slot + 1 :])
             state = scratch_state(pre_bits, post_bits)
             if bern.eval_expr(must_true, state, {}):
                 continue
@@ -566,6 +574,7 @@ def fit_parameters(
 
     Returns (program with parameters substituted, updated site table).
     """
+    _same_order(cprog, preds)
     fitted = []
     theta_map = {}
     for site in sites:

@@ -130,9 +130,7 @@ def test_criterion_3_eleven_thirty_seconds_three_ways():
         ).probability
         assert results["fit"] == Fraction(11, 32)
     with criterion(3, "11/32 via brute-force concrete enumeration", 1.0):
-        dist = cc.eval_dist(
-            prog, cc.ConcreteDistribution.point(prog, {"a": 0, "b": 0, "c": 0})
-        )
+        dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0, 0, 0)))
         results["concrete"] = cc.query_prob(dist, preds.cond_of("c<5"))
         assert results["concrete"] == Fraction(11, 32)
     assert len(set(results.values())) == 1

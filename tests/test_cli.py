@@ -52,6 +52,30 @@ def test_abstract_bad_input_exit_2(files, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("where", ["flip", "params"])
+def test_zero_denominator_exit_2(files, capsys, where):
+    """A zero denominator is bad input, in a flip and in --params alike."""
+    paths, tmp = files
+    if where == "flip":
+        zero = tmp / "zero.bern"
+        zero.write_text("bool a\na = flip(1/0)\n")
+        rc = cli.main(["infer", str(zero), "--event", "a"])
+    else:
+        rc = cli.main(["abstract", paths["branch.cp"], paths["branch.preds"],
+                       "--mode", "prob", "--params", "fixed=1/0"])
+    assert rc == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["fixed", "fixed:1/2"])
+def test_params_fixed_takes_only_the_documented_form(files, capsys, params):
+    paths, _ = files
+    rc = cli.main(["abstract", paths["branch.cp"], paths["branch.preds"],
+                   "--mode", "prob", "--params", params])
+    assert rc == 2
+    assert "fixed=<r>" in capsys.readouterr().err
+
+
 def test_abstract_dump_queries(files):
     """The per-cube queries the predicate image answered are still exported."""
     paths, tmp = files

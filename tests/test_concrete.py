@@ -52,50 +52,50 @@ def test_draw_outside_declared_range_rejected():
 
 def test_eval_det_branch_reset():
     prog = parsing.parse_concrete(corpus.BRANCH_RESET_CP)
-    assert cc.eval_det(prog, {"x": -1}) == {"x": 0}
-    assert cc.eval_det(prog, {"x": 1}) == {"x": 2}
+    assert cc.eval_det(prog, (-1,)) == (0,)
+    assert cc.eval_det(prog, (1,)) == (2,)
 
 
 def test_eval_det_identity_on_empty():
     prog = parsing.parse_concrete("var x in [0, 4)\n")
-    assert cc.eval_det(prog, {"x": 3}) == {"x": 3}
+    assert cc.eval_det(prog, (3,)) == (3,)
 
 
 def test_eval_det_blocked():
     prog = parsing.parse_concrete("var x in [0, 4)\nobserve(x < 2)")
-    assert cc.eval_det(prog, {"x": 3}) is cc.BLOCKED
+    assert cc.eval_det(prog, (3,)) is cc.BLOCKED
 
 
 def test_eval_det_range_violation():
     prog = parsing.parse_concrete("var x in [0, 4)\nx = x + 1")
     with pytest.raises(RangeViolationError):
-        cc.eval_det(prog, {"x": 3})
+        cc.eval_det(prog, (3,))
 
 
 def test_eval_det_is_deterministic():
     prog = parsing.parse_concrete(corpus.BRANCH_RESET_CP)
-    assert cc.eval_det(prog, {"x": 2}) == cc.eval_det(prog, {"x": 2})
+    assert cc.eval_det(prog, (2,)) == cc.eval_det(prog, (2,))
 
 
 def test_uniform_two_points():
     prog = parsing.parse_concrete("var x in [0, 4)\nx = unif [0, 2)")
-    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"x": 0}))
-    assert dict((s["x"], w) for s, w in dist.items()) == {
-        0: Fraction(1, 2),
-        1: Fraction(1, 2),
+    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0,)))
+    assert dict(dist.items()) == {
+        (0,): Fraction(1, 2),
+        (1,): Fraction(1, 2),
     }
 
 
 def test_observe_drops_mass():
     prog = parsing.parse_concrete("var x in [0, 4)\nx = unif [0, 2)\nobserve(x < 1)")
-    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"x": 0}))
+    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0,)))
     assert dist.survival == Fraction(1, 2)
-    assert dist.mass_of({"x": 0}) == Fraction(1, 2)
+    assert dist.mass_of((0,)) == Fraction(1, 2)
 
 
 def test_chain_draws_eleven_thirty_seconds():
     prog = parsing.parse_concrete(corpus.CHAIN_DRAWS_CP)
-    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"a": 0, "b": 0, "c": 0}))
+    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0, 0, 0)))
     c_lt_5 = parsing.parse_cond("c < 5", ["c"])
     assert cc.query_prob(dist, c_lt_5) == Fraction(11, 32)
     # sanity anchor: the first draw hits a < 5 with probability 1/2
@@ -104,11 +104,11 @@ def test_chain_draws_eleven_thirty_seconds():
 
 def test_query_prob_trivial_and_impossible():
     prog = parsing.parse_concrete("var x in [0, 2)\nx = unif [0, 2)")
-    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"x": 0}))
+    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0,)))
     assert cc.query_prob(dist, cc.CTrue()) == 1
     assert cc.query_prob(dist, cc.CFalse()) == 0
     dead = parsing.parse_concrete("var x in [0, 2)\nobserve(x > 5)")
-    empty = cc.eval_dist(dead, cc.ConcreteDistribution.point(dead, {"x": 0}))
+    empty = cc.eval_dist(dead, cc.ConcreteDistribution.point(dead, (0,)))
     with pytest.raises(ConditionOnImpossibleError):
         cc.query_prob(empty, cc.CTrue())
 
@@ -116,10 +116,12 @@ def test_query_prob_trivial_and_impossible():
 def test_point_mass_matches_eval_det():
     prog = parsing.parse_concrete(corpus.BRANCH_RESET_CP)
     for x in (-5, -1, 0, 3):
-        dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"x": x}))
-        out = cc.eval_det(prog, {"x": x})
+        dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (x,)))
+        out = cc.eval_det(prog, (x,))
         assert dist.survival == 1
         assert dist.mass_of(out) == 1
+    with pytest.raises(ValueError, match="not a state"):
+        cc.ConcreteDistribution.point(prog, (0, 0))
 
 
 def test_mass_conserved_without_observe():
@@ -132,34 +134,34 @@ def test_mass_conserved_without_observe():
 
 def naive_paths(program, state):
     """Independent path-enumeration oracle: list of (state, weight)."""
+    names = program.var_names
+
+    def put(st, name, value):
+        i = names.index(name)
+        return st[:i] + (value,) + st[i + 1 :]
 
     def go(body, st, w):
         if not body:
             return [(st, w)]
         stmt, rest = body[0], body[1:]
         if isinstance(stmt, cc.Assign):
-            value = naive_int(stmt.expr, st)
-            st2 = dict(st)
-            st2[stmt.name] = value
-            return go(rest, st2, w)
+            return go(rest, put(st, stmt.name, naive_int(stmt.expr, names, st)), w)
         if isinstance(stmt, cc.Draw):
             out = []
             share = Fraction(1, stmt.hi - stmt.lo)
             for v in range(stmt.lo, stmt.hi):
-                st2 = dict(st)
-                st2[stmt.name] = v
-                out.extend(go(rest, st2, w * share))
+                out.extend(go(rest, put(st, stmt.name, v), w * share))
             return out
         if isinstance(stmt, cc.Observe):
-            if naive_cond(stmt.cond, st):
+            if naive_cond(stmt.cond, names, st):
                 return go(rest, st, w)
             return []
         if isinstance(stmt, cc.If):
-            branch = stmt.then if naive_cond(stmt.cond, st) else stmt.els
+            branch = stmt.then if naive_cond(stmt.cond, names, st) else stmt.els
             return go(branch + rest, st, w)
         raise AssertionError(stmt)
 
-    return go(tuple(program.body), dict(state), Fraction(1))
+    return go(tuple(program.body), state, Fraction(1))
 
 
 def test_eval_dist_matches_naive_paths():
@@ -168,17 +170,15 @@ def test_eval_dist_matches_naive_paths():
         prog = randgen.rand_concrete_program(
             rng, max_vars=3, max_range=8, max_stmts=6, draws=True, observes=True
         )
-        start = {d.name: rng.randrange(d.lo, d.hi) for d in prog.decls}
+        start = tuple(rng.randrange(d.lo, d.hi) for d in prog.decls)
         dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, start))
         expected = {}
-        for st, w in naive_paths(prog, start):
-            key = tuple(st[n] for n in prog.var_names)
+        for key, w in naive_paths(prog, start):
             expected[key] = expected.get(key, Fraction(0)) + w
-        got = {tuple(s[n] for n in prog.var_names): w for s, w in dist.items()}
-        assert got == {k: v for k, v in expected.items() if v > 0}
+        assert dict(dist.items()) == {k: v for k, v in expected.items() if v > 0}
 
 
-def test_compile_matches_reference_on_dict_and_tuple_states():
+def test_compile_matches_reference_on_tuple_states():
     rng = random.Random(12)
     for _ in range(150):
         decls = randgen.rand_decls(rng)
@@ -192,10 +192,9 @@ def test_compile_matches_reference_on_dict_and_tuple_states():
         ]
         ranges = {d.name: range(d.lo, d.hi) for d in decls}
         for tree, reference in trees:
-            on_dict, on_tuple = cc.compile(tree), cc.compile(tree, names)
+            fn = cc.compile(tree, names)
             for key in itertools.product(*(ranges[n] for n in names)):
-                state = dict(zip(names, key))
-                assert on_dict(state) == on_tuple(key) == reference(tree, state)
+                assert fn(key) == reference(tree, names, key)
 
 
 def test_text_and_smtlib_golden():

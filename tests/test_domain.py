@@ -43,17 +43,17 @@ def two_pred_domain():
 
 def test_alpha_examples():
     _, preds = single_pred_domain()
-    assert preds.alpha({"x": -1}) == (True,)
+    assert preds.alpha((-1,)) == (True,)
     _, preds2 = two_pred_domain()
-    assert preds2.alpha({"x": 0}) == (False, True)
+    assert preds2.alpha((0,)) == (False, True)
     ctx = theory.TheoryContext([cc.VarDecl("x", 0, 2)])
     empty = PredicateList([], ctx)
-    assert empty.alpha({"x": 1}) == ()
+    assert empty.alpha((1,)) == ()
 
 
 def test_gamma_lower_examples():
     _, preds = single_pred_domain()
-    assert [z["x"] for z in preds.gamma_lower((True,))] == [-2, -1]
+    assert preds.gamma_lower((True,)) == [(-2,), (-1,)]
     _, preds2 = two_pred_domain()
     assert preds2.gamma_lower((True, False)) == []  # x<-4 and not x<3
     ctx = theory.TheoryContext([cc.VarDecl("x", 0, 3)])
@@ -126,14 +126,10 @@ def test_compatibility_properties():
         preds = PredicateList(randgen.rand_predicates(rng, decls, 3), ctx)
         cells = {}
         for key in ctx.states():
-            z = dict(zip(ctx.names, key))
-            bits = preds.alpha(z)
+            bits = preds.alpha(key)
             cells.setdefault(bits, set()).add(key)
             # compatibility: z lies in the cell of its own abstraction
-            assert any(
-                tuple(w[n] for n in ctx.names) == key
-                for w in preds.gamma_lower(bits)
-            )
+            assert key in preds.gamma_lower(bits)
         # strong compatibility: distinct cells are disjoint by construction
         seen = {}
         for bits, keys in cells.items():
@@ -142,9 +138,12 @@ def test_compatibility_properties():
                 seen[k] = bits
         # gamma_lower is the brute-force cell, empty for infeasible minterms;
         # alpha is taken here by the reference evaluator, not compiled
-        states = [dict(zip(ctx.names, key)) for key in ctx.states()]
+        states = list(ctx.states())
         for m in preds.minterms():
-            cell = [z for z in states if tuple(naive_cond(c, z) for c in preds.conds) == m.bits]
+            cell = [
+                z for z in states
+                if tuple(naive_cond(c, ctx.names, z) for c in preds.conds) == m.bits
+            ]
             assert preds.gamma_lower(m.bits) == cell
 
 
@@ -157,9 +156,8 @@ def test_strongest_implied_is_strongest():
         c = randgen.rand_cond(rng, decls)
         d = preds.strongest_implied(c)
         # implied by c: every satisfying state abstracts into the formula
-        for key in ctx.states():
-            z = dict(zip(ctx.names, key))
-            if naive_cond(c, z):
+        for z in ctx.states():
+            if naive_cond(c, ctx.names, z):
                 bits = preds.alpha(z)
                 assert not (d & minterm_bdd(preds, bits)).is_false
         # strongest: every included minterm is witnessed by some c-state

@@ -95,6 +95,50 @@ def test_sound_prob_degenerate_theta_breaks(branch_reset):
     assert not report1.ok
 
 
+def test_checks_read_dict_inputs_as_the_full_sweep(monkeypatch):
+    """`inputs=` given as dicts, one per joint state in sweep order,
+    reports exactly what the default sweep reports, counterexamples
+    included."""
+    prog = parsing.parse_concrete(
+        "var x in [-8, 8)\nvar y in [0, 2)\nif (x < 0) { x = 0 } else { x = x - y }"
+    )
+    ctx = theory.TheoryContext.of_program(prog)
+    preds = PredicateList(parsing.parse_preds(corpus.BRANCH_RESET_PREDS), ctx)
+    # each dict lists y before x: a state is read by name, not by position
+    every = [{"y": y, "x": x} for x, y in ctx.states()]
+    nondet = parsing.parse_bern(corpus.BRANCH_RESET_BERN)
+    prob, _ = bld.abstract_program(
+        prog, preds, bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fixed(Fraction(0)))
+    )
+    # a gamma row that leaks mass into another cell, let past validation
+    leaky = theorems.ConcretizationDistribution.uniform(preds)
+    leaky.rows[(False, True)] = {(-4, 0): Fraction(1, 2), (-5, 0): Fraction(1, 2)}
+    monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
+    gammas = [theorems.ConcretizationDistribution.rank_weighted(preds), leaky]
+    reports = []
+    for inputs in (None, every):
+        reports.append([
+            theorems.check_sound_nondet(prog, nondet, preds, inputs=inputs).to_json(),
+            theorems.check_sound_prob(prog, prob, preds, inputs=inputs).to_json(),
+            theorems.check_invariance(prob, preds, gammas, inputs=inputs).to_json(),
+        ])
+    assert reports[0] == reports[1]
+    assert [r["status"] for r in reports[0]] == ["fail", "fail", "fail"]
+    # x = 3 steps to 2 when y = 1, which the hand abstraction cannot reach
+    assert [cex["z"] for cex in reports[0][0]["counterexamples"]] == [{"x": 3, "y": 1}]
+    assert {cex["gamma"] for cex in reports[0][2]["counterexamples"]} == {"uniform"}
+    assert len(reports[0][2]["counterexamples"]) > 1
+
+
+def test_checks_need_the_programs_variable_order():
+    prog = parsing.parse_concrete("var x in [0, 4)\nvar y in [0, 2)\nx = y")
+    ctx = theory.TheoryContext(tuple(reversed(prog.decls)))
+    preds = PredicateList([("x<2", parsing.parse_cond("x < 2", ["x"]))], ctx)
+    aprog = parsing.parse_bern("bool {x<2}\n{x<2} = T")
+    with pytest.raises(ValueError, match="in order"):
+        theorems.check_sound_nondet(prog, aprog, preds)
+
+
 def test_theorem1_verdicts_agree_on_random_pairs():
     rng = random.Random(43)
     agree = 0
@@ -186,8 +230,8 @@ def test_concrete_semantics_cell_mass():
     ctx, preds = fig1_setting()
     aprog = parsing.parse_bern("bool {x<0}\n{x<0} = flip(1/3)")
     for gamma in (g(preds) for g in theorems.GAMMA_FAMILIES):
-        dist = theorems.concrete_semantics(aprog, preds, gamma, {"x": -1})
-        cell_mass = dist.mass_of({"x": -2}) + dist.mass_of({"x": -1})
+        dist = theorems.concrete_semantics(aprog, preds, gamma, (-1,))
+        cell_mass = dist.mass_of((-2,)) + dist.mass_of((-1,))
         assert cell_mass == Fraction(1, 3)
 
 
@@ -195,9 +239,9 @@ def test_concrete_semantics_point_mass_relabels():
     ctx, preds = fig1_setting()
     aprog = parsing.parse_bern("bool {x<0}\n{x<0} = flip(1/3)")
     gamma = theorems.ConcretizationDistribution.point_mass_min(preds)
-    dist = theorems.concrete_semantics(aprog, preds, gamma, {"x": 0})
-    assert dist.mass_of({"x": -2}) == Fraction(1, 3)  # cell minimum of x<0
-    assert dist.mass_of({"x": 0}) == Fraction(2, 3)  # cell minimum of !(x<0)
+    dist = theorems.concrete_semantics(aprog, preds, gamma, (0,))
+    assert dist.mass_of((-2,)) == Fraction(1, 3)  # cell minimum of x<0
+    assert dist.mass_of((0,)) == Fraction(2, 3)  # cell minimum of !(x<0)
 
 
 def test_proposition1_collapse_equals_full_sum():
@@ -208,7 +252,7 @@ def test_proposition1_collapse_equals_full_sum():
         preds = PredicateList(randgen.rand_predicates(rng, decls, 2), ctx)
         aprog = randgen.rand_bern_program(rng, preds.labels, max_flips=3, max_stmts=4)
         gamma = theorems.ConcretizationDistribution.rank_weighted(preds)
-        z = dict(zip(ctx.names, next(iter(ctx.states()))))
+        z = next(iter(ctx.states()))
         a = theorems.concrete_semantics(aprog, preds, gamma, z)
         # the full double sum: every (z_o, a_o) pair, zero terms included
         pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(z))
@@ -219,7 +263,7 @@ def test_proposition1_collapse_equals_full_sum():
             for key in states:
                 full[key] += row.get(key, Fraction(0)) * p
         for key in states:
-            assert a.mass_of(dict(zip(ctx.names, key))) == full[key]
+            assert a.mass_of(key) == full[key]
 
 
 def test_invariance_fig1_two_gammas():
@@ -260,7 +304,7 @@ def test_gamma_validated_once_per_check(monkeypatch):
     with pytest.raises(ValueError, match="sums to 2"):
         theorems.check_invariance(aprog, preds, [doubled])
     with pytest.raises(ValueError, match="sums to 2"):
-        theorems.concrete_semantics(aprog, preds, doubled, {"x": -1})
+        theorems.concrete_semantics(aprog, preds, doubled, (-1,))
 
 
 def test_fit_chain_parameters(chain_draws):
@@ -309,7 +353,7 @@ def test_end_to_end_decomposed_matches_concrete(chain_draws):
     prog, ctx, preds = chain_draws
     event = parsing.parse_event("{c<5}", preds.labels)
     got = theorems.end_to_end_decomposed_query(prog, preds, event)
-    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"a": 0, "b": 0, "c": 0}))
+    dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0, 0, 0)))
     want = cc.query_prob(dist, preds.cond_of("c<5"))
     assert got == want == Fraction(11, 32)
 
@@ -347,7 +391,7 @@ def test_end_to_end_random_chain_family():
         )
         event = bern.BVar(f"b<{cut2}")
         got = theorems.end_to_end_decomposed_query(prog, preds, event)
-        dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, {"a": 0, "b": 0}))
+        dist = cc.eval_dist(prog, cc.ConcreteDistribution.point(prog, (0, 0)))
         want = cc.query_prob(dist, preds.cond_of(f"b<{cut2}"))
         assert got == want
 
@@ -375,12 +419,13 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
     leaky.rows[(True, True)] = {(-2,): Fraction(1, 4), (-1,): Fraction(1, 4), (0,): Fraction(1, 2)}
     gammas = [theorems.ConcretizationDistribution.rank_weighted(preds), leaky]
     inputs = [{"x": v} for v in range(-2, 4)]
+    keys = [(v,) for v in range(-2, 4)]
     outputs = [m.bits for m in preds.feasible_minterms()]
 
     want = []
     for gamma in gammas:
-        for z_i in inputs:
-            pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(z_i))
+        for z_i, key_i in zip(inputs, keys):
+            pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(key_i))
             mass = {}
             for a_state, p in pr_a.items():
                 for key, q in gamma.row(tuple(a_state[lbl] for lbl in preds.labels)).items():
@@ -412,5 +457,5 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
     monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
     report = theorems.check_invariance(aprog, preds, gammas, inputs=inputs)
     assert report.counterexamples == want
-    assert sorted(calls) == sorted({preds.alpha(z) for z in inputs})
+    assert sorted(calls) == sorted({preds.alpha(key) for key in keys})
     assert report.stats == {"gammas": 2, "pairs": 2 * 6 * 3}

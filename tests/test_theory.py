@@ -71,10 +71,9 @@ def test_wp_soundness_by_enumeration():
         target = randgen.rand_cond(rng, decls)
         wp = theory.wp_subst(stmt.name, stmt.expr, target)
         prog = cc.ConcreteProgram(decls, (stmt,))
-        for key in ctx.states():
-            z = dict(zip(ctx.names, key))
+        for z in ctx.states():
             post = cc.eval_det(prog, z)
-            assert naive_cond(target, post) == naive_cond(wp, z)
+            assert naive_cond(target, ctx.names, post) == naive_cond(wp, ctx.names, z)
 
 
 def test_memoization_counts_queries():
