@@ -4,11 +4,16 @@ The checks here connect the three semantics: concrete execution, the
 non-deterministic Boolean program, and the probabilistic one.  Soundness
 checks sweep the whole bounded concrete domain; invariance checks verify
 that abstract-event probabilities do not depend on the concretization
-distribution.  Both get the abstract semantics Pr_A from one source, the
-symbolic engine (`abstract_output_distribution`), so neither has a flip
-cap.  Lowering turns flips into unconstrained choices (supports only);
-it and the flip-enumerating `bern.interp_exact` are the references the
-tests hold the engine-backed checks to, and no check here calls them.
+distribution.  Every check reads the abstract semantics from one object,
+the transition kernel Pr_A(a' | a) of the abstract program
+(`abstract_kernel`), which one symbolic engine run yields for every
+feasible a at once: a ghost copy of each predicate records the input, and
+each row is the weighted count of Δ with the ghosts fixed to a.  A
+non-deterministic program runs with each * a flip(1/2), so its reach set
+from a is the support of row a.  The engine has no flip cap, so neither
+has a check.  Lowering turns flips into unconstrained choices (supports
+only); it, the flip-enumerating `bern.interp_exact` and `bern.interp_nondet`
+are the references the tests hold the kernel to, and no check calls them.
 Parameter fitting evaluates each flip's conditional probability on a
 fragment of the concrete program, which is the step that reproduces
 hand-computed abstraction parameters exactly.
@@ -26,7 +31,7 @@ from bernabs import builder as bld
 from bernabs import concrete as cc
 from bernabs import engine
 from bernabs.domain import PredicateList
-from bernabs.errors import ModeError
+from bernabs.errors import ModeError, UniverseError
 from bernabs.theory import wp_subst
 
 
@@ -95,7 +100,8 @@ def _aux_padded(decls, pred_labels, bits):
 
 def _nondet_reach(aprog, preds, a_in):
     """The predicate bits of every end state the non-deterministic
-    program reaches from a_in."""
+    program reaches from a_in, by `bern.interp_nondet`: the reference the
+    tests hold the kernel's row supports to."""
     start = _aux_padded(aprog.decls, preds.labels, a_in)
     idx = [aprog.decls.index(lbl) for lbl in preds.labels]
     return {tuple(s[i] for i in idx) for s in bern.interp_nondet(aprog, {start})}
@@ -106,13 +112,15 @@ def _state_json(names, key):
     return dict(sorted(zip(names, key)))
 
 
-def _input_keys(preds: PredicateList, inputs):
-    """The states a check sweeps, as value tuples: every joint state, or
-    `inputs`, the caller's dicts from name to value, each converted once."""
+def _classed_inputs(preds: PredicateList, inputs):
+    """(state, α(state)) for each state a check sweeps, the state a value
+    tuple: every joint state, with α read off the α-image, or `inputs`,
+    the caller's dicts from name to value, each converted once."""
     if inputs is None:
-        return preds.ctx.states()
+        return zip(preds.ctx.states(), preds._alpha_image()[0])
     names = preds.ctx.names
-    return (tuple([z[n] for n in names]) for z in inputs)
+    keys = (tuple([z[n] for n in names]) for z in inputs)
+    return ((key, preds.alpha(key)) for key in keys)
 
 
 def _same_order(cprog, preds: PredicateList):
@@ -127,12 +135,12 @@ def _bits_json(pred_labels, bits):
 # --- soundness -----------------------------------------------------------------
 
 
-def _sound_sweep(name, cprog, preds: PredicateList, inputs, reach_of) -> CheckReport:
-    """The sweep both soundness checks share: alpha(C(z)) must be among
-    ``reach_of(alpha(z))``, the abstract outputs reachable from alpha(z),
-    which is computed once per abstract input.
+def _sound_sweep(name, cprog, preds: PredicateList, inputs, kernel) -> CheckReport:
+    """The sweep both soundness checks share: alpha(C(z)) must be in the
+    support of row alpha(z) of `kernel` (see `abstract_kernel`), the
+    abstract outputs reachable from alpha(z).
 
-    `inputs` restricts the sweep (dicts, see `_input_keys`); default is
+    `inputs` restricts the sweep (dicts, see `_classed_inputs`); default is
     the whole bounded domain.  Inputs whose concrete run blocks on an observe impose no
     requirement and are counted separately.
     """
@@ -140,30 +148,28 @@ def _sound_sweep(name, cprog, preds: PredicateList, inputs, reach_of) -> CheckRe
         raise ValueError("soundness sweeps need a draw-free concrete program")
     _same_order(cprog, preds)
     report = CheckReport(name)
-    reach_memo = {}
+    met = set()
     checked = blocked = 0
-    for z in _input_keys(preds, inputs):
+    for z, a_in in _classed_inputs(preds, inputs):
         out = cc.eval_det(cprog, z)
         if out is cc.BLOCKED:
             blocked += 1
             continue
         checked += 1
-        a_in = preds.alpha(z)
-        hit = reach_memo.get(a_in)
-        if hit is None:
-            hit = reach_memo[a_in] = reach_of(a_in)
+        met.add(a_in)
+        row = kernel[a_in]
         a_out = preds.alpha(out)
-        if a_out not in hit:
+        if a_out not in row:
             report.counterexamples.append(
                 {
                     "z": _state_json(preds.ctx.names, z),
                     "expected": _bits_json(preds.labels, a_out),
                     "got": sorted(
-                        str(_bits_json(preds.labels, b)) for b in hit
+                        str(_bits_json(preds.labels, b)) for b in row
                     ),
                 }
             )
-    report.stats = {"checked": checked, "blocked": blocked, "abstract_inputs": len(reach_memo)}
+    report.stats = {"checked": checked, "blocked": blocked, "abstract_inputs": len(met)}
     return report
 
 
@@ -174,9 +180,15 @@ def check_sound_nondet(
     inputs=None,
 ) -> CheckReport:
     """Def-style sweep: alpha(C(z)) must be reachable from {alpha(z)} in
-    the non-deterministic program (see `_sound_sweep`)."""
+    the non-deterministic program (see `_sound_sweep`).
+
+    The reach set from a is the support of row a of the kernel of the
+    program with every * a flip(1/2) (`_star_flips`): every resolution of
+    the stars has positive weight there, so positive mass and reachable
+    are the same.  `bern.interp_nondet` is the tests' reference.
+    """
     return _sound_sweep(
-        "sound-nondet", cprog, preds, inputs, lambda a_in: _nondet_reach(aprog, preds, a_in)
+        "sound-nondet", cprog, preds, inputs, abstract_kernel(_star_flips(aprog), preds)
     )
 
 
@@ -189,27 +201,94 @@ def check_sound_prob(
     """Probabilistic soundness by its definition: Pr_A(alpha(C(z)) |
     alpha(z)) > 0 for every input z (see `_sound_sweep`).
 
-    Pr_A comes from the symbolic engine through
-    `abstract_output_distribution`, so the check has no flip cap.  The
-    tests hold its verdicts to two references: the lowering theorem
-    (`check_sound_nondet` on `lower(aprog)`) and the flip-enumerating
-    `bern.interp_exact`.
+    Pr_A comes from the symbolic engine through `abstract_kernel`, so the
+    check has no flip cap.  The tests hold its verdicts to two
+    references: the lowering theorem (`check_sound_nondet` on
+    `lower(aprog)`) and the flip-enumerating `bern.interp_exact`.
     """
-    return _sound_sweep(
-        "sound-prob",
-        cprog,
-        preds,
-        inputs,
-        lambda a_in: abstract_output_distribution(aprog, preds, a_in).support(),
+    return _sound_sweep("sound-prob", cprog, preds, inputs, abstract_kernel(aprog, preds))
+
+
+# --- the transition kernel -------------------------------------------------------
+
+GHOST_SUFFIX = "@0"  # p@0 holds the value predicate p had at the start
+
+
+def _star_flips(aprog: bern.BernProgram) -> bern.BernProgram:
+    """The non-deterministic program with its chooses desugared to * and
+    every * a flip(1/2): the probabilistic program whose kernel rows have
+    the reach sets as supports."""
+    program = bern.desugar_program(aprog, "nondet")
+
+    def on_node(e):
+        return bern.Flip(e.occurrence, Fraction(1, 2)) if isinstance(e, bern.Star) else e
+
+    return bern.map_program(program, on_node, mode="prob")
+
+
+def _kernel_program(aprog: bern.BernProgram, preds: PredicateList) -> bern.BernProgram:
+    """`aprog` behind one prefix assignment that sets a ghost p@0, declared
+    directly before p, to each predicate p, and every auxiliary (the
+    ``@pre`` snapshots) to F.  Run from T, its Δ at the end relates the
+    ghosts, the flips and the output state, and fixing the ghosts to a
+    fixes the start to a with the auxiliaries False."""
+    missing = [lbl for lbl in preds.labels if lbl not in aprog.decls]
+    if missing:
+        missing = ", ".join(missing)
+        raise ValueError(f"the abstract program does not declare these predicates: {missing}")
+    ghost = {lbl: lbl + GHOST_SUFFIX for lbl in preds.labels}
+    clash = [g for g in ghost.values() if g in aprog.decls]
+    if clash:
+        raise UniverseError(f"ghost variable {clash[0]!r} collides with a declared variable")
+    decls = []
+    for name in aprog.decls:
+        if name in ghost:
+            decls.append(ghost[name])
+        decls.append(name)
+    aux = [name for name in aprog.decls if name not in ghost]
+    prefix = bern.PAssign(
+        (*ghost.values(), *aux),
+        (*map(bern.BVar, preds.labels), *[bern.BFalse()] * len(aux)),
     )
+    return bern.BernProgram(tuple(decls), (prefix, *aprog.body), aprog.mode)
 
 
-def _cube_expr(labels, bits) -> bern.BernExpr:
-    expr = None
-    for lbl, bit in zip(labels, bits):
-        lit = bern.BVar(lbl) if bit else bern.BNot(bern.BVar(lbl))
-        expr = lit if expr is None else bern.BAnd(expr, lit)
-    return expr if expr is not None else bern.BTrue()
+def _restricted(delta, variables, bits):
+    for var, bit in zip(variables, bits):
+        delta = delta.restrict(var, bit)
+    return delta
+
+
+def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
+    """The transition kernel Pr_A(a' | a) of `aprog`: {a: {a': mass}} over
+    the feasible abstract states, keyed by bits tuples in the predicates'
+    order, with the a' of zero mass left out.  Masses are unnormalized:
+    observe losses shrink a row's total.
+
+    One symbolic run of `_kernel_program` gives Δ over (ghosts, flips,
+    output state).  Row a is Δ restricted to ghosts = a; its cell a' is
+    that restricted to outputs = a', counted over the flips and the
+    auxiliaries.  A start state and a flip assignment fix the end state,
+    so each auxiliary is fixed wherever the count is not 0, and counting
+    it with weight (1, 1) adds nothing.
+    """
+    run = engine.run_symbolic(_kernel_program(aprog, preds))
+    ctx = run.ctx
+    ghosts = [ctx.state_vars[lbl + GHOST_SUFFIX] for lbl in preds.labels]
+    outputs = [ctx.state_vars[lbl] for lbl in preds.labels]
+    weights = dict(ctx.flip_weights)
+    weights.update((ctx.state_vars[n], (1, 1)) for n in aprog.decls if n not in preds.labels)
+    feasible = [m.bits for m in preds.feasible_minterms()]
+    delta = run.at("end").delta
+    kernel = {}
+    for a in feasible:
+        from_a = _restricted(delta, ghosts, a)
+        row = kernel[a] = {}
+        for a_out in feasible:
+            mass = _restricted(from_a, outputs, a_out).wmc(weights)
+            if mass:
+                row[a_out] = mass
+    return kernel
 
 
 # --- concretization distributions ------------------------------------------------
@@ -283,41 +362,23 @@ GAMMA_FAMILIES = (
 )
 
 
-def abstract_output_distribution(aprog, preds, a_in_bits) -> bern.AbstractDistribution:
-    """Pr_A(. | a_in): unnormalized transition distribution (observe losses
-    shrink the total mass), marginalized onto the predicate variables.
-
-    One symbolic run from the padded input point, then one unnormalized
-    query per feasible output minterm: those are the only outputs a gamma
-    row or alpha(C(z)) can name.
-    """
-    start = _aux_padded(aprog.decls, preds.labels, a_in_bits)
-    run = engine.run_symbolic(aprog, init=dict(zip(aprog.decls, start)))
-    mass = {
-        m.bits: engine.query(run, _cube_expr(preds.labels, m.bits), normalized=False).probability
-        for m in preds.feasible_minterms()
-    }
-    return bern.AbstractDistribution(preds.labels, mass)
-
-
 def concrete_semantics(
     aprog,
     preds: PredicateList,
     gamma: ConcretizationDistribution,
     z_i: tuple,
-    pr_a=None,
 ):
     """Pr over concrete outputs from z_i: sum over abstract outputs of
-    Pr_gamma(z_o | a_o) * Pr_A(a_o | alpha(z_i)).
+    Pr_gamma(z_o | a_o) * Pr_A(a_o | alpha(z_i)), with Pr_A the kernel row
+    of alpha(z_i).
 
     The sum runs over the support of each gamma row only: with a strongly
     compatible gamma that drops nothing but zero terms.
     """
     gamma.validate_strong(preds)
-    if pr_a is None:
-        pr_a = abstract_output_distribution(aprog, preds, preds.alpha(z_i))
+    row = abstract_kernel(aprog, preds)[preds.alpha(z_i)]
     gamma_rows, gamma_scale = _gamma_ints(gamma)
-    _, p_int, p_scale = _pr_ints(pr_a)
+    p_int, p_scale = _pr_ints(row)
     scale = gamma_scale * p_scale
     mass = _concrete_mass(gamma_rows, p_int)
     return cc.ConcreteDistribution(
@@ -332,12 +393,11 @@ def _gamma_ints(gamma):
     return {bits: _scaled(row, scale) for bits, row in gamma.rows.items()}, scale
 
 
-def _pr_ints(pr_a):
-    """(Pr_A by bits tuple, the same as integers over `scale`, `scale`),
-    where `scale` is the lcm of Pr_A's denominators."""
-    pr = {tuple(state[lbl] for lbl in pr_a.var_names): p for state, p in pr_a.items()}
-    scale = math.lcm(*(p.denominator for p in pr.values()))
-    return pr, _scaled(pr, scale), scale
+def _pr_ints(row):
+    """(the kernel row `row` as integers over `scale`, `scale`), where
+    `scale` is the lcm of the row's denominators."""
+    scale = math.lcm(*(p.denominator for p in row.values()))
+    return _scaled(row, scale), scale
 
 
 def _concrete_mass(gamma_rows, p_int):
@@ -352,21 +412,22 @@ def _concrete_mass(gamma_rows, p_int):
     return mass
 
 
-def _cell_mismatches(gamma_rows, gamma_scale, pr_a, outputs):
+def _cell_mismatches(gamma_rows, gamma_scale, row, outputs):
     """The verdict of one (gamma, alpha(z_i)) class.
 
     The concrete mass (`_concrete_mass`) summed over the cell of each
-    abstract output a_o is compared with Pr_A(a_o), exactly, in integers.
-    Returns (a_o, Pr_A(a_o), cell mass) for every a_o where the two differ.
+    abstract output a_o is compared with Pr_A(a_o), read from the kernel
+    row `row`, exactly, in integers.  Returns (a_o, Pr_A(a_o), cell mass)
+    for every a_o where the two differ.
     """
-    pr, p_int, p_scale = _pr_ints(pr_a)
+    p_int, p_scale = _pr_ints(row)
     mass = _concrete_mass(gamma_rows, p_int)
     mismatches = []
     for a_o in outputs:
         got = sum(mass.get(key, 0) for key in gamma_rows.get(a_o, ()))
         if got != p_int.get(a_o, 0) * gamma_scale:
             mismatches.append(
-                (a_o, pr.get(a_o, Fraction(0)), Fraction(got, gamma_scale * p_scale))
+                (a_o, row.get(a_o, Fraction(0)), Fraction(got, gamma_scale * p_scale))
             )
     return mismatches
 
@@ -384,24 +445,20 @@ def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckR
     each input of the class gets the class's mismatches as
     counterexamples.  The sum is never replaced by the theorem's algebraic
     shortcut, which would assume what is checked.  It is exact, in scaled
-    integers.  Pr_A comes from the engine once per distinct alpha(z_i).
+    integers.  Pr_A(. | alpha(z_i)) is a row of the kernel (`abstract_kernel`).
     """
     report = CheckReport("invariance")
+    kernel = abstract_kernel(aprog, preds)
     gammas = list(gammas)
-    classed = [(z_i, preds.alpha(z_i)) for z_i in _input_keys(preds, inputs)]
+    classed = list(_classed_inputs(preds, inputs))
     outputs = [m.bits for m in preds.feasible_minterms()]
-    pr_a_memo = {}
     for gamma in gammas:
         gamma.validate_strong(preds)
         gamma_rows, gamma_scale = _gamma_ints(gamma)
         verdicts = {}
         for z_i, a_in in classed:
             if a_in not in verdicts:
-                if a_in not in pr_a_memo:
-                    pr_a_memo[a_in] = abstract_output_distribution(aprog, preds, a_in)
-                verdicts[a_in] = _cell_mismatches(
-                    gamma_rows, gamma_scale, pr_a_memo[a_in], outputs
-                )
+                verdicts[a_in] = _cell_mismatches(gamma_rows, gamma_scale, kernel[a_in], outputs)
             for a_o, expected, got in verdicts[a_in]:
                 report.counterexamples.append(
                     {

@@ -6,6 +6,7 @@ benchmark times, with the tracer's wrappers installed, so a rename in
 run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -27,3 +28,14 @@ def test_first_problem_answers_every_operation(workload):
         pipeline.SOLVERS[workload](pipeline.parse(workload, problem), out)
     assert len(out.answers) == pipeline.operations(workload, problem)
     assert tracer.metrics()
+
+
+def test_check_reports_of_the_first_problem_are_pinned():
+    """The three `CheckReport.to_json()` of `check` seed 0 problem 0, as
+    the checks gave them before they read one transition kernel per
+    program."""
+    problem = workloads.inputs("check", 0)[0]
+    out = pipeline.Outcome()
+    pipeline.SOLVERS["check"](pipeline.parse("check", problem), out)
+    pinned = json.loads((ROOT / "tests" / "golden" / "check_seed0_problem0.json").read_text())
+    assert [r.to_json() for r in out.answers] == pinned

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, JSON output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,46 @@ def test_check_fail_exit_1(files, capsys):
     assert rc == 1
     assert blob[0]["status"] == "fail"
     assert blob[0]["counterexamples"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("flag", ["", "--json"])
+@pytest.mark.parametrize("abstraction", ["branch", "broken", "prob"])
+def test_check_output_is_pinned(files, capsys, abstraction, flag):
+    """The whole of stdout, as the checks printed it before they read one
+    transition kernel per program; `prob` is the corpus program's
+    `abstract --mode prob --params fixed=1/2` output."""
+    paths, tmp = files
+    bern_path = paths.get(f"{abstraction}.bern", str(tmp / "prob.bern"))
+    if abstraction == "prob":
+        assert cli.main(["abstract", paths["branch.cp"], paths["branch.preds"], "--mode", "prob",
+                         "--params", "fixed=1/2", "-o", bern_path]) == 0
+    rc = cli.main(["check", paths["branch.cp"], paths["branch.preds"], bern_path,
+                   "--where", "x < 7", *([flag] if flag else [])])
+    suffix = ".json" if flag else ".txt"
+    assert capsys.readouterr().out == (GOLDEN / f"check_{abstraction}{suffix}").read_text()
+    assert rc == (1 if abstraction == "broken" else 0)
+
+
+@pytest.mark.parametrize(
+    "bern_text",
+    ["bool a\na = a <=> flip(1/2)\n", "bool a\nif (*) { a = T }\n"],
+    ids=["prob", "nondet"],
+)
+def test_check_names_the_predicates_the_abstraction_lacks(tmp_path, capsys, bern_text):
+    for name, text in (
+        ("one.cp", "var x in [0, 4)\nx = x\n"),
+        ("one.preds", "a: x < 2\nb: x < 3\n"),
+        ("one.bern", bern_text),
+    ):
+        (tmp_path / name).write_text(text)
+    rc = cli.main(["check", *(str(tmp_path / n) for n in ("one.cp", "one.preds", "one.bern"))])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the abstract program does not declare these predicates: b\n"
+    )
 
 
 def test_check_past_the_flip_cap(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
-from bernabs import corpus, parsing, randgen, theorems, theory
+from bernabs import corpus, engine, parsing, randgen, theorems, theory
 from bernabs.domain import PredicateList
+from bernabs.errors import UniverseError
 
 FIXED_HALF = bld.ParamPolicy.fixed(Fraction(1, 2))
 
@@ -163,9 +164,15 @@ def _padded_point(aprog, preds, bits):
     return bern.AbstractDistribution.point(aprog.decls, state)
 
 
-def test_abstract_output_distribution_matches_enumeration():
+def _exact_row(aprog, preds, bits):
+    """Pr_A(. | bits) by the flip-enumerating interpreter, from the padded
+    point: the per-input reference for one kernel row."""
+    return bern.interp_exact(aprog, _padded_point(aprog, preds, bits)).marginal(preds.labels)
+
+
+def test_abstract_kernel_rows_match_enumeration():
     rng = random.Random(59)
-    seen = {"degenerate": 0, "observe": 0, "snapshot": 0}
+    seen = {"degenerate": 0, "observe": 0, "snapshot": 0, "aux": 0}
     for case in range(50):
         prog = randgen.rand_concrete_program(rng, observes=case % 4 == 1)
         ctx = theory.TheoryContext.of_program(prog)
@@ -178,16 +185,80 @@ def test_abstract_output_distribution_matches_enumeration():
             aprog = randgen.rand_bern_program(
                 rng, preds.labels, max_flips=5, max_stmts=6, degenerate_share=0.3
             )
+        if case % 4 == 0:  # an auxiliary, read before it is written: it starts False
+            first = bern.BVar(preds.labels[0])
+            negate = bern.PAssign((first.name,), (bern.BIff(first, bern.BVar("aux")),))
+            aprog = bern.BernProgram(aprog.decls + ("aux",), (negate, *aprog.body), aprog.mode)
         seen["degenerate"] += any(t in (0, 1) for _, t in aprog.flip_sites())
         seen["observe"] += any(isinstance(s, bern.BObserve) for s in bern.walk_stmts(aprog.body))
         seen["snapshot"] += any(d.endswith(bld.SNAPSHOT_SUFFIX) for d in aprog.decls)
-        outputs = [dict(zip(preds.labels, m.bits)) for m in preds.feasible_minterms()]
-        for m in preds.feasible_minterms():
-            got = theorems.abstract_output_distribution(aprog, preds, m.bits)
-            want = bern.interp_exact(aprog, _padded_point(aprog, preds, m.bits))
-            want = want.marginal(preds.labels)
-            assert [got.mass_of(o) for o in outputs] == [want.mass_of(o) for o in outputs]
+        seen["aux"] += "aux" in aprog.decls
+        feasible = [m.bits for m in preds.feasible_minterms()]
+        kernel = theorems.abstract_kernel(aprog, preds)
+        assert list(kernel) == feasible
+        for a in feasible:
+            want = _exact_row(aprog, preds, a)
+            want = {o: want.mass_of(dict(zip(preds.labels, o))) for o in feasible}
+            assert kernel[a] == {o: p for o, p in want.items() if p}
     assert all(seen.values()), seen
+
+
+def _rand_nondet_program(rng, names):
+    """A random non-deterministic program: a lowered random program (stars
+    and assumes), with about half of its stars turned into chooses."""
+    low = theorems.lower(
+        randgen.rand_bern_program(rng, names, max_flips=5, max_stmts=6, degenerate_share=0.2)
+    )
+
+    def on_node(e):
+        if isinstance(e, bern.Star) and rng.random() < 0.5:
+            left, right = (bern.BVar(rng.choice(names)) for _ in range(2))
+            return bern.Choose(left, bern.BNot(right))
+        return e
+
+    return bern.map_program(low, on_node)
+
+
+def test_abstract_kernel_row_supports_are_the_nondet_reach_sets():
+    rng = random.Random(61)
+    seen = {"choose": 0, "assume": 0, "aux": 0}
+    for case in range(40):
+        prog = randgen.rand_concrete_program(rng)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 3), ctx)
+        names = preds.labels + (("aux",) if case % 3 == 0 else ())
+        aprog = _rand_nondet_program(rng, names)
+        seen["choose"] += any(isinstance(e, bern.Choose) for e in bern.walk_exprs(aprog.body))
+        seen["assume"] += any(isinstance(s, bern.BAssume) for s in bern.walk_stmts(aprog.body))
+        seen["aux"] += len(names) > len(preds.labels)
+        feasible = [m.bits for m in preds.feasible_minterms()]
+        kernel = theorems.abstract_kernel(theorems._star_flips(aprog), preds)
+        for a in feasible:
+            reach = theorems._nondet_reach(aprog, preds, a)
+            assert set(kernel[a]) == reach & set(feasible)
+    assert all(seen.values()), seen
+
+
+def test_every_check_names_the_predicates_the_abstraction_lacks(branch_reset):
+    prog, ctx, preds = branch_reset
+    prob = parsing.parse_bern("bool {x<3}\n{x<3} = flip(1/2)")
+    nondet = parsing.parse_bern("bool {x<3}\n{x<3} = *")
+    gammas = [theorems.ConcretizationDistribution.uniform(preds)]
+    for check in (
+        lambda: theorems.check_sound_nondet(prog, nondet, preds),
+        lambda: theorems.check_sound_prob(prog, prob, preds),
+        lambda: theorems.check_invariance(prob, preds, gammas),
+        lambda: theorems.concrete_semantics(prob, preds, gammas[0], (0,)),
+    ):
+        with pytest.raises(ValueError, match="does not declare these predicates: x<-4$"):
+            check()
+
+
+def test_kernel_ghost_may_not_shadow_a_declared_name():
+    ctx, preds = fig1_setting()
+    aprog = bern.BernProgram(("x<0@0", "x<0"), (bern.PAssign(("x<0",), (bern.BVar("x<0@0"),)),))
+    with pytest.raises(UniverseError, match="'x<0@0' collides"):
+        theorems.abstract_kernel(aprog, preds)
 
 
 def test_checks_take_thirty_flips():
@@ -200,8 +271,8 @@ def test_checks_take_thirty_flips():
     assert report.ok and report.stats == {"checked": 4, "blocked": 0, "abstract_inputs": 2}
     gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
     assert theorems.check_invariance(aprog, preds, gammas).ok
-    dist = theorems.abstract_output_distribution(aprog, preds, (True,))
-    assert list(dist.items()) == [({"a": False}, Fraction(1, 2)), ({"a": True}, Fraction(1, 2))]
+    half = {(False,): Fraction(1, 2), (True,): Fraction(1, 2)}
+    assert theorems.abstract_kernel(aprog, preds) == {(False,): half, (True,): half}
 
 
 def fig1_setting():
@@ -255,7 +326,7 @@ def test_proposition1_collapse_equals_full_sum():
         z = next(iter(ctx.states()))
         a = theorems.concrete_semantics(aprog, preds, gamma, z)
         # the full double sum: every (z_o, a_o) pair, zero terms included
-        pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(z))
+        pr_a = _exact_row(aprog, preds, preds.alpha(z))
         states = {k for row in gamma.rows.values() for k in row}
         full = dict.fromkeys(states, Fraction(0))
         for a_state, p in pr_a.items():
@@ -425,7 +496,7 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
     want = []
     for gamma in gammas:
         for z_i, key_i in zip(inputs, keys):
-            pr_a = theorems.abstract_output_distribution(aprog, preds, preds.alpha(key_i))
+            pr_a = _exact_row(aprog, preds, preds.alpha(key_i))
             mass = {}
             for a_state, p in pr_a.items():
                 for key, q in gamma.row(tuple(a_state[lbl] for lbl in preds.labels)).items():
@@ -449,13 +520,72 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
     with pytest.raises(ValueError, match=r"mass on \{'x': 0\} outside the cell of \(True, True\)"):
         theorems.check_invariance(aprog, preds, gammas, inputs=inputs)
 
-    calls = []
-    real = theorems.abstract_output_distribution
-    monkeypatch.setattr(
-        theorems, "abstract_output_distribution", lambda *a: calls.append(a[2]) or real(*a)
-    )
     monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
     report = theorems.check_invariance(aprog, preds, gammas, inputs=inputs)
     assert report.counterexamples == want
-    assert sorted(calls) == sorted({preds.alpha(key) for key in keys})
     assert report.stats == {"gammas": 2, "pairs": 2 * 6 * 3}
+
+    # each check makes one symbolic run, its kernel, and no other engine or
+    # non-deterministic interpreter call
+    calls = []
+    for module, name in ((engine, "run_symbolic"), (engine, "query"), (bern, "interp_nondet")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    cprog = parsing.parse_concrete("var x in [-2, 4)\nif (x < 0) { x = x + 1 }")
+    for check in (
+        lambda: theorems.check_invariance(aprog, preds, gammas, inputs=inputs),
+        lambda: theorems.check_sound_prob(cprog, aprog, preds),
+        lambda: theorems.check_sound_nondet(cprog, theorems.lower(aprog), preds),
+    ):
+        calls.clear()
+        check()
+        assert calls == ["run_symbolic"]
+
+
+def test_a_dropped_kernel_entry_changes_every_check_at_its_class(branch_reset, monkeypatch):
+    """Drop a' = (F, F) from the kernel row of a = (F, T): the soundness
+    checks then fail at exactly the inputs of a whose output is a', and
+    the invariance verdict changes at exactly the inputs of a."""
+    prog, ctx, preds = branch_reset
+    inputs = [{"x": v} for v in range(-8, 7)]
+    nondet = parsing.parse_bern(corpus.BRANCH_RESET_BERN)
+    prob, _ = bld.abstract_program(
+        prog, preds, bld.AbstractionConfig("prob", "observe", FIXED_HALF)
+    )
+    a, a_out = (False, True), (False, False)
+    assert theorems.abstract_kernel(prob, preds)[a] == {a: Fraction(3, 4), a_out: Fraction(1, 4)}
+    in_a = {z["x"] for z in inputs if preds.alpha((z["x"],)) == a}
+    to_a_out = [{"x": x} for x in sorted(in_a) if preds.alpha(cc.eval_det(prog, (x,))) == a_out]
+    assert to_a_out == [{"x": 2}]
+    # Invariance cannot fail on a dropped entry alone: its double sum only
+    # loses nonnegative terms.  So gamma's row of a' leaks into a third
+    # cell, that of x = -8, which fails every input whose kernel row holds
+    # a': those of a with the true kernel, and not with the mutated one.
+    leaky = theorems.ConcretizationDistribution.uniform(preds)
+    leaky.rows[a_out] = {(3,): Fraction(1, 2), (-8,): Fraction(1, 2)}
+    monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
+
+    def reports():
+        nondet_report = theorems.check_sound_nondet(prog, nondet, preds, inputs=inputs)
+        prob_report = theorems.check_sound_prob(prog, prob, preds, inputs=inputs)
+        invariance = theorems.check_invariance(prob, preds, [leaky], inputs=inputs)
+        return nondet_report, prob_report, {cex["z_i"]["x"] for cex in invariance.counterexamples}
+
+    nondet_report, prob_report, failing_before = reports()
+    assert nondet_report.ok and prob_report.ok
+    assert in_a < failing_before
+    real = theorems.abstract_kernel
+
+    def dropped(aprog, p):
+        kernel = real(aprog, p)
+        del kernel[a][a_out]
+        return kernel
+
+    monkeypatch.setattr(theorems, "abstract_kernel", dropped)
+    nondet_report, prob_report, failing = reports()
+    for report in (nondet_report, prob_report):
+        assert [cex["z"] for cex in report.counterexamples] == to_a_out
+        assert report.counterexamples[0]["got"] == [str({"x<-4": False, "x<3": True})]
+    assert failing == failing_before - in_a
