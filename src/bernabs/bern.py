@@ -589,13 +589,20 @@ def interp_nondet(program: BernProgram, states) -> set:
 
 # --- serialization ---------------------------------------------------------------
 
-IDENT_OK = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+IDENT_OK = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 RESERVED_WORDS = {"bool", "if", "else", "observe", "assume", "flip", "choose", "T", "F"}
 
 
+# a braced name holds no brace, comment or line break, nor space at its ends
+_UNBRACEABLE = re.compile(r"[{}#\n]|^\s|\s$")
+
+
 def name_text(name):
-    if IDENT_OK.match(name) and name not in RESERVED_WORDS:
+    """`name` as .bern text: bare if it is an identifier, else braced."""
+    if IDENT_OK.fullmatch(name) and name not in RESERVED_WORDS:
         return name
+    if not name or _UNBRACEABLE.search(name):
+        raise ValueError(f"the name {name!r} cannot be written as .bern text")
     return "{" + name + "}"
 
 

@@ -90,6 +90,15 @@ class AbstractionConfig:
 
 @dataclass
 class FlipSite:
+    """A flip of the abstraction: it decides where `free` holds, and its
+    True there stands for `event`, so theta = P(event | free, context).
+
+    `free` is a Bdd over the n predicates read before the statement
+    (levels 0..n-1) and, at a structural site, after it (levels n..2n-1).
+    `event` is a branch site's guard, and any other site's predicate read
+    after the statement.
+    """
+
     site: int
     role: str  # 'branch' | 'assign' | 'draw' | 'structural'
     path: tuple
@@ -98,7 +107,8 @@ class FlipSite:
     context: tuple  # ((label, polarity), ...) literals known at the site
     theta: object  # Fraction | str
     flagged: bool = False
-    meta: dict = field(default_factory=dict, repr=False, compare=False)
+    free: bddm.Bdd | None = field(default=None, repr=False, compare=False)
+    event: cc.Cond | None = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         if isinstance(self.theta, str):
@@ -156,18 +166,15 @@ class Abstractor:
 
     # --- small helpers ---------------------------------------------------
 
-    def _new_theta(self, site):
-        if self.config.params.kind == "fixed":
-            return self.config.params.value
-        return f"theta{site}"
-
-    def _alloc_leaf(self, role, path, loc, predicate, context, meta):
+    def _alloc_leaf(self, role, path, loc, predicate, context, free, event):
         """Fresh flip (probabilistic) or star (non-deterministic) leaf."""
         if self.config.mode == "prob":
             site = next(self._flip_counter)
-            theta = self._new_theta(site)
+            params = self.config.params
+            theta = params.value if params.kind == "fixed" else f"theta{site}"
             self.sites.append(
-                FlipSite(site, role, path, loc, predicate, tuple(context), theta, meta=meta)
+                FlipSite(site, role, path, loc, predicate, tuple(context), theta,
+                         free=free, event=event)
             )
             return bern.Flip(site, theta)
         return bern.Star(next(self._star_counter))
@@ -181,25 +188,24 @@ class Abstractor:
 
     def _guarded_value(self, force_true: bddm.Bdd, force_false: bddm.Bdd, leaf_factory, care=None):
         """value = force_true OR (NOT force_false AND <leaf>); the leaf is
-        elided when the value cannot depend on it within the care set."""
+        elided when the value cannot depend on it within the care set.
+        `leaf_factory` gets the Bdd where the leaf decides, NOT force_true
+        AND NOT force_false."""
+        free = ~force_true & ~force_false
         if care is not None:
-            absorbed = (care & ~(force_true | force_false)).is_false
+            absorbed = (care & free).is_false
             force_true = self._smallest_rep(force_true, care)
             force_false = self._smallest_rep(force_false, care)
         else:
-            absorbed = (force_true | force_false).is_true
+            absorbed = free.is_false
         if absorbed:
-            return formula_to_expr(force_true), False
-        t_expr = formula_to_expr(force_true)
-        free_expr = formula_to_expr(~force_false)
-        leaf = leaf_factory()
-        if force_false.is_false:  # no constraint against the leaf
-            rhs = leaf
-        else:
-            rhs = bern.BAnd(free_expr, leaf)
+            return formula_to_expr(force_true)
+        value = leaf_factory(free)
+        if not force_false.is_false:  # a constraint against the leaf
+            value = bern.BAnd(formula_to_expr(~force_false), value)
         if force_true.is_false:
-            return rhs, True
-        return bern.BOr(t_expr, rhs), True
+            return value
+        return bern.BOr(formula_to_expr(force_true), value)
 
     def _implied_literals(self, b: bddm.Bdd):
         """Predicate literals entailed by b on feasible states."""
@@ -240,11 +246,10 @@ class Abstractor:
             return cond, then_prefix, else_prefix, then_ctx, else_ctx
 
         # if(!beta || (alpha && flip(theta))) { ... } else { ... }
-        meta = {"guard": guard, "alpha": alpha, "beta": beta}
-        cond, used = self._guarded_value(
+        cond = self._guarded_value(
             ~beta,
             ~alpha,
-            lambda: self._alloc_leaf("branch", path, loc, None, context, meta),
+            lambda free: self._alloc_leaf("branch", path, loc, None, context, free, guard),
             care=self._inv,
         )
         then_ctx = context + self._implied_literals(alpha | ~beta)
@@ -272,12 +277,11 @@ class Abstractor:
         for i in self._mentioning(stmt.name):
             label = self.preds.labels[i]
             t, f = self.choose_pair(stmt, i)
-            meta = {"stmt": stmt, "t": t, "f": f, "predicate": label}
-            value, _ = self._guarded_value(
+            value = self._guarded_value(
                 t,
                 f,
-                lambda m=meta, lbl=label: self._alloc_leaf(
-                    "assign", path, stmt.loc, lbl, context, m
+                lambda free: self._alloc_leaf(
+                    "assign", path, stmt.loc, label, context, free, self.preds.conds[i]
                 ),
                 care=self._inv,
             )
@@ -317,8 +321,10 @@ class Abstractor:
             label = self.preds.labels[i]
             verdict = self._draw_verdict(stmt, i)
             if verdict is None:
-                meta = {"stmt": stmt, "predicate": label}
-                value = self._alloc_leaf("draw", path, stmt.loc, label, context, meta)
+                value = self._alloc_leaf(
+                    "draw", path, stmt.loc, label, context,
+                    bddm.true_bdd(self.preds.universe), self.preds.conds[i],
+                )
             else:
                 value = bern.BTrue() if verdict == "T" else bern.BFalse()
             targets.append(label)
@@ -393,17 +399,15 @@ class Abstractor:
             admissible[m.bits] = sorted(cell)
 
         labels = self.preds.labels
-        # scratch universe: pre-values of all predicates, then the post-values
-        # of the targets in update order
-        specs = [(f"pre {lbl}", bddm.VarKind.PREDICATE) for lbl in labels]
-        specs += [(f"cur {labels[i]}", bddm.VarKind.PREDICATE) for i in target_idx]
-        scratch = bddm.make_universe(specs)
-        pre_vars = [scratch.var(f"pre {lbl}") for lbl in labels]
-        cur_vars = {i: scratch.var(f"cur {labels[i]}") for i in target_idx}
+        # scratch universe: the pre-values of all predicates, then their
+        # post-values, the levels a FlipSite's `free` reads
+        scratch = bddm.make_universe(
+            [(f"{side} {lbl}", bddm.VarKind.PREDICATE) for side in ("pre", "cur") for lbl in labels]
+        )
 
         def pair_cube(m_bits, chosen):
-            lits = list(zip(pre_vars, m_bits))
-            lits += [(cur_vars[j], bit) for j, bit in chosen]
+            lits = list(zip(scratch.variables, m_bits))
+            lits += [(scratch.variables[n + j], bit) for j, bit in chosen]
             return bddm.cube(scratch, lits)
 
         updates = []
@@ -429,19 +433,13 @@ class Abstractor:
                     elif ext_false and not ext_true:
                         mf_b = mf_b | pair_cube(m.bits, chosen)
 
-            def leaf(meta_i=i):
-                meta = {
-                    "stmt": stmt,
-                    "predicate": labels[meta_i],
-                    "must_true": mt_b,
-                    "must_false": mf_b,
-                    "earlier_targets": tuple(earlier),
-                }
-                return self._alloc_leaf(
-                    "structural", path, stmt.loc, labels[meta_i], context, meta
-                )
-
-            value, _ = self._guarded_value(mt_b, mf_b, leaf)
+            value = self._guarded_value(
+                mt_b,
+                mf_b,
+                lambda free: self._alloc_leaf(
+                    "structural", path, stmt.loc, labels[i], context, free, self.preds.conds[i]
+                ),
+            )
             value = _substitute_structural_vars(
                 value, labels, target_idx[:k], needed_snapshots
             )

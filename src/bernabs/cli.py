@@ -158,7 +158,8 @@ def cmd_fit(args):
             _write(args.sites, table.dumps())
     flagged = [s.site for s in table if s.flagged]
     if flagged and not args.json:
-        print(f"warning: sites {flagged} had zero-mass contexts; theta defaulted to 1/2", file=sys.stderr)
+        print(f"warning: sites {flagged} decide on no mass in their context; "
+              "theta defaulted to 1/2", file=sys.stderr)
     return EXIT_OK
 
 

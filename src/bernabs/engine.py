@@ -37,12 +37,12 @@ _BDD_OPS = {
 }
 
 
-def expr_to_bdd(universe, expr, var_of_name, flip_var=None, star_var=None) -> bddm.Bdd:
+def expr_to_bdd(universe, expr, var_of_name, flip_var=None) -> bddm.Bdd:
     """Evaluate a BERN expression to a Bdd.
 
     `var_of_name` maps a variable name to a BoolVar (callers pass primed
-    copies when evaluating pre-state reads).  Flip sites and star
-    occurrences resolve through the optional callbacks.
+    copies when evaluating pre-state reads).  Flip sites resolve through
+    the optional callback; a * is an error.
     """
 
     def visit(e, values):
@@ -60,9 +60,7 @@ def expr_to_bdd(universe, expr, var_of_name, flip_var=None, star_var=None) -> bd
                 raise ModeError("flip not allowed in this context")
             return bddm.var_bdd(universe, flip_var(e))
         if isinstance(e, bern.Star):
-            if star_var is None:
-                raise ModeError("* encountered in probabilistic symbolic execution")
-            return bddm.var_bdd(universe, star_var(e))
+            raise ModeError("* encountered in probabilistic symbolic execution")
         if isinstance(e, bern.Choose):
             raise ModeError("choose must be desugared before symbolic execution")
         raise TypeError(f"not a BERN expression: {e!r}")

@@ -23,6 +23,7 @@ _TOKEN_RE = re.compile(
     | (?P<int>\d+)
     | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op><=>|=>|&&|\|\||==|!=|<=|>=|[-+*/!<>=(){}\[\],:])
+    | (?P<other>.)
     """,
     re.VERBOSE,
 )
@@ -41,7 +42,7 @@ class _NestingError(ParseError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # 'int' | 'name' | 'op' | 'eof'
+    kind: str  # 'int' | 'name' | 'op' | 'other' | 'eof'
     text: str
     line: int
     col: int
@@ -56,10 +57,6 @@ def tokenize(text):
     line_start = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
         kind = m.lastgroup
         chunk = m.group()
         if kind in ("ws", "comment"):
@@ -81,7 +78,13 @@ class _Parser:
         self.depth = 0
 
     def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        """The token `ahead` places on.  A character no token starts with is
+        an error here, not in `tokenize`, so that a braced name may hold it;
+        every token is peeked at before `next` consumes it."""
+        tok = self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        if tok.kind == "other":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
+        return tok
 
     def next(self) -> Token:
         tok = self.tokens[self.i]

@@ -14,9 +14,11 @@ from a is the support of row a.  The engine has no flip cap, so neither
 has a check.  Lowering turns flips into unconstrained choices (supports
 only); it, the flip-enumerating `bern.interp_exact` and `bern.interp_nondet`
 are the references the tests hold the kernel to, and no check calls them.
-Parameter fitting evaluates each flip's conditional probability on a
-fragment of the concrete program, which is the step that reproduces
-hand-computed abstraction parameters exactly.
+Parameter fitting makes one measurement for every flip, whatever its
+role: theta = P(event | free, context) on the fragment of the concrete
+program that leads to the flip, where the builder recorded `free`, where
+the flip decides, and `event`, what its True stands for.  This is the step
+that reproduces hand-computed abstraction parameters exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from bernabs import concrete as cc
 from bernabs import engine
 from bernabs.domain import PredicateList
 from bernabs.errors import ModeError, UniverseError
-from bernabs.theory import wp_subst
+from bernabs.kernel import FALSE, TRUE
 
 
 # --- lowering -----------------------------------------------------------------
@@ -481,8 +483,7 @@ def locate(body, path):
     prefix = []
     cur = body
     stmt = None
-    it = iter(path)
-    for part in it:
+    for part in path:
         if isinstance(part, int):
             prefix.extend(cur[:part])
             stmt = cur[part]
@@ -528,48 +529,23 @@ def _seeded_joint(program, uniform_vars) -> cc.ConcreteDistribution:
 
 
 def _fragment_base(cprog, prefix, stmt, site, preds) -> cc.ConcreteDistribution:
-    """Fragment output distribution with a minimal initial joint: only
-    variables whose initial value can reach a downstream read get a
-    uniform prior."""
+    """Fragment output distribution in the site's context, from a minimal
+    initial joint: only variables whose initial value can reach a read of
+    the prefix or of the measurement (`_free_mass`) get a uniform prior."""
     rbw, dw = _reads_writes(prefix)
-    downstream = cc.tree_vars(_context_cond(site, preds))
-    if site.role == "branch":
-        downstream |= cc.tree_vars(site.meta["guard"])
-        downstream |= cc.tree_vars(_concretize(site.meta["alpha"], preds))
-        downstream |= cc.tree_vars(_concretize(site.meta["beta"], preds))
-    elif site.role == "assign":
-        downstream |= cc.tree_vars(_concretize(site.meta["t"], preds))
-        downstream |= cc.tree_vars(_concretize(site.meta["f"], preds))
-        downstream |= cc.tree_vars(
-            wp_subst(stmt.name, stmt.expr, preds.cond_of(site.predicate))
-        )
-    elif site.role == "draw":
-        downstream |= cc.tree_vars(preds.cond_of(site.predicate)) - {stmt.name}
-    else:  # structural reads every predicate at both pre and post state
-        for cond in preds.conds:
-            downstream |= cc.tree_vars(cond)
-        if isinstance(stmt, cc.Assign):
-            downstream |= cc.tree_vars(stmt.expr)
+    n = len(preds)
+    levels = [v.index for v in site.free.support()]
+    context = _context_cond(site, preds)
+    before = [context] + [preds.conds[i] for i in levels if i < n]
+    after = [site.event] + [preds.conds[i - n] for i in levels if i >= n]
+    written = set() if isinstance(stmt, cc.If) else {stmt.name}
+    downstream = set().union(*map(cc.tree_vars, before))
+    downstream |= set().union(*map(cc.tree_vars, after)) - written
+    if isinstance(stmt, cc.Assign):
+        downstream |= cc.tree_vars(stmt.expr)
     uniform_vars = rbw | (downstream - dw)
     fragment = cc.ConcreteProgram(cprog.decls, tuple(prefix))
-    return cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars))
-
-
-_COND_OF = {bern.BNot: cc.CNot, bern.BAnd: cc.CAnd, bern.BOr: cc.COr}
-
-
-def _concretize(b, preds: PredicateList) -> cc.Cond:
-    """The concrete condition of `b`, a Bdd over the predicates: each
-    predicate variable stands for its condition."""
-
-    def visit(e, values):
-        if values:
-            return _COND_OF[type(e)](*values)
-        if isinstance(e, bern.BVar):
-            return preds.cond_of(e.name)
-        return cc.CTrue() if isinstance(e, bern.BTrue) else cc.CFalse()
-
-    return bern.fold(bld.formula_to_expr(b), visit)
+    return cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars)).filtered(context)
 
 
 def _context_cond(site, preds) -> cc.Cond:
@@ -580,39 +556,44 @@ def _context_cond(site, preds) -> cc.Cond:
     return cc.cond_and_all(lits)
 
 
-def _structural_free_mass(site, preds, base: cc.ConcreteDistribution, stmt):
-    """(mass where the flip decides, mass where it decides True)."""
-    pred_idx = preds.labels.index(site.predicate)
-    # the tables read the scratch names "pre X" and "cur X" of each predicate X
-    must_true = bld.formula_to_expr(site.meta["must_true"])
-    must_false = bld.formula_to_expr(site.meta["must_false"])
-
-    def scratch_state(pre_bits, post_bits):
-        state = {f"pre {lbl}": bit for lbl, bit in zip(preds.labels, pre_bits)}
-        state.update((f"cur {lbl}", bit) for lbl, bit in zip(preds.labels, post_bits))
-        return state
-
-    names = base.var_names
-    value_at = cc.compile(stmt.expr, names) if isinstance(stmt, cc.Assign) else None
+def _post_states(stmt, names):
+    """(z -> the states after `stmt` from z, the share of each).  An
+    assigned value is not range-checked, as the weakest precondition is not."""
+    if isinstance(stmt, cc.If):
+        return (lambda z: (z,)), Fraction(1)
     slot = names.index(stmt.name)
+    if isinstance(stmt, cc.Assign):
+        value_at = cc.compile(stmt.expr, names)
+        return (lambda z: (z[:slot] + (value_at(z),) + z[slot + 1 :],)), Fraction(1)
+    values = range(stmt.lo, stmt.hi)
+    return (lambda z: [z[:slot] + (v,) + z[slot + 1 :] for v in values]), Fraction(1, len(values))
+
+
+def _free_mass(site, preds: PredicateList, base: cc.ConcreteDistribution, stmt):
+    """(mass where the flip decides, mass where `site.event` holds there).
+
+    `site.free` is walked for each state z of `base` and each post-state
+    z', reading at each level only its predicate: on z below level n, on z'
+    from level n on."""
+    fns = preds._fns
+    n = len(fns)
+    table = site.free.universe.table
+    event = cc.compile(site.event, base.var_names)
+    posts, share = _post_states(stmt, base.var_names)
     denom = num = Fraction(0)
     for z, w in base.items():
-        pre_bits = preds.alpha(z)
-        if value_at is not None:
-            outcomes = [(value_at(z), Fraction(1))]
-        else:
-            share = Fraction(1, stmt.hi - stmt.lo)
-            outcomes = [(v, share) for v in range(stmt.lo, stmt.hi)]
-        for value, q in outcomes:
-            post_bits = preds.alpha(z[:slot] + (value,) + z[slot + 1 :])
-            state = scratch_state(pre_bits, post_bits)
-            if bern.eval_expr(must_true, state, {}):
-                continue
-            if bern.eval_expr(must_false, state, {}):
-                continue
-            denom += w * q
-            if post_bits[pred_idx]:
-                num += w * q
+        decided = hits = 0
+        for post in posts(z):
+            u = site.free.ref
+            while u not in (FALSE, TRUE):
+                level, lo, hi = table.node(u)
+                u = hi if (fns[level](z) if level < n else fns[level - n](post)) else lo
+            if u == TRUE:
+                decided += 1
+                hits += event(post)
+        if decided:
+            denom += w * share * decided
+            num += w * share * hits
     return denom, num
 
 
@@ -626,63 +607,24 @@ def fit_parameters(
 
     Each site's fragment is the statement path leading to it; the fragment
     runs from the uniform joint distribution and is conditioned on the
-    predicate literals known at the site.  Sites whose conditioning event
-    has zero mass keep theta = 1/2 and are flagged.
+    predicate literals known at the site.  One measurement serves every
+    role: theta = P(event | free, context), the chance that the site's
+    event holds after the statement where its flip decides (see
+    `bld.FlipSite`).  Sites where the flip decides on no mass keep
+    theta = 1/2 and are flagged.
 
     Returns (program with parameters substituted, updated site table).
     """
     _same_order(cprog, preds)
     fitted = []
-    theta_map = {}
     for site in sites:
         prefix, stmt = locate(cprog.body, site.path)
         base = _fragment_base(cprog, prefix, stmt, site, preds)
-        base = base.filtered(_context_cond(site, preds))
-        theta = None
-        flagged = False
-        if site.role == "branch":
-            both = cc.CAnd(
-                _concretize(site.meta["alpha"], preds),
-                _concretize(site.meta["beta"], preds),
-            )
-            scoped = base.filtered(both)
-            denom = scoped.survival
-            if denom == 0:
-                flagged = True
-            else:
-                theta = scoped.filtered(site.meta["guard"]).survival / denom
-        elif site.role == "assign":
-            free = cc.CAnd(
-                cc.CNot(_concretize(site.meta["t"], preds)),
-                cc.CNot(_concretize(site.meta["f"], preds)),
-            )
-            scoped = base.filtered(free)
-            denom = scoped.survival
-            if denom == 0:
-                flagged = True
-            else:
-                post_true = wp_subst(stmt.name, stmt.expr, preds.cond_of(site.predicate))
-                theta = scoped.filtered(post_true).survival / denom
-        elif site.role == "draw":
-            denom = base.survival
-            if denom == 0:
-                flagged = True
-            else:
-                pushed = cc.eval_dist(cc.ConcreteProgram(cprog.decls, (stmt,)), base)
-                theta = pushed.filtered(preds.cond_of(site.predicate)).survival / denom
-        elif site.role == "structural":
-            denom, num = _structural_free_mass(site, preds, base, stmt)
-            if denom == 0:
-                flagged = True
-            else:
-                theta = num / denom
-        else:
-            raise ValueError(f"unknown site role {site.role!r}")
-        if flagged:
-            theta = Fraction(1, 2)
-        theta_map[site.site] = theta
+        denom, num = _free_mass(site, preds, base, stmt)
+        flagged = denom == 0
+        theta = Fraction(1, 2) if flagged else num / denom
         fitted.append(replace(site, theta=theta, flagged=flagged))
-    resolved = bld.resolve_parameters(aprog, theta_map)
+    resolved = bld.resolve_parameters(aprog, {s.site: s.theta for s in fitted})
     return resolved, bld.FlipSiteTable(fitted)
 
 

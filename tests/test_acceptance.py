@@ -50,12 +50,12 @@ def _value_bdd(preds, expr):
     specs.append(("<choice>", bddm.VarKind.AUX))
     u = bddm.make_universe(specs)
     choice = u.var("<choice>")
+    expr = bern.map_expr(expr, lambda e: bern.BVar("<choice>") if isinstance(e, bern.Star) else e)
     return u, expr_to_bdd(
         u,
         expr,
         lambda name: u.var(name),
         flip_var=lambda e: choice,
-        star_var=lambda e: choice,
     )
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,38 @@ def test_round_trip_random():
     for _ in range(30):
         prog = randgen.rand_bern_program(rng, ("v0", "v1", "v2"))
         assert parsing.parse_bern(bern.to_text(prog)) == prog
+
+
+def test_every_printed_name_parses_back():
+    """Names over every printable ASCII character and a few others, such
+    as the builder's snapshot names ``x<-4@pre``: each one name_text
+    prints reads back as itself, and the rest are refused."""
+    rng = random.Random(5)
+    alphabet = [chr(c) for c in range(32, 127)] + ["\t", "\u00e9", "\u2264"]
+    names = ["x<-4@pre", "p@0", "a$b", "if", "T", "x < 3", "a#b", "{a}", " a", "a\n", ""]
+    names += ["".join(rng.choices(alphabet, k=rng.randint(1, 6))) for _ in range(400)]
+    printed = 0
+    for name in names:
+        try:
+            text = bern.name_text(name)
+        except ValueError:
+            assert not name or any(c in name for c in "{}#\n") or name != name.strip()
+            continue
+        printed += 1
+        program = parsing.parse_bern(f"bool {text}\n{text} = !{text}\n")
+        assert program.decls == (name,)
+        assert parsing.parse_event(text, (name,)) == bern.BVar(name)
+    assert printed > 250
+
+
+@pytest.mark.parametrize("char", ["@", "$", "?", "'", "\u00e9"])
+def test_a_stray_character_outside_braces_fails_where_it_stands(char):
+    with pytest.raises(ParseError) as exc:
+        parsing.parse_bern(f"bool {{a{char}}}\n\n  a{char} = T\n")
+    assert (exc.value.line, exc.value.column) == (3, 4)
+    assert f"unexpected character {char!r}" in str(exc.value)
+    with pytest.raises(ParseError, match=re.escape(f"unexpected character {char!r}")):
+        parsing.parse_concrete(f"var x in [0, 4)\nx = x {char} 1\n")
 
 
 def _and_chain(links, last="a"):

@@ -22,12 +22,15 @@ def expr_bdd_over(preds, expr, extra_flips=8):
     specs += [(f"f{i}", bddm.VarKind.FLIP, Fraction(1, 2)) for i in range(extra_flips)]
     specs += [(f"s{i}", bddm.VarKind.AUX) for i in range(extra_flips)]
     u = bddm.make_universe(specs)
+    # each * occurrence reads its own AUX slot
+    expr = bern.map_expr(
+        expr, lambda e: bern.BVar(f"s{e.occurrence}") if isinstance(e, bern.Star) else e
+    )
     return u, expr_to_bdd(
         u,
         expr,
         lambda name: u.var(name),
         flip_var=lambda e: u.var(f"f{e.site}"),
-        star_var=lambda e: u.var(f"s{e.occurrence}"),
     )
 
 

@@ -18,6 +18,8 @@ def files(tmp_path):
         ("branch.cp", corpus.BRANCH_RESET_CP),
         ("branch.preds", corpus.BRANCH_RESET_PREDS),
         ("branch.bern", corpus.BRANCH_RESET_BERN),
+        ("shift.cp", corpus.SHIFT_TEN_CP),
+        ("shift.preds", corpus.SHIFT_TEN_PREDS),
         ("bad.cp", "var x in [0, 4)\nx = y\n"),
         ("broken.bern", "bool {x<-4}\nbool {x<3}\n{x<-4}, {x<3} = T, F\n"),
     ):
@@ -282,6 +284,38 @@ def test_fit_reproduces_hand_abstraction(files, capsys, tmp_path):
         assert needle in out
     blob = json.loads(sites.read_text())
     assert not any(entry["flagged"] for entry in blob)
+
+
+@pytest.mark.parametrize("style", ["none", "observe", "structural"])
+@pytest.mark.parametrize("program", ["branch", "chain", "shift"])
+def test_fit_output_is_pinned(files, capsys, program, style):
+    """The fitted text and the site table, as fit wrote them when each
+    role had its own measurement."""
+    paths, tmp = files
+    out, sites = tmp / "fitted.bern", tmp / "sites.json"
+    rc = cli.main(["fit", paths[f"{program}.cp"], paths[f"{program}.preds"],
+                   "--invariants", style, "-o", str(out), "--sites", str(sites)])
+    assert rc == 0
+    stem = GOLDEN / f"fit_{program}_{style}"
+    assert out.read_text() == stem.with_suffix(".bern").read_text()
+    assert sites.read_text() == stem.with_suffix(".sites.json").read_text()
+
+
+def test_structural_output_reads_back(files, capsys):
+    """check and infer read the snapshot names (``{x<-4@pre}``) that the
+    structural style writes."""
+    paths, tmp = files
+    abstracted, fitted = str(tmp / "abstracted.bern"), str(tmp / "fitted.bern")
+    problem = [paths["branch.cp"], paths["branch.preds"]]
+    assert cli.main(["abstract", *problem, "--mode", "prob", "--invariants", "structural",
+                     "--params", "fixed=1/2", "-o", abstracted]) == 0
+    assert "@pre}" in Path(abstracted).read_text()
+    capsys.readouterr()
+    assert cli.main(["check", *problem, abstracted, "--where", "x < 7"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("sound-prob: pass")
+    assert cli.main(["fit", *problem, "--invariants", "structural", "-o", fitted]) == 0
+    assert cli.main(["infer", fitted, "--event", "{x<-4@pre} || {x<3}"]) == 0
+    assert capsys.readouterr().out.startswith("probability ")
 
 
 def test_fit_no_draw_sites(files, tmp_path, capsys):

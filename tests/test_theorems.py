@@ -1,5 +1,6 @@
 """Lowering, soundness checks, invariance, and parameter fitting."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -418,6 +419,31 @@ def test_fit_zero_mass_context_flagged():
     flagged = [s for s in table if s.flagged]
     assert flagged
     assert all(s.theta == Fraction(1, 2) for s in flagged)
+
+
+# sha256 of the fitted text and site table of FIT_CASES random programs in
+# each invariant style, as fit wrote them when each role had its own
+# measurement
+FIT_DIGEST = "ebf0e225e2f1bd0676353aa78f90d00392601ea27d094c94a4194956bdb65bc8"
+FIT_CASES = 60
+
+
+def test_fit_output_of_random_programs_is_pinned():
+    rng = random.Random(1)
+    out = []
+    roles = set()
+    for case in range(FIT_CASES):
+        prog = randgen.rand_concrete_program(rng, draws=case % 2 == 0, observes=case % 3 == 1)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 3), ctx)
+        for style in bld.INVARIANT_STYLES:
+            config = bld.AbstractionConfig("prob", style, bld.ParamPolicy.fit())
+            aprog, sites = bld.abstract_program(prog, preds, config)
+            fitted, table = theorems.fit_parameters(prog, aprog, sites, preds)
+            roles |= {s.role for s in table if not s.flagged}
+            out.append(f"=== {case} {style}\n{bern.to_text(fitted)}{table.dumps()}")
+    assert roles == {"branch", "assign", "draw", "structural"}
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == FIT_DIGEST
 
 
 def test_end_to_end_decomposed_matches_concrete(chain_draws):
