@@ -4,17 +4,21 @@ Branches follow the two-step recipe: compute the strongest formulas
 implied by the guard and its negation, then either branch on ``*`` with
 ``assume`` statements (non-deterministic mode) or fold the choice into the
 guard ``!beta || (alpha && flip(theta))`` (probabilistic mode).
-Assignments update every predicate mentioning the assigned variable
-simultaneously through ``choose(t, f)`` pairs built from weakest
-preconditions; uniform draws become flips (or stars) per predicate, with
-entailed polarities emitted as constants.
+Assignments and uniform draws share one rule: every predicate mentioning
+the written variable is updated simultaneously through ``choose(t, f)``,
+where t and f are the pre-states that force it true and false, and the
+choice left over becomes a flip (or a star).  An assignment's pair comes
+from weakest preconditions; a draw's reads no pre-state, so it is a pair
+of constants and an entailed polarity is emitted as a constant.
 
 Invariant enforcement comes in two styles.  `observe` inserts
 observe(I)/assume(I) after every parallel assignment.  `structural`
 rewrites each assignment into a sequential per-predicate chain whose
 updates branch on the values already chosen, so that every reachable
-joint state is a feasible minterm and no observe is needed; pre-state
-reads of already-updated predicates go through snapshot variables.
+joint state is a feasible minterm and no observe is needed.  Each update
+is read off one admissible relation between pre- and post-state predicate
+values; pre-state reads of already-updated
+predicates go through snapshot variables.
 
 Flips whose value the canonical form does not depend on are never
 allocated, which is what turns `a = unif [0, 10)` with predicate a<5 into
@@ -161,7 +165,7 @@ class Abstractor:
         self._flip_counter = itertools.count()
         self._star_counter = itertools.count()
         self.aux_decls = []
-        self._draw_verdicts = {}
+        self._draw_pairs = {}
         self._inv = preds.invariant_formula()
 
     # --- small helpers ---------------------------------------------------
@@ -260,7 +264,7 @@ class Abstractor:
         cond, then_prefix, else_prefix, _, _ = self.branch_parts(guard, path, loc, context)
         return bern.BIf(cond, then_prefix + tuple(then), else_prefix + tuple(els), loc)
 
-    # --- assignment abstraction ---------------------------------------------
+    # --- assignment and draw abstraction --------------------------------------
 
     def choose_pair(self, stmt: cc.Assign, pred_index: int):
         """(t, f) for predicate i under x = e: the weakest sufficient Bdds
@@ -270,18 +274,45 @@ class Abstractor:
         f = self.preds.weakest_sufficient(wp_subst(stmt.name, stmt.expr, cc.CNot(p)))
         return t, f
 
-    def abstract_assignment(self, stmt: cc.Assign, path=(), context=()) -> bern.PAssign:
-        """x = e  ->  parallel `{p_i} = choose(t_i, f_i)`, desugared per mode."""
+    def _pair(self, stmt, pred_index):
+        """(t, f) for predicate i after an assignment or a draw: the Bdds of
+        the pre-states where it is forced true and forced false.
+
+        A draw's pair reads no pre-state: (T, F) when every value the draw
+        can give makes the predicate true, (F, T) when none does, (F, F)
+        when both polarities occur.  It is memoized per draw range and
+        predicate."""
+        if isinstance(stmt, cc.Assign):
+            return self.choose_pair(stmt, pred_index)
+        key = (stmt.name, stmt.lo, stmt.hi, pred_index)
+        if key not in self._draw_pairs:
+            x, p = cc.IntVar(stmt.name), self.preds.conds[pred_index]
+            draw = cc.CAnd(
+                cc.Cmp("<=", cc.IntConst(stmt.lo), x), cc.Cmp("<", x, cc.IntConst(stmt.hi))
+            )
+            yes, no = bddm.true_bdd(self.preds.universe), bddm.false_bdd(self.preds.universe)
+            if self.ctx.entails(draw, p):
+                self._draw_pairs[key] = (yes, no)
+            elif not self.ctx.satisfiable(cc.CAnd(draw, p)):
+                self._draw_pairs[key] = (no, yes)
+            else:
+                self._draw_pairs[key] = (no, no)
+        return self._draw_pairs[key]
+
+    def abstract_update(self, stmt, path=(), context=()) -> bern.PAssign:
+        """x = e or x = unif [lo, hi)  ->  parallel `{p_i} = choose(t_i, f_i)`
+        over the predicates mentioning x, desugared per mode."""
+        role = "assign" if isinstance(stmt, cc.Assign) else "draw"
         targets = []
         exprs = []
         for i in self._mentioning(stmt.name):
             label = self.preds.labels[i]
-            t, f = self.choose_pair(stmt, i)
+            t, f = self._pair(stmt, i)
             value = self._guarded_value(
                 t,
                 f,
                 lambda free: self._alloc_leaf(
-                    "assign", path, stmt.loc, label, context, free, self.preds.conds[i]
+                    role, path, stmt.loc, label, context, free, self.preds.conds[i]
                 ),
                 care=self._inv,
             )
@@ -289,79 +320,20 @@ class Abstractor:
             exprs.append(value)
         return bern.PAssign(tuple(targets), tuple(exprs), stmt.loc)
 
-    # --- uniform draw abstraction ----------------------------------------------
-
-    def _draw_cond(self, stmt: cc.Draw) -> cc.Cond:
-        x = cc.IntVar(stmt.name)
-        return cc.CAnd(
-            cc.Cmp("<=", cc.IntConst(stmt.lo), x), cc.Cmp("<", x, cc.IntConst(stmt.hi))
-        )
-
-    def _draw_verdict(self, stmt: cc.Draw, pred_index):
-        """'T' / 'F' when every value the draw can give makes the predicate
-        true / false, None when both polarities occur.  Memoized per draw
-        range and predicate: the verdict reads no pre-state."""
-        key = (stmt.name, stmt.lo, stmt.hi, pred_index)
-        if key not in self._draw_verdicts:
-            draw, p = self._draw_cond(stmt), self.preds.conds[pred_index]
-            if self.ctx.entails(draw, p):
-                self._draw_verdicts[key] = "T"
-            elif not self.ctx.satisfiable(cc.CAnd(draw, p)):
-                self._draw_verdicts[key] = "F"
-            else:
-                self._draw_verdicts[key] = None
-        return self._draw_verdicts[key]
-
-    def abstract_uniform(self, stmt: cc.Draw, path=(), context=()) -> bern.PAssign:
-        """x = unif [lo, hi)  ->  one flip/star per predicate mentioning x,
-        degenerating to a constant when the draw entails one polarity."""
-        targets = []
-        exprs = []
-        for i in self._mentioning(stmt.name):
-            label = self.preds.labels[i]
-            verdict = self._draw_verdict(stmt, i)
-            if verdict is None:
-                value = self._alloc_leaf(
-                    "draw", path, stmt.loc, label, context,
-                    bddm.true_bdd(self.preds.universe), self.preds.conds[i],
-                )
-            else:
-                value = bern.BTrue() if verdict == "T" else bern.BFalse()
-            targets.append(label)
-            exprs.append(value)
-        return bern.PAssign(tuple(targets), tuple(exprs), stmt.loc)
-
     # --- structurally dependent construction --------------------------------------
-
-    def _forced(self, cell, stmt, pred_index, pair_cache):
-        """'T' / 'F' / None for predicate pred_index after stmt from the
-        pre-cell whose minterm Bdd is `cell`.
-
-        Draw verdicts are pre-state independent (the verdict
-        abstract_uniform uses), keeping the structural support equal to the
-        observe-style support.
-        """
-        if isinstance(stmt, cc.Assign):
-            t, f = pair_cache[pred_index]
-            if not (t & cell).is_false:
-                return "T"
-            if not (f & cell).is_false:
-                return "F"
-            return None
-        return self._draw_verdict(stmt, pred_index)
 
     def build_structural(self, stmt, path=(), context=()) -> tuple:
         """Sequential per-predicate updates whose control flow keeps every
         reachable joint state feasible, with no observe statements.
 
-        For each feasible pre-cell m the admissible results S(m) are the
-        feasible minterms that agree with m on untouched predicates and
-        respect the deterministically forced polarities.  Updating in
-        declaration order, a predicate is forced whenever only one polarity
-        extends the already-chosen prefix inside S(m); otherwise it flips.
-        Pre-state reads of already-updated predicates go through snapshot
-        variables, preserving the parallel-assignment reads of the
-        original statement.
+        The admissible relation holds of (pre, cur) when pre and cur are
+        feasible minterms, cur agrees with pre on the untouched predicates,
+        and cur takes every polarity the (t, f) pairs force at pre.
+        Updating in declaration order, a predicate is forced wherever only
+        one polarity extends the already-chosen prefix inside that
+        relation; otherwise it flips.  Pre-state reads of already-updated
+        predicates go through snapshot variables, preserving the
+        parallel-assignment reads of the original statement.
         """
         n = len(self.preds)
         if n > STRUCTURAL_BOUND:
@@ -372,70 +344,40 @@ class Abstractor:
         target_idx = self._mentioning(stmt.name)
         if not target_idx:
             return (bern.PAssign((), (), stmt.loc),)
-        pair_cache = {}
-        if isinstance(stmt, cc.Assign):
-            for i in target_idx:
-                pair_cache[i] = self.choose_pair(stmt, i)
-        untouched_idx = [i for i in range(n) if i not in target_idx]
-        feasible = self.preds.feasible_minterms()
-        feasible_bits = {m.bits for m in feasible}
-
-        admissible = {}
-        for m in feasible:
-            m_cube = bddm.cube(self.preds.universe, zip(self.preds.universe.variables, m.bits))
-            forced = {i: self._forced(m_cube, stmt, i, pair_cache) for i in target_idx}
-            cell = []
-            for bits in feasible_bits:
-                if any(bits[j] != m.bits[j] for j in untouched_idx):
-                    continue
-                ok = True
-                for i in target_idx:
-                    if forced[i] == "T" and not bits[i]:
-                        ok = False
-                    elif forced[i] == "F" and bits[i]:
-                        ok = False
-                if ok:
-                    cell.append(bits)
-            admissible[m.bits] = sorted(cell)
-
+        pairs = {i: self._pair(stmt, i) for i in target_idx}
         labels = self.preds.labels
         # scratch universe: the pre-values of all predicates, then their
         # post-values, the levels a FlipSite's `free` reads
         scratch = bddm.make_universe(
             [(f"{side} {lbl}", bddm.VarKind.PREDICATE) for side in ("pre", "cur") for lbl in labels]
         )
+        pre, cur = scratch.variables[:n], scratch.variables[n:]
 
-        def pair_cube(m_bits, chosen):
-            lits = list(zip(scratch.variables, m_bits))
-            lits += [(scratch.variables[n + j], bit) for j, bit in chosen]
-            return bddm.cube(scratch, lits)
+        admissible = feasible_cur = bddm.false_bdd(scratch)
+        for m in self.preds.feasible_minterms():
+            at_m = bddm.cube(self.preds.universe, zip(self.preds.universe.variables, m.bits))
+            lits = list(zip(pre, m.bits))
+            for j, bit in enumerate(m.bits):
+                if j not in pairs:
+                    lits.append((cur[j], bit))
+                elif not (pairs[j][0] & at_m).is_false:
+                    lits.append((cur[j], True))
+                elif not (pairs[j][1] & at_m).is_false:
+                    lits.append((cur[j], False))
+            admissible = admissible | bddm.cube(scratch, lits)
+            feasible_cur = feasible_cur | bddm.cube(scratch, zip(cur, m.bits))
+        admissible = admissible & feasible_cur
 
         updates = []
         needed_snapshots = set()
         for k, i in enumerate(target_idx):
-            earlier = target_idx[:k]
-            mt_b = mf_b = bddm.false_bdd(scratch)
-            for m in feasible:
-                cell = admissible[m.bits]
-                prefixes = sorted({tuple(bits[j] for j in earlier) for bits in cell})
-                for prefix in prefixes:
-                    ext_true = any(
-                        bits[i] and tuple(bits[j] for j in earlier) == prefix
-                        for bits in cell
-                    )
-                    ext_false = any(
-                        (not bits[i]) and tuple(bits[j] for j in earlier) == prefix
-                        for bits in cell
-                    )
-                    chosen = tuple(zip(earlier, prefix))
-                    if ext_true and not ext_false:
-                        mt_b = mt_b | pair_cube(m.bits, chosen)
-                    elif ext_false and not ext_true:
-                        mf_b = mf_b | pair_cube(m.bits, chosen)
-
+            hidden = [cur[j] for j in range(n) if j not in target_idx[:k]]
+            now = bddm.var_bdd(scratch, cur[i])
+            ext_true = (admissible & now).exists(hidden)
+            ext_false = (admissible & ~now).exists(hidden)
             value = self._guarded_value(
-                mt_b,
-                mf_b,
+                ext_true & ~ext_false,
+                ext_false & ~ext_true,
                 lambda free: self._alloc_leaf(
                     "structural", path, stmt.loc, labels[i], context, free, self.preds.conds[i]
                 ),
@@ -474,16 +416,11 @@ class Abstractor:
         out = []
         for idx, stmt in enumerate(body):
             at = path + (idx,)
-            if isinstance(stmt, cc.Assign):
+            if isinstance(stmt, (cc.Assign, cc.Draw)):
                 if self.config.invariant_style == "structural":
                     out.extend(self.build_structural(stmt, at, context))
                 else:
-                    out.append(self.abstract_assignment(stmt, at, context))
-            elif isinstance(stmt, cc.Draw):
-                if self.config.invariant_style == "structural":
-                    out.extend(self.build_structural(stmt, at, context))
-                else:
-                    out.append(self.abstract_uniform(stmt, at, context))
+                    out.append(self.abstract_update(stmt, at, context))
             elif isinstance(stmt, cc.Observe):
                 out.append(self.abstract_observe(stmt, context))
             elif isinstance(stmt, cc.If):

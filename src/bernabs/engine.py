@@ -118,8 +118,11 @@ class SymbolicRun:
     def _index(self, point) -> int:
         if point in (None, "end"):
             return len(self.points) - 1
-        index = int(point)
-        if not 0 <= index < len(self.points):
+        try:
+            index = int(point)
+        except ValueError:
+            index = None
+        if index is None or not 0 <= index < len(self.points):
             raise ProgramPointError(
                 f"no program point {point!r}: points run from 0 to {len(self.points) - 1}"
             )

@@ -77,7 +77,7 @@ def test_assignment_updates(branch_reset):
     prog, ctx, preds = branch_reset
     worker = bld.Abstractor(preds, bld.AbstractionConfig("nondet", "none"))
     incr = cc.Assign("x", cc.Add(cc.IntVar("x"), cc.IntConst(1)))
-    pa = worker.abstract_assignment(incr)
+    pa = worker.abstract_update(incr)
     assert pa.targets == ("x<-4", "x<3")
     values = dict(zip(pa.targets, pa.exprs))
     inv_b = preds.invariant_formula()
@@ -103,7 +103,7 @@ def test_assignment_to_constants(branch_reset):
     prog, ctx, preds = branch_reset
     worker = bld.Abstractor(preds, bld.AbstractionConfig("nondet", "none"))
     zero = cc.Assign("x", cc.IntConst(0))
-    pa = worker.abstract_assignment(zero)
+    pa = worker.abstract_update(zero)
     values = dict(zip(pa.targets, pa.exprs))
     assert values["x<3"] == bern.BTrue()
     assert values["x<-4"] == bern.BFalse()
@@ -113,14 +113,14 @@ def test_assignment_untracked_variable():
     ctx = theory.TheoryContext([cc.VarDecl("x", 0, 4), cc.VarDecl("y", 0, 4)])
     preds = PredicateList([("p", parsing.parse_cond("x < 2", ["x"]))], ctx)
     worker = bld.Abstractor(preds, bld.AbstractionConfig("nondet", "none"))
-    pa = worker.abstract_assignment(cc.Assign("y", cc.IntConst(1)))
+    pa = worker.abstract_update(cc.Assign("y", cc.IntConst(1)))
     assert pa.targets == ()
 
 
 def test_uniform_draw_fitted_shape(chain_draws):
     prog, ctx, preds = chain_draws
     worker = bld.Abstractor(preds, bld.AbstractionConfig("prob", "none", FIXED_HALF))
-    pa = worker.abstract_uniform(cc.Draw("a", 0, 10))
+    pa = worker.abstract_update(cc.Draw("a", 0, 10))
     assert pa.targets == ("a<5",)
     assert isinstance(pa.exprs[0], bern.Flip)
 
@@ -129,10 +129,10 @@ def test_uniform_draw_forced_constant():
     ctx = theory.TheoryContext([cc.VarDecl("x", 0, 32)])
     preds = PredicateList([("x<20", parsing.parse_cond("x < 20", ["x"]))], ctx)
     worker = bld.Abstractor(preds, bld.AbstractionConfig("prob", "none", FIXED_HALF))
-    pa = worker.abstract_uniform(cc.Draw("x", 0, 10))
+    pa = worker.abstract_update(cc.Draw("x", 0, 10))
     assert pa.exprs == (bern.BTrue(),)
     worker2 = bld.Abstractor(preds, bld.AbstractionConfig("nondet", "none"))
-    pa2 = worker2.abstract_uniform(cc.Draw("x", 25, 32))
+    pa2 = worker2.abstract_update(cc.Draw("x", 25, 32))
     assert pa2.exprs == (bern.BFalse(),)
 
 

@@ -89,6 +89,22 @@ def test_abstract_dump_queries(files):
     assert dump.read_text().count("(check-sat)") == 36
 
 
+@pytest.mark.parametrize("mode", [["--mode", "nondet"],
+                                  ["--mode", "prob", "--invariants", "structural"]],
+                         ids=["nondet", "structural"])
+@pytest.mark.parametrize("program", ["branch", "chain", "shift"])
+def test_dump_queries_is_pinned(files, program, mode):
+    """The whole query log, as abstract wrote it when assignments, draws
+    and structural updates each had their own code path; both styles ask
+    the same queries."""
+    paths, tmp = files
+    dump = tmp / "queries.smt2"
+    rc = cli.main(["abstract", paths[f"{program}.cp"], paths[f"{program}.preds"], *mode,
+                   "-o", str(tmp / "out.bern"), "--dump-queries", str(dump)])
+    assert rc == 0
+    assert dump.read_text() == (GOLDEN / f"queries_{program}.smt2").read_text()
+
+
 @pytest.mark.parametrize("expr", ["!" * 3000 + "a", "(" * 3000 + "a" + ")" * 3000])
 def test_infer_deep_nesting_exit_2(tmp_path, capsys, expr):
     deep = tmp_path / "deep.bern"
@@ -158,7 +174,7 @@ def test_infer_from_invariant(files, capsys):
     assert "probability 11/32\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("point", ["99", "-1"])
+@pytest.mark.parametrize("point", ["99", "-1", "1.5", "x"])
 def test_infer_point_outside_program_exit_2(files, capsys, point):
     paths, _ = files
     rc = cli.main(["infer", paths["chain.bern"], "--event", "{a<5}", "--point", point])

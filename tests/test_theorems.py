@@ -446,6 +446,32 @@ def test_fit_output_of_random_programs_is_pinned():
     assert hashlib.sha256("".join(out).encode()).hexdigest() == FIT_DIGEST
 
 
+# sha256 of the abstract_kernel rows of KERNEL_CASES random programs over
+# up to 6 predicates, abstracted in the structural style with theta fixed
+# at 1/3 and fitted, as they were when the structural updates were built
+# cell by cell
+KERNEL_DIGEST = "bf041280edfdc4a4677deca36b32cfa4ab4a8a9362c06d6a42802fb9735315fd"
+KERNEL_CASES = 40
+
+
+def test_structural_kernel_rows_are_pinned():
+    rng = random.Random(13)
+    out = []
+    for case in range(KERNEL_CASES):
+        prog = randgen.rand_concrete_program(rng, draws=case % 2 == 0)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 6), ctx)
+        for params in (bld.ParamPolicy.fixed(Fraction(1, 3)), bld.ParamPolicy.fit()):
+            config = bld.AbstractionConfig("prob", "structural", params)
+            aprog, sites = bld.abstract_program(prog, preds, config)
+            if params.kind == "fit":
+                aprog, _ = theorems.fit_parameters(prog, aprog, sites, preds)
+            kernel = theorems.abstract_kernel(aprog, preds)
+            rows = [(a, sorted(row.items())) for a, row in kernel.items()]
+            out.append(f"{case} {params.kind} {rows}\n")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == KERNEL_DIGEST
+
+
 def test_end_to_end_decomposed_matches_concrete(chain_draws):
     prog, ctx, preds = chain_draws
     event = parsing.parse_event("{c<5}", preds.labels)
