@@ -17,7 +17,7 @@ rewrites each assignment into a sequential per-predicate chain whose
 updates branch on the values already chosen, so that every reachable
 joint state is a feasible minterm and no observe is needed.  Each update
 is read off one admissible relation between pre- and post-state predicate
-values; pre-state reads of already-updated
+values, which is also its care set; pre-state reads of already-updated
 predicates go through snapshot variables.
 
 Flips whose value the canonical form does not depend on are never
@@ -331,7 +331,9 @@ class Abstractor:
         and cur takes every polarity the (t, f) pairs force at pre.
         Updating in declaration order, a predicate is forced wherever only
         one polarity extends the already-chosen prefix inside that
-        relation; otherwise it flips.  Pre-state reads of already-updated
+        relation; otherwise it flips.  The (pre, prefix) pairs the relation
+        never reaches are don't-cares, so no flip decides only there.
+        Pre-state reads of already-updated
         predicates go through snapshot variables, preserving the
         parallel-assignment reads of the original statement.
         """
@@ -381,6 +383,7 @@ class Abstractor:
                 lambda free: self._alloc_leaf(
                     "structural", path, stmt.loc, labels[i], context, free, self.preds.conds[i]
                 ),
+                care=ext_true | ext_false,
             )
             value = _substitute_structural_vars(
                 value, labels, target_idx[:k], needed_snapshots

@@ -194,6 +194,31 @@ def test_structural_single_predicate_plain_form():
     assert "{x<3} = {x<3} && flip(1/2)" in text
 
 
+def test_every_structural_flip_decides_on_a_feasible_pair():
+    """A structural site's `free` holds on some (pre, post) pair of feasible
+    minterms: no flip is allocated only where the update never goes."""
+    rng = random.Random(17)
+    checked = 0
+    for case in range(40):
+        prog = randgen.rand_concrete_program(rng, draws=case % 2 == 0)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 3), ctx)
+        cfg = bld.AbstractionConfig("prob", "structural", FIXED_HALF)
+        _, sites = bld.abstract_program(prog, preds, cfg)
+        feasible = [m.bits for m in preds.feasible_minterms()]
+        for site in sites:
+            if site.role != "structural":
+                continue
+            u = site.free.universe
+            assert any(
+                not (site.free & bddm.cube(u, zip(u.variables, pre + post))).is_false
+                for pre in feasible
+                for post in feasible
+            ), site
+            checked += 1
+    assert checked
+
+
 def test_branch_coverage_property():
     # !alpha && !beta is infeasible: the two branch conditions cover I
     rng = random.Random(31)

@@ -306,7 +306,9 @@ def test_fit_reproduces_hand_abstraction(files, capsys, tmp_path):
 @pytest.mark.parametrize("program", ["branch", "chain", "shift"])
 def test_fit_output_is_pinned(files, capsys, program, style):
     """The fitted text and the site table, as fit wrote them when each
-    role had its own measurement."""
+    role had its own measurement; the branch-reset program's structural
+    pair since its then-branch update allocates no flip where its
+    admissible relation never goes."""
     paths, tmp = files
     out, sites = tmp / "fitted.bern", tmp / "sites.json"
     rc = cli.main(["fit", paths[f"{program}.cp"], paths[f"{program}.preds"],
