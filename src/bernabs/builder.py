@@ -190,19 +190,15 @@ class Abstractor:
         sizes = [c.size() for c in candidates]
         return candidates[sizes.index(min(sizes))]
 
-    def _guarded_value(self, force_true: bddm.Bdd, force_false: bddm.Bdd, leaf_factory, care=None):
+    def _guarded_value(self, force_true: bddm.Bdd, force_false: bddm.Bdd, leaf_factory, care):
         """value = force_true OR (NOT force_false AND <leaf>); the leaf is
         elided when the value cannot depend on it within the care set.
         `leaf_factory` gets the Bdd where the leaf decides, NOT force_true
         AND NOT force_false."""
         free = ~force_true & ~force_false
-        if care is not None:
-            absorbed = (care & free).is_false
-            force_true = self._smallest_rep(force_true, care)
-            force_false = self._smallest_rep(force_false, care)
-        else:
-            absorbed = free.is_false
-        if absorbed:
+        force_true = self._smallest_rep(force_true, care)
+        force_false = self._smallest_rep(force_false, care)
+        if (care & free).is_false:
             return formula_to_expr(force_true)
         value = leaf_factory(free)
         if not force_false.is_false:  # a constraint against the leaf
@@ -333,9 +329,9 @@ class Abstractor:
         one polarity extends the already-chosen prefix inside that
         relation; otherwise it flips.  The (pre, prefix) pairs the relation
         never reaches are don't-cares, so no flip decides only there.
-        Pre-state reads of already-updated
-        predicates go through snapshot variables, preserving the
-        parallel-assignment reads of the original statement.
+        Pre-state reads of already-updated predicates go through snapshot
+        variables, preserving the parallel-assignment reads of the
+        original statement.
         """
         n = len(self.preds)
         if n > STRUCTURAL_BOUND:
