@@ -158,17 +158,9 @@ class Bdd:
     def size(self) -> int:
         """Number of internal nodes reachable from the root."""
         table = self.universe.table
-        seen = set()
-        stack = [self.ref]
-        while stack:
-            u = stack.pop()
-            if u < 2 or u in seen:
-                continue
-            seen.add(u)
-            _, lo, hi = table.node(u)
-            stack.append(lo)
-            stack.append(hi)
-        return len(seen)
+        reached = {}
+        table.fold(self.ref, lambda u, level, lo, hi: None, table.num_vars, reached)
+        return sum(u > kernel.TRUE for u in reached)
 
     # Queries ------------------------------------------------------------
 
@@ -187,6 +179,13 @@ class Bdd:
         return Bdd(self.universe, self.universe.table.exists(self.ref, levels))
 
     def rename(self, mapping) -> "Bdd":
+        """Substitute ``mapping[v]`` for each variable v, by relabelling nodes.
+
+        The mapping must be injective and keep the order of the variables
+        on every path of the diagram, as mapping v to a variable right
+        after it that the diagram does not mention does; a mapping that
+        would reorder them raises ``UniverseError``.
+        """
         perm = {}
         targets = set()
         for src, dst in mapping.items():
@@ -196,7 +195,10 @@ class Bdd:
                 raise UniverseError("rename mapping is not injective")
             targets.add(dst.index)
             perm[src.index] = dst.index
-        return Bdd(self.universe, self.universe.table.rename(self.ref, perm))
+        try:
+            return Bdd(self.universe, self.universe.table.rename(self.ref, perm))
+        except ValueError as exc:
+            raise UniverseError(str(exc)) from None
 
     def wmc(self, weights) -> Fraction:
         """Sum of per-variable weight products over satisfying assignments.
@@ -245,52 +247,41 @@ class Bdd:
         for level in range(top - 1, -1, -1):
             suffix[level] = suffix[level + 1] * (sums[level] or 1)
             zero[level] = zero[level + 1] if sums[level] else level
-        memo = {kernel.FALSE: 0, kernel.TRUE: 1}
 
-        def walk(u):
-            r = memo.get(u)
-            if r is not None:
-                return r
-            level, lo, hi = node(u)
+        def visit(u, level, lo_count, hi_count):
             pair = pairs[level]
             if pair is None:
                 raise UniverseError(
                     f"missing weight entry for {universe.variables[level].label!r}"
                 )
             below, first_zero = suffix[level + 1], zero[level + 1]
+            _, lo, hi = node(u)
             m = node(lo)[0]
-            r = pair[1] * walk(lo) * (below // suffix[m] if first_zero >= m else 0)
+            r = pair[1] * lo_count * (below // suffix[m] if first_zero >= m else 0)
             m = node(hi)[0]
-            r += pair[0] * walk(hi) * (below // suffix[m] if first_zero >= m else 0)
-            memo[u] = r
-            return r
+            return r + pair[0] * hi_count * (below // suffix[m] if first_zero >= m else 0)
 
-        count = walk(self.ref)
+        count = table.fold(self.ref, visit, top, {kernel.FALSE: 0, kernel.TRUE: 1})
         root = node(self.ref)[0]
         return (suffix[0] // suffix[root] if zero[0] >= root else 0) * count, scale
 
     def to_dot(self) -> str:
         """DOT dump: one line per node, low edges dashed, high edges solid."""
         table = self.universe.table
-        lines = ["digraph bdd {"]
-        seen = set()
-        stack = [self.ref]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            if u < 2:
-                lines.append(f'  n{u} [label="{u}", shape=box]')
-                continue
-            level, lo, hi = table.node(u)
+        lines = []
+
+        def visit(u, level, lo, hi):
             label = self.universe.variables[level].label
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{u} [label="{label}"]')
             lines.append(f"  n{u} -> n{lo} [style=dashed]")
             lines.append(f"  n{u} -> n{hi} [style=solid]")
-            stack.extend((lo, hi))
-        lines.append("}")
-        return "\n".join(lines)
+            return u
+
+        reached = {}
+        table.fold(self.ref, visit, table.num_vars, reached)
+        leaves = [f'  n{u} [label="{u}", shape=box]' for u in (0, 1) if u in reached]
+        return "\n".join(["digraph bdd {", *leaves, *lines, "}"])
 
 
 def _rational(w):

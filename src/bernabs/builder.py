@@ -457,41 +457,30 @@ def formula_to_expr(b: bddm.Bdd) -> bern.BernExpr:
     This is the one place a Bdd becomes BERN; variables keep their labels.
     A node x ? hi : lo becomes x, !x, x && hi, !x && lo, !x || hi, x || lo,
     or (x && hi) || (!x && lo), the first of these its children allow, and
-    a node shared in the diagram shares its expression.  Nodes are
-    converted children first, from an explicit stack, so a deep diagram
-    does not recurse.
+    a node shared in the diagram shares its expression.  It is a visitor
+    of ``NodeTable.fold``, so a deep diagram does not recurse.
     """
     table = b.universe.table
     variables = b.universe.variables
-    done = {kernel.FALSE: bern.BFalse(), kernel.TRUE: bern.BTrue()}
-    todo = [b.ref]
-    while todo:
-        u = todo[-1]
-        if u in done:
-            todo.pop()
-            continue
-        level, lo, hi = table.node(u)
-        pending = [c for c in (lo, hi) if c not in done]
-        if pending:
-            todo += pending
-            continue
-        todo.pop()
+    false, true = bern.BFalse(), bern.BTrue()
+
+    def visit(u, level, lo, hi):
         x = bern.BVar(variables[level].label)
-        if lo == kernel.FALSE and hi == kernel.TRUE:
-            done[u] = x
-        elif lo == kernel.TRUE and hi == kernel.FALSE:
-            done[u] = bern.BNot(x)
-        elif lo == kernel.FALSE:
-            done[u] = bern.BAnd(x, done[hi])
-        elif hi == kernel.FALSE:
-            done[u] = bern.BAnd(bern.BNot(x), done[lo])
-        elif lo == kernel.TRUE:
-            done[u] = bern.BOr(bern.BNot(x), done[hi])
-        elif hi == kernel.TRUE:
-            done[u] = bern.BOr(x, done[lo])
-        else:
-            done[u] = bern.BOr(bern.BAnd(x, done[hi]), bern.BAnd(bern.BNot(x), done[lo]))
-    return done[b.ref]
+        if lo is false and hi is true:
+            return x
+        if lo is true and hi is false:
+            return bern.BNot(x)
+        if lo is false:
+            return bern.BAnd(x, hi)
+        if hi is false:
+            return bern.BAnd(bern.BNot(x), lo)
+        if lo is true:
+            return bern.BOr(bern.BNot(x), hi)
+        if hi is true:
+            return bern.BOr(x, lo)
+        return bern.BOr(bern.BAnd(x, hi), bern.BAnd(bern.BNot(x), lo))
+
+    return table.fold(b.ref, visit, table.num_vars, {kernel.FALSE: false, kernel.TRUE: true})
 
 
 def enforce_invariants_observe(

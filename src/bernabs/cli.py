@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -53,6 +54,17 @@ def _load_problem(args, cap):
     )
     preds = PredicateList(parsing.parse_preds(_read(args.predicates)), ctx)
     return prog, ctx, preds
+
+
+def _scale(text):
+    """The --scale factor: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _param_policy(text):
@@ -227,7 +239,7 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=_scale, default=1.0,
                    help="scale factor on suite case counts")
     p.set_defaults(fn=cmd_selftest)
 

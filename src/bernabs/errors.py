@@ -7,6 +7,7 @@ class BernabsError(Exception):
 
 class ParseError(BernabsError):
     def __init__(self, message, line=None, column=None):
+        self.reason = message
         self.line = line
         self.column = column
         if line is not None:

@@ -7,6 +7,18 @@ is hash-consed, so semantically equal functions share one node id.
 
 No complemented edges: canonicity is exactly "no node with lo == hi, no
 duplicate (level, lo, hi) triple".
+
+Every walk over the nodes reachable from a root is one call of
+:meth:`NodeTable.fold`, an iterative post-order memoised per node id, so
+a diagram of any depth folds without recursion; ``not_``, ``restrict``,
+``exists``, ``rename`` and ``support`` are small visitors of it.  Only
+``apply`` recurses, once per level of its operands.
+
+``rename`` relabels nodes: it keeps each node's children and moves the
+node to its new level, so the map must keep the order of the levels on
+every path of the diagram (as v -> v' does when v' is the level right
+after v and does not occur in it), and a map that would reorder them
+raises ``ValueError``.
 """
 
 FALSE = 0
@@ -14,11 +26,10 @@ TRUE = 1
 
 OP_AND = 0
 OP_OR = 1
-OP_XOR = 2
-OP_IMP = 3
-OP_IFF = 4
+OP_IMP = 2
+OP_IFF = 3
 
-_COMMUTATIVE = (OP_AND, OP_OR, OP_XOR, OP_IFF)
+_COMMUTATIVE = (OP_AND, OP_OR, OP_IFF)
 
 
 class NodeTable:
@@ -33,8 +44,7 @@ class NodeTable:
         self._hi = [0, 1]
         self._unique = {}
         self._apply_memo = {}
-        self._ite_memo = {}
-        self._not_memo = {}
+        self._not_memo = {FALSE: TRUE, TRUE: FALSE}
 
     def __len__(self):
         return len(self._level)
@@ -60,16 +70,42 @@ class NodeTable:
             raise ValueError(f"variable level {level} outside universe")
         return self.mk(level, FALSE, TRUE)
 
+    def fold(self, u, visit, floor, memo):
+        """The result of the diagram at `u`, computed children first.
+
+        Each node w reachable from u that `memo` has no result for is
+        visited once: ``memo[w] = visit(w, level, lo, hi)``, where lo and
+        hi are the results of its children.  A node at level `floor` or
+        deeper is its own result (pass ``num_vars`` to visit every
+        internal node).  `memo` may start with known results, such as the
+        terminals'; it gains only finished ones, so a memo kept across
+        calls never holds a result half made.  ``mk`` makes a node's
+        children before the node, so ascending ids are a post-order.
+        """
+        if u in memo:
+            return memo[u]
+        level, lo_of, hi_of = self._level, self._lo, self._hi
+        todo = set()
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            if w in memo or w in todo:
+                continue
+            if level[w] >= floor:
+                memo[w] = w
+                continue
+            todo.add(w)
+            stack.append(lo_of[w])
+            stack.append(hi_of[w])
+        for w in sorted(todo):
+            memo[w] = visit(w, level[w], memo[lo_of[w]], memo[hi_of[w]])
+        return memo[u]
+
+    def _rebuild(self, w, level, lo, hi):
+        return self.mk(level, lo, hi)
+
     def not_(self, u):
-        if u == FALSE:
-            return TRUE
-        if u == TRUE:
-            return FALSE
-        r = self._not_memo.get(u)
-        if r is None:
-            r = self.mk(self._level[u], self.not_(self._lo[u]), self.not_(self._hi[u]))
-            self._not_memo[u] = r
-        return r
+        return self.fold(u, self._rebuild, self.num_vars, self._not_memo)
 
     def _terminal_shortcut(self, op, u, v):
         if op == OP_AND:
@@ -90,17 +126,6 @@ class NodeTable:
                 return u
             if u == v:
                 return u
-        elif op == OP_XOR:
-            if u == v:
-                return FALSE
-            if u == FALSE:
-                return v
-            if v == FALSE:
-                return u
-            if u == TRUE:
-                return self.not_(v)
-            if v == TRUE:
-                return self.not_(u)
         elif op == OP_IMP:
             if u == FALSE or v == TRUE:
                 return TRUE
@@ -152,113 +177,42 @@ class NodeTable:
         self._apply_memo[key] = r
         return r
 
-    def ite(self, f, g, h):
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        if g == FALSE and h == TRUE:
-            return self.not_(f)
-        key = (f, g, h)
-        r = self._ite_memo.get(key)
-        if r is not None:
-            return r
-        level = min(self._level[f], self._level[g], self._level[h])
-        f0, f1 = self._cofactors(f, level)
-        g0, g1 = self._cofactors(g, level)
-        h0, h1 = self._cofactors(h, level)
-        r = self.mk(level, self.ite(f0, g0, h0), self.ite(f1, g1, h1))
-        self._ite_memo[key] = r
-        return r
-
-    def _cofactors(self, u, level):
-        if self._level[u] == level:
-            return self._lo[u], self._hi[u]
-        return u, u
-
     def restrict(self, u, level, value):
-        memo = {}
-
-        def walk(w):
-            lw = self._level[w]
-            if lw > level:
-                return w
-            r = memo.get(w)
-            if r is not None:
-                return r
+        def visit(w, lw, lo, hi):
             if lw == level:
-                r = self._hi[w] if value else self._lo[w]
-            else:
-                r = self.mk(lw, walk(self._lo[w]), walk(self._hi[w]))
-            memo[w] = r
-            return r
+                return hi if value else lo
+            return self.mk(lw, lo, hi)
 
-        return walk(u)
+        return self.fold(u, visit, level + 1, {})
 
     def exists(self, u, levels):
         levels = frozenset(levels)
         if not levels:
             return u
-        top = max(levels)
-        memo = {}
 
-        def walk(w):
-            if self._level[w] > top:
-                return w
-            r = memo.get(w)
-            if r is not None:
-                return r
-            lw = self._level[w]
-            lo = walk(self._lo[w])
-            hi = walk(self._hi[w])
+        def visit(w, lw, lo, hi):
             if lw in levels:
-                r = self.apply(OP_OR, lo, hi)
-            else:
-                r = self.mk(lw, lo, hi)
-            memo[w] = r
-            return r
+                return self.apply(OP_OR, lo, hi)
+            return self.mk(lw, lo, hi)
 
-        return walk(u)
+        return self.fold(u, visit, max(levels) + 1, {})
 
     def rename(self, u, perm):
-        """Substitute variables: perm maps old level -> new level, injectively.
-
-        Implemented by bottom-up Shannon recomposition through ite, which is
-        correct for arbitrary injective maps (including order-changing ones).
-        """
+        """Relabel variables: perm maps old level -> new level, injectively,
+        keeping the order of the levels on every path of u."""
         if not perm:
             return u
-        memo = {}
+        level_of = self._level
 
-        def walk(w):
-            if w < 2:
-                return w
-            r = memo.get(w)
-            if r is not None:
-                return r
-            lw = self._level[w]
-            lo = walk(self._lo[w])
-            hi = walk(self._hi[w])
-            r = self.ite(self.var(perm.get(lw, lw)), hi, lo)
-            memo[w] = r
-            return r
+        def visit(w, lw, lo, hi):
+            new = perm.get(lw, lw)
+            if new >= level_of[lo] or new >= level_of[hi]:
+                raise ValueError(f"renaming level {lw} to {new} would reorder the diagram")
+            return self.mk(new, lo, hi)
 
-        return walk(u)
+        return self.fold(u, visit, max(perm) + 1, {})
 
     def support(self, u):
-        seen = set()
         levels = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w < 2 or w in seen:
-                continue
-            seen.add(w)
-            levels.add(self._level[w])
-            stack.append(self._lo[w])
-            stack.append(self._hi[w])
+        self.fold(u, lambda w, level, lo, hi: levels.add(level), self.num_vars, {})
         return tuple(sorted(levels))

@@ -353,11 +353,25 @@ def _height(tree):
     return concrete.fold(tree, lambda node, heights: 1 + max(heights, default=0))
 
 
+def _parse_observed(parse, decls, text):
+    """`parse` of ``<decls>observe(<text>)``, the wrapper that lets a program
+    parser read a bare condition; an error is reported at its position in
+    `text`."""
+    try:
+        return parse(f"{decls}observe({text})")
+    except ParseError as exc:
+        shift = decls.count("\n")
+        if exc.line is None or exc.line <= shift:
+            raise
+        line = exc.line - shift
+        column = exc.column - len("observe(") if line == 1 else exc.column
+        raise ParseError(exc.reason, line, column) from None
+
+
 def parse_cond(text, declared=None) -> concrete.Cond:
     """Parse a bare condition (used for .preds lines and query strings)."""
     shim = "".join(f"var {n} in [0, 1)\n" for n in (declared or ()))
-    # reuse the concrete parser by parsing `observe(<cond>)`
-    prog = parse_concrete(f"{shim}observe({text})")
+    prog = _parse_observed(parse_concrete, shim, text)
     stmt = prog.body[0]
     assert isinstance(stmt, concrete.Observe)
     return stmt.cond
@@ -383,7 +397,10 @@ def parse_preds(text):
         try:
             cond = parse_cond(rest.strip(), declared=_names_in(rest))
         except ParseError as exc:
-            raise ParseError(f"bad condition for {label!r}: {exc}", lineno, 1) from None
+            # the condition starts after the colon and the blanks that follow it
+            start = raw.index(":") + 1 + len(rest) - len(rest.lstrip())
+            column = start + (exc.column if exc.line == 1 else 1)
+            raise ParseError(f"bad condition for {label!r}: {exc.reason}", lineno, column) from None
         out.append((label, cond))
     return out
 
@@ -580,7 +597,7 @@ def _flip_param(p: _Parser):
 def parse_event(text, declared) -> bern.BernExpr:
     """An event is a flip/star/choose-free BERN expression over given names."""
     decls = "".join(f"bool {bern.name_text(n)}\n" for n in declared)
-    program = parse_bern(f"{decls}observe({text})")
+    program = _parse_observed(parse_bern, decls, text)
     stmt = program.body[0]
     assert isinstance(stmt, bern.BObserve)
     for e in bern.walk_exprs(program.body):

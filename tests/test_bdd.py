@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
+from bernabs import kernel
 from bernabs.bdd import VarKind
 from bernabs.engine import expr_to_bdd
 from bernabs.errors import UniverseError
@@ -135,6 +136,8 @@ def test_rename_examples():
     assert bddm.true_bdd(u).rename({a: a_p}).is_true
     with pytest.raises(UniverseError):
         build(u, bern.BAnd(ref(a), ref(a_p))).rename({a: a_p, a_p: a_p})
+    with pytest.raises(UniverseError):
+        build(u, bern.BAnd(ref(a), ref(a_p))).rename({a: a_p, a_p: a})
 
 
 def test_enumerate_models_examples():
@@ -161,6 +164,38 @@ def test_dot_export():
     a, b = u.variables
     dot = build(u, bern.BAnd(ref(a), ref(b))).to_dot()
     assert 'label="b0"' in dot and "style=dashed" in dot and "style=solid" in dot
+
+
+def test_dot_escapes_labels():
+    u = bddm.make_universe([('a"b', VarKind.PREDICATE), ("c\\d", VarKind.PREDICATE)])
+    a, c = u.variables
+    dot = build(u, bern.BAnd(ref(a), ref(c))).to_dot()
+    assert 'label="a\\"b"' in dot and 'label="c\\\\d"' in dot
+
+
+def test_every_walk_runs_on_a_chain_deeper_than_the_stack():
+    """b0 && b2 && ... over 3,200 levels, built with ``mk``, each odd level
+    free: every walk over it is a fold, which does not recurse per level."""
+    n = 3200
+    u = pred_universe(2 * n)
+    table = u.table
+    ref_ = kernel.TRUE
+    for level in range(2 * n - 2, -1, -2):
+        ref_ = table.mk(level, kernel.FALSE, ref_)
+    d = bddm.Bdd(u, ref_)
+    evens, odds = u.variables[0::2], u.variables[1::2]
+    assert d.size() == n
+    assert d.support() == evens
+    assert d.count_models(u.variables) == 2**n
+    assert d.wmc({v: (Fraction(1, 2), Fraction(1, 2)) for v in evens}) == Fraction(1, 2**n)
+    assert d.to_dot().count("style=solid") == n
+    assert build(u, bld.formula_to_expr(d)).equiv(d)
+    assert (~~d).equiv(d) and not (~d).equiv(d)
+    assert d.restrict(evens[-1], False).is_false
+    assert d.exists([evens[-1]]).equiv(d.restrict(evens[-1], True))
+    moved = d.rename(dict(zip(evens, odds)))
+    assert moved.support() == odds
+    assert moved.rename(dict(zip(odds, evens))).equiv(d)
 
 
 # --- properties ---------------------------------------------------------------

@@ -352,3 +352,35 @@ def test_selftest_quick(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_selftest_scale_must_be_finite_and_positive(capsys, scale):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--scale", scale])
+    assert exc.value.code == 2
+    assert f"argument --scale: expected a finite number > 0, got '{scale}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("event", "error: undeclared variable 'zz' (line 1, column 1)\n"),
+        ("where", "error: expected an arithmetic term, found ')' (line 1, column 5)\n"),
+        ("preds", "error: bad condition for 'x': expected an arithmetic term, "
+                  "found ')' (line 2, column 10)\n"),
+    ],
+)
+def test_condition_errors_point_into_the_given_text(files, capsys, where, message):
+    """A condition is parsed inside a wrapper program; its errors give one
+    position, in the text the user wrote."""
+    paths, tmp = files
+    argv = {
+        "event": ["infer", paths["chain.bern"], "--event", "zz"],
+        "where": ["check", paths["chain.cp"], paths["chain.preds"], paths["chain.bern"],
+                  "--where", "a < "],
+        "preds": ["check", paths["chain.cp"], str(tmp / "bad.preds"), paths["chain.bern"]],
+    }[where]
+    (tmp / "bad.preds").write_text("# a comment\n  x:  x < \n")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == message

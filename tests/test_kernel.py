@@ -1,15 +1,17 @@
-"""The node store: canonical form, and every op's result against truth tables."""
+"""The node store: canonical form, every op's result against truth tables,
+and every fold over a diagram deeper than the interpreter stack."""
 
 import itertools
 import random
 
+import pytest
+
 from bernabs import kernel
-from bernabs.kernel import OP_AND, OP_IFF, OP_IMP, OP_OR, OP_XOR
+from bernabs.kernel import FALSE, OP_AND, OP_IFF, OP_IMP, OP_OR, TRUE
 
 BINARY = {
     OP_AND: lambda a, b: a and b,
     OP_OR: lambda a, b: a or b,
-    OP_XOR: lambda a, b: a != b,
     OP_IMP: lambda a, b: (not a) or b,
     OP_IFF: lambda a, b: a == b,
 }
@@ -26,7 +28,9 @@ def random_ops(table, rng, num_vars, steps):
     """Grow a pool of nodes by random ops on it.
 
     Returns the pool and a log of (result, op, args) for every op, where op
-    is an ``OP_*`` code of ``apply`` or one of "not", "exists", "restrict".
+    is an ``OP_*`` code of ``apply`` or one of "not", "exists", "restrict",
+    "rename".  A rename map sends the support of its operand to levels in
+    the same order.
     """
     pool = [table.var(i) for i in range(num_vars)]
     log = []
@@ -48,6 +52,11 @@ def random_ops(table, rng, num_vars, steps):
         if rng.random() < 0.2:
             u, level, value = rng.choice(pool), rng.randrange(num_vars), rng.random() < 0.5
             record(table.restrict(u, level, value), "restrict", u, level, value)
+        if rng.random() < 0.2:
+            u = rng.choice(pool)
+            support = table.support(u)
+            perm = dict(zip(support, sorted(rng.sample(range(num_vars), len(support)))))
+            record(table.rename(u, perm), "rename", u, perm)
     return pool, log
 
 
@@ -68,7 +77,7 @@ def test_ops_match_truth_tables():
     num_vars = 5
     table = kernel.NodeTable(num_vars)
     _, log = random_ops(table, random.Random(42), num_vars, 200)
-    assert {op for _, op, _ in log} == set(BINARY) | {"not", "exists", "restrict"}
+    assert {op for _, op, _ in log} == set(BINARY) | {"not", "exists", "restrict", "rename"}
     rows = list(itertools.product((False, True), repeat=num_vars))
 
     def value(u, bits, fixed=()):
@@ -91,28 +100,42 @@ def test_ops_match_truth_tables():
             elif op == "restrict":
                 u, level, v = args
                 want = value(u, bits, [(level, v)])
+            elif op == "rename":
+                u, perm = args
+                want = value(u, bits, [(level, bits[new]) for level, new in perm.items()])
             else:
                 want = BINARY[op](value(args[0], bits), value(args[1], bits))
             assert value(result, bits) == want, (op, args, bits)
 
 
-def test_rename_swaps_levels():
+def test_rename_rejects_a_reordering_map():
     table = kernel.NodeTable(3)
     a, b = table.var(0), table.var(1)
     conj = table.apply(OP_AND, a, table.not_(b))
-    swapped = table.rename(conj, {0: 1, 1: 0})
-    for bits in itertools.product((False, True), repeat=3):
-        want = bits[1] and not bits[0]
-        assert eval_node(table, swapped, bits) == want
+    with pytest.raises(ValueError):
+        table.rename(conj, {0: 1, 1: 0})
+    with pytest.raises(ValueError):
+        table.rename(conj, {0: 1})  # onto a level the diagram holds below
+    assert table.rename(a, {0: 1, 1: 0}) == b  # no path holds both levels
 
 
-def test_ite_matches_apply():
-    table = kernel.NodeTable(4)
-    rng = random.Random(3)
-    pool, _ = random_ops(table, rng, 4, 60)
-    for _ in range(40):
-        f, g, h = (rng.choice(pool) for _ in range(3))
-        r = table.ite(f, g, h)
-        for bits in itertools.product((False, True), repeat=4):
-            want = eval_node(table, g if eval_node(table, f, bits) else h, bits)
-            assert eval_node(table, r, bits) == want
+def test_every_fold_runs_on_a_chain_deeper_than_the_stack():
+    """x0 && x2 && ... over 3,200 even levels, each odd level free: every
+    op that folds walks all of it, which recursion once per level cannot."""
+    n = 3200
+    table = kernel.NodeTable(2 * n)
+    chain = TRUE
+    for level in range(2 * n - 2, -1, -2):
+        chain = table.mk(level, FALSE, chain)
+    deepest = 2 * n - 2
+    assert table.support(chain) == tuple(range(0, 2 * n, 2))
+    negated = table.not_(chain)
+    assert table.not_(negated) == chain
+    assert table.restrict(negated, deepest, False) == TRUE
+    shorter = table.restrict(chain, deepest, True)
+    assert table.support(shorter) == tuple(range(0, deepest, 2))
+    assert table.exists(chain, [deepest]) == shorter
+    assert table.restrict(chain, deepest, False) == FALSE
+    moved = table.rename(chain, {level: level + 1 for level in range(0, 2 * n, 2)})
+    assert table.support(moved) == tuple(range(1, 2 * n, 2))
+    assert table.rename(moved, {level + 1: level for level in range(0, 2 * n, 2)}) == chain
