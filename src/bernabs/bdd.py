@@ -158,9 +158,9 @@ class Bdd:
     def size(self) -> int:
         """Number of internal nodes reachable from the root."""
         table = self.universe.table
-        reached = {}
+        reached = {kernel.FALSE: None, kernel.TRUE: None}
         table.fold(self.ref, lambda u, level, lo, hi: None, table.num_vars, reached)
-        return sum(u > kernel.TRUE for u in reached)
+        return len(reached) - 2
 
     # Queries ------------------------------------------------------------
 
