@@ -225,7 +225,6 @@ class Bdd:
         """(integer count, scale) with wmc(weights) == count / scale."""
         universe = self.universe
         table = universe.table
-        node = table.node
         top = table.num_vars  # the terminals' level
         pairs = [None] * top  # per level: integer (weight-true, weight-false)
         sums = [1] * top  # per level: what a skipped level multiplies by
@@ -248,21 +247,22 @@ class Bdd:
             suffix[level] = suffix[level + 1] * (sums[level] or 1)
             zero[level] = zero[level + 1] if sums[level] else level
 
-        def visit(u, level, lo_count, hi_count):
+        # A node's result is (its count, its level), so that its parents see
+        # how many levels their edge to it skips.
+        def visit(u, level, lo, hi):
             pair = pairs[level]
             if pair is None:
                 raise UniverseError(
                     f"missing weight entry for {universe.variables[level].label!r}"
                 )
             below, first_zero = suffix[level + 1], zero[level + 1]
-            _, lo, hi = node(u)
-            m = node(lo)[0]
+            (lo_count, m), (hi_count, n) = lo, hi
             r = pair[1] * lo_count * (below // suffix[m] if first_zero >= m else 0)
-            m = node(hi)[0]
-            return r + pair[0] * hi_count * (below // suffix[m] if first_zero >= m else 0)
+            r += pair[0] * hi_count * (below // suffix[n] if first_zero >= n else 0)
+            return r, level
 
-        count = table.fold(self.ref, visit, top, {kernel.FALSE: 0, kernel.TRUE: 1})
-        root = node(self.ref)[0]
+        terminals = {kernel.FALSE: (0, top), kernel.TRUE: (1, top)}
+        count, root = table.fold(self.ref, visit, top, terminals)
         return (suffix[0] // suffix[root] if zero[0] >= root else 0) * count, scale
 
     def to_dot(self) -> str:
