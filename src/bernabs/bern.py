@@ -299,9 +299,11 @@ def _if_depth(body):
 
 
 def walk_stmts(body):
+    """Every statement under `body`, each before those in its blocks: the
+    walk of BERN and of concrete statements, whose `if` holds `then` and `els`."""
     for stmt in body:
         yield stmt
-        if isinstance(stmt, BIf):
+        if hasattr(stmt, "then"):
             yield from walk_stmts(stmt.then)
             yield from walk_stmts(stmt.els)
 

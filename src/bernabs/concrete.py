@@ -232,7 +232,7 @@ class ConcreteProgram:
         return _compile_block(self.body, self.var_names)
 
     def is_deterministic(self):
-        return not any(isinstance(s, Draw) for s in walk_statements(self.body))
+        return not any(isinstance(s, Draw) for s in bern.walk_stmts(self.body))
 
 
 def joint_size(decls) -> int:
@@ -241,14 +241,6 @@ def joint_size(decls) -> int:
     for d in decls:
         n *= d.size
     return n
-
-
-def walk_statements(body):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, If):
-            yield from walk_statements(stmt.then)
-            yield from walk_statements(stmt.els)
 
 
 # --- the traversal ---------------------------------------------------------------

@@ -25,7 +25,9 @@ from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs.errors import ConditionOnImpossibleError, ModeError, ProgramPointError
 
-PRIME_SUFFIX = "'"
+# v#' is v's primed copy.  Like the flip variables flip#k it holds a "#",
+# which no parsed .bern name does, so it is never a variable a program declares.
+PRIME_SUFFIX = "#'"
 
 
 _BDD_OPS = {

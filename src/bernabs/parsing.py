@@ -4,17 +4,27 @@ Whitespace (including newlines) is insignificant outside of .preds, which
 is line-oriented.  '#' starts a comment.  Braced tokens like ``{x<3}`` are
 Boolean variable names in .bern; the parser resolves the brace/block
 ambiguity positionally (blocks only ever follow ``if (...)`` or ``else``).
+
+The two languages share one statement grammar, `_Parser.statements`:
+blocks, ``if (c) {...} else {...}``, the filters and the loop-word check.
+Each language supplies its expression grammar as readers over a parser:
+.cp a condition and an arithmetic reader, .bern one expression reader.  A
+bare condition (a .preds line, ``check --where``) or an event (``infer
+--event``) is read by the same reader straight from the given text, which it
+must use up (`_Parser.whole`), so every position an error names is one in
+that text.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from bernabs import bern, concrete
-from bernabs.errors import ModeError, ParseError
+from bernabs.errors import ParseError
 
 _TOKEN_RE = re.compile(
     r"""
@@ -29,6 +39,10 @@ _TOKEN_RE = re.compile(
 )
 
 _LOOP_WORDS = {"while", "goto", "for", "loop"}
+
+# Tokens that continue an arithmetic term into a comparison: after one of
+# them, `T`, `F` or a bracketed condition is the start of a comparison.
+_ARITHMETIC_FOLLOWS = {"<", "<=", "==", "!=", "=", ">", ">=", "+", "-", "*"}
 
 # Brackets, negations and blocks nested inside one another, and the levels of
 # a .cp condition or expression tree; deeper input is rejected before a
@@ -102,14 +116,19 @@ class _Parser:
         return False
 
     def expect(self, text) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
+        if not self.at(text):
+            self.expected(repr(text))
         return self.next()
 
     def fail(self, message):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def expected(self, what):
+        """Fail at the next token, which is not `what`."""
+        tok = self.peek()
+        found = "the end of the text" if tok.kind == "eof" else repr(tok.text)
+        self.fail(f"expected {what}, found {found}")
 
     def at_eof(self):
         return self.peek().kind == "eof"
@@ -126,13 +145,78 @@ class _Parser:
         finally:
             self.depth -= 1
 
+    def whole(self, read):
+        """What `read` reads, which must be all of the text."""
+        result = read()
+        if not self.at_eof():
+            self.expected("the end of the text")
+        return result
+
+    def listed(self, read):
+        """One or more of what `read` reads, separated by commas."""
+        items = [read()]
+        while self.accept(","):
+            items.append(read())
+        return items
+
+    def statements(self, cond, assignment, filters, make_if):
+        """The statements up to the end of the text.  `cond` reads a
+        condition; `filters` maps each filter word to its statement class,
+        built from a condition and a line; `make_if` builds an ``if`` from
+        its condition, blocks and line; any other statement is read by
+        ``assignment(first_token)``."""
+
+        def guard():
+            self.next()
+            self.expect("(")
+            c = cond()
+            self.expect(")")
+            return c
+
+        def statement():
+            tok = self.peek()
+            if tok.kind == "name" and tok.text in _LOOP_WORDS:
+                raise ParseError(f"unsupported construct {tok.text!r} (loop-free language)", tok.line, tok.col)
+            if tok.text in filters:
+                return filters[tok.text](guard(), tok.line)
+            if tok.text == "if":
+                c = guard()
+                then = block()
+                return make_if(c, then, block() if self.accept("else") else (), tok.line)
+            return assignment(tok)
+
+        def block():
+            self.expect("{")
+            stmts = []
+            with self.nested():
+                while not self.at("}"):
+                    if self.at_eof():
+                        self.fail("unterminated block")
+                    stmts.append(statement())
+            self.expect("}")
+            return tuple(stmts)
+
+        body = []
+        while not self.at_eof():
+            body.append(statement())
+        return tuple(body)
+
     def signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
         tok = self.peek()
         if tok.kind != "int":
-            self.fail(f"expected an integer, found {tok.text!r}")
+            self.expected("an integer")
         self.next()
         return sign * int(tok.text)
+
+    def half_open(self):
+        """The bounds of the range ``[lo, hi)``."""
+        self.expect("[")
+        lo = self.signed_int()
+        self.expect(",")
+        hi = self.signed_int()
+        self.expect(")")
+        return lo, hi
 
     def braced_name(self) -> str:
         open_tok = self.expect("{")
@@ -152,32 +236,21 @@ class _Parser:
         return name
 
 
+def _check_declared(name, declared, tok):
+    """`name`, read from `tok`, if `declared` is None (any name) or holds it."""
+    if declared is not None and name not in declared:
+        raise ParseError(f"undeclared variable {name!r}", tok.line, tok.col)
+    return name
+
+
 # --- concrete programs (.cp) -------------------------------------------------
 
 
-def parse_concrete(text) -> concrete.ConcreteProgram:
-    p = _Parser(text)
-    decls = []
-    while p.at("var"):
-        p.next()
-        tok = p.peek()
-        if tok.kind != "name":
-            p.fail("expected a variable name")
-        p.next()
-        p.expect("in")
-        p.expect("[")
-        lo = p.signed_int()
-        p.expect(",")
-        hi = p.signed_int()
-        p.expect(")")
-        if lo >= hi:
-            raise ParseError(f"empty range for {tok.text!r}", tok.line, tok.col)
-        decls.append(concrete.VarDecl(tok.text, lo, hi))
-    declared = {d.name for d in decls}
-
-    def check_declared(name, tok):
-        if name not in declared:
-            raise ParseError(f"undeclared variable {name!r}", tok.line, tok.col)
+def _cp_grammar(p: _Parser, declared):
+    """The .cp condition reader and arithmetic reader over `p`, for trees
+    over the names in `declared` (any name when it is None).  Each reads
+    one tree and rejects one more than MAX_NESTING levels high at its first
+    token."""
 
     def int_atom():
         tok = p.peek()
@@ -199,9 +272,8 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
             return concrete.IntConst(int(tok.text))
         if tok.kind == "name":
             p.next()
-            check_declared(tok.text, tok)
-            return concrete.IntVar(tok.text)
-        p.fail(f"expected an arithmetic term, found {tok.text!r}")
+            return concrete.IntVar(_check_declared(tok.text, declared, tok))
+        p.expected("an arithmetic term")
 
     def int_term():
         tok = p.peek()
@@ -234,12 +306,9 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
             p.next()
             with p.nested():
                 return concrete.CNot(cond_atom())
-        if tok.text == "T" and p.peek(1).text not in ("<", "<=", "==", "!=", ">", ">=", "+", "-", "*"):
+        if tok.text in ("T", "F") and p.peek(1).text not in _ARITHMETIC_FOLLOWS:
             p.next()
-            return concrete.CTrue()
-        if tok.text == "F" and p.peek(1).text not in ("<", "<=", "==", "!=", ">", ">=", "+", "-", "*"):
-            p.next()
-            return concrete.CFalse()
+            return concrete.CTrue() if tok.text == "T" else concrete.CFalse()
         if tok.text == "(":
             # either a parenthesized condition or a parenthesized arithmetic
             # expression starting a comparison; try the condition first
@@ -249,7 +318,7 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
                 with p.nested():
                     c = cond_or()
                 p.expect(")")
-                if p.peek().text not in ("<", "<=", "==", "!=", "=", ">", ">=", "+", "-", "*"):
+                if p.peek().text not in _ARITHMETIC_FOLLOWS:
                     return c
             except _NestingError:
                 raise
@@ -257,15 +326,13 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
                 pass
             p.i = save
         left = int_expr()
-        op_tok = p.peek()
-        op = op_tok.text
+        op = p.peek().text
         if op == "=":
             op = "=="
         if op not in concrete.CMP_OPS:
-            p.fail(f"expected a comparison operator, found {op_tok.text!r}")
+            p.expected("a comparison operator")
         p.next()
-        right = int_expr()
-        return concrete.Cmp(op, left, right)
+        return concrete.Cmp(op, left, int_expr())
 
     def cond_and():
         c = cond_atom()
@@ -279,72 +346,55 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
             c = concrete.COr(c, cond_and())
         return c
 
-    def statement():
+    def shallow(read):
+        def read_tree():
+            tok = p.peek()
+            tree = read()
+            if _height(tree) > MAX_NESTING:
+                raise ParseError(f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+            return tree
+
+        return read_tree
+
+    return shallow(cond_or), shallow(int_expr)
+
+
+def parse_concrete(text) -> concrete.ConcreteProgram:
+    p = _Parser(text)
+    decls = []
+    while p.at("var"):
+        p.next()
         tok = p.peek()
-        loc = tok.line
-        if tok.kind == "name" and tok.text in _LOOP_WORDS:
-            raise ParseError(f"unsupported construct {tok.text!r} (loop-free language)", tok.line, tok.col)
-        if tok.text == "observe":
-            p.next()
-            p.expect("(")
-            c = cond_or()
-            p.expect(")")
-            return concrete.Observe(c, loc)
-        if tok.text == "if":
-            p.next()
-            p.expect("(")
-            c = cond_or()
-            p.expect(")")
-            then = block()
-            els = block() if p.accept("else") else ()
-            return concrete.If(c, then, els, loc)
         if tok.kind != "name":
-            p.fail(f"expected a statement, found {tok.text!r}")
+            p.fail("expected a variable name")
+        p.next()
+        p.expect("in")
+        lo, hi = p.half_open()
+        if lo >= hi:
+            raise ParseError(f"empty range for {tok.text!r}", tok.line, tok.col)
+        decls.append(concrete.VarDecl(tok.text, lo, hi))
+    declared = {d.name: d for d in decls}
+    cond, arith = _cp_grammar(p, declared)
+
+    def assignment(tok):
+        if tok.kind != "name":
+            p.expected("a statement")
         if tok.text == "var":
             raise ParseError("declarations must precede statements", tok.line, tok.col)
         p.next()
-        check_declared(tok.text, tok)
+        decl = declared[_check_declared(tok.text, declared, tok)]
         p.expect("=")
-        if p.at("unif"):
-            p.next()
-            p.expect("[")
-            lo = p.signed_int()
-            p.expect(",")
-            hi = p.signed_int()
-            p.expect(")")
-            if lo >= hi:
-                raise ParseError("empty draw range", tok.line, tok.col)
-            return concrete.Draw(tok.text, lo, hi, loc)
-        return concrete.Assign(tok.text, int_expr(), loc)
+        if not p.accept("unif"):
+            return concrete.Assign(tok.text, arith(), tok.line)
+        lo, hi = p.half_open()
+        if lo >= hi:
+            raise ParseError("empty draw range", tok.line, tok.col)
+        if not decl.lo <= lo < hi <= decl.hi:
+            raise ParseError(f"draw [{lo}, {hi}) escapes {tok.text}'s declared range", tok.line, tok.col)
+        return concrete.Draw(tok.text, lo, hi, tok.line)
 
-    def block():
-        p.expect("{")
-        stmts = []
-        with p.nested():
-            while not p.at("}"):
-                if p.at_eof():
-                    p.fail("unterminated block")
-                stmts.append(statement())
-        p.expect("}")
-        return tuple(stmts)
-
-    body = []
-    while not p.at_eof():
-        body.append(statement())
-    program = concrete.ConcreteProgram(tuple(decls), tuple(body))
-    for stmt in concrete.walk_statements(program.body):
-        tree = getattr(stmt, "cond", getattr(stmt, "expr", None))
-        if tree is not None and _height(tree) > MAX_NESTING:
-            raise ParseError(f"nested more than {MAX_NESTING} levels deep", stmt.loc, 1)
-        if isinstance(stmt, concrete.Draw):
-            decl = program.decl(stmt.name)
-            if not (decl.lo <= stmt.lo < stmt.hi <= decl.hi):
-                raise ParseError(
-                    f"draw [{stmt.lo}, {stmt.hi}) escapes {stmt.name}'s declared range",
-                    stmt.loc,
-                    1,
-                )
-    return program
+    body = p.statements(cond, assignment, {"observe": concrete.Observe}, concrete.If)
+    return concrete.ConcreteProgram(tuple(decls), body)
 
 
 def _height(tree):
@@ -353,28 +403,12 @@ def _height(tree):
     return concrete.fold(tree, lambda node, heights: 1 + max(heights, default=0))
 
 
-def _parse_observed(parse, decls, text):
-    """`parse` of ``<decls>observe(<text>)``, the wrapper that lets a program
-    parser read a bare condition; an error is reported at its position in
-    `text`."""
-    try:
-        return parse(f"{decls}observe({text})")
-    except ParseError as exc:
-        shift = decls.count("\n")
-        if exc.line is None or exc.line <= shift:
-            raise
-        line = exc.line - shift
-        column = exc.column - len("observe(") if line == 1 else exc.column
-        raise ParseError(exc.reason, line, column) from None
-
-
 def parse_cond(text, declared=None) -> concrete.Cond:
-    """Parse a bare condition (used for .preds lines and query strings)."""
-    shim = "".join(f"var {n} in [0, 1)\n" for n in (declared or ()))
-    prog = _parse_observed(parse_concrete, shim, text)
-    stmt = prog.body[0]
-    assert isinstance(stmt, concrete.Observe)
-    return stmt.cond
+    """The condition that is all of `text`, over the names in `declared`
+    (any name when it is None): a .preds line or a query string."""
+    p = _Parser(text)
+    cond, _ = _cp_grammar(p, None if declared is None else set(declared))
+    return p.whole(cond)
 
 
 def parse_preds(text):
@@ -395,18 +429,13 @@ def parse_preds(text):
             raise ParseError(f"duplicate predicate label {label!r}", lineno, 1)
         labels.add(label)
         try:
-            cond = parse_cond(rest.strip(), declared=_names_in(rest))
+            cond = parse_cond(rest.strip())
         except ParseError as exc:
             # the condition starts after the colon and the blanks that follow it
-            start = raw.index(":") + 1 + len(rest) - len(rest.lstrip())
-            column = start + (exc.column if exc.line == 1 else 1)
+            column = raw.index(":") + 1 + len(rest) - len(rest.lstrip()) + exc.column
             raise ParseError(f"bad condition for {label!r}: {exc.reason}", lineno, column) from None
         out.append((label, cond))
     return out
-
-
-def _names_in(text):
-    return sorted({m.group() for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*", text)})
 
 
 def _rational(p: _Parser) -> Fraction:
@@ -431,15 +460,10 @@ def parse_rational(text) -> Fraction:
 # --- BERN programs (.bern) ------------------------------------------------------
 
 
-def parse_bern(text, mode=None) -> bern.BernProgram:
-    p = _Parser(text)
-    decls = []
-    while p.at("bool"):
-        p.next()
-        decls.append(_bern_name(p))
-    declared = set(decls)
-    flip_counter = [0]
-    star_counter = [0]
+def _bern_grammar(p: _Parser, declared):
+    """The .bern expression reader over `p`, for expressions over the names
+    in `declared`.  Flip sites and stars are numbered in reading order."""
+    flips, stars = itertools.count(), itertools.count()
 
     def atom():
         tok = p.peek()
@@ -461,17 +485,13 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
             return bern.BFalse()
         if tok.text == "*":
             p.next()
-            sid = star_counter[0]
-            star_counter[0] += 1
-            return bern.Star(sid)
+            return bern.Star(next(stars))
         if tok.text == "flip":
             p.next()
             p.expect("(")
             theta = _flip_param(p)
             p.expect(")")
-            sid = flip_counter[0]
-            flip_counter[0] += 1
-            return bern.Flip(sid, theta)
+            return bern.Flip(next(flips), theta)
         if tok.text == "choose":
             p.next()
             p.expect("(")
@@ -481,10 +501,7 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
                 b = expr()
             p.expect(")")
             return bern.Choose(a, b)
-        name = _bern_name(p)
-        if name not in declared:
-            raise ParseError(f"undeclared variable {name!r}", tok.line, tok.col)
-        return bern.BVar(name)
+        return bern.BVar(_check_declared(_bern_name(p), declared, tok))
 
     def conj():
         e = atom()
@@ -511,64 +528,36 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
             e = bern.BIff(e, implication())
         return e
 
-    def statement():
-        tok = p.peek()
-        loc = tok.line
-        if tok.kind == "name" and tok.text in _LOOP_WORDS:
-            raise ParseError(f"unsupported construct {tok.text!r} (loop-free language)", tok.line, tok.col)
-        if tok.text == "observe" or tok.text == "assume":
-            p.next()
-            p.expect("(")
-            c = expr()
-            p.expect(")")
-            cls = bern.BObserve if tok.text == "observe" else bern.BAssume
-            return cls(c, loc)
-        if tok.text == "if":
-            p.next()
-            p.expect("(")
-            c = expr()
-            p.expect(")")
-            then = block()
-            els = block() if p.accept("else") else ()
-            return bern.BIf(c, then, els, loc)
-        targets = [_bern_name(p)]
-        while p.accept(","):
-            targets.append(_bern_name(p))
+    return expr
+
+
+def parse_bern(text, mode=None) -> bern.BernProgram:
+    """The program `text`, in `mode`, or else in the mode its flips or
+    stars imply; `BernProgram` rejects a program its mode does not allow."""
+    p = _Parser(text)
+    decls = []
+    while p.at("bool"):
+        p.next()
+        decls.append(_bern_name(p))
+    declared = set(decls)
+    expr = _bern_grammar(p, declared)
+
+    def assignment(tok):
+        targets = p.listed(lambda: _bern_name(p))
         for t in targets:
-            if t not in declared:
-                raise ParseError(f"undeclared variable {t!r}", tok.line, tok.col)
+            _check_declared(t, declared, tok)
         p.expect("=")
-        exprs = [expr()]
-        while p.accept(","):
-            exprs.append(expr())
+        exprs = p.listed(expr)
         if len(exprs) != len(targets):
             raise ParseError("parallel assignment arity mismatch", tok.line, tok.col)
-        return bern.PAssign(tuple(targets), tuple(exprs), loc)
+        return bern.PAssign(tuple(targets), tuple(exprs), tok.line)
 
-    def block():
-        p.expect("{")
-        stmts = []
-        with p.nested():
-            while not p.at("}"):
-                if p.at_eof():
-                    p.fail("unterminated block")
-                stmts.append(statement())
-        p.expect("}")
-        return tuple(stmts)
-
-    body = []
-    while not p.at_eof():
-        body.append(statement())
-
-    has_flip = flip_counter[0] > 0
-    has_star = star_counter[0] > 0
+    filters = {"observe": bern.BObserve, "assume": bern.BAssume}
+    body = p.statements(expr, assignment, filters, bern.BIf)
     if mode is None:
-        mode = "prob" if has_flip else ("nondet" if has_star else None)
-    elif mode == "prob" and has_star:
-        raise ModeError("* is not allowed in probabilistic mode")
-    elif mode == "nondet" and has_flip:
-        raise ModeError("flip is not allowed in non-deterministic mode")
-    return bern.BernProgram(tuple(decls), tuple(body), mode)
+        kinds = {type(e) for e in bern.walk_exprs(body)}
+        mode = "prob" if bern.Flip in kinds else ("nondet" if bern.Star in kinds else None)
+    return bern.BernProgram(tuple(decls), body, mode)
 
 
 def _bern_name(p: _Parser) -> str:
@@ -576,7 +565,7 @@ def _bern_name(p: _Parser) -> str:
     if tok.text == "{":
         return p.braced_name()
     if tok.kind != "name":
-        p.fail(f"expected a variable name, found {tok.text!r}")
+        p.expected("a variable name")
     if tok.text in bern.RESERVED_WORDS:
         p.fail(f"{tok.text!r} is reserved")
     p.next()
@@ -595,12 +584,12 @@ def _flip_param(p: _Parser):
 
 
 def parse_event(text, declared) -> bern.BernExpr:
-    """An event is a flip/star/choose-free BERN expression over given names."""
-    decls = "".join(f"bool {bern.name_text(n)}\n" for n in declared)
-    program = _parse_observed(parse_bern, decls, text)
-    stmt = program.body[0]
-    assert isinstance(stmt, bern.BObserve)
-    for e in bern.walk_exprs(program.body):
-        if isinstance(e, (bern.Flip, bern.Star, bern.Choose)):
-            raise ParseError("events must be plain Boolean formulas over the variables")
-    return stmt.cond
+    """The flip/star/choose-free BERN expression that is all of `text`,
+    over the names in `declared`."""
+    p = _Parser(text)
+    event = p.whole(_bern_grammar(p, set(declared)))
+    used = set()
+    bern.fold(event, lambda node, _: used.add(type(node)))
+    if used & {bern.Flip, bern.Star, bern.Choose}:
+        raise ParseError("events must be plain Boolean formulas over the variables")
+    return event

@@ -33,7 +33,7 @@ from bernabs import builder as bld
 from bernabs import concrete as cc
 from bernabs import engine
 from bernabs.domain import PredicateList
-from bernabs.errors import ModeError, UniverseError
+from bernabs.errors import ModeError
 from bernabs.kernel import FALSE, TRUE
 
 
@@ -213,7 +213,10 @@ def check_sound_prob(
 
 # --- the transition kernel -------------------------------------------------------
 
-GHOST_SUFFIX = "@0"  # p@0 holds the value predicate p had at the start
+# p#in holds the value predicate p had at the start.  No .preds label or parsed
+# .bern name holds a "#", so no declared variable is a ghost, and no flip
+# variable flip#k is one either, since "in" is no site number.
+GHOST_SUFFIX = "#in"
 
 
 def _star_flips(aprog: bern.BernProgram) -> bern.BernProgram:
@@ -229,7 +232,7 @@ def _star_flips(aprog: bern.BernProgram) -> bern.BernProgram:
 
 
 def _kernel_program(aprog: bern.BernProgram, preds: PredicateList) -> bern.BernProgram:
-    """`aprog` behind one prefix assignment that sets a ghost p@0, declared
+    """`aprog` behind one prefix assignment that sets a ghost p#in, declared
     directly before p, to each predicate p, and every auxiliary (the
     ``@pre`` snapshots) to F.  Run from T, its Δ at the end relates the
     ghosts, the flips and the output state, and fixing the ghosts to a
@@ -239,9 +242,6 @@ def _kernel_program(aprog: bern.BernProgram, preds: PredicateList) -> bern.BernP
         missing = ", ".join(missing)
         raise ValueError(f"the abstract program does not declare these predicates: {missing}")
     ghost = {lbl: lbl + GHOST_SUFFIX for lbl in preds.labels}
-    clash = [g for g in ghost.values() if g in aprog.decls]
-    if clash:
-        raise UniverseError(f"ghost variable {clash[0]!r} collides with a declared variable")
     decls = []
     for name in aprog.decls:
         if name in ghost:

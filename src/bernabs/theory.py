@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from bernabs import concrete as cc
-from bernabs.errors import TheoryCapError
+from bernabs.errors import ParseError, TheoryCapError
 
 
 class TheoryContext:
@@ -38,7 +38,7 @@ class TheoryContext:
     def check_closed(self, cond):
         extra = cc.tree_vars(cond) - set(self.names)
         if extra:
-            raise KeyError(f"condition mentions undeclared variables: {sorted(extra)}")
+            raise ParseError(f"condition mentions undeclared variables: {', '.join(sorted(extra))}")
 
     def _check_cap(self):
         n = cc.joint_size(self.decls)

@@ -280,6 +280,19 @@ def test_round_trip_random():
         assert parsing.parse_bern(bern.to_text(prog)) == prog
 
 
+def test_event_reads_back():
+    rng = random.Random(37)
+    names = ("v0", "v1", "x<3")
+    events = 0
+    for _ in range(60):
+        prog = randgen.rand_bern_program(rng, names, max_flips=0)
+        for stmt in bern.walk_stmts(prog.body):
+            for e in stmt.exprs if isinstance(stmt, bern.PAssign) else (stmt.cond,):
+                assert parsing.parse_event(bern.expr_text(e), names) == e
+                events += 1
+    assert events > 300
+
+
 def test_every_printed_name_parses_back():
     """Names over every printable ASCII character and a few others, such
     as the builder's snapshot names ``x<-4@pre``: each one name_text

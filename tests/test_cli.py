@@ -362,25 +362,63 @@ def test_selftest_scale_must_be_finite_and_positive(capsys, scale):
     assert f"argument --scale: expected a finite number > 0, got '{scale}'" in capsys.readouterr().err
 
 
+_AND_CHAIN = " && ".join(["a < 3"] * 3000)
+
+# what is given where a condition is read: `--event`, `--where`, or a .preds
+# line, written behind a comment line as "  x:  <text>"
+_CONDITIONS = {
+    "event": "zz",
+    "where": "a < ",
+    "preds": "x < ",
+    "event, text after it": "{a<5}) observe({b<5}",
+    "where, text after it": "a < 3) observe(a > 100",
+    "preds, text after it": "a < 1) observe(b > 2",
+    "event, empty": "",
+    "where, deep": _AND_CHAIN,
+    "preds, deep": _AND_CHAIN,
+    "preds, undeclared": "q < 1",
+}
+
+
 @pytest.mark.parametrize(
     "where, message",
     [
         ("event", "error: undeclared variable 'zz' (line 1, column 1)\n"),
-        ("where", "error: expected an arithmetic term, found ')' (line 1, column 5)\n"),
+        ("where", "error: expected an arithmetic term, found the end of the text (line 1, column 5)\n"),
         ("preds", "error: bad condition for 'x': expected an arithmetic term, "
-                  "found ')' (line 2, column 10)\n"),
+                  "found the end of the text (line 2, column 10)\n"),
+        ("event, text after it", "error: expected the end of the text, found ')' (line 1, column 6)\n"),
+        ("where, text after it", "error: expected the end of the text, found ')' (line 1, column 6)\n"),
+        ("preds, text after it", "error: bad condition for 'x': expected the end of the text, "
+                                 "found ')' (line 2, column 12)\n"),
+        ("event, empty", "error: expected a variable name, found the end of the text (line 1, column 1)\n"),
+        ("where, deep", "error: nested more than 100 levels deep (line 1, column 1)\n"),
+        ("preds, deep", "error: bad condition for 'x': nested more than 100 levels deep (line 2, column 7)\n"),
+        ("preds, undeclared", "error: condition mentions undeclared variables: q\n"),
     ],
 )
 def test_condition_errors_point_into_the_given_text(files, capsys, where, message):
-    """A condition is parsed inside a wrapper program; its errors give one
-    position, in the text the user wrote."""
+    """A condition or event is read straight from the text the user wrote,
+    which it must use up; its errors give one position, in that text."""
     paths, tmp = files
+    text = _CONDITIONS[where]
     argv = {
-        "event": ["infer", paths["chain.bern"], "--event", "zz"],
+        "event": ["infer", paths["chain.bern"], "--event", text],
         "where": ["check", paths["chain.cp"], paths["chain.preds"], paths["chain.bern"],
-                  "--where", "a < "],
+                  "--where", text],
         "preds": ["check", paths["chain.cp"], str(tmp / "bad.preds"), paths["chain.bern"]],
-    }[where]
-    (tmp / "bad.preds").write_text("# a comment\n  x:  x < \n")
+    }[where.split(",")[0]]
+    (tmp / "bad.preds").write_text(f"# a comment\n  x:  {text}\n")
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == message
+
+
+def test_check_takes_a_label_like_a_ghost(tmp_path, capsys):
+    """The kernel's ghost of p is no name a .preds file can hold, so p@0 is
+    free for a predicate of its own."""
+    paths = {"cp": "var x in [0, 4)\nx = x\n", "preds": "p: x < 2\np@0: x < 1\n",
+             "bern": "bool p\nbool {p@0}\np, {p@0} = p, {p@0}\n"}
+    for suffix, text in paths.items():
+        (tmp_path / f"id.{suffix}").write_text(text)
+    assert cli.main(["check", *(str(tmp_path / f"id.{s}") for s in paths)]) == 0
+    assert capsys.readouterr().out.startswith("sound-prob: pass")

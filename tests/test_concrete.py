@@ -45,6 +45,16 @@ def test_parse_nonlinear_rejected():
         parsing.parse_concrete("var x in [0,4)\nvar y in [0,4)\nx = x * y")
 
 
+def test_condition_reads_back_whole():
+    rng = random.Random(31)
+    for _ in range(300):
+        decls = randgen.rand_decls(rng)
+        cond = randgen.rand_cond(rng, decls, depth=3)
+        assert parsing.parse_cond(str(cond), [d.name for d in decls]) == cond
+    with pytest.raises(ParseError, match=r"expected the end of the text, found '\)' \(line 1, column 6\)"):
+        parsing.parse_cond("x < 1) observe(x > 2", ["x"])
+
+
 def test_draw_outside_declared_range_rejected():
     with pytest.raises(ParseError):
         parsing.parse_concrete("var x in [0, 4)\nx = unif [0, 8)")

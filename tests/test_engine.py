@@ -52,6 +52,13 @@ def test_chain_draws_query():
     assert len(run.ctx.state_vars) == 3
 
 
+def test_a_name_may_end_in_a_prime():
+    # the engine's primed copy of a is no name a program can declare
+    prog = parsing.parse_bern("bool a\nbool {a'}\na = flip(1/3)\n")
+    result = engine.query(prog, bern.BVar("a"), init={"a": False, "a'": False})
+    assert result.probability == Fraction(1, 3)
+
+
 def test_query_trivial_event():
     prog = parsing.parse_bern(corpus.CHAIN_DRAWS_BERN)
     assert engine.query(prog, bern.BTrue()).probability == 1
