@@ -18,7 +18,6 @@ the norm for survival-mass queries).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,31 +28,23 @@ from bernabs.errors import UniverseError
 # --- variables and universes ----------------------------------------------
 
 
-class VarKind(enum.Enum):
-    PREDICATE = "predicate"
-    FLIP = "flip"
-    AUX = "aux"
-
-
 @dataclass(frozen=True)
 class BoolVar:
+    """A variable of a universe; a flip variable carries its parameter `theta`."""
+
     index: int
     label: str
-    kind: VarKind
     theta: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind is VarKind.FLIP:
-            if self.theta is None or not 0 <= self.theta <= 1:
-                raise UniverseError(f"flip variable {self.label!r} needs theta in [0,1]")
-        elif self.theta is not None:
-            raise UniverseError(f"non-flip variable {self.label!r} cannot carry a weight")
+        if self.theta is not None and not 0 <= self.theta <= 1:
+            raise UniverseError(f"flip variable {self.label!r} needs theta in [0,1]")
 
     def weights(self):
         """(weight-if-true, weight-if-false); (1, 1) for non-flip variables."""
-        if self.kind is VarKind.FLIP:
-            return self.theta, 1 - self.theta
-        return Fraction(1), Fraction(1)
+        if self.theta is None:
+            return Fraction(1), Fraction(1)
+        return self.theta, 1 - self.theta
 
 
 class Universe:
@@ -92,29 +83,14 @@ class Universe:
         except KeyError:
             raise UniverseError(f"no variable labelled {label!r}") from None
 
-    def default_weights(self):
-        """WeightMap over the whole universe, induced by flip parameters."""
-        return {v: v.weights() for v in self.variables}
-
 
 def make_universe(specs) -> Universe:
-    """Build a universe from (label, kind[, theta]) tuples in order."""
-    out = []
-    for i, spec in enumerate(specs):
-        label, vkind = spec[0], spec[1]
-        theta = spec[2] if len(spec) > 2 else None
-        out.append(BoolVar(i, label, vkind, theta))
-    return Universe(out)
+    """Build a universe from (label, theta) pairs in order; theta is None
+    for every variable but a flip."""
+    return Universe(BoolVar(i, label, theta) for i, (label, theta) in enumerate(specs))
 
 
 # --- decision diagrams ----------------------------------------------------
-
-_OPS = {
-    "and": kernel.OP_AND,
-    "or": kernel.OP_OR,
-    "implies": kernel.OP_IMP,
-    "iff": kernel.OP_IFF,
-}
 
 
 @dataclass(frozen=True)
@@ -129,20 +105,23 @@ class Bdd:
 
     # Boolean structure -------------------------------------------------
 
+    def _apply(self, op, other) -> "Bdd":
+        return Bdd(self.universe, self.universe.table.apply(op, self.ref, self._peer(other).ref))
+
     def __and__(self, other):
-        return apply("and", self, self._peer(other))
+        return self._apply(kernel.OP_AND, other)
 
     def __or__(self, other):
-        return apply("or", self, self._peer(other))
+        return self._apply(kernel.OP_OR, other)
 
     def __invert__(self):
         return Bdd(self.universe, self.universe.table.not_(self.ref))
 
     def implies(self, other):
-        return apply("implies", self, self._peer(other))
+        return self._apply(kernel.OP_IMP, other)
 
     def iff(self, other):
-        return apply("iff", self, self._peer(other))
+        return self._apply(kernel.OP_IFF, other)
 
     @property
     def is_true(self):
@@ -305,16 +284,6 @@ def false_bdd(universe) -> Bdd:
 def var_bdd(universe, var) -> Bdd:
     _check_var(universe, var)
     return Bdd(universe, universe.table.var(var.index))
-
-
-def apply(op: str, a: Bdd, b: Bdd) -> Bdd:
-    if a.universe is not b.universe:
-        raise UniverseError("cannot combine Bdds from different universes")
-    try:
-        code = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return Bdd(a.universe, a.universe.table.apply(code, a.ref, b.ref))
 
 
 def cube(universe, literals) -> Bdd:

@@ -11,12 +11,15 @@ The exact interpreter here is the reference oracle: it enumerates total
 assignments to the flip sites and runs the program deterministically for
 each, so smarter engines can be checked against it.
 
-Expression trees are walked only through `fold`, a post-order fold with
-an explicit stack, and rewritten only through `map_expr` and `map_program`
-on top of it; callers supply what a node means.  The concrete language's
-trees go through the same fold with their own child table.  No expression
-walk has a depth limit, so a flat chain of thousands of operands (a tree that deep)
-is as safe as one leaf.  Statement blocks are walked recursively, so a
+The trees of both languages, BERN expressions and the concrete language's
+integer expressions and conditions, share one node base, `Node`, and one
+child table, which each language enters its inner node classes in.  They
+are walked only through `fold`, a post-order fold with an explicit stack,
+and rewritten only through `map_expr` and `map_program` on top of it;
+callers supply what a node means.  Equality, hashing and `repr` of an
+inner node are visitors of the same fold.  No expression walk has a depth
+limit, so a flat chain of thousands of operands (a tree that deep) is as
+safe as one leaf.  Statement blocks are walked recursively, so a
 program may nest ``if`` blocks at most `MAX_NESTING` deep; `BernProgram`
 measures that depth without recursion before any walker runs.
 """
@@ -27,6 +30,7 @@ import dataclasses
 import itertools
 import operator
 import re
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,12 +47,19 @@ MAX_NESTING = 100
 # --- expressions -----------------------------------------------------------
 
 
-class BernExpr:
+class Node:
+    """A node of a tree of either language: a BERN expression, or a concrete
+    integer expression or condition."""
+
     __slots__ = ()
 
 
-class _Inner(BernExpr):
-    """A node with children; equality, hashing and `repr` go through `fold`."""
+class _Inner(Node):
+    """A node with children, which are the fields that hold a `Node`; its
+    other fields are labels, such as a comparison's operator.  Equality,
+    hashing and `repr` go through `fold`."""
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):  # what the dataclass test does, in O(1)
@@ -60,6 +71,10 @@ class _Inner(BernExpr):
 
     def __repr__(self):
         return fold(self, _repr)
+
+
+class BernExpr(Node):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -78,12 +93,12 @@ class BVar(BernExpr):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class BNot(_Inner):
+class BNot(_Inner, BernExpr):
     operand: BernExpr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class _Binary(_Inner):
+class _Binary(_Inner, BernExpr):
     left: BernExpr
     right: BernExpr
 
@@ -120,7 +135,7 @@ class Star(BernExpr):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Choose(_Inner):
+class Choose(_Inner, BernExpr):
     when_true: BernExpr
     when_false: BernExpr
 
@@ -209,20 +224,36 @@ class BernProgram:
 
 # --- the traversal ---------------------------------------------------------------
 
-_CHILDREN = {cls: operator.attrgetter("left", "right") for cls in (BAnd, BOr, BImp, BIff)}
-_CHILDREN[BNot] = lambda e: (e.operand,)
-_CHILDREN[Choose] = operator.attrgetter("when_true", "when_false")
+# The child table: each inner node class, and the getter of its children
+# (in field order), the names of its child fields and those of its labels.
+_CHILDREN = {}
 
 
-def fold(expr, visit, children=_CHILDREN):
-    """Post-order fold of one expression, with an explicit stack.
+def add_inner(*classes):
+    """Enter inner node classes in the child table.  A field whose type is
+    a `Node` class holds a child; any other field holds a label."""
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        kids = tuple(n for n in names if isinstance(hints[n], type) and issubclass(hints[n], Node))
+        labels = tuple(n for n in names if n not in kids)
+        if len(kids) == 1:
+            getter = lambda node, name=kids[0]: (getattr(node, name),)
+        else:
+            getter = operator.attrgetter(*kids)
+        _CHILDREN[cls] = (getter, kids, labels)
+
+
+add_inner(BNot, BAnd, BOr, BImp, BIff, Choose)
+
+
+def fold(expr, visit):
+    """Post-order fold of one tree of either language, with an explicit stack.
 
     ``visit(node, values)`` is called once per node, children before their
     parent and siblings left to right; `values` holds the results for the
     node's children (empty for a leaf).  Returns the result for `expr`.
-    `children` maps each inner node class to the getter of its children;
-    a node of any other class is a leaf.  The default is BERN's table, and
-    the concrete language passes its own.
+    A node whose class is not in the child table is a leaf.
     """
     values, todo = [], [expr]
     while todo:
@@ -230,8 +261,8 @@ def fold(expr, visit, children=_CHILDREN):
         if type(node) is int:  # that many children are done; their parent is next
             cut = len(values) - node
             values[cut:] = [visit(todo.pop(), values[cut:])]
-        elif type(node) in children:
-            kids = children[type(node)](node)
+        elif type(node) in _CHILDREN:
+            kids = _CHILDREN[type(node)][0](node)
             todo += (node, len(kids))
             todo += reversed(kids)
         else:
@@ -240,26 +271,49 @@ def fold(expr, visit, children=_CHILDREN):
 
 
 def _shape(expr):
-    """Post-order list of the inner nodes' types and the leaves themselves;
-    two trees are equal exactly when their lists are."""
+    """Post-order list of the leaves themselves and of each inner node's
+    type followed by its labels; two trees are equal exactly when their
+    lists are."""
     out = []
-    fold(expr, lambda node, values: out.append(type(node) if values else node))
+
+    def visit(node, values):
+        if values:
+            out.append(type(node))
+            for name in _CHILDREN[type(node)][2]:
+                out.append(getattr(node, name))
+        else:
+            out.append(node)
+
+    fold(expr, visit)
     return out
 
 
 def _repr(node, values):
-    """The dataclass `repr` of a node, given its children's: every field
-    of an inner node is a child."""
+    """The dataclass `repr` of a node, given its children's."""
     if not values:
         return repr(node)
-    fields = ", ".join(f"{f.name}={v}" for f, v in zip(dataclasses.fields(node), values))
+    kids = dict(zip(_CHILDREN[type(node)][1], values))
+    fields = ", ".join(
+        f"{f.name}={kids[f.name] if f.name in kids else repr(getattr(node, f.name))}"
+        for f in dataclasses.fields(node)
+    )
     return f"{type(node).__name__}({fields})"
 
 
 def map_expr(expr, on_node):
-    """Bottom-up rewrite: ``on_node`` gets each node rebuilt over its
-    rewritten children and returns the node that replaces it."""
-    return fold(expr, lambda node, values: on_node(type(node)(*values) if values else node))
+    """Bottom-up rewrite of a tree of either language: ``on_node`` gets each
+    node over its rewritten children, with its own labels, and returns the
+    node that replaces it.  A node whose children all come back unchanged
+    is passed on as it is."""
+
+    def visit(node, values):
+        if values:
+            getter, kids, _ = _CHILDREN[type(node)]
+            if any(map(operator.is_not, values, getter(node))):
+                node = dataclasses.replace(node, **dict(zip(kids, values)))
+        return on_node(node)
+
+    return fold(expr, visit)
 
 
 def map_program(program: BernProgram, on_node=None, on_stmt=None, mode=None) -> BernProgram:

@@ -347,7 +347,7 @@ class Abstractor:
         # scratch universe: the pre-values of all predicates, then their
         # post-values, the levels a FlipSite's `free` reads
         scratch = bddm.make_universe(
-            [(f"{side} {lbl}", bddm.VarKind.PREDICATE) for side in ("pre", "cur") for lbl in labels]
+            [(f"{side} {lbl}", None) for side in ("pre", "cur") for lbl in labels]
         )
         pre, cur = scratch.variables[:n], scratch.variables[n:]
 

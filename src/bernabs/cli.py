@@ -130,7 +130,6 @@ def cmd_check(args):
     inputs = None
     if args.where:
         cond = parsing.parse_cond(args.where, declared=[d.name for d in prog.decls])
-        ctx.check_closed(cond)
         fn = cc.compile(cond, ctx.names)
         keys = [key for key in keys if fn(key)]
         inputs = [theorems._state_json(ctx.names, key) for key in keys]

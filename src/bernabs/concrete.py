@@ -9,17 +9,17 @@ observe-failing paths, recording the lost mass in the survival total.
 Arithmetic escaping a variable's declared range is a hard error, never
 wrapping or clamping.
 
-Expression and condition trees are walked only through `fold`, the BERN
-post-order fold with this language's child table, so no walk has a depth
-limit.  `compile` is the language's one evaluator: it turns a tree into a
-closure over states, once per tree, and the loops over states call the
-closure.  A compiled closure still nests one call per level, which the
-parser's nesting cap bounds.
+Expression and condition trees are `bern.Node` trees: their classes join
+BERN's child table, so `bern.fold` walks them with no depth limit, and
+`bern` gives them their equality, hashing, `repr` and rebuild
+(`bern.map_expr`).  `compile` is the language's one evaluator: it turns a
+tree into a closure over states, once per tree, and the loops over states
+call the closure.  A compiled closure still nests one call per level,
+which the parser's nesting cap bounds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
@@ -59,29 +59,11 @@ class VarDecl:
 # --- integer expressions (linear) -----------------------------------------
 
 
-class IntExpr:
+class IntExpr(bern.Node):
     __slots__ = ()
 
     def __str__(self):
-        return fold(self, _text)
-
-
-class _Inner:
-    """A node with children.  Equality, hashing and `repr` all go through
-    the `repr` text, which `fold` builds and which spells out every field."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):  # what the dataclass test does, in O(1)
-            return NotImplemented
-        return self is other or repr(self) == repr(other)
-
-    def __hash__(self):
-        return hash(repr(self))
-
-    def __repr__(self):
-        return fold(self, _repr)
+        return bern.fold(self, _text)
 
 
 @dataclass(frozen=True)
@@ -95,19 +77,19 @@ class IntVar(IntExpr):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Add(_Inner, IntExpr):
+class Add(bern._Inner, IntExpr):
     left: IntExpr
     right: IntExpr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Sub(_Inner, IntExpr):
+class Sub(bern._Inner, IntExpr):
     left: IntExpr
     right: IntExpr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Scale(_Inner, IntExpr):
+class Scale(bern._Inner, IntExpr):
     coeff: int
     operand: IntExpr
 
@@ -117,11 +99,11 @@ class Scale(_Inner, IntExpr):
 CMP_OPS = ("<", "<=", "==", "!=", ">", ">=")
 
 
-class Cond:
+class Cond(bern.Node):
     __slots__ = ()
 
     def __str__(self):
-        return fold(self, _text)
+        return bern.fold(self, _text)
 
 
 @dataclass(frozen=True)
@@ -135,7 +117,7 @@ class CFalse(Cond):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Cmp(_Inner, Cond):
+class Cmp(bern._Inner, Cond):
     op: str
     left: IntExpr
     right: IntExpr
@@ -146,20 +128,23 @@ class Cmp(_Inner, Cond):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class CNot(_Inner, Cond):
+class CNot(bern._Inner, Cond):
     operand: Cond
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class CAnd(_Inner, Cond):
+class CAnd(bern._Inner, Cond):
     left: Cond
     right: Cond
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class COr(_Inner, Cond):
+class COr(bern._Inner, Cond):
     left: Cond
     right: Cond
+
+
+bern.add_inner(Add, Sub, Scale, Cmp, CNot, CAnd, COr)
 
 
 def cond_and_all(conds):
@@ -243,49 +228,10 @@ def joint_size(decls) -> int:
     return n
 
 
-# --- the traversal ---------------------------------------------------------------
-
-_BINARY = (Add, Sub, Cmp, CAnd, COr)
-_CHILDREN = {cls: operator.attrgetter("left", "right") for cls in _BINARY}
-_CHILDREN[Scale] = _CHILDREN[CNot] = lambda e: (e.operand,)
-
-
-def fold(tree, visit):
-    """`bern.fold` over an integer expression or a condition: ``visit(node,
-    values)`` once per node, children first, with no depth limit."""
-    return bern.fold(tree, visit, _CHILDREN)
-
-
-def map_tree(tree, on_node):
-    """Bottom-up rewrite: ``on_node`` gets each node rebuilt over its
-    rewritten children and returns the node that replaces it."""
-
-    def visit(node, values):
-        if values:
-            fields = ("left", "right") if type(node) in _BINARY else ("operand",)
-            node = dataclasses.replace(node, **dict(zip(fields, values)))
-        return on_node(node)
-
-    return fold(tree, visit)
-
-
-_CHILD_FIELDS = ("left", "right", "operand")
-
-
-def _repr(node, values):
-    """The dataclass `repr` of a node, given its children's."""
-    kids = iter(values)
-    fields = (
-        f"{f.name}={next(kids) if f.name in _CHILD_FIELDS else repr(getattr(node, f.name))}"
-        for f in dataclasses.fields(node)
-    )
-    return f"{type(node).__name__}({', '.join(fields)})"
-
-
 def tree_vars(tree) -> set:
     """The names of the variables an expression or a condition reads."""
     nodes = []
-    fold(tree, lambda node, _: nodes.append(node))
+    bern.fold(tree, lambda node, _: nodes.append(node))
     return {node.name for node in nodes if type(node) is IntVar}
 
 
@@ -358,7 +304,7 @@ def compile(tree, names):
             return operator.itemgetter(slot[node.name])
         return _CLOSURE[type(node)](node, *fns)
 
-    return fold(tree, visit)
+    return bern.fold(tree, visit)
 
 
 # --- deterministic semantics ------------------------------------------------

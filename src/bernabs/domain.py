@@ -56,7 +56,7 @@ class PredicateList:
         self.labels = tuple(labels)
         self.conds = tuple(cond for _, cond in preds)
         self._fns = tuple(cc.compile(cond, ctx.names) for cond in self.conds)
-        self.universe = bddm.make_universe([(label, bddm.VarKind.PREDICATE) for label in labels])
+        self.universe = bddm.make_universe([(label, None) for label in labels])
         self._image = None
         self._feasible = None
 

@@ -78,10 +78,10 @@ class SymbolicContext:
         self.program = program
         specs = []
         for name in program.decls:
-            specs.append((name, bddm.VarKind.PREDICATE))
-            specs.append((name + PRIME_SUFFIX, bddm.VarKind.AUX))
+            specs.append((name, None))
+            specs.append((name + PRIME_SUFFIX, None))
         for site, theta in sites:
-            specs.append((f"flip#{site}", bddm.VarKind.FLIP, Fraction(theta)))
+            specs.append((f"flip#{site}", Fraction(theta)))
         self.universe = bddm.make_universe(specs)
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
         self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}

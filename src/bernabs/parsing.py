@@ -309,22 +309,34 @@ def _cp_grammar(p: _Parser, declared):
         if tok.text in ("T", "F") and p.peek(1).text not in _ARITHMETIC_FOLLOWS:
             p.next()
             return concrete.CTrue() if tok.text == "T" else concrete.CFalse()
-        if tok.text == "(":
-            # either a parenthesized condition or a parenthesized arithmetic
-            # expression starting a comparison; try the condition first
-            save = p.i
-            try:
-                p.next()
-                with p.nested():
-                    c = cond_or()
-                p.expect(")")
-                if p.peek().text not in _ARITHMETIC_FOLLOWS:
-                    return c
-            except _NestingError:
+        if tok.text != "(":
+            return comparison()
+        # either a parenthesized condition or a parenthesized arithmetic
+        # expression starting a comparison; try the condition first, and
+        # when neither reading works, report the one that got further
+        save, bracketed = p.i, None
+        try:
+            p.next()
+            with p.nested():
+                c = cond_or()
+            p.expect(")")
+            if p.peek().text not in _ARITHMETIC_FOLLOWS:
+                return c
+        except _NestingError:
+            raise
+        except ParseError as exc:
+            bracketed = exc
+        p.i = save
+        try:
+            return comparison()
+        except _NestingError:
+            raise
+        except ParseError as exc:
+            if bracketed is None or (exc.line, exc.column) >= (bracketed.line, bracketed.column):
                 raise
-            except ParseError:
-                pass
-            p.i = save
+            raise bracketed from None
+
+    def comparison():
         left = int_expr()
         op = p.peek().text
         if op == "=":
@@ -400,7 +412,7 @@ def parse_concrete(text) -> concrete.ConcreteProgram:
 def _height(tree):
     """Levels in a condition or integer expression, counted without recursion;
     each link of a chain such as ``a + b + c`` is one more level."""
-    return concrete.fold(tree, lambda node, heights: 1 + max(heights, default=0))
+    return bern.fold(tree, lambda node, heights: 1 + max(heights, default=0))
 
 
 def parse_cond(text, declared=None) -> concrete.Cond:
@@ -451,22 +463,22 @@ def _rational(p: _Parser) -> Fraction:
 
 def parse_rational(text) -> Fraction:
     p = _Parser(text)
-    value = _rational(p)
-    if not p.at_eof():
-        p.fail(f"expected a rational like 1/2, found {text!r}")
-    return value
+    return p.whole(lambda: _rational(p))
 
 
 # --- BERN programs (.bern) ------------------------------------------------------
 
 
-def _bern_grammar(p: _Parser, declared):
+def _bern_grammar(p: _Parser, declared, plain=False):
     """The .bern expression reader over `p`, for expressions over the names
-    in `declared`.  Flip sites and stars are numbered in reading order."""
+    in `declared`.  Flip sites and stars are numbered in reading order; a
+    `plain` expression, an event, has none of them and no ``choose``."""
     flips, stars = itertools.count(), itertools.count()
 
     def atom():
         tok = p.peek()
+        if plain and tok.text in ("flip", "*", "choose"):
+            p.fail("events must be plain Boolean formulas over the variables")
         if tok.text == "!":
             p.next()
             with p.nested():
@@ -587,9 +599,4 @@ def parse_event(text, declared) -> bern.BernExpr:
     """The flip/star/choose-free BERN expression that is all of `text`,
     over the names in `declared`."""
     p = _Parser(text)
-    event = p.whole(_bern_grammar(p, set(declared)))
-    used = set()
-    bern.fold(event, lambda node, _: used.add(type(node)))
-    if used & {bern.Flip, bern.Star, bern.Choose}:
-        raise ParseError("events must be plain Boolean formulas over the variables")
-    return event
+    return p.whole(_bern_grammar(p, set(declared), plain=True))

@@ -26,7 +26,7 @@ _INTERVAL = {
 def expr_interval(e, ranges):
     """The closed interval of `e`'s values when each variable ranges over
     its half-open ``ranges[name]``."""
-    return cc.fold(e, lambda node, values: _INTERVAL[type(node)](node, ranges, *values))
+    return bern.fold(e, lambda node, values: _INTERVAL[type(node)](node, ranges, *values))
 
 
 def rand_decls(rng, max_vars=3, max_range=8):

@@ -4,7 +4,7 @@ Satisfiability and entailment are decided by exhaustive enumeration of the
 joint domain (the role an SMT solver would play for unbounded theories),
 with memoization keyed on the condition's text.  Conditions are evaluated
 only through `concrete.compile`, once per query, and walked only through
-`concrete.fold`: the weakest precondition is a bottom-up rebuild and the
+`bern.fold`: the weakest precondition is a `bern.map_expr` rebuild and the
 SMT-LIB2 text a fold with one entry per node class.  The predicate domain
 answers its per-cube questions from one sweep of its own (the α-image), so
 these are left to the builder's few direct checks and to the tests, which
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 
+from bernabs import bern
 from bernabs import concrete as cc
 from bernabs.errors import ParseError, TheoryCapError
 
@@ -92,7 +93,7 @@ class TheoryContext:
 def wp_subst(name: str, expr, cond):
     """Weakest precondition of `name = expr` w.r.t. cond: syntactic substitution."""
     target = cc.IntVar(name)
-    return cc.map_tree(cond, lambda node: expr if node == target else node)
+    return bern.map_expr(cond, lambda node: expr if node == target else node)
 
 
 # --- SMT-LIB2 export -----------------------------------------------------------
@@ -124,7 +125,7 @@ _SMT = {
 
 def smt_cond(c) -> str:
     """The SMT-LIB2 term of a condition or an integer expression."""
-    return cc.fold(c, lambda node, values: _SMT[type(node)](node, *values))
+    return bern.fold(c, lambda node, values: _SMT[type(node)](node, *values))
 
 
 def emit_smtlib(ctx: TheoryContext, kind: str, a, b=None) -> str:

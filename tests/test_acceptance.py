@@ -46,8 +46,8 @@ def _setting():
 def _value_bdd(preds, expr):
     """Bdd of an update expression with every flip/star leaf mapped to one
     shared choice variable (each emitted update has at most one leaf)."""
-    specs = [(lbl, bddm.VarKind.PREDICATE) for lbl in preds.labels]
-    specs.append(("<choice>", bddm.VarKind.AUX))
+    specs = [(lbl, None) for lbl in preds.labels]
+    specs.append(("<choice>", None))
     u = bddm.make_universe(specs)
     choice = u.var("<choice>")
     expr = bern.map_expr(expr, lambda e: bern.BVar("<choice>") if isinstance(e, bern.Star) else e)

@@ -11,13 +11,12 @@ from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import kernel
-from bernabs.bdd import VarKind
 from bernabs.engine import expr_to_bdd
 from bernabs.errors import UniverseError
 
 
 def pred_universe(n):
-    return bddm.make_universe([(f"b{i}", VarKind.PREDICATE) for i in range(n)])
+    return bddm.make_universe([(f"b{i}", None) for i in range(n)])
 
 
 def formulas(universe, max_depth=4):
@@ -71,7 +70,7 @@ def test_biconditional_structure():
     # {x<4} <-> f: only the two agreeing assignments satisfy, and the
     # canonical no-complement-edge diagram has three internal nodes
     u = bddm.make_universe(
-        [("{x<4}", VarKind.PREDICATE), ("f", VarKind.FLIP, Fraction(1, 2))]
+        [("{x<4}", None), ("f", Fraction(1, 2))]
     )
     p, f = u.variables
     d = build(u, bern.BIff(ref(p), ref(f)))
@@ -84,9 +83,9 @@ def test_biconditional_structure():
 def test_apply_identities():
     u = pred_universe(2)
     a, b = (bddm.var_bdd(u, v) for v in u.variables)
-    assert bddm.apply("and", bddm.true_bdd(u), a).equiv(a)
+    assert (bddm.true_bdd(u) & a).equiv(a)
     assert (a | ~a).is_true
-    both = bddm.apply("and", a, b)
+    both = a & b
     assert both.count_models(u.variables) == 1
     assert both.restrict(u.variables[0], True).restrict(u.variables[1], True).is_true
 
@@ -99,7 +98,7 @@ def test_exists_examples():
     assert bddm.false_bdd(u).exists([a]).is_false
     # (p && f) || (!p && !f): either p value has a witnessing f
     u2 = bddm.make_universe(
-        [("p", VarKind.PREDICATE), ("f", VarKind.FLIP, Fraction(1, 2))]
+        [("p", None), ("f", Fraction(1, 2))]
     )
     p, f = u2.variables
     iff = build(u2, bern.BIff(ref(p), ref(f)))
@@ -107,15 +106,15 @@ def test_exists_examples():
 
 
 def test_wmc_examples():
-    u = bddm.make_universe([("f", VarKind.FLIP, Fraction(1, 2))])
-    assert bddm.true_bdd(u).wmc(u.default_weights()) == 1
+    u = bddm.make_universe([("f", Fraction(1, 2))])
+    assert bddm.true_bdd(u).wmc({v: v.weights() for v in u.variables}) == 1
 
     u2 = bddm.make_universe(
-        [("f1", VarKind.FLIP, Fraction(1, 2)), ("f2", VarKind.FLIP, Fraction(1, 4))]
+        [("f1", Fraction(1, 2)), ("f2", Fraction(1, 4))]
     )
     f1, f2 = u2.variables
     d = build(u2, bern.BAnd(ref(f1), ref(f2)))
-    assert d.wmc(u2.default_weights()) == Fraction(1, 8)
+    assert d.wmc({v: v.weights() for v in u2.variables}) == Fraction(1, 8)
 
 
 def test_wmc_missing_entry():
@@ -128,7 +127,7 @@ def test_wmc_missing_entry():
 
 def test_rename_examples():
     u = bddm.make_universe(
-        [("a", VarKind.PREDICATE), ("a'", VarKind.AUX)]
+        [("a", None), ("a'", None)]
     )
     a, a_p = u.variables
     d = bddm.var_bdd(u, a)
@@ -167,7 +166,7 @@ def test_dot_export():
 
 
 def test_dot_escapes_labels():
-    u = bddm.make_universe([('a"b', VarKind.PREDICATE), ("c\\d", VarKind.PREDICATE)])
+    u = bddm.make_universe([('a"b', None), ("c\\d", None)])
     a, c = u.variables
     dot = build(u, bern.BAnd(ref(a), ref(c))).to_dot()
     assert 'label="a\\"b"' in dot and 'label="c\\\\d"' in dot
@@ -226,9 +225,9 @@ def test_wmc_matches_bruteforce(data):
     specs = []
     for i in range(n):
         if data.draw(st.booleans()):
-            specs.append((f"p{i}", VarKind.PREDICATE))
+            specs.append((f"p{i}", None))
         else:
-            specs.append((f"f{i}", VarKind.FLIP, data.draw(st.sampled_from(THETAS))))
+            specs.append((f"f{i}", data.draw(st.sampled_from(THETAS))))
     u = bddm.make_universe(specs)
     f = data.draw(formulas(u))
     d = build(u, f)
@@ -277,8 +276,8 @@ def test_exists_is_disjunction_of_restrictions(data):
 @given(data=st.data())
 def test_rename_round_trip(data):
     u = bddm.make_universe(
-        [(f"b{i}", VarKind.PREDICATE) for i in range(3)]
-        + [(f"b{i}'", VarKind.AUX) for i in range(3)]
+        [(f"b{i}", None) for i in range(3)]
+        + [(f"b{i}'", None) for i in range(3)]
     )
     base = u.variables[:3]
     primed = u.variables[3:]

@@ -255,7 +255,7 @@ def test_connective_truth_tables(cls):
     for each connective alone and as the left and right child of =>."""
     a, b = bern.BVar("a"), bern.BVar("b")
     here = cls(a) if cls is bern.BNot else cls(a, b)
-    u = bddm.make_universe([("a", bddm.VarKind.PREDICATE), ("b", bddm.VarKind.PREDICATE)])
+    u = bddm.make_universe([("a", None), ("b", None)])
     for va, vb in itertools.product((False, True), repeat=2):
         want = CONNECTIVES[cls](va, vb)
         cases = [
@@ -330,6 +330,16 @@ def _and_chain(links, last="a"):
     for i in range(links):
         chain = bern.BAnd(chain, bern.BVar(last if i == links - 1 else "a"))
     return chain
+
+
+def test_equality_sees_flip_parameters_below_a_connective():
+    """Trees that differ only in a flip's parameter are unequal, hash apart
+    and print differently."""
+    a = bern.BVar("a")
+    half, third = (bern.BAnd(a, bern.Flip(0, Fraction(1, n))) for n in (2, 3))
+    assert half != third and hash(half) != hash(third) and repr(half) != repr(third)
+    assert half == bern.BAnd(a, bern.Flip(0, Fraction(1, 2)))
+    assert bern.BAnd(a, bern.Flip(0, "theta0")) != bern.BAnd(a, bern.Flip(0, "theta1"))
 
 
 def test_long_chain_reprs_and_compares_without_recursion():

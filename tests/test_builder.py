@@ -18,11 +18,11 @@ FIXED_HALF = bld.ParamPolicy.fixed(Fraction(1, 2))
 
 def expr_bdd_over(preds, expr, extra_flips=8):
     """Build a Bdd of a BERN expression over predicate vars plus flip slots."""
-    specs = [(lbl, bddm.VarKind.PREDICATE) for lbl in preds.labels]
-    specs += [(f"f{i}", bddm.VarKind.FLIP, Fraction(1, 2)) for i in range(extra_flips)]
-    specs += [(f"s{i}", bddm.VarKind.AUX) for i in range(extra_flips)]
+    specs = [(lbl, None) for lbl in preds.labels]
+    specs += [(f"f{i}", Fraction(1, 2)) for i in range(extra_flips)]
+    specs += [(f"s{i}", None) for i in range(extra_flips)]
     u = bddm.make_universe(specs)
-    # each * occurrence reads its own AUX slot
+    # each * occurrence reads its own unweighted slot
     expr = bern.map_expr(
         expr, lambda e: bern.BVar(f"s{e.occurrence}") if isinstance(e, bern.Star) else e
     )

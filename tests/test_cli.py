@@ -365,7 +365,8 @@ def test_selftest_scale_must_be_finite_and_positive(capsys, scale):
 _AND_CHAIN = " && ".join(["a < 3"] * 3000)
 
 # what is given where a condition is read: `--event`, `--where`, or a .preds
-# line, written behind a comment line as "  x:  <text>"
+# line, written behind a comment line as "  x:  <text>"; and the rational of
+# `--params fixed=<text>`
 _CONDITIONS = {
     "event": "zz",
     "where": "a < ",
@@ -377,6 +378,9 @@ _CONDITIONS = {
     "where, deep": _AND_CHAIN,
     "preds, deep": _AND_CHAIN,
     "preds, undeclared": "q < 1",
+    "event, a flip": "T && flip(1/2)",
+    "where, unclosed": "(a > -4",
+    "params, text after it": "1/2x",
 }
 
 
@@ -395,6 +399,10 @@ _CONDITIONS = {
         ("where, deep", "error: nested more than 100 levels deep (line 1, column 1)\n"),
         ("preds, deep", "error: bad condition for 'x': nested more than 100 levels deep (line 2, column 7)\n"),
         ("preds, undeclared", "error: condition mentions undeclared variables: q\n"),
+        ("event, a flip", "error: events must be plain Boolean formulas over the variables "
+                          "(line 1, column 6)\n"),
+        ("where, unclosed", "error: expected ')', found the end of the text (line 1, column 8)\n"),
+        ("params, text after it", "error: expected the end of the text, found 'x' (line 1, column 4)\n"),
     ],
 )
 def test_condition_errors_point_into_the_given_text(files, capsys, where, message):
@@ -407,6 +415,8 @@ def test_condition_errors_point_into_the_given_text(files, capsys, where, messag
         "where": ["check", paths["chain.cp"], paths["chain.preds"], paths["chain.bern"],
                   "--where", text],
         "preds": ["check", paths["chain.cp"], str(tmp / "bad.preds"), paths["chain.bern"]],
+        "params": ["abstract", paths["chain.cp"], paths["chain.preds"], "--mode", "prob",
+                   "--params", f"fixed={text}"],
     }[where.split(",")[0]]
     (tmp / "bad.preds").write_text(f"# a comment\n  x:  {text}\n")
     assert cli.main(argv) == 2

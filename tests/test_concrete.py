@@ -270,6 +270,10 @@ def test_long_chain_compares_hashes_and_prints_without_recursion():
 
 def test_equality_sees_coefficients_and_operators():
     x, y = cc.IntVar("x"), cc.IntVar("y")
+    one = cc.IntConst(1)
+    # trees that differ only in a label are unequal, hash apart and print differently
+    for a, b in ((cc.Cmp("<", x, one), cc.Cmp("<=", x, one)), (cc.Scale(2, x), cc.Scale(3, x))):
+        assert a != b and hash(a) != hash(b) and repr(a) != repr(b) and str(a) != str(b)
     assert cc.Scale(2, x) == cc.Scale(2, x) and cc.Scale(2, x) != cc.Scale(3, x)
     assert cc.Cmp("<", x, y) != cc.Cmp("<=", x, y)
     assert cc.Add(x, y) != cc.Sub(x, y) and cc.CAnd(cc.CTrue(), cc.CFalse()) != cc.COr(cc.CTrue(), cc.CFalse())

@@ -62,6 +62,15 @@ def test_wp_subst_examples():
     assert untouched == target
 
 
+def test_wp_subst_keeps_labels():
+    """The rebuild under a substitution keeps each node's coefficient and operator."""
+    x, x_plus_1 = cc.IntVar("x"), cc.Add(cc.IntVar("x"), cc.IntConst(1))
+    got = theory.wp_subst("x", x_plus_1, cc.Cmp(">=", cc.Scale(3, x), cc.IntConst(2)))
+    assert got == cc.Cmp(">=", cc.Scale(3, x_plus_1), cc.IntConst(2))
+    assert got != cc.Cmp("<", cc.Scale(2, x_plus_1), cc.IntConst(2))
+    assert str(got) == "3*(x + 1) >= 2"
+
+
 def test_wp_soundness_by_enumeration():
     rng = random.Random(8)
     for _ in range(40):
