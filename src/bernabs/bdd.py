@@ -18,6 +18,7 @@ the norm for survival-mass queries).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,12 +151,21 @@ class Bdd:
         _check_var(self.universe, var)
         return Bdd(self.universe, self.universe.table.restrict(self.ref, var.index, value))
 
-    def exists(self, variables) -> "Bdd":
+    def _levels(self, variables):
         levels = []
         for v in variables:
             _check_var(self.universe, v)
             levels.append(v.index)
-        return Bdd(self.universe, self.universe.table.exists(self.ref, levels))
+        return levels
+
+    def exists(self, variables) -> "Bdd":
+        return Bdd(self.universe, self.universe.table.exists(self.ref, self._levels(variables)))
+
+    def and_exists(self, other, variables) -> "Bdd":
+        """``(self & other).exists(variables)``, computed in one walk."""
+        table = self.universe.table
+        ref = table.and_exists(self.ref, self._peer(other).ref, self._levels(variables))
+        return Bdd(self.universe, ref)
 
     def rename(self, mapping) -> "Bdd":
         """Substitute ``mapping[v]`` for each variable v, by relabelling nodes.
@@ -202,47 +212,80 @@ class Bdd:
 
     def _scaled_count(self, weights):
         """(integer count, scale) with wmc(weights) == count / scale."""
+        w = _IntegerWeights(self.universe, weights)
+        count, root = w.count_up(self.universe.table, self.ref)[self.ref]
+        return w.skip(0, root) * count, w.scale
+
+    def marginals(self, weights, variables) -> dict:
+        """``(self & v).wmc(weights)`` for each v in `variables`, all from one
+        pass up the diagram and one pass down it.
+
+        This is the differential approach to compiled inference (Darwiche,
+        JACM 2003).  The pass up is ``wmc``'s count of each node; the pass
+        down, over node ids in descending order (a parent's id exceeds its
+        children's), gives each node the mass of the paths from the root to
+        it.  A node at level l adds (its path mass) x (weight-true of l) x
+        (its high child's count) to l's marginal.  An edge that skips
+        levels adds its mass to each of them, scaled by that level's
+        weight-true over its sum; a difference array over the levels does
+        this for each edge in constant time.  Every v must be in `weights`.
+        """
         universe = self.universe
         table = universe.table
-        top = table.num_vars  # the terminals' level
-        pairs = [None] * top  # per level: integer (weight-true, weight-false)
-        sums = [1] * top  # per level: what a skipped level multiplies by
-        scale = 1
-        for v, (wt, wf) in weights.items():
-            _check_var(universe, v)
-            wt, wf = _rational(wt), _rational(wf)
-            d = math.lcm(wt.denominator, wf.denominator)
-            pair = (wt.numerator * (d // wt.denominator), wf.numerator * (d // wf.denominator))
-            pairs[v.index] = pair
-            sums[v.index] = pair[0] + pair[1]
-            scale *= d
-        # An edge from level l to a node at level m skips the levels l+1 .. m-1,
-        # which multiply the count by the product of their sums: that is
-        # suffix[l+1] // suffix[m] when none of those sums is 0, and 0 when
-        # one is (zero[x] is the first level >= x whose sum is 0, or top + 1).
-        suffix = [1] * (top + 1)
-        zero = [top + 1] * (top + 1)
-        for level in range(top - 1, -1, -1):
-            suffix[level] = suffix[level + 1] * (sums[level] or 1)
-            zero[level] = zero[level + 1] if sums[level] else level
+        w = _IntegerWeights(universe, weights)
+        counts = w.count_up(table, self.ref)
+        pairs, sums, suffix, zero = w.pairs, w.sums, w.suffix, w.zero
+        top = table.num_vars
+        marginal = [0] * top  # per level: mass of the paths that take a hi edge there
+        span = [0] * (top + 1)  # difference array of the edges over levels of nonzero sum
+        lone = [0] * top  # per level of sum 0: mass of the edges whose only such level it is
 
-        # A node's result is (its count, its level), so that its parents see
-        # how many levels their edge to it skips.
-        def visit(u, level, lo, hi):
-            pair = pairs[level]
-            if pair is None:
-                raise UniverseError(
-                    f"missing weight entry for {universe.variables[level].label!r}"
-                )
-            below, first_zero = suffix[level + 1], zero[level + 1]
-            (lo_count, m), (hi_count, n) = lo, hi
-            r = pair[1] * lo_count * (below // suffix[m] if first_zero >= m else 0)
-            r += pair[0] * hi_count * (below // suffix[n] if first_zero >= n else 0)
-            return r, level
+        def across(first, end, mass):
+            """Record `mass`, the product of what lies above and below an
+            edge, for the levels first .. end-1 that the edge skips."""
+            if first >= end or not mass:
+                return
+            z = zero[first]
+            if z >= end:
+                mass *= suffix[first] // suffix[end]
+                span[first] += mass
+                span[end] -= mass
+            elif zero[z + 1] >= end:
+                lone[z] += mass * (suffix[first] // suffix[end])
 
-        terminals = {kernel.FALSE: (0, top), kernel.TRUE: (1, top)}
-        count, root = table.fold(self.ref, visit, top, terminals)
-        return (suffix[0] // suffix[root] if zero[0] >= root else 0) * count, scale
+        count, root = counts[self.ref]
+        across(0, root, count)
+        path = {self.ref: w.skip(0, root)}  # node -> mass of the paths from the root to it
+        for u in sorted(counts, reverse=True):
+            if u <= kernel.TRUE:
+                break
+            mass = path.pop(u, 0)
+            if not mass:
+                continue
+            level, lo, hi = table.node(u)
+            wt, wf = pairs[level]
+            first = level + 1
+            for child, weight, taken in ((lo, wf, False), (hi, wt, True)):
+                child_count, end = counts[child]
+                edge = mass * weight
+                across(first, end, edge * child_count)
+                if zero[first] >= end:
+                    edge *= suffix[first] // suffix[end]
+                    if taken:
+                        marginal[level] += edge * child_count
+                    if child > kernel.TRUE:
+                        path[child] = path.get(child, 0) + edge
+
+        skipping = list(itertools.accumulate(span))  # per level: mass of the edges over it
+        out = {}
+        for v in variables:
+            if v not in weights:
+                raise UniverseError(f"missing weight entry for {v.label!r}")
+            level = v.index
+            wt, total = pairs[level][0], sums[level]
+            mass = marginal[level] + (skipping[level] * wt // total if total else lone[level] * wt)
+            out[v] = Fraction(mass, w.scale)
+        return out
 
     def to_dot(self) -> str:
         """DOT dump: one line per node, low edges dashed, high edges solid."""
@@ -266,6 +309,65 @@ class Bdd:
 def _rational(w):
     """`w` as an exact rational; ints and Fractions skip the constructor's cost."""
     return w if isinstance(w, (int, Fraction)) else Fraction(w)
+
+
+class _IntegerWeights:
+    """A weight map over a universe as integers, and the count of each node.
+
+    Each pair is scaled to integers over the lcm of its two denominators,
+    and `scale` is the product of those lcms.  Per level: `pairs` holds the
+    integer (weight-true, weight-false), or None for a level without an
+    entry, and `sums` what a skipped level multiplies a count by, which is
+    1 for a level without an entry.
+    """
+
+    def __init__(self, universe, weights):
+        top = len(universe)  # the terminals' level
+        self.pairs = [None] * top
+        self.sums = [1] * top
+        self.scale = 1
+        for v, (wt, wf) in weights.items():
+            _check_var(universe, v)
+            wt, wf = _rational(wt), _rational(wf)
+            d = math.lcm(wt.denominator, wf.denominator)
+            pair = (wt.numerator * (d // wt.denominator), wf.numerator * (d // wf.denominator))
+            self.pairs[v.index] = pair
+            self.sums[v.index] = pair[0] + pair[1]
+            self.scale *= d
+        # suffix[x] is the product of the nonzero sums of the levels >= x, and
+        # zero[x] the first level >= x whose sum is 0, or top + 1 if none is.
+        self.suffix = [1] * (top + 1)
+        self.zero = [top + 1] * (top + 1)
+        for level in range(top - 1, -1, -1):
+            self.suffix[level] = self.suffix[level + 1] * (self.sums[level] or 1)
+            self.zero[level] = self.zero[level + 1] if self.sums[level] else level
+        self.universe = universe
+
+    def skip(self, first, end):
+        """What an edge that skips the levels first .. end-1 multiplies by."""
+        return self.suffix[first] // self.suffix[end] if self.zero[first] >= end else 0
+
+    def count_up(self, table, root):
+        """The fold memo of `root`'s diagram: each node's (count, level),
+        its count over the levels from its own down, so that a parent reads
+        how many levels its edge to the node skips."""
+        pairs, suffix, zero = self.pairs, self.suffix, self.zero
+        variables = self.universe.variables
+
+        def visit(u, level, lo, hi):
+            pair = pairs[level]
+            if pair is None:
+                raise UniverseError(f"missing weight entry for {variables[level].label!r}")
+            below, first_zero = suffix[level + 1], zero[level + 1]
+            (lo_count, m), (hi_count, n) = lo, hi
+            r = pair[1] * lo_count * (below // suffix[m] if first_zero >= m else 0)
+            r += pair[0] * hi_count * (below // suffix[n] if first_zero >= n else 0)
+            return r, level
+
+        top = table.num_vars
+        memo = {kernel.FALSE: (0, top), kernel.TRUE: (1, top)}
+        table.fold(root, visit, top, memo)
+        return memo
 
 
 def _check_var(universe, var):

@@ -72,8 +72,16 @@ def _param_policy(text):
         return bld.ParamPolicy.symbolic()
     if text == "fit":
         return bld.ParamPolicy.fit()
-    if text.startswith("fixed="):
-        return bld.ParamPolicy.fixed(parsing.parse_rational(text[6:]))
+    prefix = "fixed="
+    if text.startswith(prefix):
+        try:
+            theta = parsing.parse_rational(text[len(prefix):])
+        except ParseError as exc:
+            if exc.line != 1:
+                raise
+            # a column in the whole argument, which starts with the prefix
+            raise ParseError(exc.reason, 1, len(prefix) + exc.column) from None
+        return bld.ParamPolicy.fixed(theta)
     raise ParseError(f"bad --params value {text!r} (symbolic | fixed=<r> | fit)")
 
 

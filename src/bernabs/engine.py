@@ -7,8 +7,16 @@ counting over them recovers path probabilities.  Parallel assignments are
 relational images over their targets only: rename each target to its
 primed copy, conjoin ``t <=> rhs`` per target (a read of a target sees the
 primed copy, any other read the variable itself), and quantify the primed
-targets out.  Variables the assignment does not write keep their own
-variable, so they need no copy and no constraint.
+targets out, the last two steps as one ``and_exists``.  Variables the
+assignment does not write keep their own variable, so they need no copy
+and no constraint.
+
+A query of one variable reads a table of every state variable's mass at
+the point, made once per point by one pass up and one pass down Δ
+(``Bdd.marginals``); any other event conjoins its Bdd with Δ and counts.
+A program's universe has 2 levels per variable and 1 per flip site, at
+most ``MAX_LEVELS`` of them, since the kernel's ``apply`` and
+``and_exists`` recurse once per level.
 
 Program points are prefix points of the top-level statement sequence:
 point 0 is the initial Δ, point k is after the k-th statement; "end" names
@@ -23,7 +31,18 @@ from fractions import Fraction
 
 from bernabs import bdd as bddm
 from bernabs import bern
-from bernabs.errors import ConditionOnImpossibleError, ModeError, ProgramPointError
+from bernabs.errors import (
+    ConditionOnImpossibleError,
+    LevelBoundError,
+    ModeError,
+    ProgramPointError,
+)
+
+# The most levels a program's universe may have: 2 per variable (v and v#'),
+# plus 1 per flip site.  ``apply`` and ``and_exists`` recurse once per level,
+# so this bounds their depth; it leaves room on the interpreter's stack for
+# a program whose `if` blocks nest as deep as the parser allows.
+MAX_LEVELS = 600
 
 # v#' is v's primed copy.  Like the flip variables flip#k it holds a "#",
 # which no parsed .bern name does, so it is never a variable a program declares.
@@ -75,6 +94,12 @@ class SymbolicContext:
 
     def __init__(self, program: bern.BernProgram):
         program, sites = bern.exact_inference_input(program)
+        levels = 2 * len(program.decls) + len(sites)
+        if levels > MAX_LEVELS:
+            raise LevelBoundError(
+                f"the program needs {levels} decision-diagram levels (2 per variable, "
+                f"1 per flip site); the engine allows at most {MAX_LEVELS}"
+            )
         self.program = program
         specs = []
         for name in program.decls:
@@ -116,6 +141,7 @@ class SymbolicRun:
         self.ctx = ctx
         self.points = points  # list of SymbolicState, index = prefix length
         self._survival_at = {}  # point index -> survival mass, computed once
+        self._marginals_at = {}  # point index -> marginals, computed once
 
     def _index(self, point) -> int:
         if point in (None, "end"):
@@ -140,18 +166,18 @@ class SymbolicRun:
             mass = self._survival_at[index] = _survival(self.ctx, self.points[index].delta)
         return mass
 
-    def functional_dependency_ok(self, point="end") -> bool:
-        """Each flip assignment in Δ determines exactly one state assignment.
-
-        Holds whenever the initial Δ is a single state; it justifies
-        normalizing by the flip-projected mass.
-        """
-        delta = self.at(point).delta
-        preds = list(self.ctx.state_vars.values())
-        flips = list(self.ctx.flip_vars.values())
-        lhs = delta.count_models(preds + flips)
-        rhs = delta.exists(preds).count_models(flips)
-        return lhs == rhs
+    def marginals(self, point="end") -> dict:
+        """Each state variable's name -> (Δ & v).wmc(ctx.weights) at `point`,
+        from one pass over Δ."""
+        index = self._index(point)
+        masses = self._marginals_at.get(index)
+        if masses is None:
+            ctx = self.ctx
+            by_var = self.points[index].delta.marginals(ctx.weights, ctx.state_vars.values())
+            masses = self._marginals_at[index] = {
+                name: by_var[v] for name, v in ctx.state_vars.items()
+            }
+        return masses
 
 
 def transfer(ctx: SymbolicContext, state: SymbolicState, stmt) -> SymbolicState:
@@ -172,7 +198,7 @@ def _transfer_delta(ctx: SymbolicContext, delta, stmt):
         for name, e in zip(stmt.targets, stmt.exprs):
             v = bddm.var_bdd(ctx.universe, ctx.state_vars[name])
             cons = cons & v.iff(expr_to_bdd(ctx.universe, e, read, ctx.flip_var))
-        return (moved & cons).exists(primed.values())
+        return moved.and_exists(cons, primed.values())
     if isinstance(stmt, (bern.BObserve, bern.BAssume)):
         return delta & ctx.state_bdd(stmt.cond)
     if isinstance(stmt, bern.BIf):
@@ -246,7 +272,10 @@ def query(program_or_run, event: bern.BernExpr, point="end", init=None, normaliz
     else:
         run = run_symbolic(program_or_run, init=init)
     ctx = run.ctx
-    mass = (run.at(point).delta & ctx.state_bdd(event)).wmc(ctx.weights)
+    if isinstance(event, bern.BVar):
+        mass = run.marginals(point)[event.name]
+    else:
+        mass = (run.at(point).delta & ctx.state_bdd(event)).wmc(ctx.weights)
     survival = run.survival(point)
     if not normalized:
         return QueryResult(point, bern.expr_text(event), mass, survival)

@@ -39,6 +39,11 @@ class NestingError(BernabsError):
     """A program whose blocks nest deeper than the walkers allow."""
 
 
+class LevelBoundError(BernabsError):
+    """A program whose decision-diagram universe has more levels than the
+    engine allows."""
+
+
 class ProgramPointError(BernabsError):
     """A program point outside the program: before 0 or past its end."""
 

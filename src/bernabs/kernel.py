@@ -12,7 +12,12 @@ Every walk over the nodes reachable from a root is one call of
 :meth:`NodeTable.fold`, an iterative post-order memoised per node id, so
 a diagram of any depth folds without recursion; ``not_``, ``restrict``,
 ``exists``, ``rename`` and ``support`` are small visitors of it.  Only
-``apply`` recurses, once per level of its operands.
+``apply`` and ``and_exists`` recurse, once per level of their operands;
+``and_exists`` is ``exists`` of an ``apply(OP_AND, ...)`` made in one walk,
+which quantifies each level as it reaches it instead of building the
+whole conjunction first.  Their callers bound the number of levels
+(``engine.MAX_LEVELS``) to keep that recursion inside the interpreter's
+stack.
 
 ``rename`` relabels nodes: it keeps each node's children and moves the
 node to its new level, so the map must keep the order of the levels on
@@ -196,6 +201,47 @@ class NodeTable:
             return self.mk(lw, lo, hi)
 
         return self.fold(u, visit, max(levels) + 1, {})
+
+    def and_exists(self, u, v, levels):
+        """``exists(apply(OP_AND, u, v), levels)`` in one walk, which never
+        builds the conjunction below a quantified level (the relational
+        product of Burch, Clarke and Long, 1991)."""
+        levels = frozenset(levels)
+        if not levels:
+            return self.apply(OP_AND, u, v)
+        return self._and_exists(u, v, levels, max(levels) + 1, {})
+
+    def _and_exists(self, u, v, levels, floor, memo):
+        # The memo is an argument, not a closure's cell: a recursive closure
+        # would sit in a reference cycle that keeps its memo alive.
+        if u == FALSE or v == FALSE:
+            return FALSE
+        if u > v:
+            u, v = v, u
+        lu, lv = self._level[u], self._level[v]
+        top = lu if lu < lv else lv
+        if top >= floor:
+            return self.apply(OP_AND, u, v)
+        key = (u, v)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        if lu == lv:
+            u_lo, u_hi, v_lo, v_hi = self._lo[u], self._hi[u], self._lo[v], self._hi[v]
+        elif lu < lv:
+            u_lo, u_hi, v_lo, v_hi = self._lo[u], self._hi[u], v, v
+        else:
+            u_lo, u_hi, v_lo, v_hi = u, u, self._lo[v], self._hi[v]
+        lo = self._and_exists(u_lo, v_lo, levels, floor, memo)
+        if top in levels:
+            if lo == TRUE:
+                r = TRUE
+            else:
+                r = self.apply(OP_OR, lo, self._and_exists(u_hi, v_hi, levels, floor, memo))
+        else:
+            r = self.mk(top, lo, self._and_exists(u_hi, v_hi, levels, floor, memo))
+        memo[key] = r
+        return r
 
     def rename(self, u, perm):
         """Relabel variables: perm maps old level -> new level, injectively,

@@ -11,7 +11,8 @@ feasible a at once: a ghost copy of each predicate records the input, and
 each row is the weighted count of Δ with the ghosts fixed to a.  A
 non-deterministic program runs with each * a flip(1/2), so its reach set
 from a is the support of row a.  The engine has no flip cap, so neither
-has a check.  Lowering turns flips into unconstrained choices (supports
+has a check; its one bound is on the levels of a universe
+(`engine.MAX_LEVELS`).  Lowering turns flips into unconstrained choices (supports
 only); it, the flip-enumerating `bern.interp_exact` and `bern.interp_nondet`
 are the references the tests hold the kernel to, and no check calls them.
 Parameter fitting makes one measurement for every flip, whatever its

@@ -187,6 +187,9 @@ def test_every_walk_runs_on_a_chain_deeper_than_the_stack():
     assert d.support() == evens
     assert d.count_models(u.variables) == 2**n
     assert d.wmc({v: (Fraction(1, 2), Fraction(1, 2)) for v in evens}) == Fraction(1, 2**n)
+    marginals = d.marginals({v: (1, 1) for v in u.variables}, u.variables)
+    assert [marginals[v] for v in evens] == [2**n] * n
+    assert [marginals[v] for v in odds] == [2 ** (n - 1)] * n
     assert d.to_dot().count("style=solid") == n
     assert build(u, bld.formula_to_expr(d)).equiv(d)
     assert (~~d).equiv(d) and not (~d).equiv(d)
@@ -216,11 +219,10 @@ THETAS = [Fraction(1, 3), Fraction(2, 7), Fraction(0), Fraction(1), Fraction(5, 
 ODD_PAIRS = [(1, 1), (2, 3), (Fraction(3, 4), Fraction(5, 9)), (0, 0), (Fraction(-1, 2), Fraction(1, 2))]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_wmc_matches_bruteforce(data):
-    # predicates weighted (1, 1) mixed with flips; the weight map covers the
-    # support and any subset of the other variables, and may override pairs
+def weighted_diagram(data):
+    """A diagram over predicates weighted (1, 1) mixed with flips, its
+    formula, and a weight map that covers the support and any subset of the
+    other variables, and may override pairs."""
     n = data.draw(st.integers(1, 6))
     specs = []
     for i in range(n):
@@ -237,6 +239,14 @@ def test_wmc_matches_bruteforce(data):
     for v in keys:
         odd = data.draw(st.booleans())
         weights[v] = data.draw(st.sampled_from(ODD_PAIRS)) if odd else v.weights()
+    return u, f, d, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wmc_matches_bruteforce(data):
+    u, f, d, weights = weighted_diagram(data)
+    keys = list(weights)
     total = Fraction(0)
     for bits in itertools.product((False, True), repeat=len(keys)):
         assignment = {v: False for v in u.variables}
@@ -248,6 +258,25 @@ def test_wmc_matches_bruteforce(data):
                 w *= wt if bit else wf
             total += w
     assert d.wmc(weights) == total
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_marginals_are_wmc_of_each_conjunction(data):
+    u, _, d, weights = weighted_diagram(data)
+    marginals = d.marginals(weights, weights)
+    assert set(marginals) == set(weights)
+    for v, mass in marginals.items():
+        assert mass == (d & bddm.var_bdd(u, v)).wmc(weights)
+
+
+def test_marginals_need_a_weight_for_each_variable():
+    u = pred_universe(2)
+    a, b = u.variables
+    with pytest.raises(UniverseError):
+        bddm.var_bdd(u, a).marginals({a: (1, 1)}, [a, b])
+    with pytest.raises(UniverseError):
+        bddm.var_bdd(u, b).marginals({a: (1, 1)}, [a])
 
 
 @settings(max_examples=100, deadline=None)

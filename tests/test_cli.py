@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bernabs import cli, corpus
+from bernabs import cli, corpus, engine
 
 
 @pytest.fixture
@@ -205,6 +205,35 @@ def test_infer_survival_zero_exit_3(files, tmp_path, capsys):
     assert rc == 3
 
 
+def _chain_text(lines, nest):
+    """`bool a`, `a = T`, then `lines` lines of ``a = a <=> flip(1/3)``
+    inside `nest` nested ifs."""
+    body = ["if (a || !a) {"] * nest + ["a = a <=> flip(1/3)"] * lines + ["}"] * nest
+    return "\n".join(["bool a", "a = T", *body]) + "\n"
+
+
+@pytest.mark.parametrize("lines, nest, code", [
+    (1200, 0, 2),
+    (engine.MAX_LEVELS - 1, 0, 2),
+    (engine.MAX_LEVELS - 2, 100, 0),
+])
+def test_infer_level_bound(tmp_path, capsys, lines, nest, code):
+    """A program whose universe (2 levels for a, 1 per flip) is past
+    engine.MAX_LEVELS exits 2 with the bound; one at it answers, even
+    inside ifs nested as deep as the parser allows."""
+    path = tmp_path / "chain.bern"
+    path.write_text(_chain_text(lines, nest))
+    assert cli.main(["infer", str(path), "--event", "a"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (
+            f"error: the program needs {lines + 2} decision-diagram levels (2 per variable, "
+            f"1 per flip site); the engine allows at most {engine.MAX_LEVELS}\n"
+        )
+    else:
+        assert captured.out.endswith("survival 1\n")
+
+
 def test_infer_dot_dump(files, tmp_path, capsys):
     paths, _ = files
     dot = tmp_path / "delta.dot"
@@ -402,7 +431,7 @@ _CONDITIONS = {
         ("event, a flip", "error: events must be plain Boolean formulas over the variables "
                           "(line 1, column 6)\n"),
         ("where, unclosed", "error: expected ')', found the end of the text (line 1, column 8)\n"),
-        ("params, text after it", "error: expected the end of the text, found 'x' (line 1, column 4)\n"),
+        ("params, text after it", "error: expected the end of the text, found 'x' (line 1, column 10)\n"),
     ],
 )
 def test_condition_errors_point_into_the_given_text(files, capsys, where, message):

@@ -98,12 +98,18 @@ def test_init_kinds():
 
 
 def test_functional_dependency_from_point_init():
+    """From a point init, each flip assignment in Δ determines exactly one
+    state assignment: counting over states and flips equals counting over
+    the flips once the states are projected out."""
     rng = random.Random(3)
     for _ in range(20):
         prog = randgen.rand_bern_program(rng, ("v0", "v1"), max_flips=4, max_stmts=5)
         init = {n: rng.random() < 0.5 for n in prog.decls}
         run = engine.run_symbolic(prog, init=init)
-        assert run.functional_dependency_ok()
+        delta = run.at("end").delta
+        states = list(run.ctx.state_vars.values())
+        flips = list(run.ctx.flip_vars.values())
+        assert delta.count_models(states + flips) == delta.exists(states).count_models(flips)
 
 
 def test_monotone_survival():
@@ -198,3 +204,50 @@ def test_swap_and_rotation_images():
     assert swapped.delta.equiv(~a & b & c)
     rotated = engine.transfer(ctx, swapped, ctx.program.body[1])
     assert rotated.delta.equiv(a & b & ~c)
+
+
+def _inits(rng, prog):
+    """A point init, T, and a flip-free expression init over the variables."""
+    point = {n: rng.random() < 0.5 for n in prog.decls}
+    return [point, None, randgen._BernBuilder(rng, prog.decls, 0, 0.0).expr(2)]
+
+
+def test_marginals_are_the_mass_of_each_variable():
+    """At every point, from every kind of init, each variable's entry in the
+    one-pass table is (Δ & v).wmc, and a query of the variable reads it;
+    flips of θ = 0 and θ = 1 and points that nothing survives included."""
+    rng = random.Random(17)
+    impossible = 0
+    for trial in range(40):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=5, max_stmts=7, degenerate_share=0.3)
+        if trial % 4 == 0:
+            body = list(prog.body)
+            body.insert(rng.randint(0, len(body)), bern.BObserve(bern.BFalse()))
+            prog = bern.BernProgram(names, tuple(body), prog.mode)
+        for init in _inits(rng, prog):
+            run = engine.run_symbolic(prog, init=init)
+            ctx = run.ctx
+            for k in range(len(run.points)):
+                delta = run.at(k).delta
+                table = run.marginals(k)
+                assert run.marginals(k) is table  # computed once per point
+                assert set(table) == set(names)
+                for name, v in ctx.state_vars.items():
+                    mass = (delta & bddm.var_bdd(ctx.universe, v)).wmc(ctx.weights)
+                    assert table[name] == mass
+                    result = engine.query(run, bern.BVar(name), point=k, normalized=False)
+                    assert result.probability == mass
+                    if run.survival(k) == 0:
+                        impossible += 1
+                        assert mass == 0
+                        with pytest.raises(ConditionOnImpossibleError):
+                            engine.query(run, bern.BVar(name), point=k)
+    assert impossible > 0
+
+
+def test_an_event_naming_an_undeclared_variable_is_a_key_error():
+    prog = parsing.parse_bern("bool a\na = flip(1/2)")
+    with pytest.raises(KeyError):
+        engine.query(prog, bern.BVar("zz"))
+

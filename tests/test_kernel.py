@@ -108,6 +108,24 @@ def test_ops_match_truth_tables():
             assert value(result, bits) == want, (op, args, bits)
 
 
+def test_and_exists_is_exists_of_the_conjunction():
+    """The fused and-exists equals the conjunction then the quantification,
+    with terminals among the operands and the empty set among the levels."""
+    num_vars = 6
+    table = kernel.NodeTable(num_vars)
+    rng = random.Random(7)
+    pool, _ = random_ops(table, rng, num_vars, 150)
+    pool += [FALSE, TRUE]
+    for trial in range(600):
+        u, v = rng.choice(pool), rng.choice(pool)
+        if trial % 10 == 0:
+            u = rng.choice((FALSE, TRUE))
+        levels = rng.sample(range(num_vars), rng.randint(0, num_vars))
+        want = table.exists(table.apply(OP_AND, u, v), levels)
+        assert table.and_exists(u, v, levels) == want, (u, v, levels)
+        assert table.and_exists(v, u, levels) == want
+
+
 def test_rename_rejects_a_reordering_map():
     table = kernel.NodeTable(3)
     a, b = table.var(0), table.var(1)
