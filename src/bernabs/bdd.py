@@ -213,7 +213,7 @@ class Bdd:
     def _scaled_count(self, weights):
         """(integer count, scale) with wmc(weights) == count / scale."""
         w = _IntegerWeights(self.universe, weights)
-        count, root = w.count_up(self.universe.table, self.ref)[self.ref]
+        count, root = w.count_up(self.ref)[self.ref]
         return w.skip(0, root) * count, w.scale
 
     def marginals(self, weights, variables) -> dict:
@@ -233,7 +233,7 @@ class Bdd:
         universe = self.universe
         table = universe.table
         w = _IntegerWeights(universe, weights)
-        counts = w.count_up(table, self.ref)
+        counts = w.count_up(self.ref)
         pairs, sums, suffix, zero = w.pairs, w.sums, w.suffix, w.zero
         top = table.num_vars
         marginal = [0] * top  # per level: mass of the paths that take a hi edge there
@@ -347,7 +347,7 @@ class _IntegerWeights:
         """What an edge that skips the levels first .. end-1 multiplies by."""
         return self.suffix[first] // self.suffix[end] if self.zero[first] >= end else 0
 
-    def count_up(self, table, root):
+    def count_up(self, root):
         """The fold memo of `root`'s diagram: each node's (count, level),
         its count over the levels from its own down, so that a parent reads
         how many levels its edge to the node skips."""
@@ -364,6 +364,7 @@ class _IntegerWeights:
             r += pair[0] * hi_count * (below // suffix[n] if first_zero >= n else 0)
             return r, level
 
+        table = self.universe.table
         top = table.num_vars
         memo = {kernel.FALSE: (0, top), kernel.TRUE: (1, top)}
         table.fold(root, visit, top, memo)
