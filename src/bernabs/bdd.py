@@ -2,9 +2,8 @@
 
 A :class:`Universe` is an ordered set of :class:`BoolVar` with one shared
 node store; every decision diagram belongs to exactly one universe.  The
-variable order is the declaration order, which callers arrange as:
-predicate variables (with primed partners adjacent, when present), then
-flip variables in program order.
+variable order is the declaration order, which callers arrange (the
+engine's order is set out in ``engine``).
 
 A :class:`Bdd` is the one form a Boolean formula over a universe takes
 here: the predicate domain answers with Bdds, and the builder turns a Bdd
@@ -390,9 +389,18 @@ def var_bdd(universe, var) -> Bdd:
 
 
 def cube(universe, literals) -> Bdd:
-    """The conjunction of `literals`, (variable, polarity) pairs."""
-    acc = true_bdd(universe)
+    """The conjunction of `literals`, (variable, polarity) pairs, made as
+    one chain of nodes from the deepest level up.  A repeated literal
+    counts once, and two opposite ones make it False."""
+    bits = {}
+    clash = False
     for var, bit in literals:
-        v = var_bdd(universe, var)
-        acc = acc & (v if bit else ~v)
-    return acc
+        _check_var(universe, var)
+        clash |= bits.setdefault(var.index, bit) != bit
+    if clash:
+        return false_bdd(universe)
+    table = universe.table
+    ref = kernel.TRUE
+    for level in sorted(bits, reverse=True):
+        ref = table.mk(level, kernel.FALSE, ref) if bits[level] else table.mk(level, ref, kernel.FALSE)
+    return Bdd(universe, ref)

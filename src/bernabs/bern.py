@@ -19,9 +19,11 @@ and rewritten only through `map_expr` and `map_program` on top of it;
 callers supply what a node means.  Equality, hashing and `repr` of an
 inner node are visitors of the same fold.  No expression walk has a depth
 limit, so a flat chain of thousands of operands (a tree that deep) is as
-safe as one leaf.  Statement blocks are walked recursively, so a
-program may nest ``if`` blocks at most `MAX_NESTING` deep; `BernProgram`
-measures that depth without recursion before any walker runs.
+safe as one leaf.  `walk_stmts` walks statement blocks with an explicit
+stack, but `map_program`, the interpreters and the engine recurse into
+them, so a program may nest ``if`` blocks at most `MAX_NESTING` deep;
+`BernProgram` measures that depth without recursion before any of them
+runs.
 """
 
 from __future__ import annotations
@@ -219,7 +221,16 @@ class BernProgram:
 
     def flip_sites(self):
         """(site id, theta) pairs, left to right through the program."""
-        return [(e.site, e.theta) for e in walk_exprs(self.body) if isinstance(e, Flip)]
+        return [(site, theta) for site, theta, _ in self.flip_owners()]
+
+    def flip_owners(self):
+        """(site id, theta, owner) triples, left to right through the
+        program.  The owner is the variable whose assignment reads the flip,
+        or None for a flip read in an `if` guard, an observe or an assume."""
+        out = []
+        for e, owner in _assigned_exprs(self.body):
+            fold(e, lambda node, _: isinstance(node, Flip) and out.append((node.site, node.theta, owner)))
+        return out
 
 
 # --- the traversal ---------------------------------------------------------------
@@ -354,22 +365,38 @@ def _if_depth(body):
 
 def walk_stmts(body):
     """Every statement under `body`, each before those in its blocks: the
-    walk of BERN and of concrete statements, whose `if` holds `then` and `els`."""
-    for stmt in body:
-        yield stmt
-        if hasattr(stmt, "then"):
-            yield from walk_stmts(stmt.then)
-            yield from walk_stmts(stmt.els)
+    walk of BERN and of concrete statements, whose `if` holds `then` and `els`.
+    The walk keeps a stack of the blocks it is inside, so a statement costs
+    one step however deeply it nests."""
+    todo = [iter(body)]
+    while todo:
+        for stmt in todo[-1]:
+            yield stmt
+            if hasattr(stmt, "then"):
+                todo += (iter(stmt.els), iter(stmt.then))
+                break
+        else:
+            todo.pop()
 
 
 def walk_exprs(body):
     """Every expression node under `body`, statement by statement; within
     an expression children come before their parent, leaves left to right."""
     nodes = []
-    for stmt in walk_stmts(body):
-        for e in stmt.exprs if isinstance(stmt, PAssign) else (stmt.cond,):
-            fold(e, lambda node, _: nodes.append(node))
+    for e, _ in _assigned_exprs(body):
+        fold(e, lambda node, _: nodes.append(node))
     return nodes
+
+
+def _assigned_exprs(body):
+    """Every expression under `body` in `walk_exprs` order, with the
+    variable it is assigned to: its target for the right-hand side of a
+    `PAssign`, None for an `if` guard, an observe or an assume."""
+    for stmt in walk_stmts(body):
+        if isinstance(stmt, PAssign):
+            yield from zip(stmt.exprs, stmt.targets)
+        else:
+            yield stmt.cond, None
 
 
 # --- choose desugaring --------------------------------------------------------
@@ -521,7 +548,8 @@ def _run_deterministic(program, state, flips):
 
 
 def exact_inference_input(program: BernProgram):
-    """The program exact inference runs, and its flip sites.
+    """The program exact inference runs, and its flip sites as
+    `BernProgram.flip_owners` lists them.
 
     Both exact engines (`interp_exact` and the symbolic engine) take their
     input through here: chooses are desugared to flips, a program in
@@ -534,8 +562,8 @@ def exact_inference_input(program: BernProgram):
             "exact inference needs a probabilistic program; "
             "run non-deterministic programs through interp_nondet"
         )
-    sites = program.flip_sites()
-    for site, theta in sites:
+    sites = program.flip_owners()
+    for site, theta, _ in sites:
         if isinstance(theta, str):
             raise ModeError(f"flip site {site} has unresolved parameter {theta!r}")
     return program, sites
@@ -559,8 +587,8 @@ def interp_exact(
         dist = AbstractDistribution.uniform(program.decls)
 
     out = {}
-    site_ids = [s for s, _ in sites]
-    thetas = {s: t for s, t in sites}
+    site_ids = [s for s, _, _ in sites]
+    thetas = {s: t for s, t, _ in sites}
     for state, w0 in dist.items():
         for bits in itertools.product((False, True), repeat=len(site_ids)):
             weight = w0

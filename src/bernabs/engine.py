@@ -11,6 +11,14 @@ targets out, the last two steps as one ``and_exists``.  Variables the
 assignment does not write keep their own variable, so they need no copy
 and no constraint.
 
+The universe's order is Dice's (Holtzen, Van den Broeck & Millstein,
+2020): each declared variable v, in declaration order, is followed by
+its primed copy v#' and then by every flip read in an assignment to v,
+so a Δ that ties v to its flip ties neighbouring levels, not v to a
+level below every other variable.  Flips read in ``if`` guards, observes
+and assumes come after all of them.  v#' right after v is what lets an
+image rename v to v#' in place.
+
 A query of one variable reads a table of every state variable's mass at
 the point, made once per point by one pass up and one pass down Δ
 (``Bdd.marginals``); any other event conjoins its Bdd with Δ and counts.
@@ -90,7 +98,10 @@ def expr_to_bdd(universe, expr, var_of_name, flip_var=None) -> bddm.Bdd:
 
 
 class SymbolicContext:
-    """Variable universe for one program: v, v' pairs, then flip variables."""
+    """Variable universe for one program.  Each declared variable v, in
+    declaration order, brings v, v#' and then the flips read in assignments
+    to v; the flips read in `if` guards, observes and assumes come last.
+    Flips keep their program order within each group."""
 
     def __init__(self, program: bern.BernProgram):
         program, sites = bern.exact_inference_input(program)
@@ -101,16 +112,16 @@ class SymbolicContext:
                 f"1 per flip site); the engine allows at most {MAX_LEVELS}"
             )
         self.program = program
-        specs = []
-        for name in program.decls:
-            specs.append((name, None))
-            specs.append((name + PRIME_SUFFIX, None))
-        for site, theta in sites:
-            specs.append((f"flip#{site}", Fraction(theta)))
-        self.universe = bddm.make_universe(specs)
+        owned = {name: [(name, None), (name + PRIME_SUFFIX, None)] for name in program.decls}
+        unowned = []
+        for site, theta, owner in sites:
+            flip = (f"flip#{site}", Fraction(theta))
+            (unowned if owner is None else owned[owner]).append(flip)
+        specs = [spec for group in owned.values() for spec in group]
+        self.universe = bddm.make_universe(specs + unowned)
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
         self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}
-        self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _ in sites}
+        self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _, _ in sites}
         # wmc weight maps: the flips alone (survival), and flips plus states (queries)
         self.flip_weights = {v: v.weights() for v in self.flip_vars.values()}
         self.weights = dict(self.flip_weights)

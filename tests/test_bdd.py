@@ -279,6 +279,28 @@ def test_marginals_need_a_weight_for_each_variable():
         bddm.var_bdd(u, b).marginals({a: (1, 1)}, [a])
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cube_is_the_conjunction_of_its_literals(data):
+    """Literals in any order, repeats and opposite pairs among them."""
+    u = pred_universe(data.draw(st.integers(1, 6)))
+    literals = data.draw(st.lists(st.tuples(st.sampled_from(u.variables), st.booleans()), max_size=10))
+    expected = bddm.true_bdd(u)
+    for var, bit in literals:
+        v = bddm.var_bdd(u, var)
+        expected = expected & (v if bit else ~v)
+    assert bddm.cube(u, literals).equiv(expected)
+
+
+def test_cube_rejects_a_variable_of_another_universe():
+    u, other = pred_universe(2), pred_universe(3)
+    a, b = u.variables
+    with pytest.raises(UniverseError):
+        bddm.cube(u, [(a, True), (other.variables[2], False)])
+    with pytest.raises(UniverseError):  # also after two literals that clash
+        bddm.cube(u, [(b, True), (b, False), (other.variables[2], True)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_model_count_is_unweighted_wmc(data):

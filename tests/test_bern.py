@@ -1,6 +1,7 @@
 """BERN language: parsing, desugaring, the two interpreters."""
 
 import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -152,6 +153,35 @@ def test_if_nesting_bounded_when_built():
     assert bern.interp_exact(prog, point(prog)).prob(lambda s: s["a"]) == Fraction(1, 3)
     assert engine.query(prog, bern.BVar("a"), init=start).probability == Fraction(1, 3)
     assert parsing.parse_bern(bern.to_text(prog)) == prog
+
+
+def _walk_recursively(body):
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, bern.BIf):
+            yield from _walk_recursively(stmt.then)
+            yield from _walk_recursively(stmt.els)
+
+
+def test_walk_stmts_keeps_the_recursive_order():
+    rng = random.Random(41)
+    programs = [randgen.rand_bern_program(rng, ("v0", "v1", "v2"), max_stmts=12) for _ in range(60)]
+    # 598 flip lines inside ifs nested as deep as a program may nest them
+    sites = itertools.count()
+
+    def link():
+        return bern.PAssign(("a",), (bern.BIff(bern.BVar("a"), bern.Flip(next(sites), Fraction(1, 3))),))
+
+    body = tuple(link() for _ in range(598 - bern.MAX_NESTING))
+    for _ in range(bern.MAX_NESTING):
+        body = (bern.BIf(bern.BOr(bern.BVar("a"), bern.BNot(bern.BVar("a"))), body, (link(),)),)
+    programs.append(bern.BernProgram(("a",), (bern.PAssign(("a",), (bern.BTrue(),)), *body), "prob"))
+    assert sum(isinstance(s, bern.BIf) for p in programs for s in bern.walk_stmts(p.body)) > 100
+    for prog in programs:
+        walked = list(bern.walk_stmts(prog.body))
+        expected = list(_walk_recursively(prog.body))
+        assert len(walked) == len(expected)
+        assert all(map(operator.is_, walked, expected))
 
 
 def test_interp_exact_flip_cap():

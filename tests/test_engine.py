@@ -7,6 +7,7 @@ import pytest
 
 from bernabs import bdd as bddm
 from bernabs import bern, corpus, engine, parsing, randgen
+from bernabs import builder as bld
 from bernabs.errors import ConditionOnImpossibleError, ModeError
 
 
@@ -251,3 +252,69 @@ def test_an_event_naming_an_undeclared_variable_is_a_key_error():
     with pytest.raises(KeyError):
         engine.query(prog, bern.BVar("zz"))
 
+
+
+def _labels(ctx):
+    return [v.label for v in ctx.universe.variables]
+
+
+def test_each_flip_sits_after_the_variable_it_is_assigned_to():
+    """v, v#', then the flips read in assignments to v (a choose's fresh
+    flip and flips inside nested ifs included); guard and observe flips
+    after every state variable, each group in site order."""
+    prog = parsing.parse_bern(
+        "bool a\nbool b\nbool c\n"
+        "observe(a || flip(1/5))\n"
+        "b, a = flip(1/2), choose(b, flip(1/3))\n"
+        "if (c && flip(1/7)) { if (a) { c = flip(1/4) } else { a = !flip(1/6) } }\n"
+    )
+    # choose(b, flip(1/3)) desugars to b || (!flip#2 && flip#6)
+    ctx = engine.SymbolicContext(bld.resolve_parameters(bern.desugar_program(prog), {6: Fraction(1, 2)}))
+    assert _labels(ctx) == [
+        "a", "a#'", "flip#2", "flip#6", "flip#5",
+        "b", "b#'", "flip#1",
+        "c", "c#'", "flip#4",
+        "flip#0", "flip#3",
+    ]
+
+
+def _flips(e):
+    sites = []
+    bern.fold(e, lambda node, _: isinstance(node, bern.Flip) and sites.append(node.site))
+    return sites
+
+
+def test_variable_order_on_random_programs():
+    """The order read off each statement: a flip in the right-hand side for
+    v sits between v#' and the next declared variable, a guard or observe
+    flip after every state variable, each group in program order."""
+    rng = random.Random(29)
+    for _ in range(40):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=6, max_stmts=8)
+        ctx = engine.SymbolicContext(prog)
+        level = {label: i for i, label in enumerate(_labels(ctx))}
+        groups = {name: [] for name in names}
+        loose = []
+        for stmt in bern.walk_stmts(ctx.program.body):
+            if isinstance(stmt, bern.PAssign):
+                for target, e in zip(stmt.targets, stmt.exprs):
+                    groups[target] += [level[f"flip#{s}"] for s in _flips(e)]
+            else:
+                loose += [level[f"flip#{s}"] for s in _flips(stmt.cond)]
+        ends = [level[n] for n in names[1:]] + [len(level) - len(loose)]
+        for name, end in zip(names, ends):
+            assert level[name + "#'"] == level[name] + 1
+            assert groups[name] == list(range(level[name] + 2, end))
+        assert loose == list(range(len(level) - len(loose), len(level)))
+
+
+def test_a_flip_next_to_its_variable_keeps_delta_linear():
+    """From T, n lines of vi = flip(1/3) end with 3 nodes per variable
+    (vi, and its flip under either value); with every flip after all the
+    state variables Δ grows as 3·2ⁿ."""
+    n = 16
+    text = "".join(f"bool v{i}\n" for i in range(n)) + "".join(f"v{i} = flip(1/3)\n" for i in range(n))
+    run = engine.run_symbolic(parsing.parse_bern(text))
+    assert run.at("end").delta.size() <= 3 * n
+    assert engine.query(run, bern.BVar("v7")).probability == Fraction(1, 3)
