@@ -112,13 +112,11 @@ class SymbolicContext:
                 f"1 per flip site); the engine allows at most {MAX_LEVELS}"
             )
         self.program = program
-        owned = {name: [(name, None), (name + PRIME_SUFFIX, None)] for name in program.decls}
-        unowned = []
+        groups = {name: [(name, None), (name + PRIME_SUFFIX, None)] for name in program.decls}
+        groups[None] = []  # flips read in guards, observes and assumes: after every variable
         for site, theta, owner in sites:
-            flip = (f"flip#{site}", Fraction(theta))
-            (unowned if owner is None else owned[owner]).append(flip)
-        specs = [spec for group in owned.values() for spec in group]
-        self.universe = bddm.make_universe(specs + unowned)
+            groups[owner].append((f"flip#{site}", Fraction(theta)))
+        self.universe = bddm.make_universe(spec for group in groups.values() for spec in group)
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
         self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}
         self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _, _ in sites}
