@@ -12,7 +12,10 @@ identity: within one universe, two Bdds are equivalent iff they hold the
 same node id.  Weighted model counting is the exact-rational inference
 primitive; the summation domain is the weight map's key set, so callers
 choose which variables an assignment ranges over (sub-universe counts are
-the norm for survival-mass queries).
+the norm for survival-mass queries).  Two counts read a whole family of
+restrictions off one walk, each a visitor of the node table's ``fold``:
+``marginals`` gives the mass of Δ & v for every variable v, and
+``wmc_table`` the mass of every assignment to a set of key variables.
 """
 
 from __future__ import annotations
@@ -285,6 +288,76 @@ class Bdd:
             mass = marginal[level] + (skipping[level] * wt // total if total else lone[level] * wt)
             out[v] = Fraction(mass, w.scale)
         return out
+
+    def wmc_table(self, weights, variables) -> dict:
+        """``wmc(weights)`` of the diagram restricted to `variables` = bits,
+        for every assignment `bits` (a tuple in the order of `variables`)
+        whose mass is not 0, all from one pass up the diagram.
+
+        Like ``marginals``, this is a visitor of the node table's fold over
+        ``wmc``'s integer weights.  Each node's result is a dict from the
+        bits of the key variables at or below its level to its count.  An
+        edge that skips a key level doubles the dict, one copy per value of
+        that level; an edge that skips weighted levels multiplies the counts
+        as in ``wmc``.  No key variable may have a weight entry.
+        """
+        keys = self._levels(variables)
+        if len(set(keys)) != len(keys):
+            raise UniverseError("a key variable is given twice")
+        for v in variables:
+            if v in weights:
+                raise UniverseError(f"key variable {v.label!r} has a weight entry")
+        universe = self.universe
+        w = _IntegerWeights(universe, weights)
+        pairs, skip = w.pairs, w.skip
+        top = len(universe)
+        bit = {level: 1 << i for i, level in enumerate(keys)}  # bit i: the i-th key
+        below = [0] * (top + 1)  # per level x: the bits of the key levels >= x
+        for level in range(top - 1, -1, -1):
+            below[level] = below[level + 1] | bit.get(level, 0)
+
+        def lift(child, first):
+            """The child's dict seen from an edge into it that skips the
+            levels first .. (the child's level) - 1."""
+            counts, end = child
+            factor = skip(first, end)
+            if not factor or not counts:
+                return {}
+            if factor != 1:
+                counts = {k: c * factor for k, c in counts.items()}
+            skipped = below[first] ^ below[end]
+            while skipped:
+                b = skipped & -skipped
+                counts = {**counts, **{k | b: c for k, c in counts.items()}}
+                skipped ^= b
+            return counts
+
+        def visit(u, level, lo, hi):
+            lo, hi = lift(lo, level + 1), lift(hi, level + 1)
+            b = bit.get(level)
+            if b is not None:
+                out = dict(lo)
+                out.update((k | b, c) for k, c in hi.items())
+                return out, level
+            pair = pairs[level]
+            if pair is None:
+                raise UniverseError(f"missing weight entry for {universe.variables[level].label!r}")
+            wt, wf = pair
+            out = {k: wf * c for k, c in lo.items()} if wf else {}
+            if wt:
+                for k, c in hi.items():
+                    out[k] = out.get(k, 0) + wt * c
+            return out, level
+
+        table = universe.table
+        memo = {kernel.FALSE: ({}, top), kernel.TRUE: ({0: 1}, top)}
+        root = lift(table.fold(self.ref, visit, top, memo), 0)
+        width = range(len(keys))
+        return {
+            tuple([k >> i & 1 == 1 for i in width]): Fraction(c, w.scale)
+            for k, c in root.items()
+            if c
+        }
 
     def to_dot(self) -> str:
         """DOT dump: one line per node, low edges dashed, high edges solid."""

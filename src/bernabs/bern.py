@@ -408,12 +408,15 @@ def desugar_program(program: BernProgram, mode=None) -> BernProgram:
     The fresh leaf is ``*`` in non-deterministic mode and a flip with a new
     site parameter in probabilistic mode.  Fresh ids continue after the
     existing ones; inner chooses are replaced before the ones that hold
-    them, so fresh ids rise left to right through the program.
+    them, so fresh ids rise left to right through the program.  A program
+    with no choose, already in `mode`, is returned as it is.
     """
     mode = mode or program.mode
     if mode not in ("prob", "nondet"):
         raise ModeError("cannot desugar choose without a program mode")
     nodes = walk_exprs(program.body)
+    if mode == program.mode and not any(isinstance(e, Choose) for e in nodes):
+        return program
     ids = [e.site for e in nodes if isinstance(e, Flip)]
     ids += [e.occurrence for e in nodes if isinstance(e, Star)]
     counter = itertools.count(max(ids, default=-1) + 1)

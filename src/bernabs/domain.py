@@ -4,14 +4,16 @@ A predicate list (p_1, ..., p_n) induces the abstract domain of total truth
 assignments (b_1, ..., b_n).  One sweep of the joint domain computes the
 α-image, the predicate bit-vector of every state, in the All-SAT style of
 predicate abstraction.  The feasible minterms, γ and both approximation
-operators are read off the image, at one further sweep per query condition
-instead of one theory query per minterm.  n is capped because minterm sets
-can still grow as 2^n.  The approximations and the invariant are answered
-as canonical Bdds over ``universe``, one variable per predicate, so callers
-compare them by semantics rather than syntax; the builder turns them into
-BERN text where it emits a program.  With a query log on, the per-cube
-theory queries that the image answered are recorded, so an external solver
-can cross-check them.
+operators are read off the image instead of one theory query per minterm:
+γ, the cell of every minterm, from one pass over the image, and each
+approximation from one further sweep per distinct query condition, whose
+image is kept for every later query of that condition.  n is capped
+because minterm sets can still grow as 2^n.  The approximations and the
+invariant are answered as canonical Bdds over ``universe``, one variable
+per predicate, so callers compare them by semantics rather than syntax;
+the builder turns them into BERN text where it emits a program.  With a
+query log on, the per-cube theory queries that the image answered are
+recorded, so an external solver can cross-check them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class PredicateList:
         self.universe = bddm.make_universe([(label, None) for label in labels])
         self._image = None
         self._feasible = None
+        self._images = {}  # str(cond) -> the bit-vectors of cond's states
+        self._cells = None
 
     def __len__(self):
         return len(self.labels)
@@ -100,12 +104,18 @@ class PredicateList:
     def _all_bits(self):
         return itertools.product((False, True), repeat=len(self))
 
-    def _image_of(self, cond) -> set:
-        """The bit-vectors of the states that satisfy `cond`."""
+    def _image_of(self, cond) -> frozenset:
+        """The bit-vectors of the states that satisfy `cond`, from one sweep
+        per condition, memoized on the condition's text."""
         self.ctx.check_closed(cond)
-        fn = cc.compile(cond, self.ctx.names)
-        image, _ = self._alpha_image()
-        return {bits for key, bits in zip(self.ctx.states(), image) if fn(key)}
+        text = str(cond)
+        hits = self._images.get(text)
+        if hits is None:
+            fn = cc.compile(cond, self.ctx.names)
+            image, _ = self._alpha_image()
+            hits = frozenset(bits for key, bits in zip(self.ctx.states(), image) if fn(key))
+            self._images[text] = hits
+        return hits
 
     def _log_cubes(self, kind, bit_vectors, other=None):
         """Record in the theory's query log the per-cube queries the image
@@ -137,17 +147,25 @@ class PredicateList:
     def gamma_lower(self, bits) -> list:
         """All concrete states whose abstraction is exactly `bits`, in
         ``ctx.states()`` order: the cell of `bits`, empty if infeasible."""
-        return self.cells().get(tuple(bool(b) for b in bits), [])
+        return list(self.cell_map().get(tuple(bool(b) for b in bits), ()))
 
     def cells(self) -> dict:
-        """Every feasible bit-vector's cell, as the value tuples of its
-        states in ``ctx.states()`` order: all of γ from one pass over the
-        α-image."""
-        image, feasible = self._alpha_image()
-        cells = {bits: [] for bits in feasible}
-        for key, bits in zip(self.ctx.states(), image):
-            cells[bits].append(key)
-        return cells
+        """Every feasible bit-vector's cell, as a list of the value tuples
+        of its states in ``ctx.states()`` order."""
+        return {bits: list(cell) for bits, cell in self.cell_map().items()}
+
+    def cell_map(self) -> dict:
+        """Every feasible bit-vector's cell, as a dict whose keys are the
+        value tuples of its states in ``ctx.states()`` order (every value
+        None): all of γ from one pass over the α-image, made on first use
+        and shared by every caller, which must not change it."""
+        if self._cells is None:
+            image, feasible = self._alpha_image()
+            cells = {bits: {} for bits in feasible}
+            for key, bits in zip(self.ctx.states(), image):
+                cells[bits][key] = None
+            self._cells = cells
+        return self._cells
 
     # --- formula approximation -------------------------------------------------
 

@@ -8,7 +8,8 @@ distribution.  Every check reads the abstract semantics from one object,
 the transition kernel Pr_A(a' | a) of the abstract program
 (`abstract_kernel`), which one symbolic engine run yields for every
 feasible a at once: a ghost copy of each predicate records the input, and
-each row is the weighted count of Δ with the ghosts fixed to a.  A
+each row is the weighted count of Δ with the ghosts fixed to a, every
+output a' of the row from one pass over that restriction.  A
 non-deterministic program runs with each * a flip(1/2), so its reach set
 from a is the support of row a.  The engine has no flip cap, so neither
 has a check; its one bound is on the levels of a universe
@@ -256,12 +257,6 @@ def _kernel_program(aprog: bern.BernProgram, preds: PredicateList) -> bern.BernP
     return bern.BernProgram(tuple(decls), (prefix, *aprog.body), aprog.mode)
 
 
-def _restricted(delta, variables, bits):
-    for var, bit in zip(variables, bits):
-        delta = delta.restrict(var, bit)
-    return delta
-
-
 def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
     """The transition kernel Pr_A(a' | a) of `aprog`: {a: {a': mass}} over
     the feasible abstract states, keyed by bits tuples in the predicates'
@@ -269,11 +264,12 @@ def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
     observe losses shrink a row's total.
 
     One symbolic run of `_kernel_program` gives Δ over (ghosts, flips,
-    output state).  Row a is Δ restricted to ghosts = a; its cell a' is
-    that restricted to outputs = a', counted over the flips and the
-    auxiliaries.  A start state and a flip assignment fix the end state,
-    so each auxiliary is fixed wherever the count is not 0, and counting
-    it with weight (1, 1) adds nothing.
+    output state).  Row a is the weighted count of Δ restricted to
+    ghosts = a: its cell a' is that restricted to outputs = a', counted
+    over the flips and the auxiliaries, and ``Bdd.wmc_table`` gives every
+    cell of the row in one pass.  A start state and a flip assignment fix
+    the end state, so each auxiliary is fixed wherever the count is not 0,
+    and counting it with weight (1, 1) adds nothing.
     """
     run = engine.run_symbolic(_kernel_program(aprog, preds))
     ctx = run.ctx
@@ -285,12 +281,11 @@ def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
     delta = run.at("end").delta
     kernel = {}
     for a in feasible:
-        from_a = _restricted(delta, ghosts, a)
-        row = kernel[a] = {}
-        for a_out in feasible:
-            mass = _restricted(from_a, outputs, a_out).wmc(weights)
-            if mass:
-                row[a_out] = mass
+        from_a = delta
+        for ghost, bit in zip(ghosts, a):
+            from_a = from_a.restrict(ghost, bit)
+        row = from_a.wmc_table(weights, outputs)
+        kernel[a] = {a_out: row[a_out] for a_out in feasible if a_out in row}
     return kernel
 
 
@@ -313,7 +308,7 @@ class ConcretizationDistribution:
     @classmethod
     def _build(cls, name, preds: PredicateList, weigher):
         rows = {}
-        for bits, keys in preds.cells().items():
+        for bits, keys in preds.cell_map().items():
             weights = weigher(len(keys))  # integers, one per key
             total = sum(weights)
             rows[bits] = {k: Fraction(w, total) for k, w in zip(keys, weights) if w > 0}
@@ -336,14 +331,16 @@ class ConcretizationDistribution:
 
     def validate_strong(self, preds: PredicateList):
         """Row-normalized and confined to the matching cell (the two
-        properties the invariance theorem actually uses).  The cells come
-        from one pass over the α-image."""
-        cells = preds.cells()
+        properties the invariance theorem actually uses).  Each row is
+        summed in integers over the lcm of its denominators, and the cells
+        are the predicates' shared cell map."""
+        cells = preds.cell_map()
         for bits, row in self.rows.items():
-            total = sum(row.values(), Fraction(0))
-            if total != 1:
+            scale = math.lcm(*(q.denominator for q in row.values()))
+            if sum(_scaled(row, scale).values()) != scale:
+                total = sum(row.values(), Fraction(0))
                 raise ValueError(f"{self.name}: row {bits} sums to {total}, not 1")
-            cell = set(cells.get(bits, ()))
+            cell = cells.get(bits, {})
             for key in row:
                 if key not in cell:
                     state = _state_json(self.var_names, key)
@@ -354,7 +351,7 @@ class ConcretizationDistribution:
     def is_compatible(self, preds: PredicateList) -> bool:
         """Def-8 compatibility: every concrete state has positive mass in
         its own cell (fails for point-mass rows over multi-state cells)."""
-        cells = preds.cells().items()
+        cells = preds.cell_map().items()
         return all(self.row(bits).get(key, 0) > 0 for bits, keys in cells for key in keys)
 
 

@@ -281,6 +281,56 @@ def test_marginals_need_a_weight_for_each_variable():
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
+def test_wmc_table_is_wmc_of_each_restriction(data):
+    """Keys in any order, some of them levels the diagram skips or does not
+    mention; the other variables weighted, some pairs summing to 0."""
+    u, _, d, weights = weighted_diagram(data)
+    keys = data.draw(st.lists(st.sampled_from(u.variables), unique=True))
+    weights = {v: w for v, w in weights.items() if v not in keys}
+    want = {}
+    for bits in itertools.product((False, True), repeat=len(keys)):
+        restricted = d
+        for v, bit in zip(keys, bits):
+            restricted = restricted.restrict(v, bit)
+        mass = restricted.wmc(weights)
+        if mass:
+            want[bits] = mass
+    assert d.wmc_table(weights, keys) == want
+
+
+def test_wmc_table_examples():
+    u = pred_universe(4)
+    a, b, c, e = u.variables
+    va, vb, vc = (bddm.var_bdd(u, v) for v in (a, b, c))
+    f = (va & ~vc) | (~va & vb)
+    # keys c then a, b weighted (1, 2), e unweighted and never met
+    assert f.wmc_table({b: (1, 2)}, [c, a]) == {
+        (False, False): 1, (True, False): 1, (False, True): 3,
+    }
+    # a key level no edge tests doubles every entry, one copy per value
+    assert va.wmc_table({}, [e, a]) == {(False, True): 1, (True, True): 1}
+    assert bddm.true_bdd(u).wmc_table({}, [b]) == {(False,): 1, (True,): 1}
+    assert bddm.false_bdd(u).wmc_table({}, [b]) == {}
+    # a skipped level of weight sum 0 leaves no mass
+    assert (va & vc).wmc_table({b: (Fraction(-1, 2), Fraction(1, 2)), c: (1, 1)}, [a]) == {}
+
+
+def test_wmc_table_rejects_a_weighted_key_and_a_missing_weight():
+    u = pred_universe(3)
+    a, b, c = u.variables
+    f = bddm.var_bdd(u, a) & bddm.var_bdd(u, c)
+    with pytest.raises(UniverseError, match="key variable 'b0' has a weight entry"):
+        f.wmc_table({a: (1, 1), c: (1, 1)}, [a])
+    with pytest.raises(UniverseError, match="missing weight entry for 'b2'"):
+        f.wmc_table({b: (1, 1)}, [a])
+    with pytest.raises(UniverseError, match="given twice"):
+        f.wmc_table({c: (1, 1)}, [a, a])
+    with pytest.raises(UniverseError, match="does not belong"):
+        f.wmc_table({c: (1, 1)}, [pred_universe(1).variables[0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
 def test_cube_is_the_conjunction_of_its_literals(data):
     """Literals in any order, repeats and opposite pairs among them."""
     u = pred_universe(data.draw(st.integers(1, 6)))

@@ -90,6 +90,22 @@ def test_desugar_fresh_ids_follow_existing_ones():
     assert [site for site, _ in sites] == [0, 3, 1, 4, 2, 5, 6]
 
 
+def test_desugar_returns_a_program_with_nothing_to_desugar():
+    prog = parsing.parse_bern("bool a\nbool b\na = flip(1/2) || b\nif (a) { b = !b }")
+    assert prog.mode == "prob"
+    assert bern.desugar_program(prog) is prog
+    assert bern.desugar_program(prog, "prob") is prog
+    assert bern.exact_inference_input(prog)[0] is prog
+    # the mode still changes when asked to, and a choose is still replaced
+    plain = parsing.parse_bern("bool a\na = !a")
+    assert bern.desugar_program(plain, "prob") is not plain
+    assert bern.desugar_program(plain, "prob").mode == "prob"
+    chosen = parsing.parse_bern("bool a\na = flip(1/2) && choose(a, F)")
+    ds = bern.desugar_program(chosen)
+    assert ds is not chosen
+    assert ds.flip_sites() == [(0, Fraction(1, 2)), (1, "theta1")]
+
+
 def test_interp_exact_single_flip():
     prog = parsing.parse_bern("bool b\nb = flip(1/4)")
     out = bern.interp_exact(prog, point(prog))

@@ -9,7 +9,7 @@ from bernabs import bdd as bddm
 from bernabs import concrete as cc
 from bernabs import parsing, randgen, theory
 from bernabs.domain import PredicateList
-from bernabs.errors import PredicateBoundError
+from bernabs.errors import ParseError, PredicateBoundError
 from bernabs.selftest import naive_cond
 
 
@@ -59,6 +59,32 @@ def test_gamma_lower_examples():
     ctx = theory.TheoryContext([cc.VarDecl("x", 0, 3)])
     empty = PredicateList([], ctx)
     assert len(empty.gamma_lower(())) == 3
+
+
+def test_each_condition_and_the_cells_are_swept_once(monkeypatch):
+    ctx, preds = two_pred_domain()
+    swept = []
+    real = theory.TheoryContext.states
+    monkeypatch.setattr(theory.TheoryContext, "states", lambda c: swept.append(1) or real(c))
+    cond = parsing.parse_cond("x < 0", ["x"])
+    first = preds.strongest_implied(cond)
+    sweeps = len(swept)
+    # the same text again, and the same condition as the negated target
+    again = preds.strongest_implied(parsing.parse_cond("x < 0", ["x"]))
+    assert again.equiv(first) and len(swept) == sweeps
+    assert preds.weakest_sufficient(cc.CNot(cond)).equiv(preds.weakest_sufficient(cc.CNot(cond)))
+    assert len(swept) == sweeps + 1
+    # a condition over an undeclared variable is still refused
+    with pytest.raises(ParseError, match="undeclared variables: y"):
+        preds.strongest_implied(parsing.parse_cond("y < 0", ["x", "y"]))
+    cells = preds.cells()
+    sweeps = len(swept)
+    cells[(False, True)].clear()
+    preds.gamma_lower((True, True)).clear()
+    assert preds.cells() == {bits: preds.gamma_lower(bits) for bits in cells}
+    assert preds.gamma_lower((True, True)) == [(x,) for x in range(-8, -4)]
+    assert len(preds.gamma_lower((False, True))) == 7
+    assert len(swept) == sweeps
 
 
 def test_predicate_bound():

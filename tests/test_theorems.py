@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
@@ -201,6 +202,68 @@ def test_abstract_kernel_rows_match_enumeration():
             want = {o: want.mass_of(dict(zip(preds.labels, o))) for o in feasible}
             assert kernel[a] == {o: p for o, p in want.items() if p}
     assert all(seen.values()), seen
+
+
+def _kernel_by_cell(aprog, preds):
+    """The kernel by its cell-by-cell definition: Δ restricted to ghosts = a,
+    then to outputs = a', and counted over the flips and the auxiliaries."""
+    run = engine.run_symbolic(theorems._kernel_program(aprog, preds))
+    ctx = run.ctx
+    ghosts = [ctx.state_vars[lbl + theorems.GHOST_SUFFIX] for lbl in preds.labels]
+    outputs = [ctx.state_vars[lbl] for lbl in preds.labels]
+    weights = dict(ctx.flip_weights)
+    weights.update((ctx.state_vars[n], (1, 1)) for n in aprog.decls if n not in preds.labels)
+    feasible = [m.bits for m in preds.feasible_minterms()]
+    kernel = {}
+    for a in feasible:
+        row = kernel[a] = {}
+        for a_out in feasible:
+            cell = run.at("end").delta
+            for var, bit in zip(ghosts + outputs, a + a_out):
+                cell = cell.restrict(var, bit)
+            mass = cell.wmc(weights)
+            if mass:
+                row[a_out] = mass
+    return kernel
+
+
+def test_abstract_kernel_is_the_count_of_each_cell():
+    rng = random.Random(67)
+    seen = {"observe": 0, "aux": 0, "infeasible": 0}
+    for case in range(30):
+        prog = randgen.rand_concrete_program(rng, observes=case % 3 == 1)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 1 + case % 4), ctx)
+        if case % 2:
+            aprog, _ = bld.abstract_program(
+                prog, preds, bld.AbstractionConfig("prob", "structural", FIXED_HALF)
+            )
+        else:
+            aprog = randgen.rand_bern_program(
+                rng, preds.labels, max_flips=5, max_stmts=6, degenerate_share=0.3
+            )
+        seen["observe"] += any(isinstance(s, bern.BObserve) for s in bern.walk_stmts(aprog.body))
+        seen["aux"] += len(aprog.decls) > len(preds)
+        seen["infeasible"] += len(preds.feasible_minterms()) < 2 ** len(preds)
+        kernel = theorems.abstract_kernel(aprog, preds)
+        want = _kernel_by_cell(aprog, preds)
+        assert kernel == want
+        assert [list(row) for row in kernel.values()] == [list(row) for row in want.values()]
+    assert all(seen.values()), seen
+
+
+def test_abstract_kernel_counts_each_row_in_one_table(branch_reset, monkeypatch):
+    prog, ctx, preds = branch_reset
+    aprog, _ = bld.abstract_program(prog, preds, bld.AbstractionConfig("prob", "observe", FIXED_HALF))
+    calls = []
+    for name in ("wmc", "wmc_table"):
+        real = getattr(bddm.Bdd, name)
+        monkeypatch.setattr(
+            bddm.Bdd, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    kernel = theorems.abstract_kernel(aprog, preds)
+    assert len(kernel) == 3
+    assert calls == ["wmc_table"] * 3
 
 
 def _rand_nondet_program(rng, names):
