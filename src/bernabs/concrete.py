@@ -4,7 +4,7 @@ A concrete state is a tuple of values in declaration order
 (`ConcreteProgram.var_names`), here and in every module that sweeps
 states.  Semantics are exact.  Deterministic evaluation maps a state to a
 state (or to ``BLOCKED`` when an observe fails); distribution evaluation
-enumerates every draw outcome with uniform rational weights and drops
+enumerates every draw outcome, as integer counts over one scale, and drops
 observe-failing paths, recording the lost mass in the survival total.
 Arithmetic escaping a variable's declared range is a hard error, never
 wrapping or clamping.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -376,13 +377,16 @@ def eval_det(program: ConcreteProgram, key: tuple):
 
 class ConcreteDistribution:
     """Exact finite map from states (value tuples in the order of
-    `var_names`) to positive rational mass.  The survival mass is the total
-    mass (inputs are often 1; after observe statements it may be smaller).
+    `var_names`) to positive rational mass, held as integer counts over one
+    scale: the mass of state k is ``counts[k] / scale``.  The survival mass
+    is the total mass (inputs are often 1; after observe statements it may
+    be smaller).  Readers get each mass as a Fraction, made when read.
     """
 
-    def __init__(self, var_names, mass):
+    def __init__(self, var_names, counts, scale):
         self.var_names = tuple(var_names)
-        self._mass = {k: v for k, v in mass.items() if v > 0}
+        self.counts = {k: c for k, c in counts.items() if c > 0}
+        self.scale = scale
 
     @classmethod
     def point(cls, program: ConcreteProgram, key: tuple):
@@ -390,37 +394,35 @@ class ConcreteDistribution:
             raise ValueError(f"{key!r} is not a state of {program.var_names!r}")
         for d, v in zip(program.decls, key):
             _checked(d, v)
-        return cls(program.var_names, {key: Fraction(1)})
+        return cls(program.var_names, {key: 1}, 1)
 
     @classmethod
     def uniform_joint(cls, program: ConcreteProgram, cap=DEFAULT_STATE_CAP):
         n = joint_size(program.decls)
         if n > cap:
             raise EnumerationCapError(f"joint domain has {n} states (cap {cap})")
-        w = Fraction(1, n)
-        mass = {
-            key: w
-            for key in itertools.product(*(range(d.lo, d.hi) for d in program.decls))
-        }
-        return cls(program.var_names, mass)
+        counts = dict.fromkeys(itertools.product(*(range(d.lo, d.hi) for d in program.decls)), 1)
+        return cls(program.var_names, counts, n)
 
     @property
     def survival(self) -> Fraction:
-        return sum(self._mass.values(), Fraction(0))
+        return Fraction(sum(self.counts.values()), self.scale)
 
     def __len__(self):
-        return len(self._mass)
+        return len(self.counts)
 
     def items(self):
         """(state, mass) pairs in state order."""
-        return sorted(self._mass.items())
+        return [(k, Fraction(c, self.scale)) for k, c in sorted(self.counts.items())]
 
     def mass_of(self, key: tuple) -> Fraction:
-        return self._mass.get(key, Fraction(0))
+        return Fraction(self.counts.get(key, 0), self.scale)
 
     def filtered(self, cond) -> "ConcreteDistribution":
         fn = compile(cond, self.var_names)
-        return ConcreteDistribution(self.var_names, {k: w for k, w in self._mass.items() if fn(k)})
+        return ConcreteDistribution(
+            self.var_names, {k: c for k, c in self.counts.items() if fn(k)}, self.scale
+        )
 
 
 def eval_dist(
@@ -428,55 +430,73 @@ def eval_dist(
     dist: ConcreteDistribution | None = None,
     cap=DEFAULT_STATE_CAP,
 ) -> ConcreteDistribution:
-    """Exact output distribution by exhaustive enumeration of draw outcomes."""
+    """Exact output distribution by exhaustive enumeration of draw outcomes.
+
+    The counts stay integers.  D (`widths`), the product of the widths of
+    every draw in the program, is fixed before the run, and the input
+    counts are multiplied by it; a draw of width k then divides each
+    state's count by k.  The division is exact: a path crosses each draw
+    at most once, so a path's share of a count still holds, as a factor of
+    D, the width of every draw it has not crossed, this one included, and
+    a sum of such shares is divisible too.  Branches merge by integer
+    addition, and the output's scale is the input's times D.
+    """
     if dist is None:
         dist = ConcreteDistribution.point(program, tuple(d.lo for d in program.decls))
     if dist.var_names != program.var_names:
         raise ValueError("input distribution does not match the program's variables")
+    # a bad width counts 1 here; its draw raises when the run reaches it
+    widths = math.prod(
+        max(s.hi - s.lo, 1) for s in bern.walk_stmts(program.body) if type(s) is Draw
+    )
 
     def step(block, mass):
         for stmt, fn, i, blocks in block:
             kind = type(stmt)
             if kind is Assign:
-                decl = program.decl(stmt.name)
+                decl = program.decls[i]
                 out = {}
-                for key, w in mass.items():
+                for key, c in mass.items():
                     value = _checked(decl, fn(key))
                     nk = key[:i] + (value,) + key[i + 1 :]
-                    out[nk] = out.get(nk, Fraction(0)) + w
+                    out[nk] = out.get(nk, 0) + c
                 mass = out
             elif kind is Draw:
-                decl = program.decl(stmt.name)
+                decl = program.decls[i]
                 if not (decl.lo <= stmt.lo < stmt.hi <= decl.hi):
                     raise RangeViolationError(
                         f"draw [{stmt.lo}, {stmt.hi}) escapes {stmt.name}'s range"
                     )
-                share = Fraction(1, stmt.hi - stmt.lo)
+                width = stmt.hi - stmt.lo
                 out = {}
-                for key, w in mass.items():
+                for key, c in mass.items():
+                    share = c // width
                     for value in range(stmt.lo, stmt.hi):
                         nk = key[:i] + (value,) + key[i + 1 :]
-                        out[nk] = out.get(nk, Fraction(0)) + w * share
+                        out[nk] = out.get(nk, 0) + share
                     if len(out) > cap:
                         raise EnumerationCapError(f"more than {cap} states in flight")
                 mass = out
             elif kind is Observe:
-                mass = {k: w for k, w in mass.items() if fn(k)}
+                mass = {k: c for k, c in mass.items() if fn(k)}
             else:
                 then_in, else_in = {}, {}
-                for key, w in mass.items():
-                    (then_in if fn(key) else else_in)[key] = w
+                for key, c in mass.items():
+                    (then_in if fn(key) else else_in)[key] = c
                 mass = step(blocks[0], then_in)
-                for key, w in step(blocks[1], else_in).items():
-                    mass[key] = mass.get(key, Fraction(0)) + w
+                for key, c in step(blocks[1], else_in).items():
+                    mass[key] = mass.get(key, 0) + c
         return mass
 
-    return ConcreteDistribution(program.var_names, step(program.compiled, dist._mass))
+    counts = {k: c * widths for k, c in dist.counts.items()}
+    return ConcreteDistribution(
+        program.var_names, step(program.compiled, counts), dist.scale * widths
+    )
 
 
 def query_prob(dist: ConcreteDistribution, cond) -> Fraction:
     """Normalized probability of `cond` under the surviving mass."""
-    total = dist.survival
+    total = sum(dist.counts.values())
     if total == 0:
         raise ConditionOnImpossibleError("no surviving executions to condition on")
-    return dist.filtered(cond).survival / total
+    return Fraction(sum(dist.filtered(cond).counts.values()), total)

@@ -6,14 +6,15 @@ assignments (b_1, ..., b_n).  One sweep of the joint domain computes the
 predicate abstraction.  The feasible minterms, γ and both approximation
 operators are read off the image instead of one theory query per minterm:
 γ, the cell of every minterm, from one pass over the image, and each
-approximation from one further sweep per distinct query condition, whose
-image is kept for every later query of that condition.  n is capped
-because minterm sets can still grow as 2^n.  The approximations and the
-invariant are answered as canonical Bdds over ``universe``, one variable
-per predicate, so callers compare them by semantics rather than syntax;
-the builder turns them into BERN text where it emits a program.  With a
-query log on, the per-cube theory queries that the image answered are
-recorded, so an external solver can cross-check them.
+approximation from one further sweep per distinct pair of a query
+condition and its negation, whose two images are kept for every later
+query of either.  n is capped because minterm sets can still grow as
+2^n.  The approximations and the invariant are answered as canonical
+Bdds over ``universe``, one variable per predicate, so callers compare
+them by semantics rather than syntax; the builder turns them into BERN
+text where it emits a program.  With a query log on, the per-cube theory
+queries that the image answered are recorded, so an external solver can
+cross-check them.
 """
 
 from __future__ import annotations
@@ -105,17 +106,22 @@ class PredicateList:
         return itertools.product((False, True), repeat=len(self))
 
     def _image_of(self, cond) -> frozenset:
-        """The bit-vectors of the states that satisfy `cond`, from one sweep
-        per condition, memoized on the condition's text."""
+        """The bit-vectors of the states that satisfy `cond`, memoized on the
+        condition's text.  Conditions come in pairs, a guard and its
+        negation, so one sweep splits the states into those that satisfy
+        `cond` and those that do not, and keeps both images: the second
+        under the text of ``!cond``."""
         self.ctx.check_closed(cond)
         text = str(cond)
-        hits = self._images.get(text)
-        if hits is None:
+        if text not in self._images:
             fn = cc.compile(cond, self.ctx.names)
             image, _ = self._alpha_image()
-            hits = frozenset(bits for key, bits in zip(self.ctx.states(), image) if fn(key))
-            self._images[text] = hits
-        return hits
+            hits, misses = set(), set()
+            for key, bits in zip(self.ctx.states(), image):
+                (hits if fn(key) else misses).add(bits)
+            self._images[text] = frozenset(hits)
+            self._images[str(cc.CNot(cond))] = frozenset(misses)
+        return self._images[text]
 
     def _log_cubes(self, kind, bit_vectors, other=None):
         """Record in the theory's query log the per-cube queries the image

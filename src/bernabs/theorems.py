@@ -380,10 +380,7 @@ def concrete_semantics(
     gamma_rows, gamma_scale = _gamma_ints(gamma)
     p_int, p_scale = _pr_ints(row)
     scale = gamma_scale * p_scale
-    mass = _concrete_mass(gamma_rows, p_int)
-    return cc.ConcreteDistribution(
-        preds.ctx.names, {key: Fraction(m, scale) for key, m in mass.items()}
-    )
+    return cc.ConcreteDistribution(preds.ctx.names, _concrete_mass(gamma_rows, p_int), scale)
 
 
 def _gamma_ints(gamma):
@@ -513,17 +510,11 @@ def _reads_writes(body):
 
 def _seeded_joint(program, uniform_vars) -> cc.ConcreteDistribution:
     """Uniform over `uniform_vars`, point mass at the range minimum for the
-    rest (sound whenever the other initial values cannot be observed)."""
-    axes = []
-    weight = Fraction(1)
-    for d in program.decls:
-        if d.name in uniform_vars:
-            axes.append(range(d.lo, d.hi))
-            weight /= d.size
-        else:
-            axes.append((d.lo,))
-    mass = {key: weight for key in itertools.product(*axes)}
-    return cc.ConcreteDistribution(program.var_names, mass)
+    rest (sound whenever the other initial values cannot be observed): count
+    1 for each state, over the product of the uniform ranges' sizes."""
+    axes = [range(d.lo, d.hi) if d.name in uniform_vars else (d.lo,) for d in program.decls]
+    counts = dict.fromkeys(itertools.product(*axes), 1)
+    return cc.ConcreteDistribution(program.var_names, counts, math.prod(map(len, axes)))
 
 
 def _fragment_base(cprog, prefix, stmt, site, preds) -> cc.ConcreteDistribution:
@@ -555,20 +546,22 @@ def _context_cond(site, preds) -> cc.Cond:
 
 
 def _post_states(stmt, names):
-    """(z -> the states after `stmt` from z, the share of each).  An
+    """z -> the states after `stmt` from z, each equally likely.  An
     assigned value is not range-checked, as the weakest precondition is not."""
     if isinstance(stmt, cc.If):
-        return (lambda z: (z,)), Fraction(1)
+        return lambda z: (z,)
     slot = names.index(stmt.name)
     if isinstance(stmt, cc.Assign):
         value_at = cc.compile(stmt.expr, names)
-        return (lambda z: (z[:slot] + (value_at(z),) + z[slot + 1 :],)), Fraction(1)
+        return lambda z: (z[:slot] + (value_at(z),) + z[slot + 1 :],)
     values = range(stmt.lo, stmt.hi)
-    return (lambda z: [z[:slot] + (v,) + z[slot + 1 :] for v in values]), Fraction(1, len(values))
+    return lambda z: [z[:slot] + (v,) + z[slot + 1 :] for v in values]
 
 
 def _free_mass(site, preds: PredicateList, base: cc.ConcreteDistribution, stmt):
-    """(mass where the flip decides, mass where `site.event` holds there).
+    """(mass where the flip decides, mass where `site.event` holds there),
+    as integers over one scale that depends on the site only: `base`'s
+    scale times the number of post-states of each z.  It cancels in theta.
 
     `site.free` is walked for each state z of `base` and each post-state
     z', reading at each level only its predicate: on z below level n, on z'
@@ -577,9 +570,9 @@ def _free_mass(site, preds: PredicateList, base: cc.ConcreteDistribution, stmt):
     n = len(fns)
     table = site.free.universe.table
     event = cc.compile(site.event, base.var_names)
-    posts, share = _post_states(stmt, base.var_names)
-    denom = num = Fraction(0)
-    for z, w in base.items():
+    posts = _post_states(stmt, base.var_names)
+    denom = num = 0
+    for z, w in base.counts.items():
         decided = hits = 0
         for post in posts(z):
             u = site.free.ref
@@ -590,8 +583,8 @@ def _free_mass(site, preds: PredicateList, base: cc.ConcreteDistribution, stmt):
                 decided += 1
                 hits += event(post)
         if decided:
-            denom += w * share * decided
-            num += w * share * hits
+            denom += w * decided
+            num += w * hits
     return denom, num
 
 
@@ -620,7 +613,7 @@ def fit_parameters(
         base = _fragment_base(cprog, prefix, stmt, site, preds)
         denom, num = _free_mass(site, preds, base, stmt)
         flagged = denom == 0
-        theta = Fraction(1, 2) if flagged else num / denom
+        theta = Fraction(1, 2) if flagged else Fraction(num, denom)
         fitted.append(replace(site, theta=theta, flagged=flagged))
     resolved = bld.resolve_parameters(aprog, {s.site: s.theta for s in fitted})
     return resolved, bld.FlipSiteTable(fitted)

@@ -1,13 +1,16 @@
 """Concrete language: parsing, deterministic and distribution semantics."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernabs import concrete as cc
-from bernabs import corpus, parsing, randgen, theory
+from bernabs import corpus, parsing, randgen, theorems, theory
 from bernabs.selftest import naive_cond, naive_int
 from bernabs.errors import (
     ConditionOnImpossibleError,
@@ -186,6 +189,154 @@ def test_eval_dist_matches_naive_paths():
         for key, w in naive_paths(prog, start):
             expected[key] = expected.get(key, Fraction(0)) + w
         assert dict(dist.items()) == {k: v for k, v in expected.items() if v > 0}
+
+
+def fraction_eval_dist(program, mass):
+    """The distribution loop with a Fraction per state, as `eval_dist` ran
+    before it kept integer counts: the reference for the counts."""
+
+    def step(block, mass):
+        for stmt in block:
+            if isinstance(stmt, cc.Assign):
+                decl = program.decl(stmt.name)
+                fn = cc.compile(stmt.expr, program.var_names)
+                i = program.var_names.index(stmt.name)
+                out = {}
+                for key, w in mass.items():
+                    value = cc._checked(decl, fn(key))
+                    nk = key[:i] + (value,) + key[i + 1 :]
+                    out[nk] = out.get(nk, Fraction(0)) + w
+                mass = out
+            elif isinstance(stmt, cc.Draw):
+                decl = program.decl(stmt.name)
+                if not (decl.lo <= stmt.lo < stmt.hi <= decl.hi):
+                    raise RangeViolationError(f"draw [{stmt.lo}, {stmt.hi}) escapes")
+                i = program.var_names.index(stmt.name)
+                share = Fraction(1, stmt.hi - stmt.lo)
+                out = {}
+                for key, w in mass.items():
+                    for value in range(stmt.lo, stmt.hi):
+                        nk = key[:i] + (value,) + key[i + 1 :]
+                        out[nk] = out.get(nk, Fraction(0)) + w * share
+                mass = out
+            elif isinstance(stmt, cc.Observe):
+                fn = cc.compile(stmt.cond, program.var_names)
+                mass = {k: w for k, w in mass.items() if fn(k)}
+            else:
+                fn = cc.compile(stmt.cond, program.var_names)
+                then_in = {k: w for k, w in mass.items() if fn(k)}
+                else_in = {k: w for k, w in mass.items() if not fn(k)}
+                mass = step(stmt.then, then_in)
+                for key, w in step(stmt.els, else_in).items():
+                    mass[key] = mass.get(key, Fraction(0)) + w
+        return mass
+
+    return {k: w for k, w in step(program.body, mass).items() if w > 0}
+
+
+def drawn_from(rng, decl, bad, width=None):
+    """A draw of a sub-range of `decl`'s range, `width` wide if given; with
+    chance `bad`, one that is empty or escapes the range instead."""
+    if rng.random() < bad:
+        lo = rng.randrange(decl.lo, decl.hi)
+        return cc.Draw(decl.name, *rng.choice([(lo, lo), (lo, decl.hi + 1), (decl.lo - 1, lo + 1)]))
+    width = width or rng.randint(1, decl.size)
+    lo = rng.randint(decl.lo, decl.hi - width)
+    return cc.Draw(decl.name, lo, lo + width)
+
+
+def shaped_program(rng, decls, bad=0.0):
+    """A random prefix, then an `if` whose arms draw the same variable with
+    unlike widths: the then arm goes on with a nested `if` that draws and
+    observes, the else arm may observe."""
+    d = rng.choice(decls)
+    widths = rng.sample(range(1, d.size + 1), 2)
+    prefix = randgen.rand_concrete_program(rng, max_stmts=2, draws=True, decls=decls).body
+    nested = cc.If(
+        randgen.rand_cond(rng, decls),
+        (drawn_from(rng, rng.choice(decls), bad), cc.Observe(randgen.rand_cond(rng, decls))),
+        (randgen.rand_safe_assign(rng, decls),),
+    )
+    observed = (cc.Observe(randgen.rand_cond(rng, decls)),) if rng.random() < 0.5 else ()
+    split = cc.If(
+        randgen.rand_cond(rng, decls),
+        (drawn_from(rng, d, bad, widths[0]), nested),
+        (drawn_from(rng, d, bad, widths[1]),) + observed,
+    )
+    return cc.ConcreteProgram(decls, prefix + (split,))
+
+
+def shaped_input(rng, prog):
+    """An input distribution and its masses as Fractions: a point, a
+    filtered uniform joint, a filtered seeded joint, or the output of a
+    first program, whose masses may have unlike denominators."""
+    kind = rng.choice(["point", "uniform", "seeded", "output"])
+    axes = [range(d.lo, d.hi) for d in prog.decls]
+    if kind == "point":
+        key = tuple(d.lo for d in prog.decls)
+        return cc.ConcreteDistribution.point(prog, key), {key: Fraction(1)}
+    if kind == "output":
+        first = shaped_program(rng, prog.decls)
+        uniform = dict.fromkeys(itertools.product(*axes), Fraction(1, math.prod(map(len, axes))))
+        dist = cc.eval_dist(first, cc.ConcreteDistribution.uniform_joint(first))
+        return dist, fraction_eval_dist(first, uniform)
+    cond = randgen.rand_cond(rng, prog.decls)
+    if kind == "uniform":
+        dist = cc.ConcreteDistribution.uniform_joint(prog).filtered(cond)
+    else:
+        chosen = {d.name for d in prog.decls if rng.random() < 0.5}
+        dist = theorems._seeded_joint(prog, chosen).filtered(cond)
+        axes = [r if d.name in chosen else (d.lo,) for d, r in zip(prog.decls, axes)]
+    weight = Fraction(1, math.prod(map(len, axes)))
+    fn = cc.compile(cond, prog.var_names)
+    return dist, {k: weight for k in itertools.product(*axes) if fn(k)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_dist_counts_match_the_fraction_loop(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    prog = shaped_program(rng, randgen.rand_decls(rng, max_vars=3, max_range=6), bad=0.05)
+    dist, mass = shaped_input(rng, prog)
+    assert dict(dist.items()) == mass and dist.survival == sum(mass.values(), Fraction(0))
+    try:
+        want = fraction_eval_dist(prog, mass)
+    except RangeViolationError:
+        with pytest.raises(RangeViolationError):
+            cc.eval_dist(prog, dist)
+        return
+    got = cc.eval_dist(prog, dist)
+    assert got.items() == sorted(want.items())
+    assert got.survival == sum(want.values(), Fraction(0))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (2, 1), (-1, 2), (3, 5), (0, -7)])
+def test_a_bad_draw_range_raises_at_the_draw(lo, hi):
+    decls = (cc.VarDecl("x", 0, 4), cc.VarDecl("y", 0, 3))
+    x = cc.IntVar("x")
+    for body in [
+        (cc.Draw("y", 0, 3), cc.Draw("x", lo, hi)),
+        # in an arm no state takes, after an observe nothing survives
+        (cc.Observe(cc.CFalse()), cc.If(cc.Cmp("<", x, cc.IntConst(9)), (cc.Draw("x", lo, hi),), ())),
+        (cc.If(cc.CFalse(), (cc.Draw("x", lo, hi),), (cc.Draw("y", 0, 2),)),),
+    ]:
+        prog = cc.ConcreteProgram(decls, body)
+        with pytest.raises(RangeViolationError, match="escapes x's range"):
+            cc.eval_dist(prog, cc.ConcreteDistribution.uniform_joint(prog))
+
+
+def test_counts_over_one_scale():
+    names = ("x",)
+    dist = cc.ConcreteDistribution(names, {(0,): 3, (1,): 0, (2,): 1, (3,): -2}, 8)
+    assert len(dist) == 2 and dist.counts == {(0,): 3, (2,): 1}
+    assert dist.items() == [((0,), Fraction(3, 8)), ((2,), Fraction(1, 8))]
+    assert dist.survival == Fraction(1, 2)
+    assert dist.mass_of((1,)) == 0 and dist.mass_of((5,)) == 0
+    assert dist.mass_of((0,)) == Fraction(3, 8)
+    kept = dist.filtered(parsing.parse_cond("x > 1", ["x"]))
+    assert kept.scale == 8 and kept.counts == {(2,): 1}
+    assert kept.survival == Fraction(1, 8)
+    assert cc.query_prob(dist, parsing.parse_cond("x > 1", ["x"])) == Fraction(1, 4)
 
 
 def test_compile_matches_reference_on_tuple_states():

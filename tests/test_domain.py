@@ -74,6 +74,18 @@ def test_each_condition_and_the_cells_are_swept_once(monkeypatch):
     assert again.equiv(first) and len(swept) == sweeps
     assert preds.weakest_sufficient(cc.CNot(cond)).equiv(preds.weakest_sufficient(cc.CNot(cond)))
     assert len(swept) == sweeps + 1
+    # a condition and then its negation, through either operator: one sweep,
+    # and the negation's image is the one a sweep of its own finds
+    for query, text in ((preds.strongest_implied, "x >= 5"), (preds.weakest_sufficient, "x != -6")):
+        g = parsing.parse_cond(text, ["x"])
+        sweeps = len(swept)
+        query(g)
+        query(cc.CNot(g))
+        assert len(swept) == sweeps + 1
+        for c in (g, cc.CNot(g), cc.CNot(cc.CNot(g))):
+            direct = PredicateList(zip(preds.labels, preds.conds), ctx)._image_of(c)
+            want = {preds.alpha((x,)) for x in range(-8, 8) if naive_cond(c, ["x"], (x,))}
+            assert preds._image_of(c) == direct == want
     # a condition over an undeclared variable is still refused
     with pytest.raises(ParseError, match="undeclared variables: y"):
         preds.strongest_implied(parsing.parse_cond("y < 0", ["x", "y"]))

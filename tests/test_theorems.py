@@ -483,6 +483,54 @@ def test_fit_zero_mass_context_flagged():
     assert all(s.theta == Fraction(1, 2) for s in flagged)
 
 
+def fraction_theta(prog, site, preds):
+    """theta as fit measured it with a Fraction per state: each state's mass
+    times each post-state's share, summed where `site.free` holds, with the
+    free set read by restricting its Bdd rather than by walking its nodes."""
+    prefix, stmt = theorems.locate(prog.body, site.path)
+    base = theorems._fragment_base(prog, prefix, stmt, site, preds)
+    names = prog.var_names
+    n = len(preds)
+    event = cc.compile(site.event, names)
+    if isinstance(stmt, cc.If):
+        posts, share = (lambda z: [z]), Fraction(1)
+    elif isinstance(stmt, cc.Assign):
+        i, value = names.index(stmt.name), cc.compile(stmt.expr, names)
+        posts, share = (lambda z: [z[:i] + (value(z),) + z[i + 1 :]]), Fraction(1)
+    else:
+        i, values = names.index(stmt.name), range(stmt.lo, stmt.hi)
+        posts, share = (lambda z: [z[:i] + (v,) + z[i + 1 :] for v in values]), Fraction(1, len(values))
+    denom = num = Fraction(0)
+    for z, w in base.items():
+        for post in posts(z):
+            free = site.free
+            for var in site.free.support():
+                state = z if var.index < n else post
+                free = free.restrict(var, preds.alpha(state)[var.index % n])
+            if free.is_true:
+                denom += w * share
+                num += w * share * event(post)
+    return Fraction(1, 2) if denom == 0 else num / denom
+
+
+def test_fit_theta_is_the_fraction_measurement():
+    rng = random.Random(3)
+    roles = set()
+    for case in range(30):
+        prog = randgen.rand_concrete_program(rng, max_stmts=8, draws=True, observes=case % 3 == 1)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 4), ctx)
+        for style in bld.INVARIANT_STYLES:
+            config = bld.AbstractionConfig("prob", style, bld.ParamPolicy.fit())
+            aprog, sites = bld.abstract_program(prog, preds, config)
+            _, table = theorems.fit_parameters(prog, aprog, sites, preds)
+            for site in table:
+                assert type(site.theta) is Fraction
+                assert site.theta == fraction_theta(prog, site, preds)
+            roles |= {site.role for site in table if not site.flagged}
+    assert roles == {"branch", "assign", "draw", "structural"}
+
+
 # sha256 of the fitted text and site table of FIT_CASES random programs in
 # each invariant style, as fit wrote them when each role had its own
 # measurement, except that a structural update allocates no flip where its
