@@ -13,7 +13,12 @@ output a' of the row from one pass over that restriction.  A
 non-deterministic program runs with each * a flip(1/2), so its reach set
 from a is the support of row a.  The engine has no flip cap, so neither
 has a check; its one bound is on the levels of a universe
-(`engine.MAX_LEVELS`).  Lowering turns flips into unconstrained choices (supports
+(`engine.MAX_LEVELS`).  A predicate domain keeps what the checks derive
+from it (`_derived`): the kernel of each abstract program and the image
+alpha(C(z)) of each concrete program over the whole bounded domain, each
+made on first use and dropped with the domain, so the soundness and
+invariance checks of one problem make one engine run per program and one
+concrete sweep.  Lowering turns flips into unconstrained choices (supports
 only); it, the flip-enumerating `bern.interp_exact` and `bern.interp_nondet`
 are the references the tests hold the kernel to, and no check calls them.
 Parameter fitting makes one measurement for every flip, whatever its
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -136,7 +142,43 @@ def _bits_json(pred_labels, bits):
     return {lbl: bool(b) for lbl, b in zip(pred_labels, bits)}
 
 
+# --- what a domain keeps ----------------------------------------------------------
+
+# PredicateList -> {("kernel", aprog): kernel rows, ("outputs", cprog): the
+# image alpha(C(z))}.  Weak in the domain, so each entry lives exactly as long
+# as its PredicateList, and a fresh domain starts empty.
+_DERIVED = weakref.WeakKeyDictionary()
+
+
+def _derived(preds: PredicateList, key, make):
+    """What `make()` gives for `key` on the domain `preds`, made by the first
+    call that returns and kept while `preds` lives; a call that raises keeps
+    nothing.  Programs in `key` are keyed by value: they are frozen, and
+    equal programs have equal kernels and outputs."""
+    memo = _DERIVED.get(preds)
+    if memo is not None and key in memo:
+        return memo[key]
+    value = make()
+    _DERIVED.setdefault(preds, {})[key] = value
+    return value
+
+
 # --- soundness -----------------------------------------------------------------
+
+
+def _alpha_outputs(cprog, preds: PredicateList, keys) -> list:
+    """alpha(C(z)), or BLOCKED where the run blocks on an observe, for each
+    state z of `keys`; each alpha is the feasible map's shared tuple where
+    it has one, so a kept image costs one reference per state."""
+    _, shared = preds._alpha_image()
+    outputs = []
+    for z in keys:
+        out = cc.eval_det(cprog, z)
+        if out is not cc.BLOCKED:
+            a_out = preds.alpha(out)
+            out = shared.get(a_out, a_out)
+        outputs.append(out)
+    return outputs
 
 
 def _sound_sweep(name, cprog, preds: PredicateList, inputs, kernel) -> CheckReport:
@@ -146,23 +188,33 @@ def _sound_sweep(name, cprog, preds: PredicateList, inputs, kernel) -> CheckRepo
 
     `inputs` restricts the sweep (dicts, see `_classed_inputs`); default is
     the whole bounded domain.  Inputs whose concrete run blocks on an observe impose no
-    requirement and are counted separately.
+    requirement and are counted separately.  The full sweep reads
+    alpha(C(z)) from the image the domain keeps for `cprog` (`_derived`),
+    a list in ``ctx.states()`` order made by the first full sweep, so the
+    second soundness check of a problem runs no program; a restricted sweep
+    runs its inputs and keeps nothing.
     """
     if not cprog.is_deterministic():
         raise ValueError("soundness sweeps need a draw-free concrete program")
     _same_order(cprog, preds)
+    classed = _classed_inputs(preds, inputs)
+    if inputs is None:
+        outputs = _derived(
+            preds, ("outputs", cprog), lambda: _alpha_outputs(cprog, preds, preds.ctx.states())
+        )
+    else:
+        classed = list(classed)
+        outputs = _alpha_outputs(cprog, preds, (z for z, _ in classed))
     report = CheckReport(name)
     met = set()
     checked = blocked = 0
-    for z, a_in in _classed_inputs(preds, inputs):
-        out = cc.eval_det(cprog, z)
-        if out is cc.BLOCKED:
+    for (z, a_in), a_out in zip(classed, outputs):
+        if a_out is cc.BLOCKED:
             blocked += 1
             continue
         checked += 1
         met.add(a_in)
         row = kernel[a_in]
-        a_out = preds.alpha(out)
         if a_out not in row:
             report.counterexamples.append(
                 {
@@ -270,7 +322,17 @@ def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
     cell of the row in one pass.  A start state and a flip assignment fix
     the end state, so each auxiliary is fixed wherever the count is not 0,
     and counting it with weight (1, 1) adds nothing.
+
+    The domain keeps the rows of each program it has seen (`_derived`), so
+    the run is made once per program and domain; each call returns a fresh
+    copy, which the caller may change.
     """
+    rows = _derived(preds, ("kernel", aprog), lambda: _kernel_rows(aprog, preds))
+    return {a: dict(row) for a, row in rows.items()}
+
+
+def _kernel_rows(aprog: bern.BernProgram, preds: PredicateList) -> dict:
+    """The rows `abstract_kernel` returns, from one engine run."""
     run = engine.run_symbolic(_kernel_program(aprog, preds))
     ctx = run.ctx
     ghosts = [ctx.state_vars[lbl + GHOST_SUFFIX] for lbl in preds.labels]

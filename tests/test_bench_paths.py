@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+from bernabs import concrete, engine, theory  # noqa: E402
 from perfbench import pipeline, trace, workloads  # noqa: E402
 
 
@@ -39,3 +40,20 @@ def test_check_reports_of_the_first_problem_are_pinned():
     pipeline.SOLVERS["check"](pipeline.parse("check", problem), out)
     pinned = json.loads((ROOT / "tests" / "golden" / "check_seed0_problem0.json").read_text())
     assert [r.to_json() for r in out.answers] == pinned
+
+
+def test_check_makes_one_kernel_per_abstraction_and_one_sweep(monkeypatch):
+    """`check` seed 0 problem 0 makes one engine run for each of its two
+    abstractions and runs the concrete program once per joint state: the
+    soundness and invariance checks share them through the domain."""
+    problem = workloads.inputs("check", 0)[0]
+    parsed = pipeline.parse("check", problem)
+    calls = []
+    for module, name in ((engine, "run_symbolic"), (concrete, "eval_det")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    pipeline.SOLVERS["check"](parsed, pipeline.Outcome())
+    states = len(list(theory.TheoryContext.of_program(parsed[0]).states()))
+    assert (calls.count("run_symbolic"), calls.count("eval_det")) == (2, states)

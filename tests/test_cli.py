@@ -305,6 +305,22 @@ def test_check_names_the_predicates_the_abstraction_lacks(tmp_path, capsys, bern
     )
 
 
+def test_check_runs_the_engine_once_for_soundness_and_invariance(files, capsys, monkeypatch):
+    """`check --invariance` on a prob abstraction reads both checks from
+    one kernel, so the engine runs once; the output is the pinned one."""
+    paths, tmp = files
+    bern_path = str(tmp / "prob.bern")
+    assert cli.main(["abstract", paths["branch.cp"], paths["branch.preds"], "--mode", "prob",
+                     "--params", "fixed=1/2", "-o", bern_path]) == 0
+    runs = []
+    real = engine.run_symbolic
+    monkeypatch.setattr(engine, "run_symbolic", lambda *a, **k: runs.append(a) or real(*a, **k))
+    rc = cli.main(["check", paths["branch.cp"], paths["branch.preds"], bern_path,
+                   "--where", "x < 7", "--invariance", "--json"])
+    assert (rc, len(runs)) == (0, 1)
+    assert capsys.readouterr().out == (GOLDEN / "check_prob.json").read_text()
+
+
 def test_check_past_the_flip_cap(tmp_path, capsys):
     """25 flip sites, one past the enumerator's cap: the check has none."""
     for name, text in (

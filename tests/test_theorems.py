@@ -1,7 +1,10 @@
 """Lowering, soundness checks, invariance, and parameter fitting."""
 
+import collections
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,7 @@ from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
-from bernabs import corpus, engine, parsing, randgen, theorems, theory
+from bernabs import corpus, engine, errors, parsing, randgen, theorems, theory
 from bernabs.domain import PredicateList
 
 FIXED_HALF = bld.ParamPolicy.fixed(Fraction(1, 2))
@@ -688,8 +691,9 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
     assert report.counterexamples == want
     assert report.stats == {"gammas": 2, "pairs": 2 * 6 * 3}
 
-    # each check makes one symbolic run, its kernel, and no other engine or
-    # non-deterministic interpreter call
+    # on a fresh domain each check makes one symbolic run, its kernel, and no
+    # other engine or non-deterministic interpreter call; on the same domain
+    # again, the kept kernel serves and it makes none
     calls = []
     for module, name in ((engine, "run_symbolic"), (engine, "query"), (bern, "interp_nondet")):
         real = getattr(module, name)
@@ -698,13 +702,17 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
         )
     cprog = parsing.parse_concrete("var x in [-2, 4)\nif (x < 0) { x = x + 1 }")
     for check in (
-        lambda: theorems.check_invariance(aprog, preds, gammas, inputs=inputs),
-        lambda: theorems.check_sound_prob(cprog, aprog, preds),
-        lambda: theorems.check_sound_nondet(cprog, theorems.lower(aprog), preds),
+        lambda p: theorems.check_invariance(aprog, p, gammas, inputs=inputs),
+        lambda p: theorems.check_sound_prob(cprog, aprog, p),
+        lambda p: theorems.check_sound_nondet(cprog, theorems.lower(aprog), p),
     ):
+        fresh = PredicateList(zip(preds.labels, preds.conds), ctx)
         calls.clear()
-        check()
+        check(fresh)
         assert calls == ["run_symbolic"]
+        calls.clear()
+        check(fresh)
+        assert calls == []
 
 
 def test_a_dropped_kernel_entry_changes_every_check_at_its_class(branch_reset, monkeypatch):
@@ -752,3 +760,114 @@ def test_a_dropped_kernel_entry_changes_every_check_at_its_class(branch_reset, m
         assert [cex["z"] for cex in report.counterexamples] == to_a_out
         assert report.counterexamples[0]["got"] == [str({"x<-4": False, "x<3": True})]
     assert failing == failing_before - in_a
+
+
+def _verdict(check):
+    """The report's JSON, or the error's type and message."""
+    try:
+        return check().to_json()
+    except (errors.BernabsError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _checks_in_pipeline_order(prog, nondet, prob, domains):
+    """The verdicts of `check`'s three checks, in its order, the i-th on
+    the i-th of `domains`."""
+    checks = (
+        lambda p: theorems.check_sound_nondet(prog, nondet, p),
+        lambda p: theorems.check_sound_prob(prog, prob, p),
+        lambda p: theorems.check_invariance(prob, p, [g(p) for g in theorems.GAMMA_FAMILIES]),
+    )
+    return [_verdict(lambda: check(p)) for check, p in zip(checks, domains)]
+
+
+def test_sharing_a_domain_changes_no_verdict(monkeypatch):
+    """The three checks on one domain report exactly what they report on
+    three fresh ones, counterexamples and errors included, and on the
+    shared domain they make one engine run per abstraction and one
+    concrete run per joint state."""
+    problems = [
+        (parsing.parse_concrete(cp), parsing.parse_preds(preds))
+        for cp, preds in (
+            (corpus.BRANCH_RESET_CP, corpus.BRANCH_RESET_PREDS),
+            (corpus.CHAIN_DRAWS_CP, corpus.CHAIN_DRAWS_PREDS),
+            (corpus.SHIFT_TEN_CP, corpus.SHIFT_TEN_PREDS),
+        )
+    ]
+    rng = random.Random(53)
+    for _ in range(20):
+        prog = randgen.rand_concrete_program(rng, observes=True)
+        problems.append((prog, randgen.rand_predicates(rng, prog.decls, 3)))
+    counts = collections.Counter()
+    for name, module in (("run_symbolic", engine), ("eval_det", cc)):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, real=real: counts.update([name]) or real(*a)
+        )
+    swept = failed = blocked = 0
+    for i, (prog, pairs) in enumerate(problems):
+        ctx = theory.TheoryContext.of_program(prog)
+        shared = PredicateList(pairs, ctx)
+        nondet, _ = bld.abstract_program(prog, shared, bld.AbstractionConfig("nondet"))
+        if i % 3 == 2:  # an abstraction drawn at random, which mostly fails
+            prob = randgen.rand_bern_program(rng, shared.labels, max_flips=3, max_stmts=4)
+        else:
+            config = bld.AbstractionConfig("prob", params=FIXED_HALF)
+            prob, _ = bld.abstract_program(prog, shared, config)
+        fresh = [PredicateList(pairs, ctx) for _ in range(3)]
+        want = _checks_in_pipeline_order(prog, nondet, prob, fresh)
+        counts.clear()
+        got = _checks_in_pipeline_order(prog, nondet, prob, [shared] * 3)
+        assert got == want
+        if all(isinstance(v, dict) for v in got):
+            swept += 1
+            failed += any(v["status"] == "fail" for v in got)
+            blocked += got[0]["stats"]["blocked"] > 0
+            assert counts == {"run_symbolic": 2, "eval_det": len(list(ctx.states()))}
+    assert swept == 20 and failed and blocked
+
+
+def test_the_kept_kernel_and_outputs_live_with_the_domain_only(branch_reset, monkeypatch):
+    """A caller's change to a returned kernel reaches no later call; a call
+    that raises keeps nothing, so the next call raises again; and the
+    domain's kept values go when the domain does."""
+    prog, ctx, preds = branch_reset
+    prob, _ = bld.abstract_program(
+        prog, preds, bld.AbstractionConfig("prob", "observe", FIXED_HALF)
+    )
+    kernel = theorems.abstract_kernel(prob, preds)
+    want = {a: dict(row) for a, row in kernel.items()}
+    a = next(iter(kernel))
+    kernel[a].clear()
+    del kernel[next(reversed(kernel))]
+    assert theorems.abstract_kernel(prob, preds) == want
+
+    ran = collections.Counter()
+    real = cc.eval_det
+    monkeypatch.setattr(cc, "eval_det", lambda *args: ran.update(["eval_det"]) or real(*args))
+    for _ in range(2):  # x = 7 escapes the range at the last state of the sweep
+        ran.clear()
+        with pytest.raises(errors.RangeViolationError, match=r"x = 8 escapes \[-8, 8\)"):
+            theorems.check_sound_prob(prog, prob, preds)
+        assert ran["eval_det"] == 16
+
+    lacking = parsing.parse_bern("bool {x<3}\n{x<3} = flip(1/2)")
+    unfitted, _ = bld.abstract_program(
+        prog, preds, bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fit())
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"does not declare these predicates: x<-4$"):
+            theorems.abstract_kernel(lacking, preds)
+        with pytest.raises(ValueError, match=r"does not declare these predicates: x<-4$"):
+            theorems.check_sound_prob(prog, lacking, preds)
+        with pytest.raises(errors.ModeError, match="unresolved parameter"):
+            theorems.check_invariance(unfitted, preds, [])
+
+    domain = PredicateList(zip(preds.labels, preds.conds), ctx)
+    theorems.abstract_kernel(prob, domain)
+    held = len(theorems._DERIVED)
+    assert domain in theorems._DERIVED
+    gone = weakref.ref(domain)
+    del domain
+    gc.collect()
+    assert gone() is None and len(theorems._DERIVED) == held - 1
