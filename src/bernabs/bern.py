@@ -189,29 +189,58 @@ class BernProgram:
     mode: str | None = None  # 'prob' | 'nondet' | None (no flips and no stars)
 
     def __post_init__(self):
-        if _if_depth(self.body) > MAX_NESTING:
-            raise NestingError(f"if blocks nested more than {MAX_NESTING} levels deep")
-        if len(set(self.decls)) != len(self.decls):
-            raise ValueError("duplicate Boolean variable declaration")
+        """Check the program in one walk over its statements, which folds
+        each expression once and notes the deepest nesting, the faults in
+        the expressions and the first undeclared target.  One error is
+        raised after the walk, the first of: nesting too deep, a variable
+        declared twice, the first fault in the expressions (an undeclared
+        read, or a flip or star id used twice), an undeclared target, and
+        a mix of modes."""
         declared = set(self.decls)
-        flips = {}
-        stars = set()
-        for e in walk_exprs(self.body):
-            if isinstance(e, BVar) and e.name not in declared:
-                raise ValueError(f"undeclared variable {e.name!r}")
-            if isinstance(e, Flip):
-                if e.site in flips:
-                    raise ValueError(f"duplicate flip site id {e.site}")
-                flips[e.site] = e.theta
-            if isinstance(e, Star):
-                if e.occurrence in stars:
-                    raise ValueError(f"duplicate star occurrence id {e.occurrence}")
-                stars.add(e.occurrence)
-        for s in walk_stmts(self.body):
-            if isinstance(s, PAssign):
-                for t in s.targets:
-                    if t not in declared:
-                        raise ValueError(f"undeclared variable {t!r}")
+        flips, stars = set(), set()
+        faults = []  # the faults in the expressions, in walk order
+
+        def visit(node, _):
+            kind = type(node)
+            if kind is BVar:
+                if node.name not in declared:
+                    faults.append(f"undeclared variable {node.name!r}")
+            elif kind is Flip:
+                if node.site in flips:
+                    faults.append(f"duplicate flip site id {node.site}")
+                flips.add(node.site)
+            elif kind is Star:
+                if node.occurrence in stars:
+                    faults.append(f"duplicate star occurrence id {node.occurrence}")
+                stars.add(node.occurrence)
+
+        undeclared_target = None
+        deepest, todo = 0, [(iter(self.body), 0)]
+        while todo:
+            block, depth = todo[-1]
+            for stmt in block:
+                if isinstance(stmt, PAssign):
+                    for t in stmt.targets:
+                        if undeclared_target is None and t not in declared:
+                            undeclared_target = t
+                    for e in stmt.exprs:
+                        fold(e, visit)
+                else:
+                    fold(stmt.cond, visit)
+                if isinstance(stmt, BIf):
+                    todo += ((iter(stmt.els), depth + 1), (iter(stmt.then), depth + 1))
+                    deepest = max(deepest, depth + 1)
+                    break
+            else:
+                todo.pop()
+        if deepest > MAX_NESTING:
+            raise NestingError(f"if blocks nested more than {MAX_NESTING} levels deep")
+        if len(declared) != len(self.decls):
+            raise ValueError("duplicate Boolean variable declaration")
+        if faults:
+            raise ValueError(faults[0])
+        if undeclared_target is not None:
+            raise ValueError(f"undeclared variable {undeclared_target!r}")
         if flips and stars:
             raise ModeError("flip and * cannot appear in one program")
         if self.mode == "prob" and stars:
@@ -349,18 +378,6 @@ def map_program(program: BernProgram, on_node=None, on_stmt=None, mode=None) -> 
         return tuple(out)
 
     return BernProgram(program.decls, block(program.body), mode or program.mode)
-
-
-def _if_depth(body):
-    """How many `if` blocks nest inside one another under `body`."""
-    deepest, todo = 0, [(body, 0)]
-    while todo:
-        block, depth = todo.pop()
-        deepest = max(deepest, depth)
-        for stmt in block:
-            if isinstance(stmt, BIf):
-                todo += ((stmt.then, depth + 1), (stmt.els, depth + 1))
-    return deepest
 
 
 def walk_stmts(body):
@@ -555,17 +572,30 @@ def exact_inference_input(program: BernProgram):
     `BernProgram.flip_owners` lists them.
 
     Both exact engines (`interp_exact` and the symbolic engine) take their
-    input through here: chooses are desugared to flips, a program in
-    ``nondet`` mode is rejected, and so is a flip whose parameter is still
-    a name.
+    input through here: a program in ``nondet`` mode is rejected, chooses
+    are desugared to flips, and a flip whose parameter is still a name is
+    rejected.  One walk over the program finds its flips with their
+    owners; only a program holding a choose or a ``*`` is desugared (which
+    rejects the ``*``), and every other one is returned as it is.
     """
-    program = desugar_program(program, program.mode or "prob")
     if program.mode == "nondet":  # a prob-mode program holds no * (BernProgram checks)
         raise ModeError(
             "exact inference needs a probabilistic program; "
             "run non-deterministic programs through interp_nondet"
         )
-    sites = program.flip_owners()
+    sites, rewrite = [], []
+
+    def visit(node, _):
+        if type(node) is Flip:
+            sites.append((node.site, node.theta, owner))  # the owner of the expression folded
+        elif type(node) in (Choose, Star):
+            rewrite.append(node)
+
+    for e, owner in _assigned_exprs(program.body):
+        fold(e, visit)
+    if rewrite:
+        program = desugar_program(program, "prob")
+        sites = program.flip_owners()
     for site, theta, _ in sites:
         if isinstance(theta, str):
             raise ModeError(f"flip site {site} has unresolved parameter {theta!r}")

@@ -4,12 +4,15 @@ The reachable-knowledge base Δ at each program point is a Bdd over the
 current predicate variables plus one weighted variable per flip site
 encountered so far; flips stay unconstrained so that weighted model
 counting over them recovers path probabilities.  Parallel assignments are
-relational images over their targets only: rename each target to its
-primed copy, conjoin ``t <=> rhs`` per target (a read of a target sees the
-primed copy, any other read the variable itself), and quantify the primed
-targets out, the last two steps as one ``and_exists``.  Variables the
-assignment does not write keep their own variable, so they need no copy
-and no constraint.
+relational images over their targets only.  The targets that no
+right-hand side reads are quantified out of Δ; each target that one reads
+is renamed to its primed copy; ``t <=> rhs`` is conjoined per target (a
+read of a target sees the primed copy, any other read the variable
+itself); and the primed copies are quantified out, the last two steps as
+one ``and_exists``.  An assignment that reads none of its targets is thus
+``(∃T.Δ) & ⋀ (t <=> rhs)``, with no rename and no primed level.
+Variables the assignment does not write keep their own variable, so they
+need no copy and no constraint.
 
 The universe's order is Dice's (Holtzen, Van den Broeck & Millstein,
 2020): each declared variable v, in declaration order, is followed by
@@ -17,7 +20,8 @@ its primed copy v#' and then by every flip read in an assignment to v,
 so a Δ that ties v to its flip ties neighbouring levels, not v to a
 level below every other variable.  Flips read in ``if`` guards, observes
 and assumes come after all of them.  v#' right after v is what lets an
-image rename v to v#' in place.
+image rename v to v#' in place.  Every variable keeps its v#' level,
+whether or not an assignment ever renames it.
 
 A query of one variable reads a table of every state variable's mass at
 the point, made once per point by one pass up and one pass down Δ
@@ -197,17 +201,23 @@ def _transfer_delta(ctx: SymbolicContext, delta, stmt):
     if isinstance(stmt, bern.PAssign):
         if not stmt.targets:
             return delta
-        primed = {n: ctx.primed_vars[n] for n in stmt.targets}
-        moved = delta.rename({ctx.state_vars[n]: v for n, v in primed.items()})
+        read = set()  # the targets some right-hand side reads, noted as each is made
 
-        def read(name):
-            return primed[name] if name in primed else ctx.state_vars[name]
+        def var_of(name):
+            if name in stmt.targets:
+                read.add(name)
+                return ctx.primed_vars[name]
+            return ctx.state_vars[name]
 
         cons = bddm.true_bdd(ctx.universe)
         for name, e in zip(stmt.targets, stmt.exprs):
             v = bddm.var_bdd(ctx.universe, ctx.state_vars[name])
-            cons = cons & v.iff(expr_to_bdd(ctx.universe, e, read, ctx.flip_var))
-        return moved.and_exists(cons, primed.values())
+            cons = cons & v.iff(expr_to_bdd(ctx.universe, e, var_of, ctx.flip_var))
+        delta = delta.exists(ctx.state_vars[n] for n in stmt.targets if n not in read)
+        if not read:
+            return delta & cons
+        moved = delta.rename({ctx.state_vars[n]: ctx.primed_vars[n] for n in read})
+        return moved.and_exists(cons, (ctx.primed_vars[n] for n in read))
     if isinstance(stmt, (bern.BObserve, bern.BAssume)):
         return delta & ctx.state_bdd(stmt.cond)
     if isinstance(stmt, bern.BIf):

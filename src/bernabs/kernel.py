@@ -12,7 +12,11 @@ Every walk over the nodes reachable from a root is one call of
 :meth:`NodeTable.fold`, an iterative post-order memoised per node id, so
 a diagram of any depth folds without recursion; ``not_``, ``restrict``,
 ``exists``, ``rename`` and ``support`` are small visitors of it.  Only
-``apply`` and ``and_exists`` recurse, once per level of their operands;
+``apply`` and ``and_exists`` recurse, once per level of their operands.
+``apply`` is one recursion for all four ops with one computed table, as
+in the BDD package of Brace, Rudell and Bryant (1990): each step settles
+its op's terminal cases and makes its node in line, so a step calls
+nothing but its two sub-steps.
 ``and_exists`` is ``exists`` of an ``apply(OP_AND, ...)`` made in one walk,
 which quantifies each level as it reaches it instead of building the
 whole conjunction first.  Their callers bound the number of levels
@@ -21,9 +25,9 @@ stack.
 
 ``rename`` relabels nodes: it keeps each node's children and moves the
 node to its new level, so the map must keep the order of the levels on
-every path of the diagram (as v -> v' does when v' is the level right
-after v and does not occur in it), and a map that would reorder them
-raises ``ValueError``.
+every path of the diagram (as the engine's v -> v' does, v' being the
+level right after v and absent from the diagram), and a map that would
+reorder them raises ``ValueError``.
 """
 
 FALSE = 0
@@ -33,8 +37,6 @@ OP_AND = 0
 OP_OR = 1
 OP_IMP = 2
 OP_IFF = 3
-
-_COMMUTATIVE = (OP_AND, OP_OR, OP_IFF)
 
 
 class NodeTable:
@@ -112,34 +114,35 @@ class NodeTable:
     def not_(self, u):
         return self.fold(u, self._rebuild, self.num_vars, self._not_memo)
 
-    def _terminal_shortcut(self, op, u, v):
+    def apply(self, op, u, v):
+        """The node of ``u op v``: the op's terminal cases, then the
+        computed table, then the two sub-steps and the node they make,
+        hash-consed in line as ``mk`` would."""
         if op == OP_AND:
             if u == FALSE or v == FALSE:
                 return FALSE
-            if u == TRUE:
+            if u == TRUE or u == v:
                 return v
             if v == TRUE:
                 return u
-            if u == v:
-                return u
+            if u > v:
+                u, v = v, u
         elif op == OP_OR:
             if u == TRUE or v == TRUE:
                 return TRUE
-            if u == FALSE:
+            if u == FALSE or u == v:
                 return v
             if v == FALSE:
                 return u
-            if u == v:
-                return u
+            if u > v:
+                u, v = v, u
         elif op == OP_IMP:
-            if u == FALSE or v == TRUE:
+            if u == FALSE or v == TRUE or u == v:
                 return TRUE
             if u == TRUE:
                 return v
             if v == FALSE:
                 return self.not_(u)
-            if u == v:
-                return TRUE
         elif op == OP_IFF:
             if u == v:
                 return TRUE
@@ -151,34 +154,38 @@ class NodeTable:
                 return self.not_(v)
             if v == FALSE:
                 return self.not_(u)
+            if u > v:
+                u, v = v, u
         else:
             raise ValueError(f"unknown op code {op}")
-        return -1
-
-    def apply(self, op, u, v):
-        r = self._terminal_shortcut(op, u, v)
-        if r >= 0:
-            return r
-        if op in _COMMUTATIVE and u > v:
-            u, v = v, u
         key = (op, u, v)
         r = self._apply_memo.get(key)
         if r is not None:
             return r
-        lu, lv = self._level[u], self._level[v]
+        level_of, lo_of, hi_of = self._level, self._lo, self._hi
+        lu, lv = level_of[u], level_of[v]
         if lu == lv:
             level = lu
-            lo = self.apply(op, self._lo[u], self._lo[v])
-            hi = self.apply(op, self._hi[u], self._hi[v])
+            lo = self.apply(op, lo_of[u], lo_of[v])
+            hi = self.apply(op, hi_of[u], hi_of[v])
         elif lu < lv:
             level = lu
-            lo = self.apply(op, self._lo[u], v)
-            hi = self.apply(op, self._hi[u], v)
+            lo = self.apply(op, lo_of[u], v)
+            hi = self.apply(op, hi_of[u], v)
         else:
             level = lv
-            lo = self.apply(op, u, self._lo[v])
-            hi = self.apply(op, u, self._hi[v])
-        r = self.mk(level, lo, hi)
+            lo = self.apply(op, u, lo_of[v])
+            hi = self.apply(op, u, hi_of[v])
+        if lo == hi:
+            r = lo
+        else:
+            triple = (level, lo, hi)
+            r = self._unique.get(triple)
+            if r is None:
+                r = self._unique[triple] = len(level_of)
+                level_of.append(level)
+                lo_of.append(lo)
+                hi_of.append(hi)
         self._apply_memo[key] = r
         return r
 

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from bernabs import concrete, engine, theory  # noqa: E402
+from bernabs import bdd, bern, concrete, engine, theory  # noqa: E402
 from perfbench import pipeline, trace, workloads  # noqa: E402
 
 
@@ -57,3 +57,29 @@ def test_check_makes_one_kernel_per_abstraction_and_one_sweep(monkeypatch):
     pipeline.SOLVERS["check"](parsed, pipeline.Outcome())
     states = len(list(theory.TheoryContext.of_program(parsed[0]).states()))
     assert (calls.count("run_symbolic"), calls.count("eval_det")) == (2, states)
+
+
+def test_infer_renames_only_for_assignments_that_read_a_target(monkeypatch):
+    """`infer` seed 0 problem 0 runs its program from two inits, and each
+    run renames Δ once for every assignment whose right-hand sides read
+    one of its targets, and for no other."""
+    program, point = pipeline.parse("infer", workloads.inputs("infer", 0)[0])
+    reading = 0
+    for stmt in bern.walk_stmts(program.body):
+        if isinstance(stmt, bern.PAssign):
+            names = set()
+            for e in stmt.exprs:
+                bern.fold(e, lambda node, _: isinstance(node, bern.BVar) and names.add(node.name))
+            reading += not names.isdisjoint(stmt.targets)
+    renames = []
+    real = bdd.Bdd.rename
+
+    def rename(delta, mapping):
+        if mapping:
+            renames.append(mapping)
+        return real(delta, mapping)
+
+    monkeypatch.setattr(bdd.Bdd, "rename", rename)
+    pipeline.SOLVERS["infer"]((program, point), pipeline.Outcome())
+    assert 0 < reading < sum(isinstance(s, bern.PAssign) for s in bern.walk_stmts(program.body))
+    assert len(renames) == 2 * reading

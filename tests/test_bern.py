@@ -106,6 +106,62 @@ def test_desugar_returns_a_program_with_nothing_to_desugar():
     assert ds.flip_sites() == [(0, Fraction(1, 2)), (1, "theta1")]
 
 
+def _with_chooses(rng, program):
+    """`program` with a few variable reads replaced by a choose of two."""
+    names = program.decls
+
+    def on_node(e):
+        if isinstance(e, bern.BVar) and rng.random() < 0.3:
+            return bern.Choose(e, bern.BVar(rng.choice(names)))
+        return e
+
+    return bern.map_program(program, on_node)
+
+
+def test_exact_inference_input_finds_the_desugared_sites_in_one_walk():
+    """Its sites are the desugared program's `flip_owners`, for programs in
+    mode None and "prob", with and without a choose; a choose leaves an
+    unresolved parameter, which is rejected with its site."""
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(160):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=rng.choice((0, 4)), max_stmts=7)
+        if trial % 4 == 1:  # flips in a program that names no mode
+            prog = bern.BernProgram(prog.decls, prog.body, None)
+        if trial % 2:
+            prog = _with_chooses(rng, prog)
+        want = bern.desugar_program(prog, prog.mode or "prob").flip_owners()
+        unresolved = [(site, theta) for site, theta, _ in want if isinstance(theta, str)]
+        chosen = any(isinstance(e, bern.Choose) for e in bern.walk_exprs(prog.body))
+        seen.add((prog.mode, chosen))
+        if unresolved:
+            site, theta = unresolved[0]
+            message = f"flip site {site} has unresolved parameter {theta!r}"
+            with pytest.raises(ModeError, match=f"^{re.escape(message)}$"):
+                bern.exact_inference_input(prog)
+            continue
+        program, sites = bern.exact_inference_input(prog)
+        assert sites == want
+        assert program is prog
+    assert seen == {(mode, chosen) for mode in (None, "prob") for chosen in (False, True)}
+
+
+def test_exact_inference_input_keeps_its_messages():
+    nondet = parsing.parse_bern("bool a\na = choose(a, *)")
+    with pytest.raises(ModeError) as err:
+        bern.exact_inference_input(nondet)
+    assert str(err.value) == (
+        "exact inference needs a probabilistic program; run non-deterministic programs through interp_nondet"
+    )
+    star = bern.BernProgram(("a",), (bern.PAssign(("a",), (bern.Star(0),)),), None)
+    with pytest.raises(ModeError, match=r"^\* is not allowed in probabilistic mode$"):
+        bern.exact_inference_input(star)
+    chosen = parsing.parse_bern("bool a\na = flip(1/2) && choose(a, F)")
+    with pytest.raises(ModeError, match="^flip site 1 has unresolved parameter 'theta1'$"):
+        bern.exact_inference_input(chosen)
+
+
 def test_interp_exact_single_flip():
     prog = parsing.parse_bern("bool b\nb = flip(1/4)")
     out = bern.interp_exact(prog, point(prog))
@@ -198,6 +254,136 @@ def test_walk_stmts_keeps_the_recursive_order():
         expected = list(_walk_recursively(prog.body))
         assert len(walked) == len(expected)
         assert all(map(operator.is_, walked, expected))
+
+
+def _reference_validation(decls, body, mode):
+    """`BernProgram`'s checks as three walks (nesting depth, every
+    expression node, every statement), kept as the reference for the
+    one-walk validation."""
+    deepest, todo = 0, [(body, 0)]
+    while todo:
+        block, depth = todo.pop()
+        deepest = max(deepest, depth)
+        for stmt in block:
+            if isinstance(stmt, bern.BIf):
+                todo += ((stmt.then, depth + 1), (stmt.els, depth + 1))
+    if deepest > bern.MAX_NESTING:
+        raise NestingError(f"if blocks nested more than {bern.MAX_NESTING} levels deep")
+    if len(set(decls)) != len(decls):
+        raise ValueError("duplicate Boolean variable declaration")
+    declared = set(decls)
+    flips, stars = {}, set()
+    for e in bern.walk_exprs(body):
+        if isinstance(e, bern.BVar) and e.name not in declared:
+            raise ValueError(f"undeclared variable {e.name!r}")
+        if isinstance(e, bern.Flip):
+            if e.site in flips:
+                raise ValueError(f"duplicate flip site id {e.site}")
+            flips[e.site] = e.theta
+        if isinstance(e, bern.Star):
+            if e.occurrence in stars:
+                raise ValueError(f"duplicate star occurrence id {e.occurrence}")
+            stars.add(e.occurrence)
+    for s in bern.walk_stmts(body):
+        if isinstance(s, bern.PAssign):
+            for t in s.targets:
+                if t not in declared:
+                    raise ValueError(f"undeclared variable {t!r}")
+    if flips and stars:
+        raise ModeError("flip and * cannot appear in one program")
+    if mode == "prob" and stars:
+        raise ModeError("* is not allowed in probabilistic mode")
+    if mode == "nondet" and flips:
+        raise ModeError("flip is not allowed in non-deterministic mode")
+
+
+def _rewrite(body, on_node, on_targets):
+    """`body` with every expression mapped through `on_node` and every
+    target tuple through `on_targets`, in walk order, building no program."""
+    out = []
+    for stmt in body:
+        if isinstance(stmt, bern.PAssign):
+            exprs = tuple(bern.map_expr(e, on_node) for e in stmt.exprs)
+            stmt = bern.PAssign(on_targets(stmt.targets), exprs)
+        elif isinstance(stmt, bern.BIf):
+            cond = bern.map_expr(stmt.cond, on_node)
+            stmt = bern.BIf(cond, _rewrite(stmt.then, on_node, on_targets), _rewrite(stmt.els, on_node, on_targets))
+        else:
+            stmt = type(stmt)(bern.map_expr(stmt.cond, on_node))
+        out.append(stmt)
+    return tuple(out)
+
+
+def _break_at(rng, body, kind, make):
+    """`body` with one node of type `kind`, picked at random, replaced by
+    ``make(node)``; `body` itself if it holds no such node."""
+    count = sum(isinstance(e, kind) for e in bern.walk_exprs(body))
+    if not count:
+        return body
+    pick, seen = rng.randrange(count), itertools.count()
+    return _rewrite(
+        body, lambda e: make(e) if isinstance(e, kind) and next(seen) == pick else e, lambda t: t
+    )
+
+
+def _faults(rng, decls, body, mode):
+    """One to three of the ways a program can be malformed, each applied to
+    a random place: a read or target undeclared, a flip or star id used
+    twice, flips and stars mixed or against the mode, a declaration given
+    twice, `if` blocks nested one level too deep."""
+    faults = rng.sample(range(9), rng.randint(1, 3))
+    sites = [e.site for e in bern.walk_exprs(body) if isinstance(e, bern.Flip)]
+    if 0 in faults:
+        body = _break_at(rng, body, bern.BVar, lambda e: bern.BVar("zz"))
+    targets = [t for s in bern.walk_stmts(body) if isinstance(s, bern.PAssign) for t in s.targets]
+    if 1 in faults and targets:
+        lost = rng.choice(targets)
+        body = _rewrite(body, lambda e: e, lambda t: tuple("zt" if n == lost else n for n in t))
+    if 2 in faults and sites:
+        body = _break_at(rng, body, bern.Flip, lambda e: bern.Flip(rng.choice(sites), e.theta))
+    if 3 in faults:  # every flip a star, in either mode, and perhaps one star id twice
+        body = _rewrite(body, lambda e: bern.Star(e.site) if isinstance(e, bern.Flip) else e, lambda t: t)
+        mode = rng.choice(("nondet", "prob"))
+        if sites and rng.random() < 0.5:
+            body = _break_at(rng, body, bern.Star, lambda e: bern.Star(rng.choice(sites)))
+    if 4 in faults:
+        body = _break_at(rng, body, bern.Flip, lambda e: bern.Star(100 + e.site))
+    if 5 in faults:
+        body = _break_at(rng, body, bern.Star, lambda e: bern.Flip(200 + e.occurrence, Fraction(1, 2)))
+    if 6 in faults:
+        mode = rng.choice((None, "prob", "nondet"))
+    if 7 in faults:
+        decls = decls + (rng.choice(decls),)
+    if 8 in faults:
+        for _ in range(bern.MAX_NESTING + 1):
+            body = (bern.BIf(bern.BVar(decls[0]), body, ()),)
+    return decls, body, mode
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def test_program_validation_raises_what_the_three_walks_raised():
+    """On random programs with faults, alone and together, the one-walk
+    validation raises the reference's error type and message, nesting
+    first."""
+    rng = random.Random(53)
+    seen = set()
+    for trial in range(300):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=5, max_stmts=8)
+        decls, body, mode = prog.decls, prog.body, prog.mode
+        if trial % 10:
+            decls, body, mode = _faults(rng, decls, body, mode)
+        want = _outcome(_reference_validation, decls, body, mode)
+        assert _outcome(bern.BernProgram, decls, body, mode) == want
+        seen.add(want and (want[0], re.sub("[0-9]+", "", want[1])))
+    assert len(seen) == 10  # no fault, and each of the nine faults
 
 
 def test_interp_exact_flip_cap():

@@ -1,5 +1,6 @@
 """Symbolic inference: transfer functions, reachability, queries."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -175,25 +176,81 @@ def _rotations(rng, names):
     return bern.PAssign(tuple(targets), tuple(exprs))
 
 
+def _mixed_reads(rng, names, sites):
+    """A parallel assignment whose right-hand sides read some of its
+    targets and not others, or none of them, with fresh flips from the
+    id counter `sites` mixed in."""
+    targets = rng.sample(list(names), rng.randint(1, len(names)))
+    pool = [n for n in names if n not in targets]
+    if rng.random() < 0.6:
+        pool += rng.sample(targets, rng.randint(1, len(targets)))
+    exprs = []
+    for _ in targets:
+        leaves = [bern.BVar(n) for n in rng.sample(pool, min(len(pool), rng.randint(0, 2)))]
+        if rng.random() < 0.4:
+            leaves.append(bern.Flip(next(sites), randgen.rand_theta(rng)))
+        e = leaves[0] if leaves else rng.choice((bern.BTrue(), bern.BFalse()))
+        for leaf in leaves[1:]:
+            e = rng.choice((bern.BAnd, bern.BOr, bern.BIff))(e, leaf)
+        exprs.append(e)
+    return bern.PAssign(tuple(targets), tuple(exprs))
+
+
+def _reads_a_target(stmt):
+    names = set()
+    for e in stmt.exprs:
+        bern.fold(e, lambda node, _: isinstance(node, bern.BVar) and names.add(node.name))
+    return not names.isdisjoint(stmt.targets)
+
+
 def test_targets_only_transfer_matches_full_frame():
+    """The image renames only the targets a right-hand side reads and
+    quantifies the others out of Δ first; on swaps, rotations and
+    assignments that read some, all or none of their targets, from a point
+    init, from T and from an expression init, it is the full-frame image."""
     rng = random.Random(41)
+    kinds = set()
     for trial in range(60):
         names = tuple(f"v{i}" for i in range(rng.randint(4, 6)))
         prog = randgen.rand_bern_program(rng, names, max_flips=4, max_stmts=6)
         body = list(prog.body)
+        sites = itertools.count(len(prog.flip_sites()))
         for _ in range(rng.randint(1, 3)):
             body.insert(rng.randint(0, len(body)), _rotations(rng, names))
-        prog = bern.BernProgram(names, tuple(body), prog.mode)
-        init = {n: rng.random() < 0.5 for n in names} if trial % 2 else None
-        run = engine.run_symbolic(prog, init=init)
-        ctx = run.ctx
-        delta = run.at(0).delta
-        for k, stmt in enumerate(ctx.program.body, start=1):
-            delta = _full_frame_delta(ctx, delta, stmt)
-            assert run.at(k).delta.equiv(delta)
-        for k in range(len(run.points)):
-            assert run.survival(k) == engine._survival(ctx, run.at(k).delta)
-            assert run.survival(k) is run.survival(k)  # computed once per point
+        for _ in range(rng.randint(1, 3)):
+            body.insert(rng.randint(0, len(body)), _mixed_reads(rng, names, sites))
+        prog = bern.BernProgram(names, tuple(body), "prob")
+        kinds.update(_reads_a_target(s) for s in body if isinstance(s, bern.PAssign))
+        for init in _inits(rng, prog):
+            run = engine.run_symbolic(prog, init=init)
+            ctx = run.ctx
+            delta = run.at(0).delta
+            for k, stmt in enumerate(ctx.program.body, start=1):
+                delta = _full_frame_delta(ctx, delta, stmt)
+                assert run.at(k).delta.equiv(delta)
+            for k in range(len(run.points)):
+                assert run.survival(k) == engine._survival(ctx, run.at(k).delta)
+                assert run.survival(k) is run.survival(k)  # computed once per point
+    assert kinds == {False, True}
+
+
+def test_an_assignment_renames_only_the_targets_it_reads(monkeypatch):
+    """`a, b = b, c` renames b alone, `c = a` reads no target and renames
+    nothing, and `a = a && flip(1/2)` renames a."""
+    prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, c\nc = a\na = a && flip(1/2)")
+    renamed = []
+    real = bddm.Bdd.rename
+
+    def rename(delta, mapping):
+        if mapping:
+            renamed.append(sorted(v.label for v in mapping))
+        return real(delta, mapping)
+
+    monkeypatch.setattr(bddm.Bdd, "rename", rename)
+    run = engine.run_symbolic(prog, init={"a": False, "b": True, "c": False})
+    assert renamed == [["b"], ["a"]]
+    assert engine.query(run, bern.BVar("a")).probability == Fraction(1, 2)
+    assert engine.query(run, bern.BVar("c")).probability == 1
 
 
 def test_swap_and_rotation_images():

@@ -1,5 +1,6 @@
-"""The node store: canonical form, every op's result against truth tables,
-and every fold over a diagram deeper than the interpreter stack."""
+"""The node store: canonical form, every op's result against truth tables
+and `apply`'s node ids against a reference recursion, and every fold over
+a diagram deeper than the interpreter stack."""
 
 import itertools
 import random
@@ -124,6 +125,106 @@ def test_and_exists_is_exists_of_the_conjunction():
         want = table.exists(table.apply(OP_AND, u, v), levels)
         assert table.and_exists(u, v, levels) == want, (u, v, levels)
         assert table.and_exists(v, u, levels) == want
+
+
+def _reference_apply(table, op, u, v, memo):
+    """``apply`` as a terminal-case method and ``mk`` called for every
+    step, kept as the reference the inlined recursion must agree with."""
+
+    def shortcut(op, u, v):
+        if op == OP_AND:
+            if u == FALSE or v == FALSE:
+                return FALSE
+            if u == TRUE:
+                return v
+            if v == TRUE:
+                return u
+            if u == v:
+                return u
+        elif op == OP_OR:
+            if u == TRUE or v == TRUE:
+                return TRUE
+            if u == FALSE:
+                return v
+            if v == FALSE:
+                return u
+            if u == v:
+                return u
+        elif op == OP_IMP:
+            if u == FALSE or v == TRUE:
+                return TRUE
+            if u == TRUE:
+                return v
+            if v == FALSE:
+                return table.not_(u)
+            if u == v:
+                return TRUE
+        elif op == OP_IFF:
+            if u == v:
+                return TRUE
+            if u == TRUE:
+                return v
+            if v == TRUE:
+                return u
+            if u == FALSE:
+                return table.not_(v)
+            if v == FALSE:
+                return table.not_(u)
+        return -1
+
+    r = shortcut(op, u, v)
+    if r >= 0:
+        return r
+    if op != OP_IMP and u > v:
+        u, v = v, u
+    key = (op, u, v)
+    if key in memo:
+        return memo[key]
+    (lu, u_lo, u_hi), (lv, v_lo, v_hi) = table.node(u), table.node(v)
+    if lu < lv:
+        v_lo = v_hi = v
+    elif lv < lu:
+        u_lo = u_hi = u
+    lo = _reference_apply(table, op, u_lo, v_lo, memo)
+    hi = _reference_apply(table, op, u_hi, v_hi, memo)
+    memo[key] = r = table.mk(min(lu, lv), lo, hi)
+    return r
+
+
+def test_apply_returns_the_reference_node_ids():
+    """In one shared table, the inlined ``apply`` and the reference give the
+    same node id for every op, both argument orders and terminals among
+    the operands: the same hash-consed nodes, whichever made them first."""
+    num_vars = 6
+    table = kernel.NodeTable(num_vars)
+    rng = random.Random(13)
+    pool, _ = random_ops(table, rng, num_vars, 120)
+    pool += [FALSE, TRUE]
+    memo = {}
+    for trial in range(1500):
+        op = rng.choice(tuple(BINARY))
+        u, v = rng.choice(pool), rng.choice(pool)
+        if trial % 2:  # the reference first, so the inlined op reads nodes it made
+            want = _reference_apply(table, op, u, v, memo)
+            got = table.apply(op, u, v)
+        else:
+            got = table.apply(op, u, v)
+            want = _reference_apply(table, op, u, v, memo)
+        assert got == want, (op, u, v)
+        assert table.apply(op, v, u) == _reference_apply(table, op, v, u, memo)
+        if trial % 5 == 0:
+            pool.append(got)
+    with pytest.raises(ValueError, match="unknown op code 7"):
+        table.apply(7, pool[0], pool[1])
+
+
+def test_and_exists_over_no_level_is_the_conjunction():
+    table = kernel.NodeTable(5)
+    rng = random.Random(3)
+    pool, _ = random_ops(table, rng, 5, 80)
+    for _ in range(300):
+        u, v = rng.choice(pool + [FALSE, TRUE]), rng.choice(pool + [FALSE, TRUE])
+        assert table.and_exists(u, v, ()) == table.apply(OP_AND, u, v)
 
 
 def test_rename_rejects_a_reordering_map():
