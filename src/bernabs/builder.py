@@ -18,7 +18,8 @@ updates branch on the values already chosen, so that every reachable
 joint state is a feasible minterm and no observe is needed.  Each update
 is read off one admissible relation between pre- and post-state predicate
 values, which is also its care set; pre-state reads of already-updated
-predicates go through snapshot variables.
+predicates go through snapshot variables.  The relation is one formula
+over the invariant and the (t, f) pairs, so no minterm is enumerated.
 
 Flips whose value the canonical form does not depend on are never
 allocated, which is what turns `a = unif [0, 10)` with predicate a<5 into
@@ -38,7 +39,6 @@ from bernabs import bern
 from bernabs import concrete as cc
 from bernabs import kernel
 from bernabs.domain import PredicateList
-from bernabs.errors import EnumerationCapError
 from bernabs.theory import wp_subst
 
 MODES = ("nondet", "prob")
@@ -46,8 +46,6 @@ INVARIANT_STYLES = ("none", "observe", "structural")
 PARAM_POLICIES = ("symbolic", "fixed", "fit")
 
 SNAPSHOT_SUFFIX = "@pre"
-
-STRUCTURAL_BOUND = 8  # the most predicates a structural-invariant update is built over
 
 
 @dataclass(frozen=True)
@@ -318,53 +316,63 @@ class Abstractor:
 
     # --- structurally dependent construction --------------------------------------
 
+    def admissible_relation(self, stmt, targets, scratch) -> bddm.Bdd:
+        """The admissible relation of `stmt`, which updates `targets`, over
+        `scratch`: the predicates' pre-values at levels 0..n-1, their
+        post-values at n..2n-1.  It is one formula, with no minterm
+        enumerated: I(pre) & I(cur) & AND_untouched (cur_j <-> pre_j)
+        & AND_targets ((t_j(pre) -> cur_j) & (!t_j(pre) & f_j(pre) -> !cur_j)).
+        So cur is feasible, keeps pre's untouched values and takes every
+        polarity the (t, f) pairs force at pre, t before f.  Each Bdd over
+        the predicates moves into `scratch` at its own levels plus an offset.
+        """
+        n = len(self.preds)
+        pre, cur = scratch.variables[:n], scratch.variables[n:]
+
+        def moved(b, offset):
+            table = b.universe.table
+            ref = table.fold(
+                b.ref,
+                lambda w, level, lo, hi: scratch.table.mk(level + offset, lo, hi),
+                table.num_vars,
+                {},
+            )
+            return bddm.Bdd(scratch, ref)
+
+        admissible = moved(self._inv, 0) & moved(self._inv, n)
+        for j in range(n):
+            now = bddm.var_bdd(scratch, cur[j])
+            if j in targets:
+                t, f = (moved(b, 0) for b in self._pair(stmt, j))
+                admissible = admissible & t.implies(now) & (~t & f).implies(~now)
+            else:
+                admissible = admissible & now.iff(bddm.var_bdd(scratch, pre[j]))
+        return admissible
+
     def build_structural(self, stmt, path=(), context=()) -> tuple:
         """Sequential per-predicate updates whose control flow keeps every
         reachable joint state feasible, with no observe statements.
 
-        The admissible relation holds of (pre, cur) when pre and cur are
-        feasible minterms, cur agrees with pre on the untouched predicates,
-        and cur takes every polarity the (t, f) pairs force at pre.
         Updating in declaration order, a predicate is forced wherever only
-        one polarity extends the already-chosen prefix inside that
-        relation; otherwise it flips.  The (pre, prefix) pairs the relation
-        never reaches are don't-cares, so no flip decides only there.
-        Pre-state reads of already-updated predicates go through snapshot
-        variables, preserving the parallel-assignment reads of the
-        original statement.
+        one polarity extends the already-chosen prefix inside the
+        admissible relation (`admissible_relation`); otherwise it flips.
+        The (pre, prefix) pairs the relation never reaches are don't-cares,
+        so no flip decides only there.  Pre-state reads of already-updated
+        predicates go through snapshot variables, preserving the
+        parallel-assignment reads of the original statement.
         """
-        n = len(self.preds)
-        if n > STRUCTURAL_BOUND:
-            raise EnumerationCapError(
-                f"structural construction over {n} predicates exceeds bound "
-                f"{STRUCTURAL_BOUND}"
-            )
         target_idx = self._mentioning(stmt.name)
         if not target_idx:
             return (bern.PAssign((), (), stmt.loc),)
-        pairs = {i: self._pair(stmt, i) for i in target_idx}
         labels = self.preds.labels
+        n = len(labels)
         # scratch universe: the pre-values of all predicates, then their
         # post-values, the levels a FlipSite's `free` reads
         scratch = bddm.make_universe(
             [(f"{side} {lbl}", None) for side in ("pre", "cur") for lbl in labels]
         )
-        pre, cur = scratch.variables[:n], scratch.variables[n:]
-
-        admissible = feasible_cur = bddm.false_bdd(scratch)
-        for m in self.preds.feasible_minterms():
-            at_m = bddm.cube(self.preds.universe, zip(self.preds.universe.variables, m.bits))
-            lits = list(zip(pre, m.bits))
-            for j, bit in enumerate(m.bits):
-                if j not in pairs:
-                    lits.append((cur[j], bit))
-                elif not (pairs[j][0] & at_m).is_false:
-                    lits.append((cur[j], True))
-                elif not (pairs[j][1] & at_m).is_false:
-                    lits.append((cur[j], False))
-            admissible = admissible | bddm.cube(scratch, lits)
-            feasible_cur = feasible_cur | bddm.cube(scratch, zip(cur, m.bits))
-        admissible = admissible & feasible_cur
+        cur = scratch.variables[n:]
+        admissible = self.admissible_relation(stmt, target_idx, scratch)
 
         updates = []
         needed_snapshots = set()

@@ -20,8 +20,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from bernabs import bern, concrete
 from bernabs.errors import ParseError
@@ -54,8 +54,7 @@ class _NestingError(ParseError):
     """Input nested past MAX_NESTING; never caught to backtrack."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int' | 'name' | 'op' | 'other' | 'eof'
     text: str
     line: int

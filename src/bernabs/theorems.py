@@ -354,27 +354,30 @@ def _kernel_rows(aprog: bern.BernProgram, preds: PredicateList) -> dict:
 # --- concretization distributions ------------------------------------------------
 
 
-def _scaled(masses, scale):
-    """`masses` as integers over `scale`, a common multiple of their denominators."""
-    return {k: q.numerator * (scale // q.denominator) for k, q in masses.items()}
-
-
 class ConcretizationDistribution:
-    """Per-abstract-state distribution over that state's concrete cell."""
+    """Per-abstract-state distribution over that state's concrete cell,
+    held as integer weights over one scale: row `bits` gives state k the
+    mass ``rows[bits][k] / scale``, and each row sums to `scale`.  Readers
+    of `row` get each mass as a Fraction, made when read."""
 
-    def __init__(self, name, rows, var_names):
+    def __init__(self, name, rows, var_names, scale):
         self.name = name
-        self.rows = rows  # bits -> {state key tuple -> Fraction}
+        self.rows = rows  # bits -> {state key tuple -> int}
         self.var_names = tuple(var_names)
+        self.scale = scale
 
     @classmethod
     def _build(cls, name, preds: PredicateList, weigher):
+        """`weigher(n)` gives a cell of n states its integer weights, one
+        per state; the scale is the lcm of the rows' totals."""
+        cells = preds.cell_map()
+        weights = {bits: weigher(len(keys)) for bits, keys in cells.items()}
+        scale = math.lcm(*(sum(w) for w in weights.values()))
         rows = {}
-        for bits, keys in preds.cell_map().items():
-            weights = weigher(len(keys))  # integers, one per key
-            total = sum(weights)
-            rows[bits] = {k: Fraction(w, total) for k, w in zip(keys, weights) if w > 0}
-        return cls(name, rows, preds.ctx.names)
+        for bits, keys in cells.items():
+            factor = scale // sum(weights[bits])
+            rows[bits] = {k: w * factor for k, w in zip(keys, weights[bits]) if w > 0}
+        return cls(name, rows, preds.ctx.names, scale)
 
     @classmethod
     def uniform(cls, preds):
@@ -389,19 +392,20 @@ class ConcretizationDistribution:
         return cls._build("point-mass-min", preds, lambda n: [1] + [0] * (n - 1))
 
     def row(self, bits):
-        return self.rows.get(tuple(bits), {})
+        return {k: Fraction(w, self.scale) for k, w in self.rows.get(tuple(bits), {}).items()}
 
     def validate_strong(self, preds: PredicateList):
         """Row-normalized and confined to the matching cell (the two
-        properties the invariance theorem actually uses).  Each row is
-        summed in integers over the lcm of its denominators, and the cells
-        are the predicates' shared cell map."""
+        properties the invariance theorem actually uses), in integers:
+        each row sums to the scale, and the cells are the predicates'
+        shared cell map."""
         cells = preds.cell_map()
         for bits, row in self.rows.items():
-            scale = math.lcm(*(q.denominator for q in row.values()))
-            if sum(_scaled(row, scale).values()) != scale:
-                total = sum(row.values(), Fraction(0))
-                raise ValueError(f"{self.name}: row {bits} sums to {total}, not 1")
+            total = sum(row.values())
+            if total != self.scale:
+                raise ValueError(
+                    f"{self.name}: row {bits} sums to {Fraction(total, self.scale)}, not 1"
+                )
             cell = cells.get(bits, {})
             for key in row:
                 if key not in cell:
@@ -414,7 +418,8 @@ class ConcretizationDistribution:
         """Def-8 compatibility: every concrete state has positive mass in
         its own cell (fails for point-mass rows over multi-state cells)."""
         cells = preds.cell_map().items()
-        return all(self.row(bits).get(key, 0) > 0 for bits, keys in cells for key in keys)
+        rows = self.rows
+        return all(rows.get(bits, {}).get(key, 0) > 0 for bits, keys in cells for key in keys)
 
 
 GAMMA_FAMILIES = (
@@ -439,24 +444,16 @@ def concrete_semantics(
     """
     gamma.validate_strong(preds)
     row = abstract_kernel(aprog, preds)[preds.alpha(z_i)]
-    gamma_rows, gamma_scale = _gamma_ints(gamma)
     p_int, p_scale = _pr_ints(row)
-    scale = gamma_scale * p_scale
-    return cc.ConcreteDistribution(preds.ctx.names, _concrete_mass(gamma_rows, p_int), scale)
-
-
-def _gamma_ints(gamma):
-    """(gamma's rows as integers over `scale`, `scale`), where `scale` is
-    the lcm of every denominator in the rows."""
-    scale = math.lcm(*(q.denominator for row in gamma.rows.values() for q in row.values()))
-    return {bits: _scaled(row, scale) for bits, row in gamma.rows.items()}, scale
+    scale = gamma.scale * p_scale
+    return cc.ConcreteDistribution(preds.ctx.names, _concrete_mass(gamma.rows, p_int), scale)
 
 
 def _pr_ints(row):
     """(the kernel row `row` as integers over `scale`, `scale`), where
     `scale` is the lcm of the row's denominators."""
     scale = math.lcm(*(p.denominator for p in row.values()))
-    return _scaled(row, scale), scale
+    return {a: p.numerator * (scale // p.denominator) for a, p in row.items()}, scale
 
 
 def _concrete_mass(gamma_rows, p_int):
@@ -471,7 +468,7 @@ def _concrete_mass(gamma_rows, p_int):
     return mass
 
 
-def _cell_mismatches(gamma_rows, gamma_scale, row, outputs):
+def _cell_mismatches(gamma, row, outputs):
     """The verdict of one (gamma, alpha(z_i)) class.
 
     The concrete mass (`_concrete_mass`) summed over the cell of each
@@ -480,13 +477,13 @@ def _cell_mismatches(gamma_rows, gamma_scale, row, outputs):
     for every a_o where the two differ.
     """
     p_int, p_scale = _pr_ints(row)
-    mass = _concrete_mass(gamma_rows, p_int)
+    mass = _concrete_mass(gamma.rows, p_int)
     mismatches = []
     for a_o in outputs:
-        got = sum(mass.get(key, 0) for key in gamma_rows.get(a_o, ()))
-        if got != p_int.get(a_o, 0) * gamma_scale:
+        got = sum(mass.get(key, 0) for key in gamma.rows.get(a_o, ()))
+        if got != p_int.get(a_o, 0) * gamma.scale:
             mismatches.append(
-                (a_o, row.get(a_o, Fraction(0)), Fraction(got, gamma_scale * p_scale))
+                (a_o, row.get(a_o, Fraction(0)), Fraction(got, gamma.scale * p_scale))
             )
     return mismatches
 
@@ -513,11 +510,10 @@ def check_invariance(aprog, preds: PredicateList, gammas, inputs=None) -> CheckR
     outputs = [m.bits for m in preds.feasible_minterms()]
     for gamma in gammas:
         gamma.validate_strong(preds)
-        gamma_rows, gamma_scale = _gamma_ints(gamma)
         verdicts = {}
         for z_i, a_in in classed:
             if a_in not in verdicts:
-                verdicts[a_in] = _cell_mismatches(gamma_rows, gamma_scale, kernel[a_in], outputs)
+                verdicts[a_in] = _cell_mismatches(gamma, kernel[a_in], outputs)
             for a_o, expected, got in verdicts[a_in]:
                 report.counterexamples.append(
                     {

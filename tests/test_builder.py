@@ -219,6 +219,98 @@ def test_every_structural_flip_decides_on_a_feasible_pair():
     assert checked
 
 
+class _PerMintermAbstractor(bld.Abstractor):
+    """The admissible relation as the builder first made it, kept as the
+    reference: one cube over (pre, cur) per feasible minterm, OR-ed, then
+    cut to the feasible post-states."""
+
+    def admissible_relation(self, stmt, targets, scratch):
+        n = len(self.preds)
+        pre, cur = scratch.variables[:n], scratch.variables[n:]
+        pairs = {i: self._pair(stmt, i) for i in targets}
+        admissible = feasible_cur = bddm.false_bdd(scratch)
+        for m in self.preds.feasible_minterms():
+            at_m = bddm.cube(self.preds.universe, zip(self.preds.universe.variables, m.bits))
+            lits = list(zip(pre, m.bits))
+            for j, bit in enumerate(m.bits):
+                if j not in pairs:
+                    lits.append((cur[j], bit))
+                elif not (pairs[j][0] & at_m).is_false:
+                    lits.append((cur[j], True))
+                elif not (pairs[j][1] & at_m).is_false:
+                    lits.append((cur[j], False))
+            admissible = admissible | bddm.cube(scratch, lits)
+            feasible_cur = feasible_cur | bddm.cube(scratch, zip(cur, m.bits))
+        return admissible & feasible_cur
+
+
+def test_structural_relation_matches_the_per_minterm_reference(monkeypatch):
+    """The admissible relation built as one formula gives the same fitted
+    text and site table as the per-minterm reference, on random programs
+    with draws, branches and updates that read an already-updated
+    predicate (a snapshot)."""
+    rng = random.Random(59)
+    formula_abstractor = bld.Abstractor
+    cfg = bld.AbstractionConfig("prob", "structural", bld.ParamPolicy.fit())
+    seen = {"draw": 0, "branch": 0, "snapshot": 0}
+    for case in range(120):
+        prog = randgen.rand_concrete_program(rng, draws=case % 2 == 0)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 8), ctx)
+        outputs = []
+        for worker in (formula_abstractor, _PerMintermAbstractor):
+            monkeypatch.setattr(bld, "Abstractor", worker)
+            aprog, sites = bld.abstract_program(prog, preds, cfg)
+            fitted, table = theorems.fit_parameters(prog, aprog, sites, preds)
+            outputs.append((bern.to_text(fitted), table.dumps()))
+        assert outputs[0] == outputs[1], case
+        stmts = list(bern.walk_stmts(prog.body))
+        seen["draw"] += any(isinstance(s, cc.Draw) for s in stmts)
+        seen["branch"] += any(isinstance(s, cc.If) for s in stmts)
+        seen["snapshot"] += bld.SNAPSHOT_SUFFIX in outputs[0][0]
+    assert min(seen.values()) >= 20, seen
+
+
+def _ladder(rng, n):
+    """n two-valued variables, two of them drawn, and one predicate
+    `x_i == c` each: every one of the 2^n minterms is feasible."""
+    lines = [f"var x{i} in [0, 2)" for i in range(n)]
+    lines += [f"x{i} = unif [0, 2)" for i in rng.sample(range(n), 2)]
+    prog = parsing.parse_concrete("\n".join(lines) + "\n")
+    ctx = theory.TheoryContext.of_program(prog)
+    preds = PredicateList(
+        parsing.parse_preds("".join(f"x{i}: x{i} == {rng.randint(0, 1)}\n" for i in range(n))), ctx
+    )
+    return prog, preds
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_structural_ladder_answers_the_concrete_marginals(n, monkeypatch):
+    """Past 8 predicates the structural fit answers, with no minterm
+    enumerated, and each predicate's marginal from the alpha-image of the
+    uniform concrete prior is the concrete program's."""
+    prog, preds = _ladder(random.Random(n), n)
+    cfg = bld.AbstractionConfig("prob", "structural", bld.ParamPolicy.fit())
+    with monkeypatch.context() as patch:
+
+        def enumerated(self):
+            raise AssertionError("a minterm was enumerated")
+
+        patch.setattr(PredicateList, "feasible_minterms", enumerated)
+        aprog, sites = bld.abstract_program(prog, preds, cfg)
+    fitted, _ = theorems.fit_parameters(prog, aprog, sites, preds)
+    prior = cc.ConcreteDistribution.uniform_joint(prog)
+    image = {}
+    for key, w in prior.items():
+        bits = preds.alpha(key) + (False,) * (len(fitted.decls) - n)
+        image[bits] = image.get(bits, 0) + w
+    out = bern.interp_exact(fitted, bern.AbstractDistribution(fitted.decls, image))
+    dist = cc.eval_dist(prog, prior)
+    for label, cond in zip(preds.labels, preds.conds):
+        got = sum((w for state, w in out.items() if state[label]), Fraction(0)) / out.survival
+        assert got == cc.query_prob(dist, cond), label
+
+
 def test_branch_coverage_property():
     # !alpha && !beta is infeasible: the two branch conditions cover I
     rng = random.Random(31)

@@ -381,6 +381,20 @@ def test_structural_output_reads_back(files, capsys):
     assert capsys.readouterr().out.startswith("probability ")
 
 
+def test_fit_structural_answers_a_nine_predicate_ladder(tmp_path, capsys):
+    """The structural style has no predicate bound of its own: a ladder of
+    9 independent predicates fits, and each drawn predicate is a flip of 1/2."""
+    n = 9
+    cp, preds = tmp_path / "ladder.cp", tmp_path / "ladder.preds"
+    cp.write_text("".join(f"var x{i} in [0, 2)\n" for i in range(n))
+                  + f"x0 = unif [0, 2)\nx{n - 1} = unif [0, 2)\n")
+    preds.write_text("".join(f"x{i}: x{i} == 1\n" for i in range(n)))
+    rc = cli.main(["fit", str(cp), str(preds), "--invariants", "structural"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out.splitlines()[n:] == ["x0 = flip(1/2)", f"x{n - 1} = flip(1/2)"]
+
+
 def test_fit_no_draw_sites(files, tmp_path, capsys):
     noflip = tmp_path / "const.cp"
     noflip.write_text("var x in [0, 8)\nx = 1\n")

@@ -117,7 +117,7 @@ def test_checks_read_dict_inputs_as_the_full_sweep(monkeypatch):
     )
     # a gamma row that leaks mass into another cell, let past validation
     leaky = theorems.ConcretizationDistribution.uniform(preds)
-    leaky.rows[(False, True)] = {(-4, 0): Fraction(1, 2), (-5, 0): Fraction(1, 2)}
+    leaky.rows[(False, True)] = {(-4, 0): leaky.scale // 2, (-5, 0): leaky.scale // 2}
     monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
     gammas = [theorems.ConcretizationDistribution.rank_weighted(preds), leaky]
     reports = []
@@ -360,6 +360,37 @@ def test_gamma_families_shape():
     assert uni.is_compatible(preds)
     assert rank.is_compatible(preds)
     assert not point.is_compatible(preds)
+
+
+def _fraction_rows(preds, weigher):
+    """gamma's rows as they were first built, kept as the reference: each
+    cell's integer weights over their total, one Fraction per state."""
+    rows = {}
+    for bits, keys in preds.cell_map().items():
+        weights = weigher(len(keys))
+        total = sum(weights)
+        rows[bits] = {k: Fraction(w, total) for k, w in zip(keys, weights) if w > 0}
+    return rows
+
+
+def test_gamma_rows_equal_the_fraction_reference():
+    """The three families' integer rows over one scale read back as the
+    Fraction rows, on random domains."""
+    weighers = {
+        "uniform": lambda n: [1] * n,
+        "rank-weighted": lambda n: list(range(1, n + 1)),
+        "point-mass-min": lambda n: [1] + [0] * (n - 1),
+    }
+    rng = random.Random(83)
+    for _ in range(30):
+        decls = randgen.rand_decls(rng, max_vars=3, max_range=8)
+        preds = PredicateList(randgen.rand_predicates(rng, decls, 4), theory.TheoryContext(decls))
+        for family in theorems.GAMMA_FAMILIES:
+            gamma = family(preds)
+            want = _fraction_rows(preds, weighers[gamma.name])
+            assert {bits: gamma.row(bits) for bits in preds.cell_map()} == want
+            assert all(sum(row.values()) == gamma.scale for row in gamma.rows.values())
+            gamma.validate_strong(preds)
 
 
 def test_concrete_semantics_cell_mass():
@@ -652,8 +683,15 @@ def test_invariance_reports_a_leak_for_every_input(monkeypatch):
     aprog = parsing.parse_bern(
         "bool {x<0}\nbool {x<2}\n{x<0} = {x<0} && flip(1/3)\n{x<2} = {x<2} || flip(1/4)"
     )
-    leaky = theorems.ConcretizationDistribution.uniform(preds)
-    leaky.rows[(True, True)] = {(-2,): Fraction(1, 4), (-1,): Fraction(1, 4), (0,): Fraction(1, 2)}
+    # a row of quarters, so the uniform rows go over twice their scale, 4
+    uniform = theorems.ConcretizationDistribution.uniform(preds)
+    leaky = theorems.ConcretizationDistribution(
+        "uniform",
+        {bits: {k: 2 * w for k, w in row.items()} for bits, row in uniform.rows.items()},
+        uniform.var_names,
+        2 * uniform.scale,
+    )
+    leaky.rows[(True, True)] = {(-2,): 1, (-1,): 1, (0,): 2}
     gammas = [theorems.ConcretizationDistribution.rank_weighted(preds), leaky]
     inputs = [{"x": v} for v in range(-2, 4)]
     keys = [(v,) for v in range(-2, 4)]
@@ -735,7 +773,7 @@ def test_a_dropped_kernel_entry_changes_every_check_at_its_class(branch_reset, m
     # cell, that of x = -8, which fails every input whose kernel row holds
     # a': those of a with the true kernel, and not with the mutated one.
     leaky = theorems.ConcretizationDistribution.uniform(preds)
-    leaky.rows[a_out] = {(3,): Fraction(1, 2), (-8,): Fraction(1, 2)}
+    leaky.rows[a_out] = {(3,): leaky.scale // 2, (-8,): leaky.scale // 2}
     monkeypatch.setattr(theorems.ConcretizationDistribution, "validate_strong", lambda self, p: None)
 
     def reports():
