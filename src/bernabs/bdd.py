@@ -12,15 +12,15 @@ identity: within one universe, two Bdds are equivalent iff they hold the
 same node id.  Weighted model counting is the exact-rational inference
 primitive; the summation domain is the weight map's key set, so callers
 choose which variables an assignment ranges over (sub-universe counts are
-the norm for survival-mass queries).  Two counts read a whole family of
-restrictions off one walk, each a visitor of the node table's ``fold``:
-``marginals`` gives the mass of Δ & v for every variable v, and
-``wmc_table`` the mass of every assignment to a set of key variables.
+the norm for survival-mass queries).  ``joint_wmc`` counts several
+diagrams at once: one memoised walk over a tuple of roots gives the mass
+of every combination of their values, with some variables held fixed
+(the transition kernel's rows read the joint values of the predicates'
+functions from one fixed start).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,28 +169,6 @@ class Bdd:
         ref = table.and_exists(self.ref, self._peer(other).ref, self._levels(variables))
         return Bdd(self.universe, ref)
 
-    def rename(self, mapping) -> "Bdd":
-        """Substitute ``mapping[v]`` for each variable v, by relabelling nodes.
-
-        The mapping must be injective and keep the order of the variables
-        on every path of the diagram, as mapping v to a variable right
-        after it that the diagram does not mention does; a mapping that
-        would reorder them raises ``UniverseError``.
-        """
-        perm = {}
-        targets = set()
-        for src, dst in mapping.items():
-            _check_var(self.universe, src)
-            _check_var(self.universe, dst)
-            if dst.index in targets:
-                raise UniverseError("rename mapping is not injective")
-            targets.add(dst.index)
-            perm[src.index] = dst.index
-        try:
-            return Bdd(self.universe, self.universe.table.rename(self.ref, perm))
-        except ValueError as exc:
-            raise UniverseError(str(exc)) from None
-
     def wmc(self, weights) -> Fraction:
         """Sum of per-variable weight products over satisfying assignments.
 
@@ -203,7 +181,9 @@ class Bdd:
         The count is exact and runs in integers: each weight pair is scaled
         to integers over the lcm of its two denominators, the walk sums
         integer products, and one Fraction divides the total by the product
-        of the scales.
+        of the scales.  `weights` is a map from variables to pairs, or a
+        :class:`Weights` made from one, which keeps every node's count for
+        the next count over the same map.
         """
         total, scale = self._scaled_count(weights)
         return Fraction(total, scale)
@@ -214,150 +194,9 @@ class Bdd:
 
     def _scaled_count(self, weights):
         """(integer count, scale) with wmc(weights) == count / scale."""
-        w = _IntegerWeights(self.universe, weights)
-        count, root = w.count_up(self.ref)[self.ref]
+        w = _as_weights(self.universe, weights)
+        count, root = w.count(self.ref)
         return w.skip(0, root) * count, w.scale
-
-    def marginals(self, weights, variables) -> dict:
-        """``(self & v).wmc(weights)`` for each v in `variables`, all from one
-        pass up the diagram and one pass down it.
-
-        This is the differential approach to compiled inference (Darwiche,
-        JACM 2003).  The pass up is ``wmc``'s count of each node; the pass
-        down, over node ids in descending order (a parent's id exceeds its
-        children's), gives each node the mass of the paths from the root to
-        it.  A node at level l adds (its path mass) x (weight-true of l) x
-        (its high child's count) to l's marginal.  An edge that skips
-        levels adds its mass to each of them, scaled by that level's
-        weight-true over its sum; a difference array over the levels does
-        this for each edge in constant time.  Every v must be in `weights`.
-        """
-        universe = self.universe
-        table = universe.table
-        w = _IntegerWeights(universe, weights)
-        counts = w.count_up(self.ref)
-        pairs, sums, suffix, zero = w.pairs, w.sums, w.suffix, w.zero
-        top = table.num_vars
-        marginal = [0] * top  # per level: mass of the paths that take a hi edge there
-        span = [0] * (top + 1)  # difference array of the edges over levels of nonzero sum
-        lone = [0] * top  # per level of sum 0: mass of the edges whose only such level it is
-
-        def across(first, end, mass):
-            """Record `mass`, the product of what lies above and below an
-            edge, for the levels first .. end-1 that the edge skips."""
-            if first >= end or not mass:
-                return
-            z = zero[first]
-            if z >= end:
-                mass *= suffix[first] // suffix[end]
-                span[first] += mass
-                span[end] -= mass
-            elif zero[z + 1] >= end:
-                lone[z] += mass * (suffix[first] // suffix[end])
-
-        count, root = counts[self.ref]
-        across(0, root, count)
-        path = {self.ref: w.skip(0, root)}  # node -> mass of the paths from the root to it
-        for u in sorted(counts, reverse=True):
-            if u <= kernel.TRUE:
-                break
-            mass = path.pop(u, 0)
-            if not mass:
-                continue
-            level, lo, hi = table.node(u)
-            wt, wf = pairs[level]
-            first = level + 1
-            for child, weight, taken in ((lo, wf, False), (hi, wt, True)):
-                child_count, end = counts[child]
-                edge = mass * weight
-                across(first, end, edge * child_count)
-                if zero[first] >= end:
-                    edge *= suffix[first] // suffix[end]
-                    if taken:
-                        marginal[level] += edge * child_count
-                    if child > kernel.TRUE:
-                        path[child] = path.get(child, 0) + edge
-
-        skipping = list(itertools.accumulate(span))  # per level: mass of the edges over it
-        out = {}
-        for v in variables:
-            if v not in weights:
-                raise UniverseError(f"missing weight entry for {v.label!r}")
-            level = v.index
-            wt, total = pairs[level][0], sums[level]
-            mass = marginal[level] + (skipping[level] * wt // total if total else lone[level] * wt)
-            out[v] = Fraction(mass, w.scale)
-        return out
-
-    def wmc_table(self, weights, variables) -> dict:
-        """``wmc(weights)`` of the diagram restricted to `variables` = bits,
-        for every assignment `bits` (a tuple in the order of `variables`)
-        whose mass is not 0, all from one pass up the diagram.
-
-        Like ``marginals``, this is a visitor of the node table's fold over
-        ``wmc``'s integer weights.  Each node's result is a dict from the
-        bits of the key variables at or below its level to its count.  An
-        edge that skips a key level doubles the dict, one copy per value of
-        that level; an edge that skips weighted levels multiplies the counts
-        as in ``wmc``.  No key variable may have a weight entry.
-        """
-        keys = self._levels(variables)
-        if len(set(keys)) != len(keys):
-            raise UniverseError("a key variable is given twice")
-        for v in variables:
-            if v in weights:
-                raise UniverseError(f"key variable {v.label!r} has a weight entry")
-        universe = self.universe
-        w = _IntegerWeights(universe, weights)
-        pairs, skip = w.pairs, w.skip
-        top = len(universe)
-        bit = {level: 1 << i for i, level in enumerate(keys)}  # bit i: the i-th key
-        below = [0] * (top + 1)  # per level x: the bits of the key levels >= x
-        for level in range(top - 1, -1, -1):
-            below[level] = below[level + 1] | bit.get(level, 0)
-
-        def lift(child, first):
-            """The child's dict seen from an edge into it that skips the
-            levels first .. (the child's level) - 1."""
-            counts, end = child
-            factor = skip(first, end)
-            if not factor or not counts:
-                return {}
-            if factor != 1:
-                counts = {k: c * factor for k, c in counts.items()}
-            skipped = below[first] ^ below[end]
-            while skipped:
-                b = skipped & -skipped
-                counts = {**counts, **{k | b: c for k, c in counts.items()}}
-                skipped ^= b
-            return counts
-
-        def visit(u, level, lo, hi):
-            lo, hi = lift(lo, level + 1), lift(hi, level + 1)
-            b = bit.get(level)
-            if b is not None:
-                out = dict(lo)
-                out.update((k | b, c) for k, c in hi.items())
-                return out, level
-            pair = pairs[level]
-            if pair is None:
-                raise UniverseError(f"missing weight entry for {universe.variables[level].label!r}")
-            wt, wf = pair
-            out = {k: wf * c for k, c in lo.items()} if wf else {}
-            if wt:
-                for k, c in hi.items():
-                    out[k] = out.get(k, 0) + wt * c
-            return out, level
-
-        table = universe.table
-        memo = {kernel.FALSE: ({}, top), kernel.TRUE: ({0: 1}, top)}
-        root = lift(table.fold(self.ref, visit, top, memo), 0)
-        width = range(len(keys))
-        return {
-            tuple([k >> i & 1 == 1 for i in width]): Fraction(c, w.scale)
-            for k, c in root.items()
-            if c
-        }
 
     def to_dot(self) -> str:
         """DOT dump: one line per node, low edges dashed, high edges solid."""
@@ -383,14 +222,17 @@ def _rational(w):
     return w if isinstance(w, (int, Fraction)) else Fraction(w)
 
 
-class _IntegerWeights:
+class Weights:
     """A weight map over a universe as integers, and the count of each node.
 
     Each pair is scaled to integers over the lcm of its two denominators,
     and `scale` is the product of those lcms.  Per level: `pairs` holds the
     integer (weight-true, weight-false), or None for a level without an
     entry, and `sums` what a skipped level multiplies a count by, which is
-    1 for a level without an entry.
+    1 for a level without an entry.  A node's count depends on the node
+    and the map alone, so the counts made for one root are kept for every
+    later root that shares the node (the engine counts many functions of
+    one universe with one map).
     """
 
     def __init__(self, universe, weights):
@@ -414,15 +256,17 @@ class _IntegerWeights:
             self.suffix[level] = self.suffix[level + 1] * (self.sums[level] or 1)
             self.zero[level] = self.zero[level + 1] if self.sums[level] else level
         self.universe = universe
+        self._counts = {kernel.FALSE: (0, top), kernel.TRUE: (1, top)}
 
     def skip(self, first, end):
         """What an edge that skips the levels first .. end-1 multiplies by."""
         return self.suffix[first] // self.suffix[end] if self.zero[first] >= end else 0
 
-    def count_up(self, root):
-        """The fold memo of `root`'s diagram: each node's (count, level),
-        its count over the levels from its own down, so that a parent reads
-        how many levels its edge to the node skips."""
+    def count(self, root):
+        """(count, level) of the node `root`: its count over the levels from
+        its own down, so that a parent reads how many levels its edge to
+        the node skips.  One fold, which visits only the nodes no earlier
+        count has reached."""
         pairs, suffix, zero = self.pairs, self.suffix, self.zero
         variables = self.universe.variables
 
@@ -437,10 +281,16 @@ class _IntegerWeights:
             return r, level
 
         table = self.universe.table
-        top = table.num_vars
-        memo = {kernel.FALSE: (0, top), kernel.TRUE: (1, top)}
-        table.fold(root, visit, top, memo)
-        return memo
+        return table.fold(root, visit, table.num_vars, self._counts)
+
+
+def _as_weights(universe, weights) -> Weights:
+    """`weights`, a map from variables to pairs or a Weights, as a Weights."""
+    if not isinstance(weights, Weights):
+        return Weights(universe, weights)
+    if weights.universe is not universe:
+        raise UniverseError("cannot count with the weights of another universe")
+    return weights
 
 
 def _check_var(universe, var):
@@ -477,3 +327,90 @@ def cube(universe, literals) -> Bdd:
     for level in sorted(bits, reverse=True):
         ref = table.mk(level, kernel.FALSE, ref) if bits[level] else table.mk(level, ref, kernel.FALSE)
     return Bdd(universe, ref)
+
+
+def joint_wmc(cond: Bdd, roots, weights, fixed) -> dict:
+    """For each tuple of values the Bdds `roots` take where `cond` holds,
+    the weighted count of the assignments that give it.
+
+    Assignments range over the variables in `weights` (a map or a
+    :class:`Weights`), counted as in ``Bdd.wmc``, with each variable of `fixed` (a map to a bool) held at
+    its value; no fixed variable may have a weight entry, and every other
+    variable a diagram tests needs one.  The result maps each tuple of
+    values, bools in the order of `roots`, to its mass, leaving out the
+    tuples of mass 0.  ``cond.wmc(weights)`` restricted to `fixed` is the
+    sum of the masses.
+
+    It is one walk over the tuple (cond, *roots), memoised per tuple of
+    nodes: a step takes the topmost level of the tuple, follows the fixed
+    branch or sums both weighted ones, and moves every node at that level
+    to its child.  Each step's result is a dict from the roots' values, as
+    bits, to an integer count over ``wmc``'s scaled weights, and a parent
+    multiplies a child's counts by the levels its edge skips.  A tuple
+    whose cond node is False counts nothing.  The walk recurses once per
+    level, as ``apply`` does.
+    """
+    universe = cond.universe
+    refs = (cond.ref, *(cond._peer(r).ref for r in roots))
+    w = _as_weights(universe, weights)
+    pairs, skip = w.pairs, w.skip
+    held = {}
+    for v, bit in fixed.items():
+        _check_var(universe, v)
+        if pairs[v.index] is not None:
+            raise UniverseError(f"fixed variable {v.label!r} has a weight entry")
+        held[v.index] = bool(bit)
+    table = universe.table
+    top = table.num_vars
+    node = table.node
+    memo = {}
+
+    def lift(result, first):
+        """A step's counts seen from an edge into it that skips the levels
+        first .. (the step's level) - 1."""
+        counts, end = result
+        factor = skip(first, end)
+        if not factor:
+            return {}
+        return counts if factor == 1 else {k: c * factor for k, c in counts.items()}
+
+    def walk(nodes):
+        if nodes[0] == kernel.FALSE:
+            return {}, top
+        r = memo.get(nodes)
+        if r is not None:
+            return r
+        triples = [node(u) for u in nodes]
+        level = min(t[0] for t in triples)
+        if level == top:
+            bits = 0
+            for i, u in enumerate(nodes[1:]):
+                if u == kernel.TRUE:
+                    bits |= 1 << i
+            r = {bits: 1}, top
+        else:
+            lo = tuple([t[1] if t[0] == level else u for u, t in zip(nodes, triples)])
+            hi = tuple([t[2] if t[0] == level else u for u, t in zip(nodes, triples)])
+            bit = held.get(level)
+            if bit is not None:
+                r = lift(walk(hi if bit else lo), level + 1), level
+            else:
+                pair = pairs[level]
+                if pair is None:
+                    raise UniverseError(f"missing weight entry for {universe.variables[level].label!r}")
+                wt, wf = pair
+                out = {k: wf * c for k, c in lift(walk(lo), level + 1).items()} if wf else {}
+                if wt:
+                    for k, c in lift(walk(hi), level + 1).items():
+                        out[k] = out.get(k, 0) + wt * c
+                r = out, level
+        memo[nodes] = r
+        return r
+
+    counts = lift(walk(refs), 0)
+    width = range(len(refs) - 1)
+    return {
+        tuple([k >> i & 1 == 1 for i in width]): Fraction(c, w.scale)
+        for k, c in counts.items()
+        if c
+    }

@@ -379,8 +379,8 @@ class Abstractor:
         for k, i in enumerate(target_idx):
             hidden = [cur[j] for j in range(n) if j not in target_idx[:k]]
             now = bddm.var_bdd(scratch, cur[i])
-            ext_true = (admissible & now).exists(hidden)
-            ext_false = (admissible & ~now).exists(hidden)
+            ext_true = admissible.and_exists(now, hidden)
+            ext_false = admissible.and_exists(~now, hidden)
             value = self._guarded_value(
                 ext_true & ~ext_false,
                 ext_false & ~ext_true,

@@ -212,15 +212,24 @@ def build_parser():
     add_common(p)
     p.set_defaults(fn=cmd_abstract)
 
-    p = sub.add_parser("infer", help="exact marginal of an event in a .bern program")
+    p = sub.add_parser(
+        "infer",
+        help="exact marginal of an event in a .bern program",
+        description="Exact marginal of an event in a .bern program.  The run starts from the "
+                    "uniform distribution over the states that satisfy the init: every state "
+                    "(T), or with --cp and --preds those the predicate invariant holds in.  "
+                    "It prints P(event | the run survives its observes and assumes) and "
+                    "survival, P(the run survives).",
+    )
     p.add_argument("bern", help=".bern program")
     p.add_argument("--event", default="T", help="Boolean event over the program variables")
     p.add_argument("--point", default="end", help="program point (prefix index or 'end')")
     p.add_argument("--unnormalized", action="store_true",
-                   help="report mass without conditioning on survival")
+                   help="report the mass P(event and the run survives) instead")
     p.add_argument("--cp", dest="program", help="concrete program (with --preds, for invariant init)")
     p.add_argument("--preds", dest="predicates", help="predicates (with --cp, for invariant init)")
-    p.add_argument("--dot", help="dump the knowledge base at --point as DOT")
+    p.add_argument("--dot", help="dump the knowledge base at --point, the (state, flips) pairs "
+                                 "a surviving run can be in, as DOT")
     add_common(p)
     p.set_defaults(fn=cmd_infer)
 

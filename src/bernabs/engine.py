@@ -1,48 +1,52 @@
 """Symbolic inference on probabilistic BERN programs.
 
-The reachable-knowledge base Δ at each program point is a Bdd over the
-current predicate variables plus one weighted variable per flip site
-encountered so far; flips stay unconstrained so that weighted model
-counting over them recovers path probabilities.  Parallel assignments are
-relational images over their targets only.  The targets that no
-right-hand side reads are quantified out of Δ; each target that one reads
-is renamed to its primed copy; ``t <=> rhs`` is conjoined per target (a
-read of a target sees the primed copy, any other read the variable
-itself); and the primed copies are quantified out, the last two steps as
-one ``and_exists``.  An assignment that reads none of its targets is thus
-``(∃T.Δ) & ⋀ (t <=> rhs)``, with no rename and no primed level.
-Variables the assignment does not write keep their own variable, so they
-need no copy and no constraint.
+The state at each program point is kept as functions, as Dice keeps it
+(Holtzen, Van den Broeck & Millstein, OOPSLA 2020): each declared
+variable v has a Bdd f_v over the inputs and the flips, v's value at the
+point as a function of the state the run started in and the flips it
+drew, and one Bdd `accept` holds where the run has passed every observe
+and assume so far.
 
-The universe's order is Dice's (Holtzen, Van den Broeck & Millstein,
-2020): each declared variable v, in declaration order, is followed by
-its primed copy v#' and then by every flip read in an assignment to v,
-so a Δ that ties v to its flip ties neighbouring levels, not v to a
-level below every other variable.  Flips read in ``if`` guards, observes
-and assumes come after all of them.  v#' right after v is what lets an
-image rename v to v#' in place.  Every variable keeps its v#' level,
-whether or not an assignment ever renames it.
+* **Init.** T gives f_v = v#in, the input variable of v.  An expression
+  init I gives f_v = v#in and accept = I over the inputs.  A point init
+  gives each f_v a constant.
+* **Assignment.** Every target is set at once to its right-hand side,
+  read through f (each read of v is f_v as it was before the
+  assignment).  No rename and no quantifier is needed.
+* **Observe, assume.** The condition, read through f, is conjoined into
+  accept.
+* **if.** Both arms run from (f, accept); where they end apart the state
+  merges as f_v = (g & f_v¹) | (~g & f_v²), and likewise for accept,
+  with g the guard read through f.
+* **Query.** The start is the uniform distribution over the states that
+  satisfy the init.  With inputs weighted (1, 1) and each flip (θ, 1-θ),
+  P(event | survives) = wmc(accept & event[f]) / wmc(accept), and
+  ``survival`` = P(survives) = wmc(accept) / N, where N is the number of
+  initial states (the count of the init over the inputs).
 
-A query of one variable reads a table of every state variable's mass at
-the point, made once per point by one pass up and one pass down Δ
-(``Bdd.marginals``); any other event conjoins its Bdd with Δ and counts.
-A program's universe has 2 levels per variable and 1 per flip site, at
-most ``MAX_LEVELS`` of them, since the kernel's ``apply`` and
-``and_exists`` recurse once per level.
+The universe's order is Dice's: each declared variable, in declaration
+order, brings v#in, then v, then every flip read in an assignment to v,
+so a function that ties v to its flip ties neighbouring levels.  Flips
+read in ``if`` guards, observes and assumes come after all of them.  The
+level v serves only the relational view Δ = ∃ inputs. (accept & ⋀ (v <=>
+f_v)) over the states and flips, which ``SymbolicState.delta`` makes on
+demand (``infer --dot`` prints it).  A program's universe thus has 2
+levels per variable and 1 per flip site, at most ``MAX_LEVELS`` of them,
+since the kernel's ``apply`` and ``and_exists`` recurse once per level.
 
 Program points are prefix points of the top-level statement sequence:
-point 0 is the initial Δ, point k is after the k-th statement; "end" names
-the last one.
+point 0 is the initial state, point k is after the k-th statement; "end"
+names the last one.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from bernabs import bdd as bddm
-from bernabs import bern
+from bernabs import bern, kernel
 from bernabs.errors import (
     ConditionOnImpossibleError,
     LevelBoundError,
@@ -50,48 +54,46 @@ from bernabs.errors import (
     ProgramPointError,
 )
 
-# The most levels a program's universe may have: 2 per variable (v and v#'),
+# The most levels a program's universe may have: 2 per variable (v#in and v),
 # plus 1 per flip site.  ``apply`` and ``and_exists`` recurse once per level,
 # so this bounds their depth; it leaves room on the interpreter's stack for
 # a program whose `if` blocks nest as deep as the parser allows.
 MAX_LEVELS = 600
 
-# v#' is v's primed copy.  Like the flip variables flip#k it holds a "#",
+# v#in is v's input variable.  Like the flip variables flip#k it holds a "#",
 # which no parsed .bern name does, so it is never a variable a program declares.
-PRIME_SUFFIX = "#'"
+INPUT_SUFFIX = "#in"
 
-
-_BDD_OPS = {
-    bern.BNot: operator.invert,
-    bern.BAnd: operator.and_,
-    bern.BOr: operator.or_,
-    bern.BImp: bddm.Bdd.implies,
-    bern.BIff: bddm.Bdd.iff,
+_OPS = {
+    bern.BAnd: kernel.OP_AND,
+    bern.BOr: kernel.OP_OR,
+    bern.BImp: kernel.OP_IMP,
+    bern.BIff: kernel.OP_IFF,
 }
 
 
-def expr_to_bdd(universe, expr, var_of_name, flip_var=None) -> bddm.Bdd:
-    """Evaluate a BERN expression to a Bdd.
-
-    `var_of_name` maps a variable name to a BoolVar (callers pass primed
-    copies when evaluating pre-state reads).  Flip sites resolve through
-    the optional callback; a * is an error.
-    """
+def _read(table, expr, node_of_name, flip_node=None) -> int:
+    """The node of a BERN expression whose variable v reads
+    ``node_of_name(v)``, and whose flips read ``flip_node(flip)``; a * or a
+    choose is an error, and so is a flip without `flip_node`."""
+    apply = table.apply
 
     def visit(e, values):
-        op = _BDD_OPS.get(type(e))
+        op = _OPS.get(type(e))
         if op is not None:
-            return op(*values)
-        if isinstance(e, bern.BTrue):
-            return bddm.true_bdd(universe)
-        if isinstance(e, bern.BFalse):
-            return bddm.false_bdd(universe)
+            return apply(op, values[0], values[1])
         if isinstance(e, bern.BVar):
-            return bddm.var_bdd(universe, var_of_name(e.name))
+            return node_of_name(e.name)
+        if isinstance(e, bern.BNot):
+            return table.not_(values[0])
+        if isinstance(e, bern.BTrue):
+            return kernel.TRUE
+        if isinstance(e, bern.BFalse):
+            return kernel.FALSE
         if isinstance(e, bern.Flip):
-            if flip_var is None:
+            if flip_node is None:
                 raise ModeError("flip not allowed in this context")
-            return bddm.var_bdd(universe, flip_var(e))
+            return flip_node(e)
         if isinstance(e, bern.Star):
             raise ModeError("* encountered in probabilistic symbolic execution")
         if isinstance(e, bern.Choose):
@@ -101,11 +103,24 @@ def expr_to_bdd(universe, expr, var_of_name, flip_var=None) -> bddm.Bdd:
     return bern.fold(expr, visit)
 
 
+def expr_to_bdd(universe, expr, var_of_name, flip_var=None) -> bddm.Bdd:
+    """Evaluate a BERN expression to a Bdd.
+
+    `var_of_name` maps a variable name to a BoolVar of `universe`.  Flip
+    sites resolve through the optional callback, to a BoolVar too; a * is
+    an error.
+    """
+    table = universe.table
+    flip_node = None if flip_var is None else (lambda e: bddm.var_bdd(universe, flip_var(e)).ref)
+    ref = _read(table, expr, lambda name: bddm.var_bdd(universe, var_of_name(name)).ref, flip_node)
+    return bddm.Bdd(universe, ref)
+
+
 class SymbolicContext:
     """Variable universe for one program.  Each declared variable v, in
-    declaration order, brings v, v#' and then the flips read in assignments
-    to v; the flips read in `if` guards, observes and assumes come last.
-    Flips keep their program order within each group."""
+    declaration order, brings v#in, v and then the flips read in
+    assignments to v; the flips read in `if` guards, observes and assumes
+    come last.  Flips keep their program order within each group."""
 
     def __init__(self, program: bern.BernProgram):
         program, sites = bern.exact_inference_input(program)
@@ -116,45 +131,69 @@ class SymbolicContext:
                 f"1 per flip site); the engine allows at most {MAX_LEVELS}"
             )
         self.program = program
-        groups = {name: [(name, None), (name + PRIME_SUFFIX, None)] for name in program.decls}
+        groups = {name: [(name + INPUT_SUFFIX, None), (name, None)] for name in program.decls}
         groups[None] = []  # flips read in guards, observes and assumes: after every variable
         for site, theta, owner in sites:
             groups[owner].append((f"flip#{site}", Fraction(theta)))
         self.universe = bddm.make_universe(spec for group in groups.values() for spec in group)
+        self.input_vars = {n: self.universe.var(n + INPUT_SUFFIX) for n in program.decls}
         self.state_vars = {n: self.universe.var(n) for n in program.decls}
-        self.primed_vars = {n: self.universe.var(n + PRIME_SUFFIX) for n in program.decls}
         self.flip_vars = {site: self.universe.var(f"flip#{site}") for site, _, _ in sites}
-        # wmc weight maps: the flips alone (survival), and flips plus states (queries)
-        self.flip_weights = {v: v.weights() for v in self.flip_vars.values()}
-        self.weights = dict(self.flip_weights)
-        self.weights.update((v, v.weights()) for v in self.state_vars.values())
+        # the wmc weight map: the inputs count (1, 1), each flip (θ, 1 - θ)
+        weights = {v: v.weights() for v in self.input_vars.values()}
+        weights.update((v, v.weights()) for v in self.flip_vars.values())
+        self.weights = bddm.Weights(self.universe, weights)
+        table = self.universe.table
+        self._flip_nodes = {site: table.var(v.index) for site, v in self.flip_vars.items()}
 
-    def unprimed(self, name):
-        return self.state_vars[name]
+    def read(self, expr: bern.BernExpr, f: dict) -> int:
+        """The node of `expr` with each variable v read as the node f[v]."""
+        return _read(self.universe.table, expr, f.__getitem__, self._flip_node)
 
-    def flip_var(self, e: bern.Flip):
-        return self.flip_vars[e.site]
-
-    def state_bdd(self, e: bern.BernExpr) -> bddm.Bdd:
-        return expr_to_bdd(self.universe, e, self.unprimed, self.flip_var)
-
-    def point_state_bdd(self, state: dict) -> bddm.Bdd:
-        lits = [(self.state_vars[n], state[n]) for n in self.program.decls]
-        return bddm.cube(self.universe, lits)
+    def _flip_node(self, e: bern.Flip) -> int:
+        return self._flip_nodes[e.site]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicState:
-    delta: bddm.Bdd
-    point: int
+    """The state at one program point: ``nodes[v]`` is the node of f_v and
+    `accept_node` the node of accept, both in ``ctx.universe``."""
+
+    ctx: SymbolicContext
+    nodes: dict
+    accept_node: int
+
+    @property
+    def f(self) -> dict:
+        """Each declared variable's name -> f_v, its value as a Bdd over
+        the inputs and the flips."""
+        return {name: bddm.Bdd(self.ctx.universe, u) for name, u in self.nodes.items()}
+
+    @property
+    def accept(self) -> bddm.Bdd:
+        return bddm.Bdd(self.ctx.universe, self.accept_node)
+
+    @functools.cached_property
+    def delta(self) -> bddm.Bdd:
+        """The relational view Δ = ∃ inputs. (accept & ⋀ (v <=> f_v)) over
+        the states and the flips: the (state, flips) pairs a surviving run
+        can be in at this point."""
+        ctx = self.ctx
+        table = ctx.universe.table
+        frame = kernel.TRUE
+        for name, v in reversed(ctx.state_vars.items()):
+            tie = table.apply(kernel.OP_IFF, table.var(v.index), self.nodes[name])
+            frame = table.apply(kernel.OP_AND, tie, frame)
+        levels = [v.index for v in ctx.input_vars.values()]
+        return bddm.Bdd(ctx.universe, table.and_exists(self.accept_node, frame, levels))
 
 
 class SymbolicRun:
-    def __init__(self, ctx: SymbolicContext, points):
+    def __init__(self, ctx: SymbolicContext, points, starts: int):
         self.ctx = ctx
         self.points = points  # list of SymbolicState, index = prefix length
-        self._survival_at = {}  # point index -> survival mass, computed once
-        self._marginals_at = {}  # point index -> marginals, computed once
+        self.starts = starts  # N: the number of initial states
+        self._accepted_at = {}  # point index -> wmc(accept), computed once
 
     def _index(self, point) -> int:
         if point in (None, "end"):
@@ -172,93 +211,87 @@ class SymbolicRun:
     def at(self, point) -> SymbolicState:
         return self.points[self._index(point)]
 
-    def survival(self, point="end") -> Fraction:
+    def accepted(self, point="end") -> Fraction:
+        """wmc(accept) at `point`: N times the probability of surviving to it."""
         index = self._index(point)
-        mass = self._survival_at.get(index)
+        mass = self._accepted_at.get(index)
         if mass is None:
-            mass = self._survival_at[index] = _survival(self.ctx, self.points[index].delta)
+            mass = self._accepted_at[index] = self.points[index].accept.wmc(self.ctx.weights)
         return mass
 
-    def marginals(self, point="end") -> dict:
-        """Each state variable's name -> (Δ & v).wmc(ctx.weights) at `point`,
-        from one pass over Δ."""
-        index = self._index(point)
-        masses = self._marginals_at.get(index)
-        if masses is None:
-            ctx = self.ctx
-            by_var = self.points[index].delta.marginals(ctx.weights, ctx.state_vars.values())
-            masses = self._marginals_at[index] = {
-                name: by_var[v] for name, v in ctx.state_vars.items()
-            }
-        return masses
+    def survival(self, point="end") -> Fraction:
+        return self.accepted(point) / self.starts
 
 
-def transfer(ctx: SymbolicContext, state: SymbolicState, stmt) -> SymbolicState:
-    return SymbolicState(_transfer_delta(ctx, state.delta, stmt), state.point + 1)
-
-
-def _transfer_delta(ctx: SymbolicContext, delta, stmt):
-    if isinstance(stmt, bern.PAssign):
-        if not stmt.targets:
-            return delta
-        read = set()  # the targets some right-hand side reads, noted as each is made
-
-        def var_of(name):
-            if name in stmt.targets:
-                read.add(name)
-                return ctx.primed_vars[name]
-            return ctx.state_vars[name]
-
-        cons = bddm.true_bdd(ctx.universe)
-        for name, e in zip(stmt.targets, stmt.exprs):
-            v = bddm.var_bdd(ctx.universe, ctx.state_vars[name])
-            cons = cons & v.iff(expr_to_bdd(ctx.universe, e, var_of, ctx.flip_var))
-        delta = delta.exists(ctx.state_vars[n] for n in stmt.targets if n not in read)
-        if not read:
-            return delta & cons
-        moved = delta.rename({ctx.state_vars[n]: ctx.primed_vars[n] for n in read})
-        return moved.and_exists(cons, (ctx.primed_vars[n] for n in read))
-    if isinstance(stmt, (bern.BObserve, bern.BAssume)):
-        return delta & ctx.state_bdd(stmt.cond)
-    if isinstance(stmt, bern.BIf):
-        guard = ctx.state_bdd(stmt.cond)
-        then_out = _run_block(ctx, delta & guard, stmt.then)
-        else_out = _run_block(ctx, delta & ~guard, stmt.els)
-        return then_out | else_out
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _run_block(ctx, delta, body):
+def _run_block(ctx: SymbolicContext, nodes: dict, accept: int, body):
+    """(f, accept) after `body`, from (f, accept); `nodes` is not changed."""
+    table = ctx.universe.table
     for stmt in body:
-        delta = _transfer_delta(ctx, delta, stmt)
-    return delta
+        if isinstance(stmt, bern.PAssign):
+            if stmt.targets:
+                new = dict(nodes)
+                for name, e in zip(stmt.targets, stmt.exprs):
+                    new[name] = ctx.read(e, nodes)
+                nodes = new
+        elif isinstance(stmt, (bern.BObserve, bern.BAssume)):
+            accept = table.apply(kernel.OP_AND, accept, ctx.read(stmt.cond, nodes))
+        elif isinstance(stmt, bern.BIf):
+            guard = ctx.read(stmt.cond, nodes)
+            then_nodes, then_accept = _run_block(ctx, nodes, accept, stmt.then)
+            else_nodes, else_accept = _run_block(ctx, nodes, accept, stmt.els)
+            merge = _merger(table, guard)
+            nodes = {name: merge(u, else_nodes[name]) for name, u in then_nodes.items()}
+            accept = merge(then_accept, else_accept)
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
+    return nodes, accept
+
+
+def _merger(table, guard):
+    """``merge(x, y)``: the node of (guard & x) | (~guard & y)."""
+    apply, unguard = table.apply, table.not_(guard)
+
+    def merge(x, y):
+        if x == y:
+            return x
+        return apply(kernel.OP_OR, apply(kernel.OP_AND, guard, x), apply(kernel.OP_AND, unguard, y))
+
+    return merge
 
 
 def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
-    """Δ at every top-level prefix point, starting from `init`.
+    """(f, accept) at every top-level prefix point, starting from `init`.
 
     `init` is None for T, a state dict, or a flip-free BERN expression over
     the program variables (callers with a theory in hand pass the predicate
     invariant, through ``builder.formula_to_expr``, to exclude infeasible
-    inputs).  The universe is made here, so no caller holds a Bdd over it.
+    inputs).  An init that no state satisfies raises
+    ``ConditionOnImpossibleError``.  The universe is made here, so no
+    caller holds a Bdd over it.
     """
     ctx = SymbolicContext(program)
+    table = ctx.universe.table
+    decls = ctx.program.decls
+    inputs = {n: table.var(v.index) for n, v in ctx.input_vars.items()}
+    starts = 2 ** len(decls)
+    accept = kernel.TRUE
     if init is None:
-        delta = bddm.true_bdd(ctx.universe)
+        nodes = inputs
     elif isinstance(init, bern.BernExpr):
-        delta = ctx.state_bdd(init)
+        nodes = inputs
+        accept = _read(table, init, inputs.__getitem__)
+        starts = bddm.Bdd(ctx.universe, accept).count_models(ctx.input_vars.values())
     elif isinstance(init, dict):
-        delta = ctx.point_state_bdd(init)
+        nodes = {n: kernel.TRUE if init[n] else kernel.FALSE for n in decls}
     else:
         raise TypeError(f"bad init {init!r}")
-    points = [SymbolicState(delta, 0)]
+    if starts == 0:
+        raise ConditionOnImpossibleError("the init holds in no state")
+    points = [SymbolicState(ctx, nodes, accept)]
     for stmt in ctx.program.body:
-        points.append(transfer(ctx, points[-1], stmt))
-    return SymbolicRun(ctx, points)
-
-
-def _survival(ctx: SymbolicContext, delta) -> Fraction:
-    return delta.exists(ctx.state_vars.values()).wmc(ctx.flip_weights)
+        nodes, accept = _run_block(ctx, nodes, accept, (stmt,))
+        points.append(SymbolicState(ctx, nodes, accept))
+    return SymbolicRun(ctx, points, starts)
 
 
 @dataclass(frozen=True)
@@ -282,22 +315,23 @@ class QueryResult:
 def query(program_or_run, event: bern.BernExpr, point="end", init=None, normalized=True) -> QueryResult:
     """Exact marginal of `event` at a program point.
 
-    The marginal is conditioned on observe-survival unless
-    ``normalized=False``.  `event` is a plain Boolean expression over the
-    program variables.
+    The marginal is P(event | survives) unless ``normalized=False``, which
+    gives P(event and survives).  `event` is a plain Boolean expression
+    over the program variables.
     """
     if isinstance(program_or_run, SymbolicRun):
         run = program_or_run
     else:
         run = run_symbolic(program_or_run, init=init)
     ctx = run.ctx
-    if isinstance(event, bern.BVar):
-        mass = run.marginals(point)[event.name]
-    else:
-        mass = (run.at(point).delta & ctx.state_bdd(event)).wmc(ctx.weights)
-    survival = run.survival(point)
+    state = run.at(point)
+    table = ctx.universe.table
+    holds = table.apply(kernel.OP_AND, state.accept_node, ctx.read(event, state.nodes))
+    mass = bddm.Bdd(ctx.universe, holds).wmc(ctx.weights)
+    accepted = run.accepted(point)
+    survival = accepted / run.starts
     if not normalized:
-        return QueryResult(point, bern.expr_text(event), mass, survival)
-    if survival == 0:
+        return QueryResult(point, bern.expr_text(event), mass / run.starts, survival)
+    if accepted == 0:
         raise ConditionOnImpossibleError("no surviving executions at this point")
-    return QueryResult(point, bern.expr_text(event), mass / survival, survival)
+    return QueryResult(point, bern.expr_text(event), mass / accepted, survival)

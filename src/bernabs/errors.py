@@ -16,7 +16,7 @@ class ParseError(BernabsError):
 
 
 class UniverseError(BernabsError):
-    """Variable/universe misuse: unknown variable, store mixing, bad rename."""
+    """Variable/universe misuse: unknown variable, store mixing, a missing weight."""
 
 
 class TheoryCapError(BernabsError):

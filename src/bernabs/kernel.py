@@ -11,7 +11,7 @@ duplicate (level, lo, hi) triple".
 Every walk over the nodes reachable from a root is one call of
 :meth:`NodeTable.fold`, an iterative post-order memoised per node id, so
 a diagram of any depth folds without recursion; ``not_``, ``restrict``,
-``exists``, ``rename`` and ``support`` are small visitors of it.  Only
+``exists`` and ``support`` are small visitors of it.  Only
 ``apply`` and ``and_exists`` recurse, once per level of their operands.
 ``apply`` is one recursion for all four ops with one computed table, as
 in the BDD package of Brace, Rudell and Bryant (1990): each step settles
@@ -22,12 +22,6 @@ which quantifies each level as it reaches it instead of building the
 whole conjunction first.  Their callers bound the number of levels
 (``engine.MAX_LEVELS``) to keep that recursion inside the interpreter's
 stack.
-
-``rename`` relabels nodes: it keeps each node's children and moves the
-node to its new level, so the map must keep the order of the levels on
-every path of the diagram (as the engine's v -> v' does, v' being the
-level right after v and absent from the diagram), and a map that would
-reorder them raises ``ValueError``.
 """
 
 FALSE = 0
@@ -249,21 +243,6 @@ class NodeTable:
             r = self.mk(top, lo, self._and_exists(u_hi, v_hi, levels, floor, memo))
         memo[key] = r
         return r
-
-    def rename(self, u, perm):
-        """Relabel variables: perm maps old level -> new level, injectively,
-        keeping the order of the levels on every path of u."""
-        if not perm:
-            return u
-        level_of = self._level
-
-        def visit(w, lw, lo, hi):
-            new = perm.get(lw, lw)
-            if new >= level_of[lo] or new >= level_of[hi]:
-                raise ValueError(f"renaming level {lw} to {new} would reorder the diagram")
-            return self.mk(new, lo, hi)
-
-        return self.fold(u, visit, max(perm) + 1, {})
 
     def support(self, u):
         levels = set()

@@ -167,6 +167,12 @@ class _BernBuilder:
         return cls(self.expr(depth - 1, allow_flip), self.expr(depth - 1, allow_flip))
 
 
+def rand_bern_cond(rng, names, depth=2):
+    """Random flip-free BERN expression over the given variable names, such
+    as an init or an observed condition."""
+    return _BernBuilder(rng, tuple(names), 0, 0.0).expr(depth, allow_flip=False)
+
+
 def rand_bern_program(
     rng,
     names=("v0", "v1", "v2"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import operator
 import random
 import shutil
@@ -20,7 +21,7 @@ from fractions import Fraction
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
-from bernabs import engine, randgen, theorems, theory
+from bernabs import engine, parsing, randgen, theorems, theory
 from bernabs.domain import PredicateList
 from bernabs.errors import ConditionOnImpossibleError
 
@@ -119,40 +120,88 @@ def suite_theorem2(seed=0, cases=100):
     return result
 
 
+# Programs and inits the random cases of the engine suite may miss: an
+# identity assignment from T, an invariant init with an observe and an if,
+# an init no state satisfies, and a name ending in a prime from T.
+_WIDE_CASES = (
+    ("bool a\nbool b\nb = b\n", None),
+    (
+        "bool a\nbool b\nbool c\nc = a && flip(1/3)\nobserve(b || c)\n"
+        "if (a) { b = !b || flip(1/4) } else { a = b && flip(1/2) }\n",
+        "a || b",
+    ),
+    ("bool a\nbool b\nb = flip(1/2)\n", "a && !a"),
+    ("bool a\nbool {a'}\na = flip(1/3)\n{a'} = a || {a'}\n", None),
+)
+
+
+def _uniform_start(names, init):
+    """The uniform distribution over the states that satisfy `init`: a state
+    dict, a flip-free expression, or None for T."""
+    if isinstance(init, dict):
+        return bern.AbstractDistribution.point(names, init)
+    if init is None:
+        return bern.AbstractDistribution.uniform(names)
+    states = [
+        bits for bits in itertools.product((False, True), repeat=len(names))
+        if bern.eval_expr(init, dict(zip(names, bits)), {})
+    ]
+    return bern.AbstractDistribution(names, {bits: Fraction(1, len(states)) for bits in states})
+
+
+def _engine_mismatch(aprog, init):
+    """The first answer of the engine from `init` that differs from
+    `interp_exact`'s from the uniform start over the init's states, as a
+    message, or None: the survival, and each variable's mass and
+    marginal, at every top-level point."""
+    names = aprog.decls
+    start = _uniform_start(names, init)
+    try:
+        run = engine.run_symbolic(aprog, init=init)
+    except ConditionOnImpossibleError:
+        return None if start.survival == 0 else "the init raised, but states satisfy it"
+    if start.survival == 0:
+        return "no state satisfies the init, but the engine ran"
+    for k in range(len(aprog.body) + 1):
+        ref = bern.interp_exact(bern.BernProgram(names, aprog.body[:k], "prob"), start)
+        if run.survival(k) != ref.survival:
+            return f"survival at {k}: {run.survival(k)} vs {ref.survival}"
+        if ref.survival == 0:
+            continue
+        for name in names:
+            mass = ref.prob(lambda s, n=name: s[n])
+            got = engine.query(run, bern.BVar(name), point=k, normalized=False).probability
+            if got != mass:
+                return f"mass of {name} at {k}: {got} vs {mass}"
+            got = engine.query(run, bern.BVar(name), point=k).probability
+            if got != mass / ref.survival:
+                return f"Pr({name}) at {k}: {got} vs {mass / ref.survival}"
+    return None
+
+
 @_timed
 def suite_engine_equivalence(seed=0, cases=200):
     """Symbolic queries equal the flip-enumeration interpreter at every
-    top-level program point, as exact rationals."""
+    top-level program point, as exact rationals, from two point inits, from
+    T and from an expression init, each the uniform distribution over the
+    states that satisfy it; then the fixed wide-init cases."""
     rng = random.Random(seed)
     result = SuiteResult("symbolic engine vs exact interpreter", cases)
     for case in range(cases):
         names = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
         aprog = randgen.rand_bern_program(rng, names, max_flips=6, max_stmts=6)
-        inits = [tuple(rng.random() < 0.5 for _ in names) for _ in range(2)]
-        for init_bits in inits:
-            init = dict(zip(names, init_bits))
-            run = engine.run_symbolic(aprog, init=init)
-            for k in range(len(aprog.body) + 1):
-                prefix = bern.BernProgram(names, aprog.body[:k], "prob")
-                ref = bern.interp_exact(
-                    prefix, bern.AbstractDistribution.point(names, init)
-                )
-                sym_survival = run.survival(k)
-                if sym_survival != ref.survival:
-                    result.failures.append(
-                        f"case {case}: survival at {k}: {sym_survival} vs {ref.survival}"
-                    )
-                    break
-                if ref.survival == 0:
-                    continue
-                for name in names:
-                    got = engine.query(run, bern.BVar(name), point=k).probability
-                    want = ref.prob(lambda s, n=name: s[n]) / ref.survival
-                    if got != want:
-                        result.failures.append(
-                            f"case {case}: Pr({name}) at {k}: {got} vs {want}"
-                        )
-                        break
+        inits = [{n: rng.random() < 0.5 for n in names} for _ in range(2)]
+        inits += [None, randgen.rand_bern_cond(rng, names)]
+        for init in inits:
+            message = _engine_mismatch(aprog, init)
+            if message is not None:
+                result.failures.append(f"case {case}: {message}")
+    for i, (text, init) in enumerate(_WIDE_CASES):
+        aprog = parsing.parse_bern(text)
+        init = None if init is None else parsing.parse_event(init, aprog.decls)
+        message = _engine_mismatch(aprog, init)
+        if message is not None:
+            result.failures.append(f"wide case {i}: {message}")
     return result
 
 

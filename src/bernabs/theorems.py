@@ -7,9 +7,10 @@ that abstract-event probabilities do not depend on the concretization
 distribution.  Every check reads the abstract semantics from one object,
 the transition kernel Pr_A(a' | a) of the abstract program
 (`abstract_kernel`), which one symbolic engine run yields for every
-feasible a at once: a ghost copy of each predicate records the input, and
-each row is the weighted count of Δ with the ghosts fixed to a, every
-output a' of the row from one pass over that restriction.  A
+feasible a at once: the run holds each predicate's end value as a
+function of the inputs and the flips, and row a is one walk over those
+functions with the inputs fixed to a, which counts every output a' of
+the row.  A
 non-deterministic program runs with each * a flip(1/2), so its reach set
 from a is the support of row a.  The engine has no flip cap, so neither
 has a check; its one bound is on the levels of a universe
@@ -36,6 +37,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
 from bernabs import concrete as cc
@@ -267,12 +269,6 @@ def check_sound_prob(
 
 # --- the transition kernel -------------------------------------------------------
 
-# p#in holds the value predicate p had at the start.  No .preds label or parsed
-# .bern name holds a "#", so no declared variable is a ghost, and no flip
-# variable flip#k is one either, since "in" is no site number.
-GHOST_SUFFIX = "#in"
-
-
 def _star_flips(aprog: bern.BernProgram) -> bern.BernProgram:
     """The non-deterministic program with its chooses desugared to * and
     every * a flip(1/2): the probabilistic program whose kernel rows have
@@ -285,43 +281,18 @@ def _star_flips(aprog: bern.BernProgram) -> bern.BernProgram:
     return bern.map_program(program, on_node, mode="prob")
 
 
-def _kernel_program(aprog: bern.BernProgram, preds: PredicateList) -> bern.BernProgram:
-    """`aprog` behind one prefix assignment that sets a ghost p#in, declared
-    directly before p, to each predicate p, and every auxiliary (the
-    ``@pre`` snapshots) to F.  Run from T, its Δ at the end relates the
-    ghosts, the flips and the output state, and fixing the ghosts to a
-    fixes the start to a with the auxiliaries False."""
-    missing = [lbl for lbl in preds.labels if lbl not in aprog.decls]
-    if missing:
-        missing = ", ".join(missing)
-        raise ValueError(f"the abstract program does not declare these predicates: {missing}")
-    ghost = {lbl: lbl + GHOST_SUFFIX for lbl in preds.labels}
-    decls = []
-    for name in aprog.decls:
-        if name in ghost:
-            decls.append(ghost[name])
-        decls.append(name)
-    aux = [name for name in aprog.decls if name not in ghost]
-    prefix = bern.PAssign(
-        (*ghost.values(), *aux),
-        (*map(bern.BVar, preds.labels), *[bern.BFalse()] * len(aux)),
-    )
-    return bern.BernProgram(tuple(decls), (prefix, *aprog.body), aprog.mode)
-
-
 def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
     """The transition kernel Pr_A(a' | a) of `aprog`: {a: {a': mass}} over
     the feasible abstract states, keyed by bits tuples in the predicates'
     order, with the a' of zero mass left out.  Masses are unnormalized:
     observe losses shrink a row's total.
 
-    One symbolic run of `_kernel_program` gives Δ over (ghosts, flips,
-    output state).  Row a is the weighted count of Δ restricted to
-    ghosts = a: its cell a' is that restricted to outputs = a', counted
-    over the flips and the auxiliaries, and ``Bdd.wmc_table`` gives every
-    cell of the row in one pass.  A start state and a flip assignment fix
-    the end state, so each auxiliary is fixed wherever the count is not 0,
-    and counting it with weight (1, 1) adds nothing.
+    One symbolic run of `aprog` from the start with every auxiliary (the
+    ``@pre`` snapshots) False gives, at the end, accept and each
+    predicate's function f_p over the inputs and the flips.  Row a is the
+    weighted count over the flips of each joint value of (f_p1 .. f_pk)
+    where accept holds, with the inputs fixed to a and the auxiliaries to
+    False: one ``bdd.joint_wmc`` walk gives every cell of the row.
 
     The domain keeps the rows of each program it has seen (`_derived`), so
     the run is made once per program and domain; each call returns a fresh
@@ -333,20 +304,25 @@ def abstract_kernel(aprog: bern.BernProgram, preds: PredicateList) -> dict:
 
 def _kernel_rows(aprog: bern.BernProgram, preds: PredicateList) -> dict:
     """The rows `abstract_kernel` returns, from one engine run."""
-    run = engine.run_symbolic(_kernel_program(aprog, preds))
-    ctx = run.ctx
-    ghosts = [ctx.state_vars[lbl + GHOST_SUFFIX] for lbl in preds.labels]
-    outputs = [ctx.state_vars[lbl] for lbl in preds.labels]
-    weights = dict(ctx.flip_weights)
-    weights.update((ctx.state_vars[n], (1, 1)) for n in aprog.decls if n not in preds.labels)
+    missing = [lbl for lbl in preds.labels if lbl not in aprog.decls]
+    if missing:
+        missing = ", ".join(missing)
+        raise ValueError(f"the abstract program does not declare these predicates: {missing}")
+    aux = [name for name in aprog.decls if name not in preds.labels]
+    init = bern.BTrue()
+    for name in aux:
+        init = bern.BAnd(init, bern.BNot(bern.BVar(name)))
+    run = engine.run_symbolic(aprog, init=init)
+    ctx, end = run.ctx, run.at("end")
+    f = end.f
+    outputs = [f[lbl] for lbl in preds.labels]
+    weights = bddm.Weights(ctx.universe, {v: v.weights() for v in ctx.flip_vars.values()})
+    starts = {ctx.input_vars[name]: False for name in aux}
     feasible = [m.bits for m in preds.feasible_minterms()]
-    delta = run.at("end").delta
     kernel = {}
     for a in feasible:
-        from_a = delta
-        for ghost, bit in zip(ghosts, a):
-            from_a = from_a.restrict(ghost, bit)
-        row = from_a.wmc_table(weights, outputs)
+        starts.update((ctx.input_vars[lbl], bit) for lbl, bit in zip(preds.labels, a))
+        row = bddm.joint_wmc(end.accept, outputs, weights, starts)
         kernel[a] = {a_out: row[a_out] for a_out in feasible if a_out in row}
     return kernel
 

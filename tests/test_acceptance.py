@@ -139,12 +139,12 @@ def test_criterion_3_eleven_thirty_seconds_three_ways():
 def test_criterion_4_delta_transfer():
     with criterion(4, "Delta transfer through {x<4} = {x<4} && flip(theta)", 1.0):
         aprog = parsing.parse_bern("bool {x<4}\n{x<4} = {x<4} && flip(1/2)")
-        sym = engine.SymbolicContext(aprog)
-        init = sym.state_bdd(bern.BVar("x<4"))
-        out = engine.transfer(sym, engine.SymbolicState(init, 0), sym.program.body[0])
+        run = engine.run_symbolic(aprog, init=bern.BVar("x<4"))
+        sym = run.ctx
         x = bddm.var_bdd(sym.universe, sym.state_vars["x<4"])
         f = bddm.var_bdd(sym.universe, sym.flip_vars[0])
-        assert out.delta.equiv((x & f) | (~x & ~f))
+        assert run.at(1).delta.equiv((x & f) | (~x & ~f))
+        assert engine.query(run, bern.BVar("x<4")).probability == Fraction(1, 2)
 
 
 def test_criterion_5_theorem_1_suite():

@@ -1,4 +1,4 @@
-"""Propositional layer: apply/exists/rename, weighted counting, BERN round trip."""
+"""Propositional layer: apply/exists, weighted and joint counting, BERN round trip."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bernabs import bdd as bddm
 from bernabs import bern
 from bernabs import builder as bld
-from bernabs import kernel
+from bernabs import engine, kernel
 from bernabs.engine import expr_to_bdd
 from bernabs.errors import UniverseError
 
@@ -125,20 +125,6 @@ def test_wmc_missing_entry():
         d.wmc({a: (Fraction(1), Fraction(1))})
 
 
-def test_rename_examples():
-    u = bddm.make_universe(
-        [("a", None), ("a'", None)]
-    )
-    a, a_p = u.variables
-    d = bddm.var_bdd(u, a)
-    assert d.rename({a: a_p}).equiv(bddm.var_bdd(u, a_p))
-    assert bddm.true_bdd(u).rename({a: a_p}).is_true
-    with pytest.raises(UniverseError):
-        build(u, bern.BAnd(ref(a), ref(a_p))).rename({a: a_p, a_p: a_p})
-    with pytest.raises(UniverseError):
-        build(u, bern.BAnd(ref(a), ref(a_p))).rename({a: a_p, a_p: a})
-
-
 def test_enumerate_models_examples():
     u = pred_universe(1)
     (a,) = u.variables
@@ -187,17 +173,11 @@ def test_every_walk_runs_on_a_chain_deeper_than_the_stack():
     assert d.support() == evens
     assert d.count_models(u.variables) == 2**n
     assert d.wmc({v: (Fraction(1, 2), Fraction(1, 2)) for v in evens}) == Fraction(1, 2**n)
-    marginals = d.marginals({v: (1, 1) for v in u.variables}, u.variables)
-    assert [marginals[v] for v in evens] == [2**n] * n
-    assert [marginals[v] for v in odds] == [2 ** (n - 1)] * n
     assert d.to_dot().count("style=solid") == n
     assert build(u, bld.formula_to_expr(d)).equiv(d)
     assert (~~d).equiv(d) and not (~d).equiv(d)
     assert d.restrict(evens[-1], False).is_false
     assert d.exists([evens[-1]]).equiv(d.restrict(evens[-1], True))
-    moved = d.rename(dict(zip(evens, odds)))
-    assert moved.support() == odds
-    assert moved.rename(dict(zip(odds, evens))).equiv(d)
 
 
 # --- properties ---------------------------------------------------------------
@@ -260,73 +240,126 @@ def test_wmc_matches_bruteforce(data):
     assert d.wmc(weights) == total
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_marginals_are_wmc_of_each_conjunction(data):
+def test_one_weights_counts_many_diagrams(data):
+    """A Weights keeps each node's count for the next diagram: the counts
+    of several diagrams, in any order and repeated, are each one's count
+    over a fresh map."""
     u, _, d, weights = weighted_diagram(data)
-    marginals = d.marginals(weights, weights)
-    assert set(marginals) == set(weights)
-    for v, mass in marginals.items():
-        assert mass == (d & bddm.var_bdd(u, v)).wmc(weights)
-
-
-def test_marginals_need_a_weight_for_each_variable():
-    u = pred_universe(2)
-    a, b = u.variables
-    with pytest.raises(UniverseError):
-        bddm.var_bdd(u, a).marginals({a: (1, 1)}, [a, b])
-    with pytest.raises(UniverseError):
-        bddm.var_bdd(u, b).marginals({a: (1, 1)}, [a])
+    others = [build(u, data.draw(formulas(u, max_depth=3))) for _ in range(3)]
+    weights.update((v, v.weights()) for e in others for v in e.support() if v not in weights)
+    kept = bddm.Weights(u, weights)
+    for e in [d, *others, d, others[0] & d]:
+        assert e.wmc(kept) == e.wmc(dict(weights))
+    with pytest.raises(UniverseError, match="another universe"):
+        bddm.true_bdd(pred_universe(1)).wmc(kept)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_wmc_table_is_wmc_of_each_restriction(data):
-    """Keys in any order, some of them levels the diagram skips or does not
-    mention; the other variables weighted, some pairs summing to 0."""
+    """The joint walk over variables as roots is the table of the counts of
+    each restriction to them: keys in any order, some of them levels the
+    diagram skips or does not mention; some other variables fixed; the
+    rest weighted, some pairs summing to 0."""
     u, _, d, weights = weighted_diagram(data)
     keys = data.draw(st.lists(st.sampled_from(u.variables), unique=True))
-    weights = {v: w for v, w in weights.items() if v not in keys}
+    others = [v for v in u.variables if v not in keys]
+    fixed = data.draw(st.dictionaries(st.sampled_from(others), st.booleans())) if others else {}
+    rest = {v: w for v, w in weights.items() if v not in keys and v not in fixed}
     want = {}
     for bits in itertools.product((False, True), repeat=len(keys)):
         restricted = d
-        for v, bit in zip(keys, bits):
+        for v, bit in [*zip(keys, bits), *fixed.items()]:
             restricted = restricted.restrict(v, bit)
-        mass = restricted.wmc(weights)
+        mass = restricted.wmc(rest)
         if mass:
             want[bits] = mass
-    assert d.wmc_table(weights, keys) == want
+    walk_weights = {**rest, **{v: (1, 1) for v in keys}}
+    roots = [bddm.var_bdd(u, v) for v in keys]
+    assert bddm.joint_wmc(d, roots, walk_weights, fixed) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_joint_wmc_is_wmc_of_each_combination(data):
+    """Any diagrams as roots, repeats and constants among them: the mass of
+    each combination of their values is the count of cond and that
+    combination."""
+    u, _, d, weights = weighted_diagram(data)
+    roots = [build(u, data.draw(formulas(u, max_depth=3))) for _ in range(data.draw(st.integers(0, 3)))]
+    weights.update((v, v.weights()) for r in roots for v in r.support() if v not in weights)
+    want = {}
+    for bits in itertools.product((False, True), repeat=len(roots)):
+        cell = d
+        for r, bit in zip(roots, bits):
+            cell = cell & (r if bit else ~r)
+        mass = cell.wmc(weights)
+        if mass:
+            want[bits] = mass
+    assert bddm.joint_wmc(d, roots, weights, {}) == want
 
 
 def test_wmc_table_examples():
+    """``joint_wmc`` on small diagrams: variables and constants as roots,
+    fixed variables, and a skipped level of weight sum 0."""
     u = pred_universe(4)
     a, b, c, e = u.variables
-    va, vb, vc = (bddm.var_bdd(u, v) for v in (a, b, c))
+    va, vb, vc, ve = (bddm.var_bdd(u, v) for v in (a, b, c, e))
     f = (va & ~vc) | (~va & vb)
-    # keys c then a, b weighted (1, 2), e unweighted and never met
-    assert f.wmc_table({b: (1, 2)}, [c, a]) == {
+    # roots c then a, b weighted (1, 2), e unweighted and never met
+    ones = {a: (1, 1), c: (1, 1)}
+    assert bddm.joint_wmc(f, [vc, va], {**ones, b: (1, 2)}, {}) == {
         (False, False): 1, (True, False): 1, (False, True): 3,
     }
-    # a key level no edge tests doubles every entry, one copy per value
-    assert va.wmc_table({}, [e, a]) == {(False, True): 1, (True, True): 1}
-    assert bddm.true_bdd(u).wmc_table({}, [b]) == {(False,): 1, (True,): 1}
-    assert bddm.false_bdd(u).wmc_table({}, [b]) == {}
+    # a weighted level that no edge of cond tests is counted per root value
+    assert bddm.joint_wmc(va, [ve, va], {a: (1, 1), e: (1, 1)}, {}) == {
+        (False, True): 1, (True, True): 1,
+    }
+    assert bddm.joint_wmc(bddm.true_bdd(u), [vb], {b: (1, 1)}, {}) == {(False,): 1, (True,): 1}
+    assert bddm.joint_wmc(bddm.false_bdd(u), [vb], {b: (1, 1)}, {}) == {}
+    assert bddm.joint_wmc(f, [], {b: (1, 2)}, {a: False, c: True}) == {(): 1}
+    # a fixed level steers every root at once
+    assert bddm.joint_wmc(f, [vb, ~vc], {b: (1, 2)}, {a: True, c: False}) == {
+        (False, True): 2, (True, True): 1,
+    }
     # a skipped level of weight sum 0 leaves no mass
-    assert (va & vc).wmc_table({b: (Fraction(-1, 2), Fraction(1, 2)), c: (1, 1)}, [a]) == {}
+    half = (Fraction(-1, 2), Fraction(1, 2))
+    assert bddm.joint_wmc(va & vc, [va], {a: (1, 1), b: half, c: (1, 1)}, {}) == {}
 
 
 def test_wmc_table_rejects_a_weighted_key_and_a_missing_weight():
     u = pred_universe(3)
     a, b, c = u.variables
     f = bddm.var_bdd(u, a) & bddm.var_bdd(u, c)
-    with pytest.raises(UniverseError, match="key variable 'b0' has a weight entry"):
-        f.wmc_table({a: (1, 1), c: (1, 1)}, [a])
+    with pytest.raises(UniverseError, match="fixed variable 'b0' has a weight entry"):
+        bddm.joint_wmc(f, [], {a: (1, 1), c: (1, 1)}, {a: True})
     with pytest.raises(UniverseError, match="missing weight entry for 'b2'"):
-        f.wmc_table({b: (1, 1)}, [a])
-    with pytest.raises(UniverseError, match="given twice"):
-        f.wmc_table({c: (1, 1)}, [a, a])
+        bddm.joint_wmc(f, [], {b: (1, 1)}, {a: True})
+    with pytest.raises(UniverseError, match="missing weight entry for 'b0'"):
+        bddm.joint_wmc(bddm.true_bdd(u), [f], {c: (1, 1)}, {})
+    other = pred_universe(1)
     with pytest.raises(UniverseError, match="does not belong"):
-        f.wmc_table({c: (1, 1)}, [pred_universe(1).variables[0]])
+        bddm.joint_wmc(f, [], {c: (1, 1)}, {other.variables[0]: True})
+    with pytest.raises(UniverseError, match="different universes"):
+        bddm.joint_wmc(f, [bddm.true_bdd(other)], {a: (1, 1), c: (1, 1)}, {})
+
+
+def test_joint_wmc_at_the_engine_level_bound():
+    """The walk recurses once per level: a chain over every level the
+    engine allows counts without a RecursionError."""
+    n = engine.MAX_LEVELS
+    u = bddm.make_universe([(f"f{i}", Fraction(1, 2)) for i in range(n)])
+    table = u.table
+    chain = kernel.TRUE
+    for level in range(n - 1, -1, -1):
+        chain = table.mk(level, kernel.FALSE, chain)
+    d = bddm.Bdd(u, chain)
+    weights = {v: v.weights() for v in u.variables}
+    assert bddm.joint_wmc(bddm.true_bdd(u), [d], weights, {}) == {
+        (True,): Fraction(1, 2**n), (False,): 1 - Fraction(1, 2**n),
+    }
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,24 +404,6 @@ def test_exists_is_disjunction_of_restrictions(data):
     d = build(u, f)
     assert d.exists([v]).equiv(d.restrict(v, True) | d.restrict(v, False))
     assert v not in d.exists([v]).support()
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_rename_round_trip(data):
-    u = bddm.make_universe(
-        [(f"b{i}", None) for i in range(3)]
-        + [(f"b{i}'", None) for i in range(3)]
-    )
-    base = u.variables[:3]
-    primed = u.variables[3:]
-    f = data.draw(formulas(u, max_depth=3))
-    d = build(u, f)
-    fwd = {b: p for b, p in zip(base, primed)}
-    back = {p: b for b, p in zip(base, primed)}
-    if any(v in primed for v in d.support()):
-        return
-    assert d.rename(fwd).rename(back).equiv(d)
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from bernabs import bdd, bern, concrete, engine, theory  # noqa: E402
+from bernabs import bern, concrete, engine, kernel, theory  # noqa: E402
 from perfbench import pipeline, trace, workloads  # noqa: E402
 
 
@@ -59,27 +59,22 @@ def test_check_makes_one_kernel_per_abstraction_and_one_sweep(monkeypatch):
     assert (calls.count("run_symbolic"), calls.count("eval_det")) == (2, states)
 
 
-def test_infer_renames_only_for_assignments_that_read_a_target(monkeypatch):
-    """`infer` seed 0 problem 0 runs its program from two inits, and each
-    run renames Δ once for every assignment whose right-hand sides read
-    one of its targets, and for no other."""
+def test_infer_quantifies_nothing(monkeypatch):
+    """`infer` seed 0 problem 0 runs its program from two inits and reads
+    every answer off the variables' functions: no `exists` and no
+    `and_exists`, which only the relational view Δ takes."""
     program, point = pipeline.parse("infer", workloads.inputs("infer", 0)[0])
-    reading = 0
-    for stmt in bern.walk_stmts(program.body):
-        if isinstance(stmt, bern.PAssign):
-            names = set()
-            for e in stmt.exprs:
-                bern.fold(e, lambda node, _: isinstance(node, bern.BVar) and names.add(node.name))
-            reading += not names.isdisjoint(stmt.targets)
-    renames = []
-    real = bdd.Bdd.rename
-
-    def rename(delta, mapping):
-        if mapping:
-            renames.append(mapping)
-        return real(delta, mapping)
-
-    monkeypatch.setattr(bdd.Bdd, "rename", rename)
-    pipeline.SOLVERS["infer"]((program, point), pipeline.Outcome())
-    assert 0 < reading < sum(isinstance(s, bern.PAssign) for s in bern.walk_stmts(program.body))
-    assert len(renames) == 2 * reading
+    assert any(isinstance(s, bern.BIf) for s in bern.walk_stmts(program.body))
+    calls = []
+    for name in ("exists", "and_exists"):
+        real = getattr(kernel.NodeTable, name)
+        monkeypatch.setattr(
+            kernel.NodeTable, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    out = pipeline.Outcome()
+    pipeline.SOLVERS["infer"]((program, point), out)
+    assert len(out.answers) == 2 * len(program.decls)
+    assert calls == []
+    run = engine.run_symbolic(program)
+    assert not run.at("end").delta.is_false
+    assert calls == ["and_exists"]

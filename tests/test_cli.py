@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bernabs import cli, corpus, engine
+from bernabs import bern, cli, corpus, engine
 
 
 @pytest.fixture
@@ -203,6 +203,30 @@ def test_infer_survival_zero_exit_3(files, tmp_path, capsys):
     dead.write_text("bool a\nobserve(F)\n")
     rc = cli.main(["infer", str(dead), "--event", "a"])
     assert rc == 3
+
+
+def test_infer_from_t_is_uniform_over_the_states(tmp_path, capsys):
+    """`b = b` from T: a holds in half of the four states, every run
+    survives, and the unnormalized mass of a is 1/2 as well."""
+    path = tmp_path / "same.bern"
+    path.write_text("bool a\nbool b\nb = b\n")
+    assert cli.main(["infer", str(path), "--event", "a"]) == 0
+    assert capsys.readouterr().out == "probability 1/2\nsurvival 1\n"
+    assert cli.main(["infer", str(path), "--event", "a || !a"]) == 0
+    assert capsys.readouterr().out == "probability 1\nsurvival 1\n"
+    assert cli.main(["infer", str(path), "--event", "a", "--unnormalized"]) == 0
+    assert capsys.readouterr().out == "mass 1/2\nsurvival 1\n"
+
+
+def test_infer_from_an_init_no_state_satisfies_exit_3(files, capsys, monkeypatch):
+    """A predicate invariant always holds in some state; an init that holds
+    in none, put in its place, is the query error, with no traceback."""
+    paths, _ = files
+    monkeypatch.setattr(cli.bld, "formula_to_expr", lambda formula: bern.BFalse())
+    rc = cli.main(["infer", paths["chain.bern"], "--event", "{c<5}",
+                   "--cp", paths["chain.cp"], "--preds", paths["chain.preds"]])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: the init holds in no state\n"
 
 
 def _chain_text(lines, nest):
@@ -483,8 +507,8 @@ def test_condition_errors_point_into_the_given_text(files, capsys, where, messag
 
 
 def test_check_takes_a_label_like_a_ghost(tmp_path, capsys):
-    """The kernel's ghost of p is no name a .preds file can hold, so p@0 is
-    free for a predicate of its own."""
+    """The engine's input variable of p, p#in, is no name a .preds file can
+    hold, so p@0 is free for a predicate of its own."""
     paths = {"cp": "var x in [0, 4)\nx = x\n", "preds": "p: x < 2\np@0: x < 1\n",
              "bern": "bool p\nbool {p@0}\np, {p@0} = p, {p@0}\n"}
     for suffix, text in paths.items():

@@ -7,21 +7,24 @@ from fractions import Fraction
 import pytest
 
 from bernabs import bdd as bddm
-from bernabs import bern, corpus, engine, parsing, randgen
+from bernabs import bern, corpus, engine, parsing, randgen, selftest
 from bernabs import builder as bld
 from bernabs.errors import ConditionOnImpossibleError, ModeError
 
 
 def test_transfer_golden_flip_conjunction():
-    # from Delta = {x<4}, the statement {x<4} = {x<4} && flip(theta) gives
+    # from {x<4}, the statement {x<4} = {x<4} && flip(theta) gives the
+    # function {x<4}#in && f, and the relational view
     # Delta' = ({x<4} && f) || (!{x<4} && !f)
     prog = parsing.parse_bern("bool {x<4}\n{x<4} = {x<4} && flip(1/2)")
-    ctx = engine.SymbolicContext(prog)
-    init = ctx.state_bdd(bern.BVar("x<4"))
-    out = engine.transfer(ctx, engine.SymbolicState(init, 0), ctx.program.body[0])
+    run = engine.run_symbolic(prog, init=bern.BVar("x<4"))
+    ctx = run.ctx
     x = bddm.var_bdd(ctx.universe, ctx.state_vars["x<4"])
+    x_in = bddm.var_bdd(ctx.universe, ctx.input_vars["x<4"])
     f = bddm.var_bdd(ctx.universe, ctx.flip_vars[0])
-    assert out.delta.equiv((x & f) | (~x & ~f))
+    assert run.at(1).f["x<4"].equiv(x_in & f)
+    assert run.at(1).accept.equiv(x_in)
+    assert run.at(1).delta.equiv((x & f) | (~x & ~f))
 
 
 def test_transfer_observe_false():
@@ -55,7 +58,7 @@ def test_chain_draws_query():
 
 
 def test_a_name_may_end_in_a_prime():
-    # the engine's primed copy of a is no name a program can declare
+    # a name may end in a prime; the engine's own names hold a "#"
     prog = parsing.parse_bern("bool a\nbool {a'}\na = flip(1/3)\n")
     result = engine.query(prog, bern.BVar("a"), init={"a": False, "a'": False})
     assert result.probability == Fraction(1, 3)
@@ -137,28 +140,45 @@ def test_query_json_shape():
     }
 
 
+def _to_inputs(ctx, delta):
+    """`delta`, a Bdd over the states and the flips, with each state variable
+    v moved to v#in, the level right above it, by relabelling its nodes."""
+    table = ctx.universe.table
+    states = {v.index for v in ctx.state_vars.values()}
+
+    def visit(u, level, lo, hi):
+        return table.mk(level - 1 if level in states else level, lo, hi)
+
+    return bddm.Bdd(ctx.universe, table.fold(delta.ref, visit, table.num_vars, {}))
+
+
 def _full_frame_delta(ctx, delta, stmt):
-    """The relational image over the whole frame, kept as a reference: every
-    variable renamed to its primed copy, one iff per declared variable
-    (untouched ones included), every primed copy quantified out."""
+    """The relational image of Δ over the whole frame, kept as a reference:
+    every state variable moved to its input level, one iff per declared
+    variable (untouched ones included), every input quantified out."""
+    state = ctx.state_vars.__getitem__
+
+    def flip_var(e):
+        return ctx.flip_vars[e.site]
+
     if isinstance(stmt, bern.PAssign):
         if not stmt.targets:
             return delta
-        moved = delta.rename({ctx.state_vars[n]: ctx.primed_vars[n] for n in ctx.program.decls})
+        moved = _to_inputs(ctx, delta)
         updates = dict(zip(stmt.targets, stmt.exprs))
         cons = bddm.true_bdd(ctx.universe)
         for name in ctx.program.decls:
             e = updates.get(name, bern.BVar(name))
-            rhs = engine.expr_to_bdd(ctx.universe, e, ctx.primed_vars.__getitem__, ctx.flip_var)
-            cons = cons & bddm.var_bdd(ctx.universe, ctx.state_vars[name]).iff(rhs)
-        return (moved & cons).exists(ctx.primed_vars.values())
+            rhs = engine.expr_to_bdd(ctx.universe, e, ctx.input_vars.__getitem__, flip_var)
+            cons = cons & bddm.var_bdd(ctx.universe, state(name)).iff(rhs)
+        return (moved & cons).exists(ctx.input_vars.values())
+    cond = engine.expr_to_bdd(ctx.universe, stmt.cond, state, flip_var)
     if isinstance(stmt, (bern.BObserve, bern.BAssume)):
-        return delta & ctx.state_bdd(stmt.cond)
-    guard = ctx.state_bdd(stmt.cond)
-    then_out = delta & guard
+        return delta & cond
+    then_out = delta & cond
     for s in stmt.then:
         then_out = _full_frame_delta(ctx, then_out, s)
-    else_out = delta & ~guard
+    else_out = delta & ~cond
     for s in stmt.els:
         else_out = _full_frame_delta(ctx, else_out, s)
     return then_out | else_out
@@ -204,12 +224,13 @@ def _reads_a_target(stmt):
 
 
 def test_targets_only_transfer_matches_full_frame():
-    """The image renames only the targets a right-hand side reads and
-    quantifies the others out of Δ first; on swaps, rotations and
-    assignments that read some, all or none of their targets, from a point
-    init, from T and from an expression init, it is the full-frame image."""
+    """An assignment sets only its targets' functions; on swaps, rotations
+    and assignments that read some, all or none of their targets, from a
+    point init, from T and from an expression init, the relational view Δ
+    at each point is the full-frame image of Δ at the point before."""
     rng = random.Random(41)
     kinds = set()
+    runs = 0
     for trial in range(60):
         names = tuple(f"v{i}" for i in range(rng.randint(4, 6)))
         prog = randgen.rand_bern_program(rng, names, max_flips=4, max_stmts=6)
@@ -222,46 +243,44 @@ def test_targets_only_transfer_matches_full_frame():
         prog = bern.BernProgram(names, tuple(body), "prob")
         kinds.update(_reads_a_target(s) for s in body if isinstance(s, bern.PAssign))
         for init in _inits(rng, prog):
-            run = engine.run_symbolic(prog, init=init)
+            try:
+                run = engine.run_symbolic(prog, init=init)
+            except ConditionOnImpossibleError:  # an expression init no state satisfies
+                continue
+            runs += 1
             ctx = run.ctx
             delta = run.at(0).delta
             for k, stmt in enumerate(ctx.program.body, start=1):
                 delta = _full_frame_delta(ctx, delta, stmt)
                 assert run.at(k).delta.equiv(delta)
+                assert run.at(k).delta is run.at(k).delta  # made once per point
             for k in range(len(run.points)):
-                assert run.survival(k) == engine._survival(ctx, run.at(k).delta)
-                assert run.survival(k) is run.survival(k)  # computed once per point
+                assert run.accepted(k) is run.accepted(k)  # counted once per point
     assert kinds == {False, True}
-
-
-def test_an_assignment_renames_only_the_targets_it_reads(monkeypatch):
-    """`a, b = b, c` renames b alone, `c = a` reads no target and renames
-    nothing, and `a = a && flip(1/2)` renames a."""
-    prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, c\nc = a\na = a && flip(1/2)")
-    renamed = []
-    real = bddm.Bdd.rename
-
-    def rename(delta, mapping):
-        if mapping:
-            renamed.append(sorted(v.label for v in mapping))
-        return real(delta, mapping)
-
-    monkeypatch.setattr(bddm.Bdd, "rename", rename)
-    run = engine.run_symbolic(prog, init={"a": False, "b": True, "c": False})
-    assert renamed == [["b"], ["a"]]
-    assert engine.query(run, bern.BVar("a")).probability == Fraction(1, 2)
-    assert engine.query(run, bern.BVar("c")).probability == 1
+    assert runs > 150
 
 
 def test_swap_and_rotation_images():
+    """Every right-hand side reads the values from before the assignment:
+    swaps and rotations, as functions of the inputs and as Δ from a point;
+    `a, b = b, c` then `c = a` then `a = a && flip(1/2)` as answers."""
     prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, a\na, b, c = b, c, a")
-    ctx = engine.SymbolicContext(prog)
+    run = engine.run_symbolic(prog)
+    ctx = run.ctx
+    a_in, b_in, c_in = (bddm.var_bdd(ctx.universe, ctx.input_vars[n]) for n in "abc")
+    assert [run.at(1).f[n] for n in "abc"] == [b_in, a_in, c_in]
+    assert [run.at(2).f[n] for n in "abc"] == [a_in, c_in, b_in]
+    run = engine.run_symbolic(prog, init={"a": True, "b": False, "c": True})
+    ctx = run.ctx
     a, b, c = (bddm.var_bdd(ctx.universe, ctx.state_vars[n]) for n in "abc")
-    start = engine.SymbolicState(a & ~b & c, 0)
-    swapped = engine.transfer(ctx, start, ctx.program.body[0])
-    assert swapped.delta.equiv(~a & b & c)
-    rotated = engine.transfer(ctx, swapped, ctx.program.body[1])
-    assert rotated.delta.equiv(a & b & ~c)
+    assert run.at(1).delta.equiv(~a & b & c)
+    assert run.at(2).delta.equiv(a & b & ~c)
+    prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, c\nc = a\na = a && flip(1/2)")
+    run = engine.run_symbolic(prog, init={"a": False, "b": True, "c": False})
+    assert run.at(2).f["c"].is_true
+    assert engine.query(run, bern.BVar("a")).probability == Fraction(1, 2)
+    assert engine.query(run, bern.BVar("b")).probability == 0
+    assert engine.query(run, bern.BVar("c")).probability == 1
 
 
 def _inits(rng, prog):
@@ -271,9 +290,10 @@ def _inits(rng, prog):
 
 
 def test_marginals_are_the_mass_of_each_variable():
-    """At every point, from every kind of init, each variable's entry in the
-    one-pass table is (Δ & v).wmc, and a query of the variable reads it;
-    flips of θ = 0 and θ = 1 and points that nothing survives included."""
+    """At every point, from every kind of init, a query of a variable v
+    reads wmc(accept & f_v): over N, the number of initial states, it is
+    the unnormalized answer, and over wmc(accept) the answer; flips of
+    θ = 0 and θ = 1 and points that nothing survives included."""
     rng = random.Random(17)
     impossible = 0
     for trial in range(40):
@@ -284,23 +304,27 @@ def test_marginals_are_the_mass_of_each_variable():
             body.insert(rng.randint(0, len(body)), bern.BObserve(bern.BFalse()))
             prog = bern.BernProgram(names, tuple(body), prog.mode)
         for init in _inits(rng, prog):
-            run = engine.run_symbolic(prog, init=init)
+            try:
+                run = engine.run_symbolic(prog, init=init)
+            except ConditionOnImpossibleError:  # an expression init no state satisfies
+                continue
             ctx = run.ctx
             for k in range(len(run.points)):
-                delta = run.at(k).delta
-                table = run.marginals(k)
-                assert run.marginals(k) is table  # computed once per point
-                assert set(table) == set(names)
-                for name, v in ctx.state_vars.items():
-                    mass = (delta & bddm.var_bdd(ctx.universe, v)).wmc(ctx.weights)
-                    assert table[name] == mass
+                state = run.at(k)
+                accepted = state.accept.wmc(ctx.weights)
+                assert run.accepted(k) == accepted
+                assert run.survival(k) == accepted / run.starts
+                for name in names:
+                    mass = (state.accept & state.f[name]).wmc(ctx.weights)
                     result = engine.query(run, bern.BVar(name), point=k, normalized=False)
-                    assert result.probability == mass
-                    if run.survival(k) == 0:
+                    assert result.probability == mass / run.starts
+                    if accepted == 0:
                         impossible += 1
                         assert mass == 0
                         with pytest.raises(ConditionOnImpossibleError):
                             engine.query(run, bern.BVar(name), point=k)
+                    else:
+                        assert engine.query(run, bern.BVar(name), point=k).probability == mass / accepted
     assert impossible > 0
 
 
@@ -316,7 +340,7 @@ def _labels(ctx):
 
 
 def test_each_flip_sits_after_the_variable_it_is_assigned_to():
-    """v, v#', then the flips read in assignments to v (a choose's fresh
+    """v#in, v, then the flips read in assignments to v (a choose's fresh
     flip and flips inside nested ifs included); guard and observe flips
     after every state variable, each group in site order."""
     prog = parsing.parse_bern(
@@ -328,9 +352,9 @@ def test_each_flip_sits_after_the_variable_it_is_assigned_to():
     # choose(b, flip(1/3)) desugars to b || (!flip#2 && flip#6)
     ctx = engine.SymbolicContext(bld.resolve_parameters(bern.desugar_program(prog), {6: Fraction(1, 2)}))
     assert _labels(ctx) == [
-        "a", "a#'", "flip#2", "flip#6", "flip#5",
-        "b", "b#'", "flip#1",
-        "c", "c#'", "flip#4",
+        "a#in", "a", "flip#2", "flip#6", "flip#5",
+        "b#in", "b", "flip#1",
+        "c#in", "c", "flip#4",
         "flip#0", "flip#3",
     ]
 
@@ -342,9 +366,10 @@ def _flips(e):
 
 
 def test_variable_order_on_random_programs():
-    """The order read off each statement: a flip in the right-hand side for
-    v sits between v#' and the next declared variable, a guard or observe
-    flip after every state variable, each group in program order."""
+    """The order read off each statement: v#in right above v, a flip in the
+    right-hand side for v between v and the next declared variable's
+    input, a guard or observe flip after every state variable, each group
+    in program order."""
     rng = random.Random(29)
     for _ in range(40):
         names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
@@ -359,10 +384,10 @@ def test_variable_order_on_random_programs():
                     groups[target] += [level[f"flip#{s}"] for s in _flips(e)]
             else:
                 loose += [level[f"flip#{s}"] for s in _flips(stmt.cond)]
-        ends = [level[n] for n in names[1:]] + [len(level) - len(loose)]
+        ends = [level[n + "#in"] for n in names[1:]] + [len(level) - len(loose)]
         for name, end in zip(names, ends):
-            assert level[name + "#'"] == level[name] + 1
-            assert groups[name] == list(range(level[name] + 2, end))
+            assert level[name + "#in"] == level[name] - 1
+            assert groups[name] == list(range(level[name] + 1, end))
         assert loose == list(range(len(level) - len(loose), len(level)))
 
 
@@ -375,3 +400,67 @@ def test_a_flip_next_to_its_variable_keeps_delta_linear():
     run = engine.run_symbolic(parsing.parse_bern(text))
     assert run.at("end").delta.size() <= 3 * n
     assert engine.query(run, bern.BVar("v7")).probability == Fraction(1, 3)
+
+
+# --- wide inits against the enumerating interpreter -----------------------------
+
+
+def test_an_identity_assignment_from_t_is_the_uniform_start():
+    """`b = b` from T: each variable is True in half of the states, and the
+    event a || !a in all of them."""
+    prog = parsing.parse_bern("bool a\nbool b\nb = b\n")
+    run = engine.run_symbolic(prog)
+    assert engine.query(run, bern.BVar("a")).probability == Fraction(1, 2)
+    assert engine.query(run, parsing.parse_event("a || !a", prog.decls)).probability == 1
+    unnormalized = engine.query(run, bern.BVar("a"), normalized=False)
+    assert (unnormalized.probability, unnormalized.survival) == (Fraction(1, 2), 1)
+    assert selftest._engine_mismatch(prog, None) is None
+
+
+def test_an_invariant_init_is_uniform_over_its_states():
+    """From a || b (three of the four states of a and b) with an observe
+    and an if: every answer is interp_exact's from those three states."""
+    prog = parsing.parse_bern(
+        "bool a\nbool b\nbool c\n"
+        "c = a && flip(1/3)\n"
+        "observe(b || c)\n"
+        "if (a) { b = !b || flip(1/4) } else { a = b && flip(1/2) }\n"
+    )
+    init = parsing.parse_event("a || b", prog.decls)
+    run = engine.run_symbolic(prog, init=init)
+    assert run.starts == 6  # 3 states of (a, b), times 2 values of c
+    assert selftest._engine_mismatch(prog, init) is None
+
+
+def test_an_init_no_state_satisfies_is_a_typed_error():
+    prog = parsing.parse_bern("bool a\nbool b\nb = flip(1/2)\n")
+    init = parsing.parse_event("a && !a", prog.decls)
+    with pytest.raises(ConditionOnImpossibleError, match="the init holds in no state"):
+        engine.run_symbolic(prog, init=init)
+    with pytest.raises(ConditionOnImpossibleError):
+        engine.query(prog, bern.BVar("b"), init=init)
+
+
+def test_a_name_ending_in_a_prime_from_t():
+    prog = parsing.parse_bern("bool a\nbool {a'}\na = flip(1/3)\n{a'} = a || {a'}\n")
+    assert engine.query(prog, bern.BVar("a'")).probability == Fraction(2, 3)
+    assert selftest._engine_mismatch(prog, None) is None
+
+
+def test_random_programs_from_wide_inits_match_interp_exact():
+    """120 random programs with observes and ifs, each from T and from a
+    random expression init: every marginal, mass and survival is
+    interp_exact's from the uniform start over the init's states."""
+    rng = random.Random(83)
+    seen = {"observe": 0, "if": 0, "no state": 0}
+    for _ in range(120):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=5, max_stmts=6, degenerate_share=0.2)
+        stmts = list(bern.walk_stmts(prog.body))
+        seen["observe"] += any(isinstance(s, bern.BObserve) for s in stmts)
+        seen["if"] += any(isinstance(s, bern.BIf) for s in stmts)
+        init = randgen.rand_bern_cond(rng, names)
+        seen["no state"] += selftest._uniform_start(names, init).survival == 0
+        for start in (None, init):
+            assert selftest._engine_mismatch(prog, start) is None
+    assert all(seen.values()), seen

@@ -29,9 +29,7 @@ def random_ops(table, rng, num_vars, steps):
     """Grow a pool of nodes by random ops on it.
 
     Returns the pool and a log of (result, op, args) for every op, where op
-    is an ``OP_*`` code of ``apply`` or one of "not", "exists", "restrict",
-    "rename".  A rename map sends the support of its operand to levels in
-    the same order.
+    is an ``OP_*`` code of ``apply`` or one of "not", "exists", "restrict".
     """
     pool = [table.var(i) for i in range(num_vars)]
     log = []
@@ -53,11 +51,6 @@ def random_ops(table, rng, num_vars, steps):
         if rng.random() < 0.2:
             u, level, value = rng.choice(pool), rng.randrange(num_vars), rng.random() < 0.5
             record(table.restrict(u, level, value), "restrict", u, level, value)
-        if rng.random() < 0.2:
-            u = rng.choice(pool)
-            support = table.support(u)
-            perm = dict(zip(support, sorted(rng.sample(range(num_vars), len(support)))))
-            record(table.rename(u, perm), "rename", u, perm)
     return pool, log
 
 
@@ -78,7 +71,7 @@ def test_ops_match_truth_tables():
     num_vars = 5
     table = kernel.NodeTable(num_vars)
     _, log = random_ops(table, random.Random(42), num_vars, 200)
-    assert {op for _, op, _ in log} == set(BINARY) | {"not", "exists", "restrict", "rename"}
+    assert {op for _, op, _ in log} == set(BINARY) | {"not", "exists", "restrict"}
     rows = list(itertools.product((False, True), repeat=num_vars))
 
     def value(u, bits, fixed=()):
@@ -101,9 +94,6 @@ def test_ops_match_truth_tables():
             elif op == "restrict":
                 u, level, v = args
                 want = value(u, bits, [(level, v)])
-            elif op == "rename":
-                u, perm = args
-                want = value(u, bits, [(level, bits[new]) for level, new in perm.items()])
             else:
                 want = BINARY[op](value(args[0], bits), value(args[1], bits))
             assert value(result, bits) == want, (op, args, bits)
@@ -227,17 +217,6 @@ def test_and_exists_over_no_level_is_the_conjunction():
         assert table.and_exists(u, v, ()) == table.apply(OP_AND, u, v)
 
 
-def test_rename_rejects_a_reordering_map():
-    table = kernel.NodeTable(3)
-    a, b = table.var(0), table.var(1)
-    conj = table.apply(OP_AND, a, table.not_(b))
-    with pytest.raises(ValueError):
-        table.rename(conj, {0: 1, 1: 0})
-    with pytest.raises(ValueError):
-        table.rename(conj, {0: 1})  # onto a level the diagram holds below
-    assert table.rename(a, {0: 1, 1: 0}) == b  # no path holds both levels
-
-
 def test_every_fold_runs_on_a_chain_deeper_than_the_stack():
     """x0 && x2 && ... over 3,200 even levels, each odd level free: every
     op that folds walks all of it, which recursion once per level cannot."""
@@ -255,6 +234,3 @@ def test_every_fold_runs_on_a_chain_deeper_than_the_stack():
     assert table.support(shorter) == tuple(range(0, deepest, 2))
     assert table.exists(chain, [deepest]) == shorter
     assert table.restrict(chain, deepest, False) == FALSE
-    moved = table.rename(chain, {level: level + 1 for level in range(0, 2 * n, 2)})
-    assert table.support(moved) == tuple(range(1, 2 * n, 2))
-    assert table.rename(moved, {level + 1: level for level in range(0, 2 * n, 2)}) == chain

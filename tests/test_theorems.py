@@ -208,22 +208,28 @@ def test_abstract_kernel_rows_match_enumeration():
 
 
 def _kernel_by_cell(aprog, preds):
-    """The kernel by its cell-by-cell definition: Δ restricted to ghosts = a,
-    then to outputs = a', and counted over the flips and the auxiliaries."""
-    run = engine.run_symbolic(theorems._kernel_program(aprog, preds))
-    ctx = run.ctx
-    ghosts = [ctx.state_vars[lbl + theorems.GHOST_SUFFIX] for lbl in preds.labels]
-    outputs = [ctx.state_vars[lbl] for lbl in preds.labels]
-    weights = dict(ctx.flip_weights)
-    weights.update((ctx.state_vars[n], (1, 1)) for n in aprog.decls if n not in preds.labels)
+    """The kernel by its cell-by-cell definition: accept & (f_p <=> a'_p
+    for each predicate p) at the end of the run, restricted to inputs = a
+    and auxiliaries = F, and counted over the flips."""
+    aux = [n for n in aprog.decls if n not in preds.labels]
+    init = bern.BTrue()
+    for name in aux:
+        init = bern.BAnd(init, bern.BNot(bern.BVar(name)))
+    run = engine.run_symbolic(aprog, init=init)
+    ctx, end = run.ctx, run.at("end")
+    weights = {v: v.weights() for v in ctx.flip_vars.values()}
     feasible = [m.bits for m in preds.feasible_minterms()]
     kernel = {}
     for a in feasible:
         row = kernel[a] = {}
         for a_out in feasible:
-            cell = run.at("end").delta
-            for var, bit in zip(ghosts + outputs, a + a_out):
-                cell = cell.restrict(var, bit)
+            cell = end.accept
+            for lbl, bit in zip(preds.labels, a_out):
+                cell = cell & (end.f[lbl] if bit else ~end.f[lbl])
+            for lbl, bit in zip(preds.labels, a):
+                cell = cell.restrict(ctx.input_vars[lbl], bit)
+            for name in aux:
+                cell = cell.restrict(ctx.input_vars[name], False)
             mass = cell.wmc(weights)
             if mass:
                 row[a_out] = mass
@@ -259,14 +265,12 @@ def test_abstract_kernel_counts_each_row_in_one_table(branch_reset, monkeypatch)
     prog, ctx, preds = branch_reset
     aprog, _ = bld.abstract_program(prog, preds, bld.AbstractionConfig("prob", "observe", FIXED_HALF))
     calls = []
-    for name in ("wmc", "wmc_table"):
-        real = getattr(bddm.Bdd, name)
-        monkeypatch.setattr(
-            bddm.Bdd, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
-        )
+    real_wmc, real_joint = bddm.Bdd.wmc, bddm.joint_wmc
+    monkeypatch.setattr(bddm.Bdd, "wmc", lambda *a, **k: calls.append("wmc") or real_wmc(*a, **k))
+    monkeypatch.setattr(bddm, "joint_wmc", lambda *a, **k: calls.append("joint_wmc") or real_joint(*a, **k))
     kernel = theorems.abstract_kernel(aprog, preds)
     assert len(kernel) == 3
-    assert calls == ["wmc_table"] * 3
+    assert calls == ["joint_wmc"] * 3
 
 
 def _rand_nondet_program(rng, names):
@@ -840,7 +844,7 @@ def test_sharing_a_domain_changes_no_verdict(monkeypatch):
     for name, module in (("run_symbolic", engine), ("eval_det", cc)):
         real = getattr(module, name)
         monkeypatch.setattr(
-            module, name, lambda *a, name=name, real=real: counts.update([name]) or real(*a)
+            module, name, lambda *a, name=name, real=real, **k: counts.update([name]) or real(*a, **k)
         )
     swept = failed = blocked = 0
     for i, (prog, pairs) in enumerate(problems):
