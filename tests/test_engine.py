@@ -262,8 +262,7 @@ def test_targets_only_transfer_matches_full_frame():
 
 def test_swap_and_rotation_images():
     """Every right-hand side reads the values from before the assignment:
-    swaps and rotations, as functions of the inputs and as Δ from a point;
-    `a, b = b, c` then `c = a` then `a = a && flip(1/2)` as answers."""
+    swaps and rotations, as functions of the inputs and as Δ from a point."""
     prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, a\na, b, c = b, c, a")
     run = engine.run_symbolic(prog)
     ctx = run.ctx
@@ -275,7 +274,22 @@ def test_swap_and_rotation_images():
     a, b, c = (bddm.var_bdd(ctx.universe, ctx.state_vars[n]) for n in "abc")
     assert run.at(1).delta.equiv(~a & b & c)
     assert run.at(2).delta.equiv(a & b & ~c)
+
+
+def test_an_assignment_renames_only_the_targets_it_reads():
+    """No assignment renames a variable: `a, b = b, c` hands a and b the
+    functions of b and c, `c = a` hands c the function a holds then, and
+    `a = a && flip(1/2)` conjoins a's function with its flip; a variable
+    no assignment names keeps its function, and the answers follow."""
     prog = parsing.parse_bern("bool a\nbool b\nbool c\na, b = b, c\nc = a\na = a && flip(1/2)")
+    run = engine.run_symbolic(prog)
+    ctx = run.ctx
+    b_in, c_in = (bddm.var_bdd(ctx.universe, ctx.input_vars[n]) for n in "bc")
+    flip = bddm.var_bdd(ctx.universe, ctx.flip_vars[0])
+    assert [run.at(1).f[n] for n in "abc"] == [b_in, c_in, c_in]
+    assert [run.at(2).f[n] for n in "abc"] == [b_in, c_in, b_in]
+    assert run.at(3).f["a"] == b_in & flip
+    assert [run.at(3).f[n] for n in "bc"] == [c_in, b_in]
     run = engine.run_symbolic(prog, init={"a": False, "b": True, "c": False})
     assert run.at(2).f["c"].is_true
     assert engine.query(run, bern.BVar("a")).probability == Fraction(1, 2)
