@@ -23,7 +23,13 @@ safe as one leaf.  `walk_stmts` walks statement blocks with an explicit
 stack, but `map_program`, the interpreters and the engine recurse into
 them, so a program may nest ``if`` blocks at most `MAX_NESTING` deep;
 `BernProgram` measures that depth without recursion before any of them
-runs.
+runs.  That validating walk, the one fold of each expression of a built
+program, also keeps a record for the program's lifetime: its flips left
+to right with the variable each is assigned to, its largest flip or star
+id, and whether it holds a choose or a ``*``.  `flip_owners`,
+`desugar_program` and `exact_inference_input` read the record and make
+no walk of their own; every program built, by `map_program` or
+`dataclasses.replace` too, makes its own.
 """
 
 from __future__ import annotations
@@ -187,6 +193,12 @@ class BernProgram:
     decls: tuple  # variable names, in declaration order
     body: tuple
     mode: str | None = None  # 'prob' | 'nondet' | None (no flips and no stars)
+    # the validating walk's record (see the module docstring); a top id of -1 means none
+    _flips: tuple = field(init=False, repr=False, compare=False)
+    _owners: tuple = field(init=False, repr=False, compare=False)
+    _top_id: int = field(init=False, repr=False, compare=False)
+    _has_choose: bool = field(init=False, repr=False, compare=False)
+    _has_star: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Check the program in one walk over its statements, which folds
@@ -195,12 +207,15 @@ class BernProgram:
         raised after the walk, the first of: nesting too deep, a variable
         declared twice, the first fault in the expressions (an undeclared
         read, or a flip or star id used twice), an undeclared target, and
-        a mix of modes."""
+        a mix of modes.  The same walk makes the program's record."""
         declared = set(self.decls)
         flips, stars = set(), set()
+        sites, owners = [], []
+        owner, chooses = None, False
         faults = []  # the faults in the expressions, in walk order
 
         def visit(node, _):
+            nonlocal chooses
             kind = type(node)
             if kind is BVar:
                 if node.name not in declared:
@@ -209,10 +224,14 @@ class BernProgram:
                 if node.site in flips:
                     faults.append(f"duplicate flip site id {node.site}")
                 flips.add(node.site)
+                sites.append(node)
+                owners.append(owner)
             elif kind is Star:
                 if node.occurrence in stars:
                     faults.append(f"duplicate star occurrence id {node.occurrence}")
                 stars.add(node.occurrence)
+            elif kind is Choose:
+                chooses = True
 
         undeclared_target = None
         deepest, todo = 0, [(iter(self.body), 0)]
@@ -220,12 +239,13 @@ class BernProgram:
             block, depth = todo[-1]
             for stmt in block:
                 if isinstance(stmt, PAssign):
-                    for t in stmt.targets:
+                    for t, e in zip(stmt.targets, stmt.exprs):
                         if undeclared_target is None and t not in declared:
                             undeclared_target = t
-                    for e in stmt.exprs:
+                        owner = t
                         fold(e, visit)
                 else:
+                    owner = None
                     fold(stmt.cond, visit)
                 if isinstance(stmt, BIf):
                     todo += ((iter(stmt.els), depth + 1), (iter(stmt.then), depth + 1))
@@ -247,19 +267,23 @@ class BernProgram:
             raise ModeError("* is not allowed in probabilistic mode")
         if self.mode == "nondet" and flips:
             raise ModeError("flip is not allowed in non-deterministic mode")
+        object.__setattr__(self, "_flips", tuple(sites))
+        object.__setattr__(self, "_owners", tuple(owners))
+        object.__setattr__(self, "_top_id", max(flips or stars, default=-1))
+        object.__setattr__(self, "_has_choose", chooses)
+        object.__setattr__(self, "_has_star", bool(stars))
 
     def flip_sites(self):
         """(site id, theta) pairs, left to right through the program."""
-        return [(site, theta) for site, theta, _ in self.flip_owners()]
+        return [(e.site, e.theta) for e in self._flips]
 
     def flip_owners(self):
         """(site id, theta, owner) triples, left to right through the
-        program.  The owner is the variable whose assignment reads the flip,
-        or None for a flip read in an `if` guard, an observe or an assume."""
-        out = []
-        for e, owner in _assigned_exprs(self.body):
-            fold(e, lambda node, _: isinstance(node, Flip) and out.append((node.site, node.theta, owner)))
-        return out
+        program, statement by statement as `walk_stmts` visits them.  The
+        owner is the variable whose assignment reads the flip, or None for
+        a flip read in an `if` guard, an observe or an assume.  They come
+        from the program's own validating walk."""
+        return [(e.site, e.theta, owner) for e, owner in zip(self._flips, self._owners)]
 
 
 # --- the traversal ---------------------------------------------------------------
@@ -400,20 +424,10 @@ def walk_exprs(body):
     """Every expression node under `body`, statement by statement; within
     an expression children come before their parent, leaves left to right."""
     nodes = []
-    for e, _ in _assigned_exprs(body):
-        fold(e, lambda node, _: nodes.append(node))
-    return nodes
-
-
-def _assigned_exprs(body):
-    """Every expression under `body` in `walk_exprs` order, with the
-    variable it is assigned to: its target for the right-hand side of a
-    `PAssign`, None for an `if` guard, an observe or an assume."""
     for stmt in walk_stmts(body):
-        if isinstance(stmt, PAssign):
-            yield from zip(stmt.exprs, stmt.targets)
-        else:
-            yield stmt.cond, None
+        for e in stmt.exprs if isinstance(stmt, PAssign) else (stmt.cond,):
+            fold(e, lambda node, _: nodes.append(node))
+    return nodes
 
 
 # --- choose desugaring --------------------------------------------------------
@@ -426,17 +440,16 @@ def desugar_program(program: BernProgram, mode=None) -> BernProgram:
     site parameter in probabilistic mode.  Fresh ids continue after the
     existing ones; inner chooses are replaced before the ones that hold
     them, so fresh ids rise left to right through the program.  A program
-    with no choose, already in `mode`, is returned as it is.
+    with no choose, already in `mode`, is returned as it is.  Both the
+    choose and the largest id are read from the program's record, so only
+    a program that is rebuilt is walked.
     """
     mode = mode or program.mode
     if mode not in ("prob", "nondet"):
         raise ModeError("cannot desugar choose without a program mode")
-    nodes = walk_exprs(program.body)
-    if mode == program.mode and not any(isinstance(e, Choose) for e in nodes):
+    if mode == program.mode and not program._has_choose:
         return program
-    ids = [e.site for e in nodes if isinstance(e, Flip)]
-    ids += [e.occurrence for e in nodes if isinstance(e, Star)]
-    counter = itertools.count(max(ids, default=-1) + 1)
+    counter = itertools.count(program._top_id + 1)
 
     def alloc():
         n = next(counter)
@@ -574,28 +587,18 @@ def exact_inference_input(program: BernProgram):
     Both exact engines (`interp_exact` and the symbolic engine) take their
     input through here: a program in ``nondet`` mode is rejected, chooses
     are desugared to flips, and a flip whose parameter is still a name is
-    rejected.  One walk over the program finds its flips with their
-    owners; only a program holding a choose or a ``*`` is desugared (which
-    rejects the ``*``), and every other one is returned as it is.
+    rejected.  Nothing is walked here: only a program whose record shows a
+    choose or a ``*`` is desugared (which rejects the ``*``), every other
+    one is returned as it is, and the sites are the record's.
     """
     if program.mode == "nondet":  # a prob-mode program holds no * (BernProgram checks)
         raise ModeError(
             "exact inference needs a probabilistic program; "
             "run non-deterministic programs through interp_nondet"
         )
-    sites, rewrite = [], []
-
-    def visit(node, _):
-        if type(node) is Flip:
-            sites.append((node.site, node.theta, owner))  # the owner of the expression folded
-        elif type(node) in (Choose, Star):
-            rewrite.append(node)
-
-    for e, owner in _assigned_exprs(program.body):
-        fold(e, visit)
-    if rewrite:
+    if program._has_choose or program._has_star:
         program = desugar_program(program, "prob")
-        sites = program.flip_owners()
+    sites = program.flip_owners()
     for site, theta, _ in sites:
         if isinstance(theta, str):
             raise ModeError(f"flip site {site} has unresolved parameter {theta!r}")

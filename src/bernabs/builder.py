@@ -11,8 +11,10 @@ choice left over becomes a flip (or a star).  An assignment's pair comes
 from weakest preconditions; a draw's reads no pre-state, so it is a pair
 of constants and an entailed polarity is emitted as a constant.
 
-Invariant enforcement comes in two styles.  `observe` inserts
-observe(I)/assume(I) after every parallel assignment.  `structural`
+Invariant enforcement comes in two styles.  With `observe` the builder
+emits observe(I) (assume(I) in non-deterministic mode) right after each
+parallel assignment it emits, the empty one of an update that no
+predicate mentions included, so the program is built once.  `structural`
 rewrites each assignment into a sequential per-predicate chain whose
 updates branch on the values already chosen, so that every reachable
 joint state is a feasible minterm and no observe is needed.  Each update
@@ -165,6 +167,10 @@ class Abstractor:
         self.aux_decls = []
         self._draw_pairs = {}
         self._inv = preds.invariant_formula()
+        # the statement that filters: observe in probabilistic mode, assume in nondet
+        self._filter = bern.BObserve if config.mode == "prob" else bern.BAssume
+        self._inv_expr = formula_to_expr(self._inv) if config.invariant_style == "observe" else None
+        self._reads = [cc.tree_vars(cond) for cond in preds.conds]  # each predicate's variables
 
     # --- small helpers ---------------------------------------------------
 
@@ -218,11 +224,7 @@ class Abstractor:
         return tuple(out)
 
     def _mentioning(self, name):
-        return [
-            i
-            for i, cond in enumerate(self.preds.conds)
-            if name in cc.tree_vars(cond)
-        ]
+        return [i for i, names in enumerate(self._reads) if name in names]
 
     # --- branch abstraction -----------------------------------------------
 
@@ -414,10 +416,7 @@ class Abstractor:
     # --- observes and whole programs ------------------------------------------
 
     def abstract_observe(self, stmt: cc.Observe, context=()) -> bern.BernStmt:
-        body = formula_to_expr(self.preds.strongest_implied(stmt.cond))
-        if self.config.mode == "prob":
-            return bern.BObserve(body, stmt.loc)
-        return bern.BAssume(body, stmt.loc)
+        return self._filter(formula_to_expr(self.preds.strongest_implied(stmt.cond)), stmt.loc)
 
     def abstract_block(self, body, path, context):
         out = []
@@ -428,6 +427,8 @@ class Abstractor:
                     out.extend(self.build_structural(stmt, at, context))
                 else:
                     out.append(self.abstract_update(stmt, at, context))
+                    if self._inv_expr is not None:
+                        out.append(self._filter(self._inv_expr, stmt.loc))
             elif isinstance(stmt, cc.Observe):
                 out.append(self.abstract_observe(stmt, context))
             elif isinstance(stmt, cc.If):
@@ -491,23 +492,6 @@ def formula_to_expr(b: bddm.Bdd) -> bern.BernExpr:
     return table.fold(b.ref, visit, table.num_vars, {kernel.FALSE: false, kernel.TRUE: true})
 
 
-def enforce_invariants_observe(
-    program: bern.BernProgram, preds: PredicateList, mode=None
-) -> bern.BernProgram:
-    """Insert observe(I) (or assume(I) in non-deterministic mode) after
-    every parallel assignment; I is the feasible-minterm invariant."""
-    mode = mode or program.mode or "prob"
-    inv = formula_to_expr(preds.invariant_formula())
-    guard_cls = bern.BObserve if mode == "prob" else bern.BAssume
-
-    def on_stmt(stmt):
-        if isinstance(stmt, bern.PAssign):
-            return stmt, guard_cls(inv, stmt.loc)
-        return (stmt,)
-
-    return bern.map_program(program, on_stmt=on_stmt)
-
-
 def abstract_program(
     program: cc.ConcreteProgram, preds: PredicateList, config: AbstractionConfig
 ):
@@ -517,10 +501,7 @@ def abstract_program(
     worker = Abstractor(preds, config)
     body = worker.abstract_block(program.body, (), ())
     decls = preds.labels + tuple(worker.aux_decls)
-    out = bern.BernProgram(decls, body, config.mode)
-    if config.invariant_style == "observe":
-        out = enforce_invariants_observe(out, preds, config.mode)
-    return out, FlipSiteTable(worker.sites)
+    return bern.BernProgram(decls, body, config.mode), FlipSiteTable(worker.sites)
 
 
 def resolve_parameters(program: bern.BernProgram, theta_by_site) -> bern.BernProgram:

@@ -397,10 +397,10 @@ class ConcreteDistribution:
         return cls(program.var_names, {key: 1}, 1)
 
     @classmethod
-    def uniform_joint(cls, program: ConcreteProgram, cap=DEFAULT_STATE_CAP):
+    def uniform_joint(cls, program: ConcreteProgram):
         n = joint_size(program.decls)
-        if n > cap:
-            raise EnumerationCapError(f"joint domain has {n} states (cap {cap})")
+        if n > DEFAULT_STATE_CAP:
+            raise EnumerationCapError(f"joint domain has {n} states (cap {DEFAULT_STATE_CAP})")
         counts = dict.fromkeys(itertools.product(*(range(d.lo, d.hi) for d in program.decls)), 1)
         return cls(program.var_names, counts, n)
 
@@ -428,7 +428,6 @@ class ConcreteDistribution:
 def eval_dist(
     program: ConcreteProgram,
     dist: ConcreteDistribution | None = None,
-    cap=DEFAULT_STATE_CAP,
 ) -> ConcreteDistribution:
     """Exact output distribution by exhaustive enumeration of draw outcomes.
 
@@ -439,7 +438,9 @@ def eval_dist(
     at most once, so a path's share of a count still holds, as a factor of
     D, the width of every draw it has not crossed, this one included, and
     a sum of such shares is divisible too.  Branches merge by integer
-    addition, and the output's scale is the input's times D.
+    addition, and the output's scale is the input's times D.  A draw that
+    leaves more than `DEFAULT_STATE_CAP` states raises
+    ``EnumerationCapError``.
     """
     if dist is None:
         dist = ConcreteDistribution.point(program, tuple(d.lo for d in program.decls))
@@ -474,8 +475,8 @@ def eval_dist(
                     for value in range(stmt.lo, stmt.hi):
                         nk = key[:i] + (value,) + key[i + 1 :]
                         out[nk] = out.get(nk, 0) + share
-                    if len(out) > cap:
-                        raise EnumerationCapError(f"more than {cap} states in flight")
+                    if len(out) > DEFAULT_STATE_CAP:
+                        raise EnumerationCapError(f"more than {DEFAULT_STATE_CAP} states in flight")
                 mass = out
             elif kind is Observe:
                 mass = {k: c for k, c in mass.items() if fn(k)}

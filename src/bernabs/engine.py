@@ -52,6 +52,7 @@ from bernabs.errors import (
     LevelBoundError,
     ModeError,
     ProgramPointError,
+    UniverseError,
 )
 
 # The most levels a program's universe may have: 2 per variable (v#in and v),
@@ -266,8 +267,10 @@ def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
     the program variables (callers with a theory in hand pass the predicate
     invariant, through ``builder.formula_to_expr``, to exclude infeasible
     inputs).  An init that no state satisfies raises
-    ``ConditionOnImpossibleError``.  The universe is made here, so no
-    caller holds a Bdd over it.
+    ``ConditionOnImpossibleError``, and one that reads a variable the
+    program does not declare, or a point that leaves a declared one out,
+    ``UniverseError``.  The universe is made here, so no caller holds a
+    Bdd over it.
     """
     ctx = SymbolicContext(program)
     table = ctx.universe.table
@@ -279,9 +282,18 @@ def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
         nodes = inputs
     elif isinstance(init, bern.BernExpr):
         nodes = inputs
-        accept = _read(table, init, inputs.__getitem__)
+        try:
+            accept = _read(table, init, inputs.__getitem__)
+        except KeyError:  # an undeclared name: find each one, for the message
+            read = []
+            bern.fold(init, lambda e, _: type(e) is bern.BVar and read.append(e.name))
+            unknown = ", ".join(n for n in dict.fromkeys(read) if n not in inputs)
+            raise UniverseError(f"the init reads {unknown}, which the program does not declare") from None
         starts = bddm.Bdd(ctx.universe, accept).count_models(ctx.input_vars.values())
     elif isinstance(init, dict):
+        missing = [n for n in decls if n not in init]
+        if missing:
+            raise UniverseError(f"the init gives no value to {', '.join(missing)}")
         nodes = {n: kernel.TRUE if init[n] else kernel.FALSE for n in decls}
     else:
         raise TypeError(f"bad init {init!r}")

@@ -470,8 +470,9 @@ def parse_rational(text) -> Fraction:
 
 def _bern_grammar(p: _Parser, declared, plain=False):
     """The .bern expression reader over `p`, for expressions over the names
-    in `declared`.  Flip sites and stars are numbered in reading order; a
-    `plain` expression, an event, has none of them and no ``choose``."""
+    in `declared`, and its counters of flip sites and of stars, which
+    number them in reading order; a `plain` expression, an event, has none
+    of them and no ``choose``."""
     flips, stars = itertools.count(), itertools.count()
 
     def atom():
@@ -539,7 +540,7 @@ def _bern_grammar(p: _Parser, declared, plain=False):
             e = bern.BIff(e, implication())
         return e
 
-    return expr
+    return expr, flips, stars
 
 
 def parse_bern(text, mode=None) -> bern.BernProgram:
@@ -551,7 +552,7 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
         p.next()
         decls.append(_bern_name(p))
     declared = set(decls)
-    expr = _bern_grammar(p, declared)
+    expr, flips, stars = _bern_grammar(p, declared)
 
     def assignment(tok):
         targets = p.listed(lambda: _bern_name(p))
@@ -565,9 +566,8 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
 
     filters = {"observe": bern.BObserve, "assume": bern.BAssume}
     body = p.statements(expr, assignment, filters, bern.BIf)
-    if mode is None:
-        kinds = {type(e) for e in bern.walk_exprs(body)}
-        mode = "prob" if bern.Flip in kinds else ("nondet" if bern.Star in kinds else None)
+    if mode is None:  # a counter's next id is the number of its leaves read
+        mode = "prob" if next(flips) else ("nondet" if next(stars) else None)
     return bern.BernProgram(tuple(decls), body, mode)
 
 
@@ -598,4 +598,4 @@ def parse_event(text, declared) -> bern.BernExpr:
     """The flip/star/choose-free BERN expression that is all of `text`,
     over the names in `declared`."""
     p = _Parser(text)
-    return p.whole(_bern_grammar(p, set(declared), plain=True))
+    return p.whole(_bern_grammar(p, set(declared), plain=True)[0])

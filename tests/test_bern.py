@@ -1,5 +1,6 @@
 """BERN language: parsing, desugaring, the two interpreters."""
 
+import dataclasses
 import itertools
 import operator
 import random
@@ -118,10 +119,23 @@ def _with_chooses(rng, program):
     return bern.map_program(program, on_node)
 
 
+def _owners_by_walk(program):
+    """(site, theta, owner) of every flip, by a fold of each expression
+    `walk_stmts` reaches: an assignment's right-hand sides with their
+    targets, then a guard, an observe or an assume with None."""
+    out = []
+    for stmt in bern.walk_stmts(program.body):
+        pairs = zip(stmt.exprs, stmt.targets) if isinstance(stmt, bern.PAssign) else ((stmt.cond, None),)
+        for e, owner in pairs:
+            bern.fold(e, lambda node, _: type(node) is bern.Flip and out.append((node.site, node.theta, owner)))
+    return out
+
+
 def test_exact_inference_input_finds_the_desugared_sites_in_one_walk():
-    """Its sites are the desugared program's `flip_owners`, for programs in
-    mode None and "prob", with and without a choose; a choose leaves an
-    unresolved parameter, which is rejected with its site."""
+    """Its sites are those of the desugared program, as a fold over its
+    statements finds them, for programs in mode None and "prob", with and
+    without a choose; a choose leaves an unresolved parameter, which is
+    rejected with its site."""
     rng = random.Random(23)
     seen = set()
     for trial in range(160):
@@ -131,7 +145,7 @@ def test_exact_inference_input_finds_the_desugared_sites_in_one_walk():
             prog = bern.BernProgram(prog.decls, prog.body, None)
         if trial % 2:
             prog = _with_chooses(rng, prog)
-        want = bern.desugar_program(prog, prog.mode or "prob").flip_owners()
+        want = _owners_by_walk(bern.desugar_program(prog, prog.mode or "prob"))
         unresolved = [(site, theta) for site, theta, _ in want if isinstance(theta, str)]
         chosen = any(isinstance(e, bern.Choose) for e in bern.walk_exprs(prog.body))
         seen.add((prog.mode, chosen))
@@ -145,6 +159,79 @@ def test_exact_inference_input_finds_the_desugared_sites_in_one_walk():
         assert sites == want
         assert program is prog
     assert seen == {(mode, chosen) for mode in (None, "prob") for chosen in (False, True)}
+
+
+def _record(program):
+    """What a program's validating walk recorded."""
+    return program.flip_owners(), program._top_id, program._has_choose, program._has_star
+
+
+def _leaf_ids(program):
+    """The flip and star ids of `program`, in `walk_exprs` order."""
+    return [e.site if type(e) is bern.Flip else e.occurrence
+            for e in bern.walk_exprs(program.body) if type(e) in (bern.Flip, bern.Star)]
+
+
+def _record_by_walk(program):
+    """The same facts by folds of its own: the flip owners, the largest flip
+    or star id (-1 for none), and whether a choose and a star occur."""
+    kinds = set(map(type, bern.walk_exprs(program.body)))
+    return _owners_by_walk(program), max(_leaf_ids(program), default=-1), bern.Choose in kinds, bern.Star in kinds
+
+
+def test_every_program_keeps_the_record_of_its_own_walk():
+    """Random programs with flips or stars, with and without chooses, before
+    and after `desugar_program`, and the programs `map_program` (new
+    thetas, as `resolve_parameters` gives) and `dataclasses.replace` make
+    of them: each one's record is what a walk of it finds, never its
+    source's.  The fresh ids of a desugaring run on from the largest id,
+    one per choose, rising through the program.  The record stays out of
+    ==, hash and repr."""
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(150):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=rng.choice((0, 4)), max_stmts=7)
+        if trial % 3 == 1 and prog.mode:  # every flip a star
+            prog = bern.map_program(prog, lambda e: bern.Star(e.site) if type(e) is bern.Flip else e, mode="nondet")
+        if trial % 2:
+            prog = _with_chooses(rng, prog)
+        desugared = bern.desugar_program(prog, prog.mode or rng.choice(("prob", "nondet")))
+        resolved = bern.map_program(
+            desugared, lambda e: bern.Flip(e.site, Fraction(1, 3)) if type(e) is bern.Flip else e
+        )
+        replaced = dataclasses.replace(desugared, body=desugared.body[1:])
+        for p in (prog, desugared, resolved, replaced):
+            assert _record(p) == _record_by_walk(p)
+            assert p.flip_sites() == [(site, theta) for site, theta, _ in _owners_by_walk(p)]
+        _, top, chosen, starred = _record_by_walk(prog)
+        chooses = sum(type(e) is bern.Choose for e in bern.walk_exprs(prog.body))
+        fresh = [i for i in _leaf_ids(desugared) if i not in _leaf_ids(prog)]
+        assert fresh == list(range(top + 1, top + 1 + chooses))
+        seen.add((bool(prog.flip_owners()), starred, chosen))
+    assert seen >= {(flips, stars, chosen) for flips, stars in ((True, False), (False, True)) for chosen in (False, True)}
+
+    prog = parsing.parse_bern("bool a\nbool b\na = flip(1/2) || choose(b, a)\n")
+    twin = bern.BernProgram(prog.decls, prog.body, prog.mode)
+    object.__setattr__(twin, "_top_id", 99)
+    object.__setattr__(twin, "_flips", ())
+    assert twin == prog and hash(twin) == hash(prog) and repr(twin) == repr(prog)
+    assert repr(prog) == f"BernProgram(decls={prog.decls!r}, body={prog.body!r}, mode='prob')"
+
+
+def test_parse_bern_folds_each_expression_once(monkeypatch):
+    """Parsing reads the mode off its grammar, so the program's validating
+    walk is the only fold of each expression."""
+    rng = random.Random(31)
+    texts = [corpus.BAYES_NET_BERN, corpus.BRANCH_RESET_BERN, corpus.CHAIN_DRAWS_BERN]
+    texts += [bern.to_text(randgen.rand_bern_program(rng, ("a", "b", "c"))) for _ in range(20)]
+    folded, fold = [], bern.fold
+    monkeypatch.setattr(bern, "fold", lambda e, visit: folded.append(id(e)) or fold(e, visit))
+    for text in texts:
+        folded.clear()
+        prog = parsing.parse_bern(text)
+        exprs = [e for s in bern.walk_stmts(prog.body) for e in (s.exprs if isinstance(s, bern.PAssign) else (s.cond,))]
+        assert folded == list(map(id, exprs))
 
 
 def test_exact_inference_input_keeps_its_messages():

@@ -160,6 +160,46 @@ def test_enforce_observe_inserts_after_every_assignment(chain_draws):
     assert len(observes) == len(passigns) == 5
 
 
+def _observed_after_each_assignment(program, preds, mode):
+    """The observe style as a second pass made it: `program` rebuilt with
+    observe(I), or assume(I) in non-deterministic mode, after every
+    parallel assignment."""
+    inv = bld.formula_to_expr(preds.invariant_formula())
+    guard = bern.BObserve if mode == "prob" else bern.BAssume
+    return bern.map_program(
+        program, on_stmt=lambda s: (s, guard(inv, s.loc)) if isinstance(s, bern.PAssign) else (s,)
+    )
+
+
+def test_the_observe_style_is_built_once(monkeypatch):
+    """In either mode an observe-style abstraction is one `BernProgram`,
+    made with no `map_program`, and it is the unguarded abstraction with
+    observe(I) (assume(I)) after every parallel assignment, the empty one
+    of an update that no predicate mentions included."""
+    rng = random.Random(41)
+    built, empty = [], 0
+    post_init = bern.BernProgram.__post_init__
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("map_program called")
+
+    for trial in range(40):
+        mode = bld.MODES[trial % 2]
+        prog = randgen.rand_concrete_program(rng, max_vars=2, max_range=6, draws=True, observes=True)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 2), theory.TheoryContext.of_program(prog))
+        plain, _ = bld.abstract_program(prog, preds, bld.AbstractionConfig(mode, "none"))
+        want = _observed_after_each_assignment(plain, preds, mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(bern.BernProgram, "__post_init__", lambda self: built.append(self) or post_init(self))
+            patch.setattr(bern, "map_program", no_map)
+            got, _ = bld.abstract_program(prog, preds, bld.AbstractionConfig(mode, "observe"))
+        assert built == [got]
+        built.clear()
+        assert got == want
+        empty += sum(s.targets == () for s in bern.walk_stmts(got.body) if isinstance(s, bern.PAssign))
+    assert empty > 0
+
+
 def test_structural_shape(shift_ten):
     prog, ctx, preds = shift_ten
     cfg = bld.AbstractionConfig("prob", "structural", FIXED_HALF)

@@ -174,6 +174,18 @@ def test_infer_from_invariant(files, capsys):
     assert "probability 11/32\n" in capsys.readouterr().out
 
 
+def test_infer_from_preds_the_program_does_not_declare_exit_2(tmp_path, capsys):
+    """The invariant of predicates that the .bern program does not declare
+    is bad input, named, with no traceback."""
+    for name, text in (("a.cp", "var x in [0, 4)\nx = x + 1\n"), ("b.preds", "p: x < 2\nq: x < 1\n"),
+                       ("a.bern", "bool a\na = flip(1/3)\n")):
+        (tmp_path / name).write_text(text)
+    rc = cli.main(["infer", str(tmp_path / "a.bern"),
+                   "--cp", str(tmp_path / "a.cp"), "--preds", str(tmp_path / "b.preds")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the init reads p, q, which the program does not declare\n"
+
+
 @pytest.mark.parametrize("point", ["99", "-1", "1.5", "x"])
 def test_infer_point_outside_program_exit_2(files, capsys, point):
     paths, _ = files

@@ -9,7 +9,7 @@ import pytest
 from bernabs import bdd as bddm
 from bernabs import bern, corpus, engine, parsing, randgen, selftest
 from bernabs import builder as bld
-from bernabs.errors import ConditionOnImpossibleError, ModeError
+from bernabs.errors import ConditionOnImpossibleError, ModeError, UniverseError
 
 
 def test_transfer_golden_flip_conjunction():
@@ -444,6 +444,35 @@ def test_an_invariant_init_is_uniform_over_its_states():
     run = engine.run_symbolic(prog, init=init)
     assert run.starts == 6  # 3 states of (a, b), times 2 values of c
     assert selftest._engine_mismatch(prog, init) is None
+
+
+def test_an_init_over_undeclared_variables_is_a_typed_error():
+    """An init that reads names the program does not declare, or a point
+    that leaves a declared name out, is named in a `UniverseError`."""
+    prog = parsing.parse_bern("bool a\na = flip(1/3)\n")
+    init = parsing.parse_event("p && (q || p) || a", ("p", "q", "a"))
+    with pytest.raises(UniverseError, match="^the init reads p, q, which the program does not declare$"):
+        engine.run_symbolic(prog, init=init)
+    two = parsing.parse_bern("bool a\nbool b\nbool c\nb = a\n")
+    with pytest.raises(UniverseError, match="^the init gives no value to a, c$"):
+        engine.run_symbolic(two, init={"b": True, "p": False})
+    assert engine.query(two, bern.BVar("b"), init={"a": True, "b": False, "c": True, "p": False}).probability == 1
+
+
+def test_making_a_context_walks_no_expression(monkeypatch):
+    """The universe's order comes from the program's record of its flips,
+    so a choose-free program is not walked again."""
+    prog = parsing.parse_bern(
+        "bool a\nbool b\na = flip(1/3) && b\nif (flip(1/2)) { b = !a || flip(1/4) }\nobserve(a || flip(1/5))\n"
+    )
+
+    def no_fold(*args):
+        raise AssertionError("bern.fold called")
+
+    monkeypatch.setattr(bern, "fold", no_fold)
+    ctx = engine.SymbolicContext(prog)
+    assert ctx.program is prog
+    assert _labels(ctx) == ["a#in", "a", "flip#0", "b#in", "b", "flip#2", "flip#1", "flip#3"]
 
 
 def test_an_init_no_state_satisfies_is_a_typed_error():
