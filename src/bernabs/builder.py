@@ -9,7 +9,10 @@ the written variable is updated simultaneously through ``choose(t, f)``,
 where t and f are the pre-states that force it true and false, and the
 choice left over becomes a flip (or a star).  An assignment's pair comes
 from weakest preconditions; a draw's reads no pre-state, so it is a pair
-of constants and an entailed polarity is emitted as a constant.
+of constants and an entailed polarity is emitted as a constant (a draw
+met again is answered by the theory's memo).  A site's context holds the
+predicate literals known there: a branch adds those its guard implies,
+and a write, or an `if` that may write, drops those it makes stale.
 
 Invariant enforcement comes in two styles.  With `observe` the builder
 emits observe(I) (assume(I) in non-deterministic mode) right after each
@@ -165,7 +168,6 @@ class Abstractor:
         self._flip_counter = itertools.count()
         self._star_counter = itertools.count()
         self.aux_decls = []
-        self._draw_pairs = {}
         self._inv = preds.invariant_formula()
         # the statement that filters: observe in probabilistic mode, assume in nondet
         self._filter = bern.BObserve if config.mode == "prob" else bern.BAssume
@@ -226,6 +228,14 @@ class Abstractor:
     def _mentioning(self, name):
         return [i for i, names in enumerate(self._reads) if name in names]
 
+    def _after(self, stmt, context):
+        """`context` less the literals that the writes in `stmt`, or in its
+        blocks, make stale: those of the predicates that read a written
+        variable."""
+        written = {s.name for s in bern.walk_stmts((stmt,)) if isinstance(s, (cc.Assign, cc.Draw))}
+        stale = {self.preds.labels[i] for name in written for i in self._mentioning(name)}
+        return tuple(lit for lit in context if lit[0] not in stale)
+
     # --- branch abstraction -----------------------------------------------
 
     def branch_parts(self, guard: cc.Cond, path=(), loc=0, context=()):
@@ -276,24 +286,18 @@ class Abstractor:
 
         A draw's pair reads no pre-state: (T, F) when every value the draw
         can give makes the predicate true, (F, T) when none does, (F, F)
-        when both polarities occur.  It is memoized per draw range and
-        predicate."""
+        when both polarities occur.  A repeated draw asks the theory the
+        same queries, which its memo answers."""
         if isinstance(stmt, cc.Assign):
             return self.choose_pair(stmt, pred_index)
-        key = (stmt.name, stmt.lo, stmt.hi, pred_index)
-        if key not in self._draw_pairs:
-            x, p = cc.IntVar(stmt.name), self.preds.conds[pred_index]
-            draw = cc.CAnd(
-                cc.Cmp("<=", cc.IntConst(stmt.lo), x), cc.Cmp("<", x, cc.IntConst(stmt.hi))
-            )
-            yes, no = bddm.true_bdd(self.preds.universe), bddm.false_bdd(self.preds.universe)
-            if self.ctx.entails(draw, p):
-                self._draw_pairs[key] = (yes, no)
-            elif not self.ctx.satisfiable(cc.CAnd(draw, p)):
-                self._draw_pairs[key] = (no, yes)
-            else:
-                self._draw_pairs[key] = (no, no)
-        return self._draw_pairs[key]
+        x, p = cc.IntVar(stmt.name), self.preds.conds[pred_index]
+        draw = cc.CAnd(cc.Cmp("<=", cc.IntConst(stmt.lo), x), cc.Cmp("<", x, cc.IntConst(stmt.hi)))
+        yes, no = bddm.true_bdd(self.preds.universe), bddm.false_bdd(self.preds.universe)
+        if self.ctx.entails(draw, p):
+            return yes, no
+        if not self.ctx.satisfiable(cc.CAnd(draw, p)):
+            return no, yes
+        return no, no
 
     def abstract_update(self, stmt, path=(), context=()) -> bern.PAssign:
         """x = e or x = unif [lo, hi)  ->  parallel `{p_i} = choose(t_i, f_i)`
@@ -440,6 +444,7 @@ class Abstractor:
                 out.append(bern.BIf(cond, then_body, else_body, stmt.loc))
             else:
                 raise TypeError(f"not a statement: {stmt!r}")
+            context = self._after(stmt, context)
         return tuple(out)
 
 

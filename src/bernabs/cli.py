@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -20,8 +19,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_QUERY_ERROR = 3
-
-INVARIANCE_INPUTS = 16  # `check` tests invariance on the first inputs of its sweep
 
 
 def _read(path):
@@ -47,10 +44,11 @@ def _frac_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _load_problem(args, cap):
+def _load_problem(args):
     prog = parsing.parse_concrete(_read(args.program))
+    # only `abstract` has --dump-queries
     ctx = theory.TheoryContext.of_program(
-        prog, cap=cap, record_queries=bool(getattr(args, "dump_queries", None))
+        prog, record_queries=bool(getattr(args, "dump_queries", None))
     )
     preds = PredicateList(parsing.parse_preds(_read(args.predicates)), ctx)
     return prog, ctx, preds
@@ -86,7 +84,7 @@ def _param_policy(text):
 
 
 def cmd_abstract(args):
-    prog, ctx, preds = _load_problem(args, args.cap)
+    prog, ctx, preds = _load_problem(args)
     config = bld.AbstractionConfig(
         mode=args.mode,
         invariant_style=args.invariants,
@@ -102,7 +100,11 @@ def cmd_abstract(args):
         _write(args.output, text)
         if args.sites:
             _write(args.sites, sites.dumps())
-    if args.dump_queries:
+    flagged = [s.site for s in sites if s.flagged]
+    if flagged and not args.json:
+        print(f"warning: sites {flagged} decide on no mass in their context; "
+              "theta defaulted to 1/2", file=sys.stderr)
+    if getattr(args, "dump_queries", None):
         _write(args.dump_queries, theory.dump_query_log(ctx))
     return EXIT_OK
 
@@ -115,7 +117,7 @@ def cmd_infer(args):
     event = parsing.parse_event(args.event, program.decls)
     init = None
     if args.program:
-        _, _, preds = _load_problem(args, args.cap)
+        _, _, preds = _load_problem(args)
         init = bld.formula_to_expr(preds.invariant_formula())
     run = engine.run_symbolic(program, init=init)
     point = args.point
@@ -132,15 +134,13 @@ def cmd_infer(args):
 
 
 def cmd_check(args):
-    prog, ctx, preds = _load_problem(args, args.cap)
+    prog, ctx, preds = _load_problem(args)
     aprog = parsing.parse_bern(_read(args.bern))
-    keys = ctx.states()
-    inputs = None
+    inputs = None  # the whole domain
     if args.where:
         cond = parsing.parse_cond(args.where, declared=[d.name for d in prog.decls])
         fn = cc.compile(cond, ctx.names)
-        keys = [key for key in keys if fn(key)]
-        inputs = [theorems._state_json(ctx.names, key) for key in keys]
+        inputs = [theorems._state_json(ctx.names, key) for key in ctx.states() if fn(key)]
     reports = []
     if aprog.mode == "nondet":
         reports.append(theorems.check_sound_nondet(prog, aprog, preds, inputs=inputs))
@@ -148,8 +148,6 @@ def cmd_check(args):
         reports.append(theorems.check_sound_prob(prog, aprog, preds, inputs=inputs))
         if args.invariance:
             gammas = [g(preds) for g in theorems.GAMMA_FAMILIES]
-            first = itertools.islice(keys, INVARIANCE_INPUTS)
-            inputs = [theorems._state_json(ctx.names, key) for key in first]
             reports.append(theorems.check_invariance(aprog, preds, gammas, inputs=inputs))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
@@ -159,27 +157,6 @@ def cmd_check(args):
             for cex in r.counterexamples[:5]:
                 print(f"  counterexample: {cex}")
     return EXIT_OK if all(r.ok for r in reports) else EXIT_CHECK_FAILED
-
-
-def cmd_fit(args):
-    prog, ctx, preds = _load_problem(args, args.cap)
-    config = bld.AbstractionConfig(
-        mode="prob", invariant_style=args.invariants, params=bld.ParamPolicy.fit()
-    )
-    aprog, sites = bld.abstract_program(prog, preds, config)
-    fitted, table = theorems.fit_parameters(prog, aprog, sites, preds)
-    text = bern.to_text(fitted)
-    if args.json:
-        _write(args.output, json.dumps({"program": text, "sites": table.to_json()}, indent=2) + "\n")
-    else:
-        _write(args.output, text)
-        if args.sites:
-            _write(args.sites, table.dumps())
-    flagged = [s.site for s in table if s.flagged]
-    if flagged and not args.json:
-        print(f"warning: sites {flagged} decide on no mass in their context; "
-              "theta defaulted to 1/2", file=sys.stderr)
-    return EXIT_OK
 
 
 def cmd_selftest(args):
@@ -196,8 +173,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--cap", type=int, default=cc.DEFAULT_STATE_CAP,
-                       help="joint-domain enumeration cap")
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("abstract", help="build a BERN abstraction of a concrete program")
@@ -239,19 +214,19 @@ def build_parser():
     p.add_argument("bern", help=".bern abstraction")
     p.add_argument("--where", help="restrict the input sweep to states satisfying this condition")
     p.add_argument("--invariance", action=argparse.BooleanOptionalAction, default=True,
-                   help=f"also check concretization invariance, on the first "
-                        f"{INVARIANCE_INPUTS} inputs of the sweep")
+                   help="also check concretization invariance, on every input of the sweep")
     add_common(p)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("fit", help="abstract with fitted flip parameters")
+    p = sub.add_parser("fit", help="abstract with fitted flip parameters: "
+                                   "abstract --mode prob --params fit")
     p.add_argument("program", help=".cp concrete program")
     p.add_argument("predicates", help=".preds predicate list")
     p.add_argument("--invariants", choices=bld.INVARIANT_STYLES, default="observe")
     p.add_argument("-o", "--output", default="-", help="output .bern path")
     p.add_argument("--sites", help="write fitted site provenance (JSON) here")
     add_common(p)
-    p.set_defaults(fn=cmd_fit)
+    p.set_defaults(fn=cmd_abstract, mode="prob", params="fit")
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
     p.add_argument("--seed", type=int, default=0)

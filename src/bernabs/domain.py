@@ -111,9 +111,9 @@ class PredicateList:
         negation, so one sweep splits the states into those that satisfy
         `cond` and those that do not, and keeps both images: the second
         under the text of ``!cond``."""
-        self.ctx.check_closed(cond)
         text = str(cond)
         if text not in self._images:
+            self.ctx.check_closed(cond)
             fn = cc.compile(cond, self.ctx.names)
             image, _ = self._alpha_image()
             hits, misses = set(), set()

@@ -152,7 +152,10 @@ class SymbolicContext:
         return _read(self.universe.table, expr, f.__getitem__, self._flip_node)
 
     def _flip_node(self, e: bern.Flip) -> int:
-        return self._flip_nodes[e.site]
+        node = self._flip_nodes.get(e.site)
+        if node is None:  # only an event can read a flip the program lacks
+            raise UniverseError(f"the program has no flip site {e.site}")
+        return node
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +263,15 @@ def _merger(table, guard):
     return merge
 
 
+def _undeclared(what, expr, declared) -> UniverseError:
+    """The error for `expr`, whose read failed on a name outside
+    `declared`: it names each such name, found only now."""
+    read = []
+    bern.fold(expr, lambda e, _: type(e) is bern.BVar and read.append(e.name))
+    unknown = ", ".join(n for n in dict.fromkeys(read) if n not in declared)
+    return UniverseError(f"the {what} reads {unknown}, which the program does not declare")
+
+
 def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
     """(f, accept) at every top-level prefix point, starting from `init`.
 
@@ -284,11 +296,8 @@ def run_symbolic(program: bern.BernProgram, init=None) -> SymbolicRun:
         nodes = inputs
         try:
             accept = _read(table, init, inputs.__getitem__)
-        except KeyError:  # an undeclared name: find each one, for the message
-            read = []
-            bern.fold(init, lambda e, _: type(e) is bern.BVar and read.append(e.name))
-            unknown = ", ".join(n for n in dict.fromkeys(read) if n not in inputs)
-            raise UniverseError(f"the init reads {unknown}, which the program does not declare") from None
+        except KeyError:
+            raise _undeclared("init", init, inputs) from None
         starts = bddm.Bdd(ctx.universe, accept).count_models(ctx.input_vars.values())
     elif isinstance(init, dict):
         missing = [n for n in decls if n not in init]
@@ -329,7 +338,8 @@ def query(program_or_run, event: bern.BernExpr, point="end", init=None, normaliz
 
     The marginal is P(event | survives) unless ``normalized=False``, which
     gives P(event and survives).  `event` is a plain Boolean expression
-    over the program variables.
+    over the program variables; one that reads a name the program does
+    not declare raises ``UniverseError``.
     """
     if isinstance(program_or_run, SymbolicRun):
         run = program_or_run
@@ -338,7 +348,11 @@ def query(program_or_run, event: bern.BernExpr, point="end", init=None, normaliz
     ctx = run.ctx
     state = run.at(point)
     table = ctx.universe.table
-    holds = table.apply(kernel.OP_AND, state.accept_node, ctx.read(event, state.nodes))
+    try:
+        event_node = ctx.read(event, state.nodes)
+    except KeyError:
+        raise _undeclared("event", event, state.nodes) from None
+    holds = table.apply(kernel.OP_AND, state.accept_node, event_node)
     mass = bddm.Bdd(ctx.universe, holds).wmc(ctx.weights)
     accepted = run.accepted(point)
     survival = accepted / run.starts

@@ -2,7 +2,9 @@
 
 Satisfiability and entailment are decided by exhaustive enumeration of the
 joint domain (the role an SMT solver would play for unbounded theories),
-with memoization keyed on the condition's text.  Conditions are evaluated
+bounded by ``concrete.DEFAULT_STATE_CAP`` alone, with memoization keyed on
+the condition's text, which also answers the builder's repeated draw
+queries; closedness is checked only on a miss.  Conditions are evaluated
 only through `concrete.compile`, once per query, and walked only through
 `bern.fold`: the weakest precondition is a `bern.map_expr` rebuild and the
 SMT-LIB2 text a fold with one entry per node class.  The predicate domain
@@ -23,9 +25,8 @@ from bernabs.errors import ParseError, TheoryCapError
 
 
 class TheoryContext:
-    def __init__(self, decls, cap=cc.DEFAULT_STATE_CAP, record_queries=False):
+    def __init__(self, decls, record_queries=False):
         self.decls = tuple(decls)
-        self.cap = cap
         self.names = tuple(d.name for d in self.decls)
         self._sat_memo = {}
         self._ent_memo = {}
@@ -33,30 +34,29 @@ class TheoryContext:
         self._logged = set()  # memo keys of the logged queries
 
     @classmethod
-    def of_program(cls, program: cc.ConcreteProgram, cap=cc.DEFAULT_STATE_CAP, record_queries=False):
-        return cls(program.decls, cap=cap, record_queries=record_queries)
+    def of_program(cls, program: cc.ConcreteProgram, record_queries=False):
+        return cls(program.decls, record_queries=record_queries)
 
     def check_closed(self, cond):
         extra = cc.tree_vars(cond) - set(self.names)
         if extra:
             raise ParseError(f"condition mentions undeclared variables: {', '.join(sorted(extra))}")
 
-    def _check_cap(self):
-        n = cc.joint_size(self.decls)
-        if n > self.cap:
-            raise TheoryCapError(f"joint domain has {n} states (cap {self.cap})")
-
     def states(self):
-        """All joint states as tuples in declaration order."""
-        self._check_cap()
+        """All joint states as tuples in declaration order; a domain of
+        more than ``concrete.DEFAULT_STATE_CAP`` states raises
+        ``TheoryCapError`` before any is enumerated."""
+        n = cc.joint_size(self.decls)
+        if n > cc.DEFAULT_STATE_CAP:
+            raise TheoryCapError(f"joint domain has {n} states (cap {cc.DEFAULT_STATE_CAP})")
         return itertools.product(*(range(d.lo, d.hi) for d in self.decls))
 
     def satisfiable(self, cond) -> bool:
-        self.check_closed(cond)
         key = str(cond)
         hit = self._sat_memo.get(key)
         if hit is not None:
             return hit
+        self.check_closed(cond)
         self.log_query("sat", cond)
         fn = cc.compile(cond, self.names)
         result = any(fn(s) for s in self.states())
@@ -65,12 +65,12 @@ class TheoryContext:
 
     def entails(self, a, b) -> bool:
         """Every state satisfying a satisfies b (decided by direct sweep)."""
-        self.check_closed(a)
-        self.check_closed(b)
         key = (str(a), str(b))
         hit = self._ent_memo.get(key)
         if hit is not None:
             return hit
+        self.check_closed(a)
+        self.check_closed(b)
         self.log_query("entails", a, b)
         fa, fb = cc.compile(a, self.names), cc.compile(b, self.names)
         result = all(fb(s) for s in self.states() if fa(s))

@@ -435,3 +435,28 @@ def test_site_table_json(chain_draws):
     assert blob[1]["context"] == ["a<5"]
     assert blob[2]["context"] == ["!a<5"]
     assert all(entry["theta"].get("symbolic") for entry in blob)
+
+
+_STALE_INNER = {
+    "flat": "  y = unif [0, 16)\n",
+    "nested": "  if (x < 0) {\n    y = unif [0, 16)\n  }\n",
+}
+
+
+@pytest.mark.parametrize("style", bld.INVARIANT_STYLES)
+@pytest.mark.parametrize("inner", sorted(_STALE_INNER))
+def test_a_write_drops_the_context_literals_it_makes_stale(inner, style):
+    """The branch on y < 4 puts a and b in the context, and the draw to y
+    (or an `if` that may draw it) makes both stale: the site of r after
+    x = y - 1 has an empty context and fits 1/4, as without the branch,
+    instead of deciding on no mass where a and b still held."""
+    text = ("var x in [-8, 16)\nvar y in [0, 16)\nif (y < 4) {\n"
+            + _STALE_INNER[inner] + "  x = y - 1\n}\n")
+    prog = parsing.parse_concrete(text)
+    preds = PredicateList(parsing.parse_preds("a: y < 4\nb: y < 8\nr: x < 4\n"),
+                          theory.TheoryContext.of_program(prog))
+    cfg = bld.AbstractionConfig("prob", style, bld.ParamPolicy.fit())
+    aprog, sites = bld.abstract_program(prog, preds, cfg)
+    _, table = theorems.fit_parameters(prog, aprog, sites, preds)
+    (site,) = [s for s in table if s.predicate == "r"]
+    assert (site.context, site.theta, site.flagged) == ((), Fraction(1, 4), False)

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, determinism, JSON output."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -398,6 +399,92 @@ def test_fit_output_is_pinned(files, capsys, program, style):
     stem = GOLDEN / f"fit_{program}_{style}"
     assert out.read_text() == stem.with_suffix(".bern").read_text()
     assert sites.read_text() == stem.with_suffix(".sites.json").read_text()
+
+
+def _stdout_sites_and_json(capsys, tmp, argv):
+    """(stdout, the --sites file, the --json output) of one command line."""
+    sites = tmp / "sites.json"
+    assert cli.main([*argv, "--sites", str(sites)]) == 0
+    out = capsys.readouterr().out
+    assert cli.main([*argv, "--json"]) == 0
+    return out, sites.read_text(), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("style", ["none", "observe", "structural"])
+@pytest.mark.parametrize("program", ["branch", "chain", "shift"])
+def test_fit_is_abstract_with_fitted_parameters(files, capsys, program, style):
+    """`fit` is `abstract --mode prob --params fit`: the same stdout, site
+    table and JSON."""
+    paths, tmp = files
+    problem = [paths[f"{program}.cp"], paths[f"{program}.preds"], "--invariants", style]
+    fit = _stdout_sites_and_json(capsys, tmp, ["fit", *problem])
+    abstract = _stdout_sites_and_json(
+        capsys, tmp, ["abstract", *problem, "--mode", "prob", "--params", "fit"]
+    )
+    assert fit == abstract
+
+
+@pytest.mark.parametrize("command", [["fit"], ["abstract", "--mode", "prob", "--params", "fit"]])
+def test_fit_warns_of_flagged_sites_on_stderr(tmp_path, capsys, command):
+    """The draw inside `if (x < 0)` decides on no mass, since x < 0 never
+    holds: both spellings of fit warn, except with --json."""
+    cp, preds = tmp_path / "never.cp", tmp_path / "never.preds"
+    cp.write_text("var x in [0, 8)\nvar y in [0, 8)\nif (x < 0) { y = unif [0, 8) } else { }\n")
+    preds.write_text("x<0: x < 0\ny<4: y < 4\n")
+    argv = [command[0], str(cp), str(preds), *command[1:], "--invariants", "none"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: sites [0] decide on no mass in their context; theta defaulted to 1/2\n"
+    )
+    assert "warning" not in captured.out
+    assert cli.main([*argv, "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("where", [None, "x >= 3"])
+def test_check_tests_invariance_on_every_swept_input(tmp_path, capsys, where):
+    """80 inputs (or the 74 with x >= 3), past the 16 the check once took:
+    every one is paired with each feasible output under each of the 3
+    concretization families."""
+    for name, text in (
+        ("two.cp", "var x in [0, 40)\nvar y in [0, 2)\ny = 1 - y\n"),
+        ("two.preds", "a: x < 10\nb: y == 1\n"),
+    ):
+        (tmp_path / name).write_text(text)
+    problem = [str(tmp_path / "two.cp"), str(tmp_path / "two.preds")]
+    bern_path = str(tmp_path / "two.bern")
+    assert cli.main(["abstract", *problem, "--mode", "prob", "--params", "fixed=1/2",
+                     "-o", bern_path]) == 0
+    rc = cli.main(["check", *problem, bern_path, "--json", *(["--where", where] if where else [])])
+    invariance = json.loads(capsys.readouterr().out)[1]
+    inputs = 80 if where is None else 74
+    assert rc == 0
+    assert (invariance["check"], invariance["status"]) == ("invariance", "pass")
+    assert invariance["stats"]["pairs"] == 3 * inputs * 4
+
+
+def test_the_command_line_surface_is_pinned():
+    """Each subcommand's arguments: positionals by name, options by their
+    strings.  A change here is a change to the documented interface."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [a.option_strings or a.dest for a in sub._actions]
+        for name, sub in commands.choices.items()
+    }
+    help_ = ["-h", "--help"]
+    assert surface == {
+        "abstract": [help_, "program", "predicates", ["--mode"], ["--invariants"], ["--params"],
+                     ["-o", "--output"], ["--sites"], ["--dump-queries"], ["--json"]],
+        "infer": [help_, "bern", ["--event"], ["--point"], ["--unnormalized"], ["--cp"],
+                  ["--preds"], ["--dot"], ["--json"]],
+        "check": [help_, "program", "predicates", "bern", ["--where"],
+                  ["--invariance", "--no-invariance"], ["--json"]],
+        "fit": [help_, "program", "predicates", ["--invariants"], ["-o", "--output"],
+                ["--sites"], ["--json"]],
+        "selftest": [help_, ["--seed"], ["--scale"]],
+    }
 
 
 def test_structural_output_reads_back(files, capsys):

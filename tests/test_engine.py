@@ -342,10 +342,15 @@ def test_marginals_are_the_mass_of_each_variable():
     assert impossible > 0
 
 
-def test_an_event_naming_an_undeclared_variable_is_a_key_error():
+def test_an_event_naming_an_undeclared_variable_is_a_universe_error():
     prog = parsing.parse_bern("bool a\na = flip(1/2)")
-    with pytest.raises(KeyError):
+    message = "the event reads zz, which the program does not declare"
+    with pytest.raises(UniverseError, match=message):
         engine.query(prog, bern.BVar("zz"))
+    with pytest.raises(UniverseError, match=message):
+        engine.query(prog, bern.BAnd(bern.BVar("a"), bern.BVar("zz")))
+    with pytest.raises(UniverseError, match="the program has no flip site 9"):
+        engine.query(prog, bern.Flip(9, Fraction(1, 2)))
 
 
 

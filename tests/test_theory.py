@@ -46,7 +46,12 @@ def test_entails_matches_sat_reduction():
 
 
 def test_cap_enforced():
-    ctx = theory.TheoryContext([cc.VarDecl("x", 0, 100), cc.VarDecl("y", 0, 100)], cap=1000)
+    """1024 x 1025 states, past concrete.DEFAULT_STATE_CAP = 2**20: the
+    sweep raises when it is asked for, so no state is ever enumerated."""
+    ctx = theory.TheoryContext([cc.VarDecl("x", 0, 1024), cc.VarDecl("y", 0, 1025)])
+    assert cc.joint_size(ctx.decls) > cc.DEFAULT_STATE_CAP
+    with pytest.raises(TheoryCapError, match="1049600 states"):
+        ctx.states()
     with pytest.raises(TheoryCapError):
         ctx.satisfiable(cond("x < y", ["x", "y"]))
 
