@@ -199,6 +199,13 @@ class BernProgram:
     _top_id: int = field(init=False, repr=False, compare=False)
     _has_choose: bool = field(init=False, repr=False, compare=False)
     _has_star: bool = field(init=False, repr=False, compare=False)
+    # the hash by value, made by the first `hash` of this program
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.decls, self.body, self.mode)))
+        return self._hash
 
     def __post_init__(self):
         """Check the program in one walk over its statements, which folds

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from bernabs import bern
 from bernabs import builder as bld
-from bernabs import concrete as cc
 from bernabs import engine, parsing, selftest, theorems, theory
 from bernabs.domain import PredicateList
 from bernabs.errors import BernabsError, ConditionOnImpossibleError, ParseError
@@ -139,8 +138,7 @@ def cmd_check(args):
     inputs = None  # the whole domain
     if args.where:
         cond = parsing.parse_cond(args.where, declared=[d.name for d in prog.decls])
-        fn = cc.compile(cond, ctx.names)
-        inputs = [theorems._state_json(ctx.names, key) for key in ctx.states() if fn(key)]
+        inputs = [theorems._state_json(ctx.names, key) for key in ctx.members(ctx.mask(cond))]
     reports = []
     if aprog.mode == "nondet":
         reports.append(theorems.check_sound_nondet(prog, aprog, preds, inputs=inputs))

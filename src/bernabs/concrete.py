@@ -64,7 +64,7 @@ class IntExpr(bern.Node):
     __slots__ = ()
 
     def __str__(self):
-        return bern.fold(self, _text)
+        return bern.fold(self, node_text)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class Cond(bern.Node):
     __slots__ = ()
 
     def __str__(self):
-        return bern.fold(self, _text)
+        return bern.fold(self, node_text)
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,13 @@ class If(Stmt):
 class ConcreteProgram:
     decls: tuple
     body: tuple
+    # the hash by value, made by the first `hash` of this program
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.decls, self.body)))
+        return self._hash
 
     def __post_init__(self):
         names = [d.name for d in self.decls]
@@ -256,7 +263,8 @@ _TEXT = {
 }
 
 
-def _text(node, values):
+def node_text(node, values):
+    """The text of `node`, given its children's texts."""
     return _TEXT[type(node)](node, *values)
 
 

@@ -1,20 +1,25 @@
 """Predicate domains: abstraction, concretization, and formula approximation.
 
 A predicate list (p_1, ..., p_n) induces the abstract domain of total truth
-assignments (b_1, ..., b_n).  One sweep of the joint domain computes the
-α-image, the predicate bit-vector of every state, in the All-SAT style of
-predicate abstraction.  The feasible minterms, γ and both approximation
-operators are read off the image instead of one theory query per minterm:
-γ, the cell of every minterm, from one pass over the image, and each
-approximation from one further sweep per distinct pair of a query
-condition and its negation, whose two images are kept for every later
-query of either.  n is capped because minterm sets can still grow as
-2^n.  The approximations and the invariant are answered as canonical
-Bdds over ``universe``, one variable per predicate, so callers compare
-them by semantics rather than syntax; the builder turns them into BERN
-text where it emits a program.  With a query log on, the per-cube theory
-queries that the image answered are recorded, so an external solver can
-cross-check them.
+assignments (b_1, ..., b_n).  Its cells, the states of each feasible
+bit-vector, are found once by partition refinement over the predicates'
+masks (see `theory.TheoryContext.mask`), in the All-SAT style of
+predicate abstraction: from one cell of every state, each cell is split
+by p_i and its complement, and empty parts are dropped.  The feasible
+minterms, γ and both approximation operators are read off the cells
+instead of one theory query per minterm: the image of a condition is the
+set of cells its mask meets, and that of its negation the set of cells
+its mask does not hold, kept together for every later query of either.
+Each cell's mask is as wide as the domain, so a partition into more than
+`DENSE_CELLS` cells keeps the per-state α-image instead, decoded from the
+predicates' masks, and reads images off it at the mask's bits; otherwise
+the α-image and γ as lists of states are decoded on first use only.  n is
+capped because minterm sets can still grow as 2^n.  The approximations
+and the invariant are answered as canonical Bdds over ``universe``, one
+variable per predicate, so callers compare them by semantics rather than
+syntax; the builder turns them into BERN text where it emits a program.
+With a query log on, the per-cube theory queries that the cells answered
+are recorded, so an external solver can cross-check them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from bernabs.errors import PredicateBoundError
 from bernabs.theory import TheoryContext
 
 DEFAULT_MAX_PREDICATES = 16
+# The most cells kept as masks.  Each mask is as wide as the domain, so 64
+# of them hold as many bits as the per-state image holds pointers; a finer
+# partition (up to one state per cell, as in a ladder of independent
+# predicates) is kept as that image instead, whose size is the domain's.
+DENSE_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,9 @@ class PredicateList:
         self.conds = tuple(cond for _, cond in preds)
         self._fns = tuple(cc.compile(cond, ctx.names) for cond in self.conds)
         self.universe = bddm.make_universe([(label, None) for label in labels])
+        self._feasible = None  # feasible bit-vector -> itself, in product order
+        self._cell_masks = None  # feasible bit-vector -> its cell's mask, if kept
         self._image = None
-        self._feasible = None
         self._images = {}  # str(cond) -> the bit-vectors of cond's states
         self._cells = None
 
@@ -83,44 +94,84 @@ class PredicateList:
         ]
         return cc.cond_and_all(lits)
 
+    def _partition(self) -> dict:
+        """The feasible bit-vectors, each mapped to itself, in
+        itertools.product order, found on first use by partition
+        refinement: from one cell of every state, each cell is split by
+        each predicate's mask and its complement in turn, the False part
+        first, so the order holds, and empty parts are dropped.  The cells'
+        masks are kept while there are at most `DENSE_CELLS` of them; a
+        finer partition is read off the α-image."""
+        if self._feasible is None:
+            ctx = self.ctx
+            cells = {(): ctx.mask(cc.CTrue())}
+            for cond in self.conds:
+                pred = ctx.mask(cond)
+                cells = {
+                    bits + (bit,): part
+                    for bits, cell in cells.items()
+                    for bit, part in ((False, cell & ~pred), (True, cell & pred))
+                    if part
+                }
+                if len(cells) > DENSE_CELLS:
+                    self._image, self._feasible = self._decode()
+                    break
+            else:
+                self._cell_masks = cells
+                self._feasible = {bits: bits for bits in cells}
+            self._log_cubes("sat", self._all_bits())
+        return self._feasible
+
     def _alpha_image(self):
-        """The α-image, computed by one sweep on first use.
+        """The α-image, decoded on first use.
 
         Returns (image, feasible): the predicate bits of every joint state in
-        ``ctx.states()`` order, and a dict mapping each bit-vector that
-        occurs to the one tuple the image shares for it, in
-        itertools.product order.
+        ``ctx.states()`` order, and a dict mapping each feasible bit-vector
+        to itself, in itertools.product order, whose tuples a caller can
+        share for them.
         """
+        feasible = self._partition()
         if self._image is None:
-            fns = self._fns
-            shared = {}
-            self._image = [
-                shared.setdefault(bits, bits)
-                for bits in (tuple([fn(key) for fn in fns]) for key in self.ctx.states())
-            ]
-            self._feasible = {bits: bits for bits in sorted(shared)}
-            self._log_cubes("sat", self._all_bits())
-        return self._image, self._feasible
+            self._image, _ = self._decode()
+        return self._image, feasible
+
+    def _decode(self):
+        """(image, feasible) as `_alpha_image` gives them, read from the
+        predicates' masks, one string of digits each (`TheoryContext.digits`),
+        state by state in step; each state gets the first tuple made for its
+        bit-vector."""
+        ctx = self.ctx
+        if not self.conds:
+            return [()] * ctx.size(), {(): ()}
+        columns = [map("1".__eq__, ctx.digits(ctx.mask(cond))) for cond in self.conds]
+        shared = {}
+        # tee hands both arguments the same tuple: setdefault(bits, bits)
+        image = list(map(shared.setdefault, *itertools.tee(zip(*columns))))
+        return image, {bits: bits for bits in sorted(shared)}
 
     def _all_bits(self):
         return itertools.product((False, True), repeat=len(self))
 
     def _image_of(self, cond) -> frozenset:
         """The bit-vectors of the states that satisfy `cond`, memoized on the
-        condition's text.  Conditions come in pairs, a guard and its
-        negation, so one sweep splits the states into those that satisfy
-        `cond` and those that do not, and keeps both images: the second
-        under the text of ``!cond``."""
+        condition's text: the cells its mask meets.  Conditions come in
+        pairs, a guard and its negation, so the cells its mask does not
+        hold are kept too, as the image of ``!cond``.  Without the cells'
+        masks, the image is read at the mask's set and clear bits."""
         text = str(cond)
         if text not in self._images:
-            self.ctx.check_closed(cond)
-            fn = cc.compile(cond, self.ctx.names)
-            image, _ = self._alpha_image()
-            hits, misses = set(), set()
-            for key, bits in zip(self.ctx.states(), image):
-                (hits if fn(key) else misses).add(bits)
-            self._images[text] = frozenset(hits)
-            self._images[str(cc.CNot(cond))] = frozenset(misses)
+            mask = self.ctx.mask(cond)
+            self._partition()
+            if self._cell_masks is not None:
+                cells = self._cell_masks.items()
+                hits = frozenset(bits for bits, cell in cells if cell & mask)
+                misses = frozenset(bits for bits, cell in cells if cell & ~mask)
+            else:
+                digits = self.ctx.digits(mask)
+                hits = frozenset(itertools.compress(self._image, map("1".__eq__, digits)))
+                misses = frozenset(itertools.compress(self._image, map("0".__eq__, digits)))
+            self._images[text] = hits
+            self._images[str(cc.CNot(cond))] = misses
         return self._images[text]
 
     def _log_cubes(self, kind, bit_vectors, other=None):
@@ -137,12 +188,11 @@ class PredicateList:
 
     def minterms(self):
         """All 2^n minterms in itertools.product order."""
-        _, feasible = self._alpha_image()
+        feasible = self._partition()
         return tuple(Minterm(bits, bits in feasible, self) for bits in self._all_bits())
 
     def feasible_minterms(self):
-        _, feasible = self._alpha_image()
-        return tuple(Minterm(bits, True, self) for bits in feasible)
+        return tuple(Minterm(bits, True, self) for bits in self._partition())
 
     # --- abstraction / concretization ----------------------------------------
 
@@ -211,14 +261,14 @@ class PredicateList:
         Disjunction of the feasible minterms entailing target: those outside
         the image of the states violating it.
         """
-        _, feasible = self._alpha_image()
+        feasible = self._partition()
         misses = self._image_of(cc.CNot(target))
         self._log_cubes("entails", feasible, target)
         return self._canonical(bits for bits in feasible if bits not in misses)
 
     def invariant_formula(self) -> bddm.Bdd:
         """I: the disjunction of theory-feasible minterms."""
-        return self._canonical(self._alpha_image()[1])
+        return self._canonical(self._partition())
 
 
 def predicate_list_text(preds: PredicateList) -> str:

@@ -305,8 +305,8 @@ def naive_cond(c, names, key):
 
 @_timed
 def suite_oracle_crosscheck(seed=0, cases=500):
-    """Theory-oracle verdicts and compiled conditions match an independent
-    truth-table evaluator."""
+    """Theory-oracle verdicts, masks and compiled conditions match an
+    independent truth-table evaluator."""
     rng = random.Random(seed)
     result = SuiteResult("theory oracle vs truth-table evaluation", cases)
     for case in range(cases):
@@ -322,6 +322,8 @@ def suite_oracle_crosscheck(seed=0, cases=500):
             result.failures.append(f"case {case}: entails({a}, {b})")
         if ctx.satisfiable(a) != any(truth_a):
             result.failures.append(f"case {case}: satisfiable({a})")
+        if ctx.mask(a) != sum(1 << k for k, hit in enumerate(truth_a) if hit):
+            result.failures.append(f"case {case}: mask({a})")
         fn = cc.compile(a, names)
         if [fn(z) for z in states] != truth_a:
             result.failures.append(f"case {case}: compile({a})")

@@ -551,10 +551,13 @@ def _seeded_joint(program, uniform_vars) -> cc.ConcreteDistribution:
     return cc.ConcreteDistribution(program.var_names, counts, math.prod(map(len, axes)))
 
 
-def _fragment_base(cprog, prefix, stmt, site, preds) -> cc.ConcreteDistribution:
+def _fragment_base(cprog, prefix, stmt, site, preds, runs=None) -> cc.ConcreteDistribution:
     """Fragment output distribution in the site's context, from a minimal
     initial joint: only variables whose initial value can reach a read of
-    the prefix or of the measurement (`_free_mass`) get a uniform prior."""
+    the prefix or of the measurement (`_free_mass`) get a uniform prior.
+    `runs`, if given, keeps each fragment's run for its caller, keyed on
+    what the run depends on: the prefix's statements, by identity, as they
+    all live in `cprog`'s body, and the uniform variables."""
     rbw, dw = _reads_writes(prefix)
     n = len(preds)
     levels = [v.index for v in site.free.support()]
@@ -567,8 +570,12 @@ def _fragment_base(cprog, prefix, stmt, site, preds) -> cc.ConcreteDistribution:
     if isinstance(stmt, cc.Assign):
         downstream |= cc.tree_vars(stmt.expr)
     uniform_vars = rbw | (downstream - dw)
-    fragment = cc.ConcreteProgram(cprog.decls, tuple(prefix))
-    return cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars)).filtered(context)
+    runs = {} if runs is None else runs
+    key = (tuple(map(id, prefix)), frozenset(uniform_vars))
+    if key not in runs:
+        fragment = cc.ConcreteProgram(cprog.decls, tuple(prefix))
+        runs[key] = cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars))
+    return runs[key].filtered(context)
 
 
 def _context_cond(site, preds) -> cc.Cond:
@@ -642,9 +649,10 @@ def fit_parameters(
     """
     _same_order(cprog, preds)
     fitted = []
+    runs = {}  # see `_fragment_base`
     for site in sites:
         prefix, stmt = locate(cprog.body, site.path)
-        base = _fragment_base(cprog, prefix, stmt, site, preds)
+        base = _fragment_base(cprog, prefix, stmt, site, preds, runs)
         denom, num = _free_mass(site, preds, base, stmt)
         flagged = denom == 0
         theta = Fraction(1, 2) if flagged else Fraction(num, denom)

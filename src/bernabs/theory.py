@@ -1,18 +1,24 @@
 """Decision procedure for conditions over bounded integer domains.
 
-Satisfiability and entailment are decided by exhaustive enumeration of the
-joint domain (the role an SMT solver would play for unbounded theories),
-bounded by ``concrete.DEFAULT_STATE_CAP`` alone, with memoization keyed on
-the condition's text, which also answers the builder's repeated draw
-queries; closedness is checked only on a miss.  Conditions are evaluated
-only through `concrete.compile`, once per query, and walked only through
-`bern.fold`: the weakest precondition is a `bern.map_expr` rebuild and the
-SMT-LIB2 text a fold with one entry per node class.  The predicate domain
-answers its per-cube questions from one sweep of its own (the α-image), so
-these are left to the builder's few direct checks and to the tests, which
-use them as the oracle.  SMT-LIB2 export is provided so an external solver
-can cross-check verdicts: the query log holds every distinct query asked
-here or answered by the image.
+The states that satisfy a condition are one integer bitset over the joint
+domain, its mask: bit k stands for the k-th state of
+`TheoryContext.states`.  A mask is built compositionally by one
+`bern.fold` (``&``, ``|`` and complement with the all-states mask), and
+each comparison atom is evaluated, through `concrete.compile`, only over
+the product of the ranges of the variables it reads, then repeated over
+the rest of the domain as a string of binary digits.  Satisfiability and
+entailment are one big-int test on masks (the role an SMT solver would
+play for unbounded theories), bounded by ``concrete.DEFAULT_STATE_CAP``
+alone.  Masks are memoized on the condition's text and atoms on theirs,
+which also answers the builder's repeated draw queries; closedness and
+the cap are checked only on a miss, and nothing of the domain's size is
+allocated before the cap check.  The weakest precondition is a
+`bern.map_expr` rebuild and the SMT-LIB2 text a fold with one entry per
+node class.  The predicate domain answers its per-cube questions from
+the masks of its cells, so these are left to the builder's few direct
+checks and to the tests, which use them as the oracle.  SMT-LIB2 export
+is provided so an external solver can cross-check verdicts: the query
+log holds every distinct query asked here or answered by the cells.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ class TheoryContext:
     def __init__(self, decls, record_queries=False):
         self.decls = tuple(decls)
         self.names = tuple(d.name for d in self.decls)
-        self._sat_memo = {}
-        self._ent_memo = {}
+        self._masks = {}  # str(cond) -> mask
+        self._atoms = {}  # str(atom) -> mask
+        self._full = None  # the all-states mask, made after the cap check
         self.query_log = [] if record_queries else None
         self._logged = set()  # memo keys of the logged queries
 
@@ -42,39 +49,94 @@ class TheoryContext:
         if extra:
             raise ParseError(f"condition mentions undeclared variables: {', '.join(sorted(extra))}")
 
-    def states(self):
-        """All joint states as tuples in declaration order; a domain of
-        more than ``concrete.DEFAULT_STATE_CAP`` states raises
-        ``TheoryCapError`` before any is enumerated."""
+    def size(self) -> int:
+        """How many joint states there are; a domain of more than
+        ``concrete.DEFAULT_STATE_CAP`` states raises ``TheoryCapError``."""
         n = cc.joint_size(self.decls)
         if n > cc.DEFAULT_STATE_CAP:
             raise TheoryCapError(f"joint domain has {n} states (cap {cc.DEFAULT_STATE_CAP})")
+        return n
+
+    def states(self):
+        """All joint states as tuples in declaration order; a domain over
+        the cap raises ``TheoryCapError`` before any is enumerated."""
+        self.size()
         return itertools.product(*(range(d.lo, d.hi) for d in self.decls))
 
-    def satisfiable(self, cond) -> bool:
+    def digits(self, mask) -> str:
+        """`mask` as one character per state in ``states()`` order, "1"
+        where its bit is set and "0" where it is not."""
+        return bin(mask)[:1:-1].ljust(self.size(), "0")
+
+    def members(self, mask):
+        """The states whose bits are set in `mask`, in ``states()`` order."""
+        return itertools.compress(self.states(), map("1".__eq__, self.digits(mask)))
+
+    def mask(self, cond) -> int:
+        """The states that satisfy `cond`, as an integer whose bit k is set
+        iff the k-th state of ``states()`` does, memoized on the text."""
         key = str(cond)
-        hit = self._sat_memo.get(key)
+        hit = self._masks.get(key)
         if hit is not None:
             return hit
         self.check_closed(cond)
+        if self._full is None:
+            self._full = (1 << self.size()) - 1
+        result = self._masks[key] = bern.fold(cond, self._combine)
+        return result
+
+    def _combine(self, node, values):
+        """The mask of a condition node, given its children's: or, below an
+        atom, the text of an integer expression, which names its atom."""
+        kind = type(node)
+        if kind is cc.CAnd:
+            return values[0] & values[1]
+        if kind is cc.COr:
+            return values[0] | values[1]
+        if kind is cc.CNot:
+            return self._full ^ values[0]
+        if kind is cc.CTrue:
+            return self._full
+        if kind is cc.CFalse:
+            return 0
+        text = cc.node_text(node, values)
+        return self._atom(node, text) if kind is cc.Cmp else text
+
+    def _atom(self, atom, key) -> int:
+        """The mask of a comparison whose text is `key`: its truth table
+        over the variables it reads, in ``itertools.product`` order, laid
+        out as binary digits level by level from the last variable up.
+        At each level a variable the atom reads puts each run of
+        consecutive blocks side by side, the first value lowest, and any
+        other repeats each block once per value.  A loop, not a recursion,
+        over the levels, and linear in the digits made."""
+        hit = self._atoms.get(key)
+        if hit is not None:
+            return hit
+        reads = cc.tree_vars(atom)
+        levels = [i for i, name in enumerate(self.names) if name in reads]
+        fn = cc.compile(atom, [self.names[i] for i in levels])
+        ranges = (range(self.decls[i].lo, self.decls[i].hi) for i in levels)
+        blocks = ["1" if fn(s) else "0" for s in itertools.product(*ranges)]
+        for level in reversed(range(len(self.decls))):
+            size = self.decls[level].size
+            if levels and levels[-1] == level:
+                levels.pop()
+                blocks = ["".join(reversed(blocks[i : i + size])) for i in range(0, len(blocks), size)]
+            else:
+                blocks = [block * size for block in blocks]
+        result = self._atoms[key] = int(blocks[0], 2)
+        return result
+
+    def satisfiable(self, cond) -> bool:
+        result = self.mask(cond) != 0
         self.log_query("sat", cond)
-        fn = cc.compile(cond, self.names)
-        result = any(fn(s) for s in self.states())
-        self._sat_memo[key] = result
         return result
 
     def entails(self, a, b) -> bool:
-        """Every state satisfying a satisfies b (decided by direct sweep)."""
-        key = (str(a), str(b))
-        hit = self._ent_memo.get(key)
-        if hit is not None:
-            return hit
-        self.check_closed(a)
-        self.check_closed(b)
+        """Every state satisfying a satisfies b."""
+        result = self.mask(a) & ~self.mask(b) == 0
         self.log_query("entails", a, b)
-        fa, fb = cc.compile(a, self.names), cc.compile(b, self.names)
-        result = all(fb(s) for s in self.states() if fa(s))
-        self._ent_memo[key] = result
         return result
 
     def log_query(self, kind, a, b=None):

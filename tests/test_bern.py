@@ -219,6 +219,35 @@ def test_every_program_keeps_the_record_of_its_own_walk():
     assert repr(prog) == f"BernProgram(decls={prog.decls!r}, body={prog.body!r}, mode='prob')"
 
 
+def test_a_program_hashes_its_body_once(monkeypatch):
+    """A BERN or concrete program keeps its hash by value from its first
+    `hash`: equal programs hash equal, the first hash folds the body's
+    expressions and later ones fold none, and a program made from it by
+    `dataclasses.replace` hashes its own body."""
+    rng = random.Random(31)
+    shapes = []
+    real = bern._shape
+    monkeypatch.setattr(bern, "_shape", lambda e: shapes.append(e) or real(e))
+    first = 0
+    for _ in range(30):
+        names = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        prog = randgen.rand_bern_program(rng, names, max_flips=3, max_stmts=6)
+        again = parsing.parse_bern(bern.to_text(prog))
+        cprog = randgen.rand_concrete_program(rng, draws=True)
+        for p, q in ((prog, again), (cprog, dataclasses.replace(cprog))):
+            assert p == q and p is not q
+            del shapes[:]
+            assert hash(p) == hash(q)
+            first += len(shapes)
+            del shapes[:]
+            assert hash(p) == hash(q) and shapes == []
+            shorter = dataclasses.replace(p, body=p.body[:-1])
+            assert hash(shorter) == hash(dataclasses.replace(q, body=q.body[:-1]))
+            assert (shorter == p) == (p.body == p.body[:-1])
+            assert "_hash" not in repr(p)
+    assert first > 0
+
+
 def test_parse_bern_folds_each_expression_once(monkeypatch):
     """Parsing reads the mode off its grammar, so the program's validating
     walk is the only fold of each expression."""

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bernabs import bdd as bddm
+from bernabs import bern
 from bernabs import concrete as cc
 from bernabs import parsing, randgen, theory
 from bernabs.domain import PredicateList
@@ -61,27 +62,41 @@ def test_gamma_lower_examples():
     assert len(empty.gamma_lower(())) == 3
 
 
-def test_each_condition_and_the_cells_are_swept_once(monkeypatch):
+def test_each_condition_and_the_cells_are_built_once(monkeypatch):
+    """Counts the masks the theory builds (its folds of a condition) and
+    the sweeps of ``states()``: a repeated text costs nothing, a condition
+    and its negation cost one mask, and the cells are made once."""
     ctx, preds = two_pred_domain()
-    swept = []
-    real = theory.TheoryContext.states
-    monkeypatch.setattr(theory.TheoryContext, "states", lambda c: swept.append(1) or real(c))
+    built, swept = [], []
+    real_fold, real_states = bern.fold, theory.TheoryContext.states
+
+    def fold(tree, visit):
+        if getattr(visit, "__func__", None) is theory.TheoryContext._combine:
+            built.append(str(tree))
+        return real_fold(tree, visit)
+
+    monkeypatch.setattr(bern, "fold", fold)
+    monkeypatch.setattr(theory.TheoryContext, "states", lambda c: swept.append(1) or real_states(c))
     cond = parsing.parse_cond("x < 0", ["x"])
     first = preds.strongest_implied(cond)
-    sweeps = len(swept)
+    # the condition, then the cells: all states and one mask per predicate
+    assert built == ["x < 0", "T", "x < -4", "x < 3"] and swept == []
     # the same text again, and the same condition as the negated target
     again = preds.strongest_implied(parsing.parse_cond("x < 0", ["x"]))
-    assert again.equiv(first) and len(swept) == sweeps
+    assert again.equiv(first) and len(built) == 4
     assert preds.weakest_sufficient(cc.CNot(cond)).equiv(preds.weakest_sufficient(cc.CNot(cond)))
-    assert len(swept) == sweeps + 1
-    # a condition and then its negation, through either operator: one sweep,
-    # and the negation's image is the one a sweep of its own finds
+    assert built[4:] == ["!(!(x < 0))"]
+    # a condition and then its negation, through either operator: one mask,
+    # and the negation's image is the one a mask of its own finds
     for query, text in ((preds.strongest_implied, "x >= 5"), (preds.weakest_sufficient, "x != -6")):
         g = parsing.parse_cond(text, ["x"])
-        sweeps = len(swept)
+        builds = len(built)
         query(g)
         query(cc.CNot(g))
-        assert len(swept) == sweeps + 1
+        assert len(built) == builds + 1
+    assert swept == []
+    for text in ("x >= 5", "x != -6"):
+        g = parsing.parse_cond(text, ["x"])
         for c in (g, cc.CNot(g), cc.CNot(cc.CNot(g))):
             direct = PredicateList(zip(preds.labels, preds.conds), ctx)._image_of(c)
             want = {preds.alpha((x,)) for x in range(-8, 8) if naive_cond(c, ["x"], (x,))}
@@ -90,13 +105,13 @@ def test_each_condition_and_the_cells_are_swept_once(monkeypatch):
     with pytest.raises(ParseError, match="undeclared variables: y"):
         preds.strongest_implied(parsing.parse_cond("y < 0", ["x", "y"]))
     cells = preds.cells()
-    sweeps = len(swept)
+    builds, sweeps = len(built), len(swept)
     cells[(False, True)].clear()
     preds.gamma_lower((True, True)).clear()
     assert preds.cells() == {bits: preds.gamma_lower(bits) for bits in cells}
     assert preds.gamma_lower((True, True)) == [(x,) for x in range(-8, -4)]
     assert len(preds.gamma_lower((False, True))) == 7
-    assert len(swept) == sweeps
+    assert (len(built), len(swept)) == (builds, sweeps)
 
 
 def test_predicate_bound():
@@ -240,3 +255,54 @@ def test_preds_serialization_round_trip():
     text = predicate_list_text(preds)
     again = parsing.parse_preds(text)
     assert [lbl for lbl, _ in again] == list(preds.labels)
+
+
+def _reference(preds, conds):
+    """A sweep of every state with the reference evaluator: the α-image,
+    the cells in sorted order, and the image of each of `conds`."""
+    ctx = preds.ctx
+    states = list(ctx.states())
+    image = [tuple(naive_cond(p, ctx.names, z) for p in preds.conds) for z in states]
+    cells = {}
+    for z, bits in sorted(zip(states, image), key=lambda pair: pair[1]):
+        cells.setdefault(bits, {})[z] = None
+    images = {
+        str(c): {bits for z, bits in zip(states, image) if naive_cond(c, ctx.names, z)}
+        for c in conds
+    }
+    return image, cells, images
+
+
+def test_cells_and_images_match_a_state_sweep():
+    """The cells, `cell_map`, the α-image and `_image_of` equal a sweep of
+    every state, for partitions kept as cell masks and for partitions too
+    fine for them (more than `DENSE_CELLS` cells), which are read off the
+    α-image."""
+    from bernabs.domain import DENSE_CELLS
+
+    rng = random.Random(41)
+    cases = []
+    for _ in range(30):
+        decls = randgen.rand_decls(rng, max_vars=3, max_range=6)
+        pairs = randgen.rand_predicates(rng, decls, 4)
+        cases.append((decls, pairs))
+    for n in (6, 7, 9):  # a ladder: 2**n one-state cells
+        decls = tuple(cc.VarDecl(f"x{i}", 0, 2) for i in range(n))
+        cases.append((decls, [(f"p{i}", parsing.parse_cond(f"x{i} == 1", [f"x{i}"])) for i in range(n)]))
+    kinds = set()
+    for decls, pairs in cases:
+        ctx = theory.TheoryContext(decls)
+        preds = PredicateList(pairs, ctx)
+        conds = [randgen.rand_cond(rng, decls) for _ in range(4)]
+        image, cells, images = _reference(preds, conds + [cc.CNot(c) for c in conds])
+        for c in conds:
+            assert preds._image_of(c) == images[str(c)]
+            assert preds._image_of(cc.CNot(c)) == images[str(cc.CNot(c))]
+        kinds.add(preds._cell_masks is None)
+        assert (preds._cell_masks is None) == (len(cells) > DENSE_CELLS)
+        assert preds._alpha_image()[0] == image
+        assert list(preds._alpha_image()[1]) == list(cells)
+        assert [m.bits for m in preds.feasible_minterms()] == list(cells)
+        assert preds.cell_map() == cells and list(preds.cell_map()) == list(cells)
+        assert all(list(preds.cell_map()[bits]) == list(cells[bits]) for bits in cells)
+    assert kinds == {True, False}

@@ -569,6 +569,31 @@ def test_fit_theta_is_the_fraction_measurement():
     assert roles == {"branch", "assign", "draw", "structural"}
 
 
+def test_fit_runs_each_fragment_once(monkeypatch):
+    """`fit_parameters` runs no fragment twice from the same input, though
+    sites share prefixes and uniform variables; the thetas it gives from
+    the shared runs are those `test_fit_theta_is_the_fraction_measurement`
+    checks against a run per site."""
+    rng = random.Random(5)
+    real = cc.eval_dist
+    runs = []
+    monkeypatch.setattr(
+        cc, "eval_dist", lambda p, d=None: runs.append((p, frozenset(d.counts.items()))) or real(p, d)
+    )
+    shared = 0
+    for case in range(30):
+        prog = randgen.rand_concrete_program(rng, max_stmts=8, draws=True, observes=case % 3 == 1)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 4), ctx)
+        config = bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fit())
+        aprog, sites = bld.abstract_program(prog, preds, config)
+        del runs[:]
+        theorems.fit_parameters(prog, aprog, sites, preds)
+        assert len(runs) == len(set(runs))
+        shared += len(sites) - len(runs)
+    assert shared > 0
+
+
 # sha256 of the fitted text and site table of FIT_CASES random programs in
 # each invariant style, as fit wrote them when each role had its own
 # measurement, except that a structural update allocates no flip where its

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bernabs import bdd as bddm
 from bernabs import concrete as cc
 from bernabs import parsing, randgen, theory
 from bernabs.errors import TheoryCapError
@@ -124,3 +125,92 @@ def test_query_log_dump():
     dump = theory.dump_query_log(ctx)
     assert dump.count("(check-sat)") == 2
     assert "(reset)" in dump
+
+
+def _atom(rng, decls, reads):
+    """A comparison of a random linear sum over `reads` with a constant."""
+    expr = cc.IntConst(rng.randint(-3, 3))
+    for d in reads:
+        term = cc.Scale(rng.choice((-2, -1, 2, 3)), cc.IntVar(d.name))
+        expr = cc.Add(expr, term) if rng.random() < 0.5 else cc.Sub(expr, term)
+    return cc.Cmp(rng.choice(cc.CMP_OPS), expr, cc.IntConst(rng.randint(-6, 6)))
+
+
+def _mask_cond(rng, decls, depth):
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice((cc.CTrue(), cc.CFalse()))
+        reads = (
+            [],  # a constant comparison
+            [decls[len(decls) // 2]],  # the middle variable alone
+            list(decls),  # every variable
+            rng.sample(decls, rng.randint(1, len(decls))),
+        )[kind - 1]
+        return _atom(rng, decls, reads)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return cc.CNot(_mask_cond(rng, decls, depth - 1))
+    node = (cc.CAnd, cc.COr)[kind - 1]
+    return node(_mask_cond(rng, decls, depth - 1), _mask_cond(rng, decls, depth - 1))
+
+
+def test_mask_is_the_truth_table():
+    """Bit k of ``mask(c)`` is c at the k-th state of ``states()``, and no
+    bit past the last state is set: over domains with negative bounds and
+    width-1 variables, for atoms that read no variable, only the middle
+    one, every one, or any subset."""
+    rng = random.Random(29)
+    for _ in range(150):
+        decls = tuple(
+            cc.VarDecl(f"v{i}", lo, lo + rng.choice((1, 1, 2, 3, 5)))
+            for i, lo in enumerate(rng.randint(-6, 2) for _ in range(rng.randint(1, 4)))
+        )
+        ctx = theory.TheoryContext(decls)
+        states = list(ctx.states())
+        for _ in range(4):
+            c = _mask_cond(rng, decls, 3)
+            want = sum(1 << k for k, z in enumerate(states) if naive_cond(c, ctx.names, z))
+            assert ctx.mask(c) == want, str(c)
+            assert list(ctx.members(want)) == [z for z in states if naive_cond(c, ctx.names, z)]
+            assert ctx.satisfiable(c) == (want != 0)
+
+
+def test_two_thousand_width_one_variables_need_no_recursion():
+    """A joint domain of one state over 2,000 variables: the masks are
+    built level by level, so nothing recurses per variable, and a
+    conjunction of an atom per variable is one fold."""
+    from bernabs.domain import PredicateList
+
+    decls = [cc.VarDecl(f"x{i}", 0, 1) for i in range(2000)]
+    ctx = theory.TheoryContext(decls)
+    names = ctx.names
+    assert ctx.satisfiable(cond("x1999 < 1", names))
+    assert not ctx.satisfiable(cond("x1000 > 0", names))
+    assert ctx.entails(cond("x0 == 0", names), cond("x1999 >= 0", names))
+    every = cc.cond_and_all([cc.Cmp("==", cc.IntVar(n), cc.IntConst(0)) for n in names])
+    assert ctx.satisfiable(every) and ctx.entails(cc.CTrue(), every)
+    preds = PredicateList([("a", cond("x0 == 0", names)), ("b", cond("x1999 == 1", names))], ctx)
+    got = preds.strongest_implied(cond("x7 < 1", names))
+    a, b = (bddm.var_bdd(preds.universe, preds.var(label)) for label in ("a", "b"))
+    assert got.equiv(a & ~b)
+
+
+def test_a_domain_past_the_cap_allocates_nothing():
+    """2**40 states: the context is made, and the first mask or
+    satisfiability query raises before anything of the domain's size is
+    allocated."""
+    import tracemalloc
+
+    ctx = theory.TheoryContext([cc.VarDecl(f"x{i}", 0, 2) for i in range(40)])
+    c = cond("x3 < 1", ctx.names)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TheoryCapError, match="1099511627776 states"):
+            ctx.mask(c)
+        with pytest.raises(TheoryCapError):
+            ctx.satisfiable(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
