@@ -172,7 +172,6 @@ class Abstractor:
         # the statement that filters: observe in probabilistic mode, assume in nondet
         self._filter = bern.BObserve if config.mode == "prob" else bern.BAssume
         self._inv_expr = formula_to_expr(self._inv) if config.invariant_style == "observe" else None
-        self._reads = [cc.tree_vars(cond) for cond in preds.conds]  # each predicate's variables
 
     # --- small helpers ---------------------------------------------------
 
@@ -226,7 +225,7 @@ class Abstractor:
         return tuple(out)
 
     def _mentioning(self, name):
-        return [i for i, names in enumerate(self._reads) if name in names]
+        return [i for i, names in enumerate(self.preds.reads) if name in names]
 
     def _after(self, stmt, context):
         """`context` less the literals that the writes in `stmt`, or in its

@@ -7,19 +7,19 @@ masks (see `theory.TheoryContext.mask`), in the All-SAT style of
 predicate abstraction: from one cell of every state, each cell is split
 by p_i and its complement, and empty parts are dropped.  The feasible
 minterms, γ and both approximation operators are read off the cells
-instead of one theory query per minterm: the image of a condition is the
-set of cells its mask meets, and that of its negation the set of cells
-its mask does not hold, kept together for every later query of either.
-Each cell's mask is as wide as the domain, so a partition into more than
-`DENSE_CELLS` cells keeps the per-state α-image instead, decoded from the
-predicates' masks, and reads images off it at the mask's bits; otherwise
-the α-image and γ as lists of states are decoded on first use only.  n is
-capped because minterm sets can still grow as 2^n.  The approximations
-and the invariant are answered as canonical Bdds over ``universe``, one
-variable per predicate, so callers compare them by semantics rather than
-syntax; the builder turns them into BERN text where it emits a program.
-With a query log on, the per-cube theory queries that the cells answered
-are recorded, so an external solver can cross-check them.
+instead of one theory query per minterm: the image of a condition, read
+on every query, is the set of cells its mask meets, and a negation's
+mask is the complement of the condition's.  Each cell's mask is as wide
+as the domain, so a partition into more than `DENSE_CELLS` cells keeps
+the per-state α-image instead, decoded from the predicates' masks, and
+reads images off it at the mask's bits.  α of one state is the α-image
+at the state's index.  n is capped because minterm sets can still grow
+as 2^n.  The approximations and the invariant are answered as canonical
+Bdds over ``universe``, one variable per predicate, so callers compare
+them by semantics rather than syntax; the builder turns them into BERN
+text where it emits a program.  With a query log on, the per-cube theory
+queries that the cells answered are recorded, so an external solver can
+cross-check them.
 """
 
 from __future__ import annotations
@@ -63,17 +63,14 @@ class PredicateList:
         labels = [label for label, _ in preds]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate predicate labels")
-        for _, cond in preds:
-            ctx.check_closed(cond)
         self.ctx = ctx
         self.labels = tuple(labels)
         self.conds = tuple(cond for _, cond in preds)
-        self._fns = tuple(cc.compile(cond, ctx.names) for cond in self.conds)
+        self.reads = tuple(map(ctx.check_closed, self.conds))  # each predicate's variables
         self.universe = bddm.make_universe([(label, None) for label in labels])
         self._feasible = None  # feasible bit-vector -> itself, in product order
         self._cell_masks = None  # feasible bit-vector -> its cell's mask, if kept
         self._image = None
-        self._images = {}  # str(cond) -> the bit-vectors of cond's states
         self._cells = None
 
     def __len__(self):
@@ -88,11 +85,7 @@ class PredicateList:
     # --- minterm machinery -------------------------------------------------
 
     def minterm_cond(self, bits) -> cc.Cond:
-        lits = [
-            cond if bit else cc.CNot(cond)
-            for cond, bit in zip(self.conds, bits)
-        ]
-        return cc.cond_and_all(lits)
+        return cc.cond_and_all([c if bit else cc.CNot(c) for c, bit in zip(self.conds, bits)])
 
     def _partition(self) -> dict:
         """The feasible bit-vectors, each mapped to itself, in
@@ -123,13 +116,9 @@ class PredicateList:
         return self._feasible
 
     def _alpha_image(self):
-        """The α-image, decoded on first use.
-
-        Returns (image, feasible): the predicate bits of every joint state in
-        ``ctx.states()`` order, and a dict mapping each feasible bit-vector
-        to itself, in itertools.product order, whose tuples a caller can
-        share for them.
-        """
+        """(image, feasible), decoded on first use: the predicate bits of
+        every joint state in ``ctx.states()`` order, one tuple per
+        bit-vector, and the feasible bit-vectors as `_partition` gives them."""
         feasible = self._partition()
         if self._image is None:
             self._image, _ = self._decode()
@@ -153,26 +142,14 @@ class PredicateList:
         return itertools.product((False, True), repeat=len(self))
 
     def _image_of(self, cond) -> frozenset:
-        """The bit-vectors of the states that satisfy `cond`, memoized on the
-        condition's text: the cells its mask meets.  Conditions come in
-        pairs, a guard and its negation, so the cells its mask does not
-        hold are kept too, as the image of ``!cond``.  Without the cells'
-        masks, the image is read at the mask's set and clear bits."""
-        text = str(cond)
-        if text not in self._images:
-            mask = self.ctx.mask(cond)
-            self._partition()
-            if self._cell_masks is not None:
-                cells = self._cell_masks.items()
-                hits = frozenset(bits for bits, cell in cells if cell & mask)
-                misses = frozenset(bits for bits, cell in cells if cell & ~mask)
-            else:
-                digits = self.ctx.digits(mask)
-                hits = frozenset(itertools.compress(self._image, map("1".__eq__, digits)))
-                misses = frozenset(itertools.compress(self._image, map("0".__eq__, digits)))
-            self._images[text] = hits
-            self._images[str(cc.CNot(cond))] = misses
-        return self._images[text]
+        """The bit-vectors of the states that satisfy `cond`, read on each
+        call: the cells its mask meets, or, without the cells' masks, the
+        α-image at the mask's set bits."""
+        mask = self.ctx.mask(cond)
+        self._partition()
+        if self._cell_masks is not None:
+            return frozenset(bits for bits, cell in self._cell_masks.items() if cell & mask)
+        return frozenset(itertools.compress(self._image, map("1".__eq__, self.ctx.digits(mask))))
 
     def _log_cubes(self, kind, bit_vectors, other=None):
         """Record in the theory's query log the per-cube queries the image
@@ -197,8 +174,9 @@ class PredicateList:
     # --- abstraction / concretization ----------------------------------------
 
     def alpha(self, key: tuple) -> tuple:
-        """Componentwise predicate evaluation at a total concrete state."""
-        return tuple([fn(key) for fn in self._fns])
+        """The predicate bits of the state `key`, the α-image at its index
+        (`TheoryContext.index`); a domain past the cap raises."""
+        return self._alpha_image()[0][self.ctx.index(key)]
 
     def gamma_lower(self, bits) -> list:
         """All concrete states whose abstraction is exactly `bits`, in

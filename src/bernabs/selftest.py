@@ -305,7 +305,7 @@ def naive_cond(c, names, key):
 
 @_timed
 def suite_oracle_crosscheck(seed=0, cases=500):
-    """Theory-oracle verdicts, masks and compiled conditions match an
+    """Theory-oracle verdicts, masks, α and compiled conditions match an
     independent truth-table evaluator."""
     rng = random.Random(seed)
     result = SuiteResult("theory oracle vs truth-table evaluation", cases)
@@ -322,8 +322,14 @@ def suite_oracle_crosscheck(seed=0, cases=500):
             result.failures.append(f"case {case}: entails({a}, {b})")
         if ctx.satisfiable(a) != any(truth_a):
             result.failures.append(f"case {case}: satisfiable({a})")
-        if ctx.mask(a) != sum(1 << k for k, hit in enumerate(truth_a) if hit):
+        want = sum(1 << k for k, hit in enumerate(truth_a) if hit)
+        if ctx.mask(a) != want:
             result.failures.append(f"case {case}: mask({a})")
+        if ctx.mask(cc.CNot(a)) != want ^ ((1 << len(states)) - 1):
+            result.failures.append(f"case {case}: mask(!({a}))")
+        alpha = PredicateList([("a", a), ("b", b)], ctx).alpha
+        if any(alpha(z) != (hit, naive_cond(b, names, z)) for z, hit in zip(states, truth_a)):
+            result.failures.append(f"case {case}: alpha over ({a}, {b})")
         fn = cc.compile(a, names)
         if [fn(z) for z in states] != truth_a:
             result.failures.append(f"case {case}: compile({a})")

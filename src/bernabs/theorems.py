@@ -170,17 +170,11 @@ def _derived(preds: PredicateList, key, make):
 
 def _alpha_outputs(cprog, preds: PredicateList, keys) -> list:
     """alpha(C(z)), or BLOCKED where the run blocks on an observe, for each
-    state z of `keys`; each alpha is the feasible map's shared tuple where
-    it has one, so a kept image costs one reference per state."""
-    _, shared = preds._alpha_image()
-    outputs = []
-    for z in keys:
-        out = cc.eval_det(cprog, z)
-        if out is not cc.BLOCKED:
-            a_out = preds.alpha(out)
-            out = shared.get(a_out, a_out)
-        outputs.append(out)
-    return outputs
+    state z of `keys`; each alpha is a tuple of the α-image, shared by
+    every state of its bit-vector, so a kept image costs one reference per
+    state."""
+    outputs = (cc.eval_det(cprog, z) for z in keys)
+    return [out if out is cc.BLOCKED else preds.alpha(out) for out in outputs]
 
 
 def _sound_sweep(name, cprog, preds: PredicateList, inputs, kernel) -> CheckReport:
@@ -561,12 +555,14 @@ def _fragment_base(cprog, prefix, stmt, site, preds, runs=None) -> cc.ConcreteDi
     rbw, dw = _reads_writes(prefix)
     n = len(preds)
     levels = [v.index for v in site.free.support()]
-    context = _context_cond(site, preds)
-    before = [context] + [preds.conds[i] for i in levels if i < n]
-    after = [site.event] + [preds.conds[i - n] for i in levels if i >= n]
-    written = set() if isinstance(stmt, cc.If) else {stmt.name}
-    downstream = set().union(*map(cc.tree_vars, before))
-    downstream |= set().union(*map(cc.tree_vars, after)) - written
+    before = [preds.labels.index(lbl) for lbl, _ in site.context] + [i for i in levels if i < n]
+    after = [i - n for i in levels if i >= n]
+    if isinstance(stmt, cc.If):  # the event is the guard
+        written, event = set(), cc.tree_vars(site.event)
+    else:  # the event is the site's predicate
+        written, event = {stmt.name}, preds.reads[preds.labels.index(site.predicate)]
+    downstream = set().union(*(preds.reads[i] for i in before))
+    downstream |= event.union(*(preds.reads[i] for i in after)) - written
     if isinstance(stmt, cc.Assign):
         downstream |= cc.tree_vars(stmt.expr)
     uniform_vars = rbw | (downstream - dw)
@@ -575,14 +571,11 @@ def _fragment_base(cprog, prefix, stmt, site, preds, runs=None) -> cc.ConcreteDi
     if key not in runs:
         fragment = cc.ConcreteProgram(cprog.decls, tuple(prefix))
         runs[key] = cc.eval_dist(fragment, _seeded_joint(fragment, uniform_vars))
-    return runs[key].filtered(context)
+    return runs[key].filtered(_context_cond(site, preds))
 
 
 def _context_cond(site, preds) -> cc.Cond:
-    lits = [
-        preds.cond_of(lbl) if pol else cc.CNot(preds.cond_of(lbl))
-        for lbl, pol in site.context
-    ]
+    lits = [preds.cond_of(lbl) if pol else cc.CNot(preds.cond_of(lbl)) for lbl, pol in site.context]
     return cc.cond_and_all(lits)
 
 
@@ -599,15 +592,14 @@ def _post_states(stmt, names):
     return lambda z: [z[:slot] + (v,) + z[slot + 1 :] for v in values]
 
 
-def _free_mass(site, preds: PredicateList, base: cc.ConcreteDistribution, stmt):
+def _free_mass(site, fns, base: cc.ConcreteDistribution, stmt):
     """(mass where the flip decides, mass where `site.event` holds there),
     as integers over one scale that depends on the site only: `base`'s
     scale times the number of post-states of each z.  It cancels in theta.
 
     `site.free` is walked for each state z of `base` and each post-state
-    z', reading at each level only its predicate: on z below level n, on z'
-    from level n on."""
-    fns = preds._fns
+    z', which may be out of range, reading at each level only its
+    predicate, compiled in `fns`: on z below level n, on z' from n on."""
     n = len(fns)
     table = site.free.universe.table
     event = cc.compile(site.event, base.var_names)
@@ -650,10 +642,11 @@ def fit_parameters(
     _same_order(cprog, preds)
     fitted = []
     runs = {}  # see `_fragment_base`
+    fns = tuple(cc.compile(cond, cprog.var_names) for cond in preds.conds)
     for site in sites:
         prefix, stmt = locate(cprog.body, site.path)
         base = _fragment_base(cprog, prefix, stmt, site, preds, runs)
-        denom, num = _free_mass(site, preds, base, stmt)
+        denom, num = _free_mass(site, fns, base, stmt)
         flagged = denom == 0
         theta = Fraction(1, 2) if flagged else Fraction(num, denom)
         fitted.append(replace(site, theta=theta, flagged=flagged))

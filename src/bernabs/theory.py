@@ -2,23 +2,24 @@
 
 The states that satisfy a condition are one integer bitset over the joint
 domain, its mask: bit k stands for the k-th state of
-`TheoryContext.states`.  A mask is built compositionally by one
-`bern.fold` (``&``, ``|`` and complement with the all-states mask), and
+`TheoryContext.states`, the state at `TheoryContext.index` k.  A mask is
+one `bern.fold` (``&``, ``|`` and complement with the all-states mask);
 each comparison atom is evaluated, through `concrete.compile`, only over
-the product of the ranges of the variables it reads, then repeated over
-the rest of the domain as a string of binary digits.  Satisfiability and
-entailment are one big-int test on masks (the role an SMT solver would
-play for unbounded theories), bounded by ``concrete.DEFAULT_STATE_CAP``
-alone.  Masks are memoized on the condition's text and atoms on theirs,
-which also answers the builder's repeated draw queries; closedness and
-the cap are checked only on a miss, and nothing of the domain's size is
-allocated before the cap check.  The weakest precondition is a
-`bern.map_expr` rebuild and the SMT-LIB2 text a fold with one entry per
-node class.  The predicate domain answers its per-cube questions from
-the masks of its cells, so these are left to the builder's few direct
-checks and to the tests, which use them as the oracle.  SMT-LIB2 export
-is provided so an external solver can cross-check verdicts: the query
-log holds every distinct query asked here or answered by the cells.
+the ranges of the variables it reads, and repeated over the rest of the
+domain as binary digits.  A negation's mask is the complement: stacked
+``!`` are stripped in a loop, so a condition and its negation share one
+build.  Satisfiability and entailment are one big-int test on masks (the
+role an SMT solver would play for unbounded theories), bounded by
+``concrete.DEFAULT_STATE_CAP`` alone.  Masks are memoized on the
+condition's text and atoms on theirs; the cap is checked on a miss,
+before anything of the domain's size is allocated, and closedness on
+each new atom.  The weakest precondition is a `bern.map_expr` rebuild
+and the SMT-LIB2 text a fold with one entry per node class.  The
+predicate domain answers its per-cube questions from the masks of its
+cells, so these are left to the builder's few direct checks and to the
+tests, which use them as the oracle.  The query log holds every distinct
+query asked here or answered by the cells, as SMT-LIB2 an external
+solver can cross-check.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ class TheoryContext:
     def of_program(cls, program: cc.ConcreteProgram, record_queries=False):
         return cls(program.decls, record_queries=record_queries)
 
-    def check_closed(self, cond):
-        extra = cc.tree_vars(cond) - set(self.names)
+    def check_closed(self, cond) -> frozenset:
+        """The variables `cond` reads, if this context declares them all."""
+        reads = frozenset(cc.tree_vars(cond))
+        extra = reads - set(self.names)
         if extra:
             raise ParseError(f"condition mentions undeclared variables: {', '.join(sorted(extra))}")
+        return reads
 
     def size(self) -> int:
         """How many joint states there are; a domain of more than
@@ -68,22 +72,38 @@ class TheoryContext:
         where its bit is set and "0" where it is not."""
         return bin(mask)[:1:-1].ljust(self.size(), "0")
 
+    def index(self, key) -> int:
+        """The position of the state `key` in ``states()`` order; a value
+        out of its range or a key of the wrong length raises."""
+        if len(key) != len(self.decls):
+            raise ValueError(f"{key!r} is not a state of {self.names!r}")
+        k = 0
+        for d, value in zip(self.decls, key):
+            k = k * d.size + cc._checked(d, value) - d.lo
+        return k
+
     def members(self, mask):
         """The states whose bits are set in `mask`, in ``states()`` order."""
         return itertools.compress(self.states(), map("1".__eq__, self.digits(mask)))
 
     def mask(self, cond) -> int:
         """The states that satisfy `cond`, as an integer whose bit k is set
-        iff the k-th state of ``states()`` does, memoized on the text."""
+        iff the k-th state of ``states()`` does: the complement for each
+        stacked ``!``, of the condition under them, memoized on its text."""
+        negated = False
+        while type(cond) is cc.CNot:
+            cond, negated = cond.operand, not negated
         key = str(cond)
-        hit = self._masks.get(key)
-        if hit is not None:
-            return hit
-        self.check_closed(cond)
-        if self._full is None:
-            self._full = (1 << self.size()) - 1
-        result = self._masks[key] = bern.fold(cond, self._combine)
-        return result
+        result = self._masks.get(key)
+        if result is None:
+            if self._full is None:
+                self._full = (1 << self.size()) - 1
+            try:
+                result = self._masks[key] = bern.fold(cond, self._combine)
+            except ParseError:
+                self.check_closed(cond)  # names every undeclared variable, not the atom's
+                raise
+        return self._full ^ result if negated else result
 
     def _combine(self, node, values):
         """The mask of a condition node, given its children's: or, below an
@@ -109,11 +129,12 @@ class TheoryContext:
         At each level a variable the atom reads puts each run of
         consecutive blocks side by side, the first value lowest, and any
         other repeats each block once per value.  A loop, not a recursion,
-        over the levels, and linear in the digits made."""
+        over the levels, and linear in the digits made.  The variables it
+        reads must be declared (`check_closed`)."""
         hit = self._atoms.get(key)
         if hit is not None:
             return hit
-        reads = cc.tree_vars(atom)
+        reads = self.check_closed(atom)
         levels = [i for i, name in enumerate(self.names) if name in reads]
         fn = cc.compile(atom, [self.names[i] for i in levels])
         ranges = (range(self.decls[i].lo, self.decls[i].hi) for i in levels)

@@ -594,6 +594,34 @@ def test_fit_runs_each_fragment_once(monkeypatch):
     assert shared > 0
 
 
+def test_fit_reads_each_predicates_variables_once(monkeypatch):
+    """Once the domain is made and its cells found, abstracting and fitting
+    fold no predicate and no site's context condition for its variables:
+    the builder and fit read ``preds.reads``."""
+    rng = random.Random(3)
+    real_vars, real_context = cc.tree_vars, theorems._context_cond
+    folded, contexts = [], []
+    monkeypatch.setattr(cc, "tree_vars", lambda tree: folded.append(tree) or real_vars(tree))
+    monkeypatch.setattr(
+        theorems, "_context_cond", lambda site, preds: contexts.append(real_context(site, preds)) or contexts[-1]
+    )
+    sites_seen = 0
+    for case in range(20):
+        prog = randgen.rand_concrete_program(rng, max_stmts=8, draws=True, observes=case % 3 == 1)
+        ctx = theory.TheoryContext.of_program(prog)
+        preds = PredicateList(randgen.rand_predicates(rng, prog.decls, 4), ctx)
+        preds.invariant_formula()
+        del folded[:], contexts[:]
+        config = bld.AbstractionConfig("prob", "observe", bld.ParamPolicy.fit())
+        aprog, sites = bld.abstract_program(prog, preds, config)
+        theorems.fit_parameters(prog, aprog, sites, preds)
+        sites_seen += len(sites)
+        assert len(contexts) == len(sites)
+        kept = {id(c) for c in preds.conds + tuple(contexts)}
+        assert not [tree for tree in folded if id(tree) in kept]
+    assert sites_seen > 20
+
+
 # sha256 of the fitted text and site table of FIT_CASES random programs in
 # each invariant style, as fit wrote them when each role had its own
 # measurement, except that a structural update allocates no flip where its

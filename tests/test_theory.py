@@ -7,7 +7,7 @@ import pytest
 from bernabs import bdd as bddm
 from bernabs import concrete as cc
 from bernabs import parsing, randgen, theory
-from bernabs.errors import TheoryCapError
+from bernabs.errors import ParseError, TheoryCapError
 from bernabs.selftest import naive_cond
 
 
@@ -214,3 +214,46 @@ def test_a_domain_past_the_cap_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_a_negation_is_the_complement_of_one_build(monkeypatch):
+    """5,000 stacked ``!`` around a condition give its mask or the
+    complement: nothing recurses per ``!``, and only the condition under
+    them is built, once, whichever of the two is asked first."""
+    from bernabs import bern
+
+    ctx = theory.TheoryContext([cc.VarDecl("x", -3, 4), cc.VarDecl("y", 0, 2)])
+    c = cond("x < y || x == 2", ctx.names)
+    states = list(ctx.states())
+    want = sum(1 << k for k, z in enumerate(states) if naive_cond(c, ctx.names, z))
+    built = []
+    real_fold = bern.fold
+
+    def fold(tree, visit):
+        if getattr(visit, "__func__", None) is theory.TheoryContext._combine:
+            built.append(str(tree))
+        return real_fold(tree, visit)
+
+    monkeypatch.setattr(bern, "fold", fold)
+    stacked = c
+    for _ in range(5000):
+        stacked = cc.CNot(stacked)
+    full = (1 << len(states)) - 1
+    assert ctx.mask(cc.CNot(stacked)) == full ^ want
+    assert built == [str(c)]
+    assert ctx.mask(stacked) == want
+    assert ctx.mask(c) == want and ctx.satisfiable(cc.CNot(stacked)) == (want != full)
+    assert built == [str(c)]
+
+
+def test_an_undeclared_variable_is_named_with_every_other():
+    """Closedness is checked per new atom, but the error names every
+    undeclared variable of the condition, and nothing is kept."""
+    ctx = theory.TheoryContext([cc.VarDecl("x", 0, 4)])
+    bad = cond("z > 1 || x < 2 && y < 1", ["x", "y", "z"])
+    for query in (ctx.mask, ctx.satisfiable, lambda c: ctx.entails(cc.CTrue(), c)):
+        with pytest.raises(ParseError, match="undeclared variables: y, z$"):
+            query(bad)
+        with pytest.raises(ParseError, match="undeclared variables: y, z$"):
+            query(cc.CNot(cc.CNot(bad)))
+    assert ctx.mask(cond("x < 2", ["x"])) == 0b0011
