@@ -72,6 +72,7 @@ class PredicateList:
         self._cell_masks = None  # feasible bit-vector -> its cell's mask, if kept
         self._image = None
         self._cells = None
+        self._invariant = None
 
     def __len__(self):
         return len(self.labels)
@@ -245,8 +246,10 @@ class PredicateList:
         return self._canonical(bits for bits in feasible if bits not in misses)
 
     def invariant_formula(self) -> bddm.Bdd:
-        """I: the disjunction of theory-feasible minterms."""
-        return self._canonical(self._partition())
+        """I: the disjunction of theory-feasible minterms, built on first use."""
+        if self._invariant is None:
+            self._invariant = self._canonical(self._partition())
+        return self._invariant
 
 
 def predicate_list_text(preds: PredicateList) -> str:

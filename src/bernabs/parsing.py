@@ -5,35 +5,54 @@ is line-oriented.  '#' starts a comment.  Braced tokens like ``{x<3}`` are
 Boolean variable names in .bern; the parser resolves the brace/block
 ambiguity positionally (blocks only ever follow ``if (...)`` or ``else``).
 
+The tokenizer makes one regular-expression match per token: the match
+takes in the blanks and comments before its token.  A token is kept as
+its text, with its match for its offsets; the line and column of a token
+are worked out only where a statement's line or an error needs them, by
+bisecting the offsets of the text's newlines.  A character no token
+starts with is kept as a `_Stray`, which raises its error the first time
+the grammar compares it with anything.
+
 The two languages share one statement grammar, `_Parser.statements`:
 blocks, ``if (c) {...} else {...}``, the filters and the loop-word check.
 Each language supplies its expression grammar as readers over a parser:
-.cp a condition and an arithmetic reader, .bern one expression reader.  A
-bare condition (a .preds line, ``check --where``) or an event (``infer
---event``) is read by the same reader straight from the given text, which it
-must use up (`_Parser.whole`), so every position an error names is one in
-that text.
+.cp a condition and an arithmetic reader, .bern one expression reader.
+Every reader of binary operators is one precedence-climbing loop,
+`_Parser.climb` (Pratt, *Top Down Operator Precedence*, POPL 1973), over
+a table of precedences:
+
+    .bern        &&  4   ||  3   =>  2 (to the right)   <=>  1
+    .cp          &&  2   ||  1
+    arithmetic   *   2   +   1   -   1
+
+Every other operator groups to the left.  A bare condition (a .preds line,
+``check --where``) or an event (``infer --event``) is read by the same
+reader straight from the given text, which it must use up
+(`_Parser.whole`), so every position an error names is one in that text.
 """
 
 from __future__ import annotations
 
-import contextlib
+import bisect
+import functools
 import itertools
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from bernabs import bern, concrete
 from bernabs.errors import ParseError
 
+# The blanks and comments before a token, then the token: a name, an
+# operator, an integer or the end of the text (group 1), or else a
+# character no token starts with (group 2).
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<int>\d+)
-    | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<op><=>|=>|&&|\|\||==|!=|<=|>=|[-+*/!<>=(){}\[\],:])
-    | (?P<other>.)
+    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
+    (?: ( [A-Za-z_][A-Za-z_0-9]*
+        | <=> | => | && | \|\| | == | != | <= | >= | [-+*/!<>=(){}\[\],:]
+        | \d+
+        | \Z )
+      | (.) )
     """,
     re.VERBOSE,
 )
@@ -54,100 +73,127 @@ class _NestingError(ParseError):
     """Input nested past MAX_NESTING; never caught to backtrack."""
 
 
-class Token(NamedTuple):
-    kind: str  # 'int' | 'name' | 'op' | 'other' | 'eof'
-    text: str
-    line: int
-    col: int
-    start: int
-    end: int
+class _Stray(str):
+    """A character no token starts with, at (line, column) `position`.  It
+    is an error wherever the grammar meets it, but a braced name, which is
+    read from the text, may hold it.  The grammar compares every token
+    before it consumes one, so comparing or hashing a stray raises its
+    error: the error comes where the grammar first looks at it."""
+
+    def fail(self, *_):
+        raise ParseError(f"unexpected character {str(self)!r}", *self.position)
+
+    __eq__ = __ne__ = __hash__ = fail
+
+
+def _operators(table):
+    """The binary operators of `table`, which maps each to (precedence,
+    build, right), as `_Parser.climb` reads them: each mapped to
+    (precedence, build, grouping).  ``build(left, right, start)`` makes the
+    node, `start` being the index of its first token.  The grouping is
+    "right" for an operator marked `right`, "tight" for one of the top
+    precedence, whose right operand is one operand, else "left"."""
+    top = max(prec for prec, _, _ in table.values())
+    return {
+        tok: (prec, build, "right" if right else "tight" if prec == top else "left")
+        for tok, (prec, build, right) in table.items()
+    }
+
+
+def _is_name(tok) -> bool:
+    return bern.IDENT_OK.match(tok) is not None
 
 
 def tokenize(text):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind in ("ws", "comment"):
-            line += chunk.count("\n")
-            if "\n" in chunk:
-                line_start = m.start() + chunk.rindex("\n") + 1
-        else:
-            tokens.append(Token(kind, chunk, line, m.start() - line_start + 1, m.start(), m.end()))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1, pos, pos))
-    return tokens
+    """The tokens of `text`: (texts, matches), the text of each token,
+    ending with one '' at the end of the text, and its match, which spans
+    the blanks and comments before it too."""
+    matches = list(_TOKEN_RE.finditer(text))
+    if len(matches) > 1 and matches[-2][1] == "":
+        matches.pop()  # the end, matched once after the last blanks and once more
+    toks = [m[1] for m in matches]
+    if None in toks:
+        newlines = _newlines(text)
+        for k, m in enumerate(matches):
+            if m[1] is None:
+                toks[k] = _Stray(m[2])
+                toks[k].position = _line_col(newlines, m.start(2))
+    return toks, matches
+
+
+def _newlines(text):
+    return [m.start() for m in re.finditer("\n", text)]
+
+
+def _line_col(newlines, offset):
+    """The line and column of `offset`, given the offsets of the newlines."""
+    line = bisect.bisect(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] + 1 if line else 0) + 1
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = tokenize(text)
+        self.toks, self.matches = tokenize(text)
         self.i = 0
         self.depth = 0
+        self.newlines = None  # the offsets of the newlines, found on first use
 
-    def peek(self, ahead=0) -> Token:
-        """The token `ahead` places on.  A character no token starts with is
-        an error here, not in `tokenize`, so that a braced name may hold it;
-        every token is peeked at before `next` consumes it."""
-        tok = self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-        if tok.kind == "other":
-            raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
-        return tok
+    # --- positions ----------------------------------------------------------
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    def position(self, k):
+        """(line, column) of the k-th token."""
+        if self.newlines is None:
+            self.newlines = _newlines(self.text)
+        return _line_col(self.newlines, self.matches[k].end() - len(self.toks[k]))
 
-    def at(self, text) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+    def line(self, k) -> int:
+        return self.position(k)[0]
+
+    def error(self, message, k) -> ParseError:
+        return ParseError(message, *self.position(k))
+
+    # --- lookahead ----------------------------------------------------------
+
+    def peek(self) -> str:
+        return self.toks[self.i]
 
     def accept(self, text) -> bool:
-        if self.at(text):
-            self.next()
+        if self.toks[self.i] == text:
+            self.i += 1
             return True
         return False
 
-    def expect(self, text) -> Token:
-        if not self.at(text):
+    def expect(self, text):
+        if self.toks[self.i] != text:
             self.expected(repr(text))
-        return self.next()
+        self.i += 1
 
-    def fail(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message, error=ParseError):
+        """Raise `error` at the next token, or the error of a stray there."""
+        tok = self.toks[self.i]
+        if type(tok) is _Stray:
+            tok.fail()
+        raise error(message, *self.position(self.i))
 
     def expected(self, what):
         """Fail at the next token, which is not `what`."""
-        tok = self.peek()
-        found = "the end of the text" if tok.kind == "eof" else repr(tok.text)
-        self.fail(f"expected {what}, found {found}")
+        tok = self.toks[self.i]
+        self.fail(f"expected {what}, found {repr(tok) if tok else 'the end of the text'}")
 
-    def at_eof(self):
-        return self.peek().kind == "eof"
-
-    @contextlib.contextmanager
-    def nested(self):
-        """One level of syntactic nesting, at most MAX_NESTING deep."""
+    def enter(self):
+        """One more level of syntactic nesting, at most MAX_NESTING deep;
+        the caller leaves it with ``depth -= 1``."""
         if self.depth >= MAX_NESTING:
-            tok = self.peek()
-            raise _NestingError(f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+            self.fail(f"nested more than {MAX_NESTING} levels deep", _NestingError)
         self.depth += 1
-        try:
-            yield
-        finally:
-            self.depth -= 1
+
+    # --- shared readers -----------------------------------------------------
 
     def whole(self, read):
         """What `read` reads, which must be all of the text."""
         result = read()
-        if not self.at_eof():
+        if self.toks[self.i] != "":
             self.expected("the end of the text")
         return result
 
@@ -158,55 +204,81 @@ class _Parser:
             items.append(read())
         return items
 
+    def climb(self, operand, ops, floor=1):
+        """Operands read by `operand` joined by the binary operators of
+        `ops` (see `_operators`) of at least `floor` in precedence:
+        precedence climbing.  An operator that groups to the right is one
+        level of nesting; the others group to the left, in this loop."""
+        start = self.i
+        left = operand()
+        toks = self.toks
+        while True:
+            op = ops.get(toks[self.i])
+            if op is None or op[0] < floor:
+                return left
+            prec, build, grouping = op
+            self.i += 1
+            if grouping == "tight":
+                left = build(left, operand(), start)
+            elif grouping == "left":
+                left = build(left, self.climb(operand, ops, prec + 1), start)
+            else:
+                self.enter()
+                left = build(left, self.climb(operand, ops, prec), start)
+                self.depth -= 1
+
     def statements(self, cond, assignment, filters, make_if):
         """The statements up to the end of the text.  `cond` reads a
         condition; `filters` maps each filter word to its statement class,
         built from a condition and a line; `make_if` builds an ``if`` from
         its condition, blocks and line; any other statement is read by
-        ``assignment(first_token)``."""
+        ``assignment(index of its first token)``."""
+        toks = self.toks
 
         def guard():
-            self.next()
+            self.i += 1
             self.expect("(")
             c = cond()
             self.expect(")")
             return c
 
         def statement():
-            tok = self.peek()
-            if tok.kind == "name" and tok.text in _LOOP_WORDS:
-                raise ParseError(f"unsupported construct {tok.text!r} (loop-free language)", tok.line, tok.col)
-            if tok.text in filters:
-                return filters[tok.text](guard(), tok.line)
-            if tok.text == "if":
+            k = self.i
+            tok = toks[k]
+            if tok in _LOOP_WORDS:
+                raise self.error(f"unsupported construct {tok!r} (loop-free language)", k)
+            if tok in filters:
+                return filters[tok](guard(), self.line(k))
+            if tok == "if":
                 c = guard()
                 then = block()
-                return make_if(c, then, block() if self.accept("else") else (), tok.line)
-            return assignment(tok)
+                return make_if(c, then, block() if self.accept("else") else (), self.line(k))
+            return assignment(k)
 
         def block():
             self.expect("{")
+            self.enter()
             stmts = []
-            with self.nested():
-                while not self.at("}"):
-                    if self.at_eof():
-                        self.fail("unterminated block")
-                    stmts.append(statement())
-            self.expect("}")
+            while toks[self.i] != "}":
+                if toks[self.i] == "":
+                    self.fail("unterminated block")
+                stmts.append(statement())
+            self.depth -= 1
+            self.i += 1
             return tuple(stmts)
 
         body = []
-        while not self.at_eof():
+        while toks[self.i] != "":
             body.append(statement())
         return tuple(body)
 
     def signed_int(self) -> int:
         sign = -1 if self.accept("-") else 1
-        tok = self.peek()
-        if tok.kind != "int":
+        tok = self.toks[self.i]
+        if not tok.isdecimal():
             self.expected("an integer")
-        self.next()
-        return sign * int(tok.text)
+        self.i += 1
+        return sign * int(tok)
 
     def half_open(self):
         """The bounds of the range ``[lo, hi)``."""
@@ -218,28 +290,44 @@ class _Parser:
         return lo, hi
 
     def braced_name(self) -> str:
-        open_tok = self.expect("{")
-        depth_line = open_tok.line
+        """The name between ``{`` and the next ``}``, read from the text:
+        the tokens between must be on the line of the ``{``, and none of
+        them another ``{``."""
+        k = self.i
+        self.expect("{")
         j = self.i
-        while self.tokens[j].kind != "eof" and self.tokens[j].text != "}":
-            if self.tokens[j].text == "{" or self.tokens[j].line != depth_line:
-                raise ParseError("unterminated braced name", open_tok.line, open_tok.col)
+        raw = self.matches  # a stray's group 1 is None, which is no brace
+        while raw[j][1] != "}" and raw[j][1] != "":
             j += 1
-        if self.tokens[j].kind == "eof":
-            raise ParseError("unterminated braced name", open_tok.line, open_tok.col)
-        close_tok = self.tokens[j]
-        name = self.text[open_tok.end : close_tok.start].strip()
+        open_end = raw[k].end()
+        if (
+            raw[j][1] == ""
+            or any(raw[n][1] == "{" for n in range(self.i, j))
+            or "\n" in self.text[open_end : raw[j - 1].end()]
+        ):
+            raise self.error("unterminated braced name", k)
+        name = self.text[open_end : raw[j].end() - 1].strip()
         if not name:
-            raise ParseError("empty braced name", open_tok.line, open_tok.col)
+            raise self.error("empty braced name", k)
         self.i = j + 1
         return name
 
 
-def _check_declared(name, declared, tok):
-    """`name`, read from `tok`, if `declared` is None (any name) or holds it."""
+def _check_declared(p: _Parser, name, declared, k):
+    """`name`, read at the k-th token, if `declared` is None (any name) or holds it."""
     if declared is not None and name not in declared:
-        raise ParseError(f"undeclared variable {name!r}", tok.line, tok.col)
+        raise p.error(f"undeclared variable {name!r}", k)
     return name
+
+
+def _first_repeat(p: _Parser, names, at):
+    """Raise at the first name of `names` that repeats an earlier one; `at`
+    holds the index of the token each is read at."""
+    seen = set()
+    for name, k in zip(names, at):
+        if name in seen:
+            raise p.error(f"{name!r} is declared twice", k)
+        seen.add(name)
 
 
 # --- concrete programs (.cp) -------------------------------------------------
@@ -250,82 +338,83 @@ def _cp_grammar(p: _Parser, declared):
     over the names in `declared` (any name when it is None).  Each reads
     one tree and rejects one more than MAX_NESTING levels high at its first
     token."""
+    toks = p.toks
 
     def int_atom():
-        tok = p.peek()
-        if tok.text == "(":
-            p.next()
-            with p.nested():
-                e = int_expr()
+        k = p.i
+        tok = toks[k]
+        if tok == "(":
+            p.i += 1
+            p.enter()
+            e = int_expr()
+            p.depth -= 1
             p.expect(")")
             return e
-        if tok.text == "-":
-            p.next()
-            with p.nested():
-                inner = int_atom()
+        if tok == "-":
+            p.i += 1
+            p.enter()
+            inner = int_atom()
+            p.depth -= 1
             if isinstance(inner, concrete.IntConst):
                 return concrete.IntConst(-inner.value)
             return concrete.Scale(-1, inner)
-        if tok.kind == "int":
-            p.next()
-            return concrete.IntConst(int(tok.text))
-        if tok.kind == "name":
-            p.next()
-            return concrete.IntVar(_check_declared(tok.text, declared, tok))
+        if tok.isdecimal():
+            p.i += 1
+            return concrete.IntConst(int(tok))
+        if _is_name(tok):
+            p.i += 1
+            return concrete.IntVar(_check_declared(p, tok, declared, k))
         p.expected("an arithmetic term")
 
-    def int_term():
-        tok = p.peek()
-        e = int_atom()
-        while p.at("*"):
-            p.next()
-            rhs = int_atom()
-            if isinstance(e, concrete.IntConst):
-                if isinstance(rhs, concrete.IntConst):
-                    e = concrete.IntConst(e.value * rhs.value)
-                else:
-                    e = concrete.Scale(e.value, rhs)
-            elif isinstance(rhs, concrete.IntConst):
-                e = concrete.Scale(rhs.value, e)
-            else:
-                raise ParseError("nonlinear product of variables", tok.line, tok.col)
-        return e
+    def product(e, rhs, start):
+        if isinstance(e, concrete.IntConst):
+            if isinstance(rhs, concrete.IntConst):
+                return concrete.IntConst(e.value * rhs.value)
+            return concrete.Scale(e.value, rhs)
+        if isinstance(rhs, concrete.IntConst):
+            return concrete.Scale(rhs.value, e)
+        raise p.error("nonlinear product of variables", start)
 
-    def int_expr():
-        e = int_term()
-        while p.at("+") or p.at("-"):
-            op = p.next().text
-            rhs = int_term()
-            e = concrete.Add(e, rhs) if op == "+" else concrete.Sub(e, rhs)
-        return e
+    arithmetic = _operators({
+        "*": (2, product, False),
+        "+": (1, lambda e, rhs, start: concrete.Add(e, rhs), False),
+        "-": (1, lambda e, rhs, start: concrete.Sub(e, rhs), False),
+    })
+    connectives = _operators({
+        "&&": (2, lambda c, rhs, start: concrete.CAnd(c, rhs), False),
+        "||": (1, lambda c, rhs, start: concrete.COr(c, rhs), False),
+    })
 
     def cond_atom():
-        tok = p.peek()
-        if tok.text == "!":
-            p.next()
-            with p.nested():
-                return concrete.CNot(cond_atom())
-        if tok.text in ("T", "F") and p.peek(1).text not in _ARITHMETIC_FOLLOWS:
-            p.next()
-            return concrete.CTrue() if tok.text == "T" else concrete.CFalse()
-        if tok.text != "(":
+        tok = toks[p.i]
+        if tok == "!":
+            p.i += 1
+            p.enter()
+            c = concrete.CNot(cond_atom())
+            p.depth -= 1
+            return c
+        if (tok == "T" or tok == "F") and toks[p.i + 1] not in _ARITHMETIC_FOLLOWS:
+            p.i += 1
+            return concrete.CTrue() if tok == "T" else concrete.CFalse()
+        if tok != "(":
             return comparison()
         # either a parenthesized condition or a parenthesized arithmetic
         # expression starting a comparison; try the condition first, and
         # when neither reading works, report the one that got further
-        save, bracketed = p.i, None
+        save, bracketed = (p.i, p.depth), None
         try:
-            p.next()
-            with p.nested():
-                c = cond_or()
+            p.i += 1
+            p.enter()
+            c = cond_expr()
+            p.depth -= 1
             p.expect(")")
-            if p.peek().text not in _ARITHMETIC_FOLLOWS:
+            if toks[p.i] not in _ARITHMETIC_FOLLOWS:
                 return c
         except _NestingError:
             raise
         except ParseError as exc:
             bracketed = exc
-        p.i = save
+        p.i, p.depth = save
         try:
             return comparison()
         except _NestingError:
@@ -337,74 +426,68 @@ def _cp_grammar(p: _Parser, declared):
 
     def comparison():
         left = int_expr()
-        op = p.peek().text
+        op = toks[p.i]
         if op == "=":
             op = "=="
         if op not in concrete.CMP_OPS:
             p.expected("a comparison operator")
-        p.next()
+        p.i += 1
         return concrete.Cmp(op, left, int_expr())
 
-    def cond_and():
-        c = cond_atom()
-        while p.accept("&&"):
-            c = concrete.CAnd(c, cond_atom())
-        return c
-
-    def cond_or():
-        c = cond_and()
-        while p.accept("||"):
-            c = concrete.COr(c, cond_and())
-        return c
+    int_expr = functools.partial(p.climb, int_atom, arithmetic)
+    cond_expr = functools.partial(p.climb, cond_atom, connectives)
 
     def shallow(read):
         def read_tree():
-            tok = p.peek()
+            k = p.i
             tree = read()
             if _height(tree) > MAX_NESTING:
-                raise ParseError(f"nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+                raise p.error(f"nested more than {MAX_NESTING} levels deep", k)
             return tree
 
         return read_tree
 
-    return shallow(cond_or), shallow(int_expr)
+    return shallow(cond_expr), shallow(int_expr)
 
 
 def parse_concrete(text) -> concrete.ConcreteProgram:
     p = _Parser(text)
-    decls = []
-    while p.at("var"):
-        p.next()
+    decls, at = [], []
+    while p.accept("var"):
+        k = p.i
         tok = p.peek()
-        if tok.kind != "name":
+        if not _is_name(tok):
             p.fail("expected a variable name")
-        p.next()
+        p.i += 1
         p.expect("in")
         lo, hi = p.half_open()
         if lo >= hi:
-            raise ParseError(f"empty range for {tok.text!r}", tok.line, tok.col)
-        decls.append(concrete.VarDecl(tok.text, lo, hi))
+            raise p.error(f"empty range for {tok!r}", k)
+        decls.append(concrete.VarDecl(tok, lo, hi))
+        at.append(k)
     declared = {d.name: d for d in decls}
     cond, arith = _cp_grammar(p, declared)
 
-    def assignment(tok):
-        if tok.kind != "name":
+    def assignment(k):
+        tok = p.peek()
+        if not _is_name(tok):
             p.expected("a statement")
-        if tok.text == "var":
-            raise ParseError("declarations must precede statements", tok.line, tok.col)
-        p.next()
-        decl = declared[_check_declared(tok.text, declared, tok)]
+        if tok == "var":
+            raise p.error("declarations must precede statements", k)
+        p.i += 1
+        decl = declared[_check_declared(p, tok, declared, k)]
         p.expect("=")
         if not p.accept("unif"):
-            return concrete.Assign(tok.text, arith(), tok.line)
+            return concrete.Assign(tok, arith(), p.line(k))
         lo, hi = p.half_open()
         if lo >= hi:
-            raise ParseError("empty draw range", tok.line, tok.col)
+            raise p.error("empty draw range", k)
         if not decl.lo <= lo < hi <= decl.hi:
-            raise ParseError(f"draw [{lo}, {hi}) escapes {tok.text}'s declared range", tok.line, tok.col)
-        return concrete.Draw(tok.text, lo, hi, tok.line)
+            raise p.error(f"draw [{lo}, {hi}) escapes {tok}'s declared range", k)
+        return concrete.Draw(tok, lo, hi, p.line(k))
 
     body = p.statements(cond, assignment, {"observe": concrete.Observe}, concrete.If)
+    _first_repeat(p, [d.name for d in decls], at)
     return concrete.ConcreteProgram(tuple(decls), body)
 
 
@@ -452,11 +535,11 @@ def parse_preds(text):
 def _rational(p: _Parser) -> Fraction:
     """The rational ``n`` or ``n/d`` at the parser's position: the one
     reader of flip parameters and of ``--params fixed=<r>``."""
-    tok = p.peek()
+    k = p.i
     num = p.signed_int()
     den = p.signed_int() if p.accept("/") else 1
     if den == 0:
-        raise ParseError(f"zero denominator in {num}/0", tok.line, tok.col)
+        raise p.error(f"zero denominator in {num}/0", k)
     return Fraction(num, den)
 
 
@@ -468,78 +551,77 @@ def parse_rational(text) -> Fraction:
 # --- BERN programs (.bern) ------------------------------------------------------
 
 
+def _joined(cls):
+    return lambda left, right, start: cls(left, right)
+
+
+_BERN_OPS = _operators({
+    "&&": (4, _joined(bern.BAnd), False),
+    "||": (3, _joined(bern.BOr), False),
+    "=>": (2, _joined(bern.BImp), True),
+    "<=>": (1, _joined(bern.BIff), False),
+})
+
+
 def _bern_grammar(p: _Parser, declared, plain=False):
     """The .bern expression reader over `p`, for expressions over the names
     in `declared`, and its counters of flip sites and of stars, which
     number them in reading order; a `plain` expression, an event, has none
     of them and no ``choose``."""
     flips, stars = itertools.count(), itertools.count()
+    toks = p.toks
+    # the leaf each bare token stands for: T, F and every declared name
+    # that may be written bare; a leaf is immutable, so one object serves
+    # every read of it
+    leaves = {"T": bern.BTrue(), "F": bern.BFalse()}
+    for name in declared:
+        if bern.IDENT_OK.fullmatch(name) and name not in bern.RESERVED_WORDS:
+            leaves[name] = bern.BVar(name)
 
     def atom():
-        tok = p.peek()
-        if plain and tok.text in ("flip", "*", "choose"):
+        k = p.i
+        tok = toks[k]
+        leaf = leaves.get(tok)
+        if leaf is not None:
+            p.i += 1
+            return leaf
+        if plain and tok in ("flip", "*", "choose"):
             p.fail("events must be plain Boolean formulas over the variables")
-        if tok.text == "!":
-            p.next()
-            with p.nested():
-                return bern.BNot(atom())
-        if tok.text == "(":
-            p.next()
-            with p.nested():
-                e = expr()
+        if tok == "!":
+            p.i += 1
+            p.enter()
+            e = bern.BNot(atom())
+            p.depth -= 1
+            return e
+        if tok == "(":
+            p.i += 1
+            p.enter()
+            e = expr()
+            p.depth -= 1
             p.expect(")")
             return e
-        if tok.text == "T":
-            p.next()
-            return bern.BTrue()
-        if tok.text == "F":
-            p.next()
-            return bern.BFalse()
-        if tok.text == "*":
-            p.next()
+        if tok == "*":
+            p.i += 1
             return bern.Star(next(stars))
-        if tok.text == "flip":
-            p.next()
+        if tok == "flip":
+            p.i += 1
             p.expect("(")
             theta = _flip_param(p)
             p.expect(")")
             return bern.Flip(next(flips), theta)
-        if tok.text == "choose":
-            p.next()
+        if tok == "choose":
+            p.i += 1
             p.expect("(")
-            with p.nested():
-                a = expr()
-                p.expect(",")
-                b = expr()
+            p.enter()
+            a = expr()
+            p.expect(",")
+            b = expr()
+            p.depth -= 1
             p.expect(")")
             return bern.Choose(a, b)
-        return bern.BVar(_check_declared(_bern_name(p), declared, tok))
+        return bern.BVar(_check_declared(p, _bern_name(p), declared, k))
 
-    def conj():
-        e = atom()
-        while p.accept("&&"):
-            e = bern.BAnd(e, atom())
-        return e
-
-    def disj():
-        e = conj()
-        while p.accept("||"):
-            e = bern.BOr(e, conj())
-        return e
-
-    def implication():
-        e = disj()
-        if p.accept("=>"):
-            with p.nested():
-                return bern.BImp(e, implication())
-        return e
-
-    def expr():
-        e = implication()
-        while p.accept("<=>"):
-            e = bern.BIff(e, implication())
-        return e
-
+    expr = functools.partial(p.climb, atom, _BERN_OPS)
     return expr, flips, stars
 
 
@@ -547,25 +629,28 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
     """The program `text`, in `mode`, or else in the mode its flips or
     stars imply; `BernProgram` rejects a program its mode does not allow."""
     p = _Parser(text)
-    decls = []
-    while p.at("bool"):
-        p.next()
+    decls, at = [], []
+    while p.accept("bool"):
+        at.append(p.i)
         decls.append(_bern_name(p))
     declared = set(decls)
     expr, flips, stars = _bern_grammar(p, declared)
 
-    def assignment(tok):
+    def assignment(k):
         targets = p.listed(lambda: _bern_name(p))
         for t in targets:
-            _check_declared(t, declared, tok)
+            _check_declared(p, t, declared, k)
         p.expect("=")
         exprs = p.listed(expr)
         if len(exprs) != len(targets):
-            raise ParseError("parallel assignment arity mismatch", tok.line, tok.col)
-        return bern.PAssign(tuple(targets), tuple(exprs), tok.line)
+            raise p.error("parallel assignment arity mismatch", k)
+        if len(targets) > 1 and len(set(targets)) != len(targets):
+            raise p.error("parallel assignment targets must be distinct", k)
+        return bern.PAssign(tuple(targets), tuple(exprs), p.line(k))
 
     filters = {"observe": bern.BObserve, "assume": bern.BAssume}
     body = p.statements(expr, assignment, filters, bern.BIf)
+    _first_repeat(p, decls, at)
     if mode is None:  # a counter's next id is the number of its leaves read
         mode = "prob" if next(flips) else ("nondet" if next(stars) else None)
     return bern.BernProgram(tuple(decls), body, mode)
@@ -573,24 +658,25 @@ def parse_bern(text, mode=None) -> bern.BernProgram:
 
 def _bern_name(p: _Parser) -> str:
     tok = p.peek()
-    if tok.text == "{":
+    if tok == "{":
         return p.braced_name()
-    if tok.kind != "name":
+    if not _is_name(tok):
         p.expected("a variable name")
-    if tok.text in bern.RESERVED_WORDS:
-        p.fail(f"{tok.text!r} is reserved")
-    p.next()
-    return tok.text
+    if tok in bern.RESERVED_WORDS:
+        p.fail(f"{tok!r} is reserved")
+    p.i += 1
+    return tok
 
 
 def _flip_param(p: _Parser):
+    k = p.i
     tok = p.peek()
-    if tok.kind == "name":
-        p.next()
-        return tok.text  # symbolic parameter
+    if _is_name(tok):
+        p.i += 1
+        return tok  # symbolic parameter
     theta = _rational(p)
     if not 0 <= theta <= 1:
-        raise ParseError(f"flip parameter {theta} outside [0, 1]", tok.line, tok.col)
+        raise p.error(f"flip parameter {theta} outside [0, 1]", k)
     return theta
 
 

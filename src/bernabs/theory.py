@@ -13,13 +13,13 @@ role an SMT solver would play for unbounded theories), bounded by
 ``concrete.DEFAULT_STATE_CAP`` alone.  Masks are memoized on the
 condition's text and atoms on theirs; the cap is checked on a miss,
 before anything of the domain's size is allocated, and closedness on
-each new atom.  The weakest precondition is a `bern.map_expr` rebuild
-and the SMT-LIB2 text a fold with one entry per node class.  The
-predicate domain answers its per-cube questions from the masks of its
-cells, so these are left to the builder's few direct checks and to the
-tests, which use them as the oracle.  The query log holds every distinct
-query asked here or answered by the cells, as SMT-LIB2 an external
-solver can cross-check.
+each new atom, whose text and variables come from the mask's fold.  The
+weakest precondition is a `bern.map_expr` rebuild and the SMT-LIB2 text
+a fold with one entry per node class.  The predicate domain answers its
+per-cube questions from the masks of its cells, so these are left to
+the builder's few direct checks and to the tests, which use them as the
+oracle.  The query log holds every distinct query asked here or answered
+by the cells, as SMT-LIB2 an external solver can cross-check.
 """
 
 from __future__ import annotations
@@ -47,7 +47,10 @@ class TheoryContext:
 
     def check_closed(self, cond) -> frozenset:
         """The variables `cond` reads, if this context declares them all."""
-        reads = frozenset(cc.tree_vars(cond))
+        return self._closed(frozenset(cc.tree_vars(cond)))
+
+    def _closed(self, reads) -> frozenset:
+        """`reads`, if this context declares every one of them."""
         extra = reads - set(self.names)
         if extra:
             raise ParseError(f"condition mentions undeclared variables: {', '.join(sorted(extra))}")
@@ -107,7 +110,8 @@ class TheoryContext:
 
     def _combine(self, node, values):
         """The mask of a condition node, given its children's: or, below an
-        atom, the text of an integer expression, which names its atom."""
+        atom, the text of an integer expression, which names its atom, and
+        the variables it reads."""
         kind = type(node)
         if kind is cc.CAnd:
             return values[0] & values[1]
@@ -119,10 +123,13 @@ class TheoryContext:
             return self._full
         if kind is cc.CFalse:
             return 0
-        text = cc.node_text(node, values)
-        return self._atom(node, text) if kind is cc.Cmp else text
+        if kind is cc.IntVar:
+            return node.name, frozenset((node.name,))
+        text = cc.node_text(node, [text for text, _ in values])
+        reads = frozenset().union(*(reads for _, reads in values))
+        return self._atom(node, text, reads) if kind is cc.Cmp else (text, reads)
 
-    def _atom(self, atom, key) -> int:
+    def _atom(self, atom, key, reads) -> int:
         """The mask of a comparison whose text is `key`: its truth table
         over the variables it reads, in ``itertools.product`` order, laid
         out as binary digits level by level from the last variable up.
@@ -130,11 +137,11 @@ class TheoryContext:
         consecutive blocks side by side, the first value lowest, and any
         other repeats each block once per value.  A loop, not a recursion,
         over the levels, and linear in the digits made.  The variables it
-        reads must be declared (`check_closed`)."""
+        `reads` must be declared."""
         hit = self._atoms.get(key)
         if hit is not None:
             return hit
-        reads = self.check_closed(atom)
+        self._closed(reads)
         levels = [i for i, name in enumerate(self.names) if name in reads]
         fn = cc.compile(atom, [self.names[i] for i in levels])
         ranges = (range(self.decls[i].lo, self.decls[i].hi) for i in levels)

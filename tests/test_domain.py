@@ -202,6 +202,18 @@ def test_invariant_examples():
     assert dup.invariant_formula().equiv(va.iff(vb))
 
 
+def test_the_invariant_is_built_once_per_domain(monkeypatch):
+    """A second call hands back the Bdd the first call built, which is the
+    node a fresh build of the feasible minterms gives."""
+    built, canonical = [], PredicateList._canonical
+    monkeypatch.setattr(PredicateList, "_canonical", lambda self, rows: built.append(1) or canonical(self, rows))
+    _, preds = two_pred_domain()
+    first = preds.invariant_formula()
+    assert preds.invariant_formula() is first
+    assert len(built) == 1
+    assert canonical(preds, (m.bits for m in preds.feasible_minterms())).ref == first.ref
+
+
 def test_compatibility_properties():
     rng = random.Random(4)
     for _ in range(25):

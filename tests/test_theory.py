@@ -257,3 +257,19 @@ def test_an_undeclared_variable_is_named_with_every_other():
         with pytest.raises(ParseError, match="undeclared variables: y, z$"):
             query(cc.CNot(cc.CNot(bad)))
     assert ctx.mask(cond("x < 2", ["x"])) == 0b0011
+
+
+def test_a_new_atom_is_folded_again_only_to_compile_it(monkeypatch):
+    """A mask miss folds the condition for its text and for its mask; the
+    mask fold gives each new atom its text and its variables, so an atom
+    is folded once more, to compile it, and never to gather its reads."""
+    from bernabs import bern
+
+    ctx = theory.TheoryContext([cc.VarDecl("x", -3, 4), cc.VarDecl("y", 0, 2), cc.VarDecl("z", 0, 3)])
+    c = cond("x + 2*y < z || !(y == 1) && 3 > x - z", ctx.names)
+    folded, real_fold = [], bern.fold
+    monkeypatch.setattr(bern, "fold", lambda tree, visit: folded.append(tree) or real_fold(tree, visit))
+    states = list(ctx.states())
+    assert ctx.mask(c) == sum(1 << k for k, s in enumerate(states) if naive_cond(c, ctx.names, s))
+    atoms = [c.left, c.right.left.operand, c.right.right]
+    assert folded == [c, c] + atoms
